@@ -20,11 +20,10 @@ from .hilbert import (
     boson,
     boson_annihilation,
     embed,
-    hermitian_eigenvalues,
+    lowering_operators,
     partial_trace,
     qubit,
     qubit_lowering,
-    solve_linear,
 )
 from .entanglement import bell_state, negativity, partial_transpose_first, qd_negativity
 from .model import (
@@ -38,21 +37,11 @@ from .model import (
     build_lab_hamiltonian,
     coupling_from_field,
     identify_dark_state,
+    jump_operators,
     preset_params,
     total_excitation_operator,
 )
-from .liouvillian import (
-    Superoperator,
-    VectorizedState,
-    assemble_generator,
-    build_liouvillian,
-    commutator_superoperator,
-    dephasing_dissipator,
-    devectorize,
-    dissipator,
-    incoherent_pump_dissipator,
-    vectorize,
-)
+from .liouvillian import Superoperator, assemble_generator, build_liouvillian
 from .solvers import (
     ConvergenceReport,
     Schedule,
@@ -62,7 +51,6 @@ from .solvers import (
     steady_state,
 )
 from .experiments import (
-    QD_GAMMA_FAMILY,
     SweepAxis,
     SweepResult,
     SweepSpec,

@@ -26,7 +26,6 @@ import numpy as np
 
 from . import __version__
 from .exceptions import ConfigError, DomainError, SolverError
-from .hilbert import NumericPolicy
 from .model import (
     CouplingMatrix,
     DriveParams,
@@ -82,7 +81,6 @@ _DYNAMICS_KEYS = {"initial", "horizon_ps", "samples"}
 _PROTOCOL_KEYS = {"tau_ps", "initial_detuning_uev", "horizon_ps", "samples"}
 _CONVERGENCE_KEYS = {"cutoffs", "observable"}
 _OUTPUT_KEYS = {"directory", "prefix"}
-_NUMERICS_KEYS = {"algebraic_tol", "positivity_slack"}
 
 _SECTIONS = {
     "run": _RUN_KEYS,
@@ -93,7 +91,6 @@ _SECTIONS = {
     "protocol": _PROTOCOL_KEYS,
     "convergence": _CONVERGENCE_KEYS,
     "output": _OUTPUT_KEYS,
-    "numerics": _NUMERICS_KEYS,
 }
 
 
@@ -120,11 +117,6 @@ class RunConfig:
     observable: str = "negativity"
     output_dir: str = "."
     prefix: str | None = None
-    algebraic_tol: float = 1e-10
-    positivity_slack: float = 1e-8
-
-    def policy(self) -> NumericPolicy:
-        return NumericPolicy(self.algebraic_tol, self.positivity_slack)
 
     def to_json_dict(self) -> dict:
         """Canonical resolved-physics dictionary; the run id hashes this."""
@@ -142,8 +134,6 @@ class RunConfig:
             },
             "drive": dataclasses.asdict(p.drive),
             "at_dark_state": self.at_dark_state,
-            "numerics": {"algebraic_tol": self.algebraic_tol,
-                         "positivity_slack": self.positivity_slack},
         }
         if self.command == "sweep":
             d["sweep"] = {"kind": self.sweep_kind, "grids": self.sweep_grids,
@@ -216,9 +206,6 @@ class RunConfig:
         lines += ["", "[output]", f"directory = {self.output_dir}"]
         if self.prefix:
             lines.append(f"prefix = {self.prefix}")
-        lines += ["", "[numerics]",
-                  f"algebraic_tol = {self.algebraic_tol!r}",
-                  f"positivity_slack = {self.positivity_slack!r}"]
         return "\n".join(lines) + "\n"
 
 
@@ -412,7 +399,6 @@ def parse_config(text: str) -> RunConfig:
         )
     params, at_dark = _build_params(system, drive, preset)
 
-    numerics = _SectionReader(parser, "numerics")
     output = _SectionReader(parser, "output")
 
     kwargs = dict(
@@ -425,8 +411,6 @@ def parse_config(text: str) -> RunConfig:
         allow_point_failures=run.flag("allow_point_failures", False),
         output_dir=output.text("directory", "."),
         prefix=output.text("prefix", None),
-        algebraic_tol=numerics.real("algebraic_tol", 1e-10, minimum=0.0),
-        positivity_slack=numerics.real("positivity_slack", 1e-8, minimum=0.0),
     )
 
     if command == "sweep":
@@ -562,27 +546,31 @@ def run(config: RunConfig, quiet: bool = False) -> int:
             diagnostics = {"residual": info.residual}
 
         elif config.command == "sweep":
-            grids = config.sweep_grids
-            if config.sweep_kind == "phase_detuning":
-                result = sweep_phase_detuning(
-                    params, _linspace(grids["phi"]), _linspace(grids["delta"]),
-                    n_workers=config.threads)
-            elif config.sweep_kind == "qd_detuning":
-                result = sweep_detuning(params, _linspace(grids["detuning"]),
-                                        n_workers=config.threads)
-            elif config.sweep_kind == "dephasing":
-                result = sweep_dephasing(params, _linspace(grids["gamma_d"]),
-                                         n_workers=config.threads)
-            else:
-                result = sweep_splitting(params, _linspace(grids["splitting"]),
-                                         linewidth_sets=config.linewidth_sets,
-                                         n_workers=config.threads)
+            grids = {name: _linspace(spec)
+                     for name, spec in config.sweep_grids.items()}
+            workers = config.threads
+            # built per run so the sweep functions are looked up at call time
+            sweeps = {
+                "phase_detuning": lambda: sweep_phase_detuning(
+                    params, grids["phi"], grids["delta"], n_workers=workers),
+                "qd_detuning": lambda: sweep_detuning(
+                    params, grids["detuning"], n_workers=workers),
+                "dephasing": lambda: sweep_dephasing(
+                    params, grids["gamma_d"], n_workers=workers),
+                "splitting": lambda: sweep_splitting(
+                    params, grids["splitting"],
+                    linewidth_sets=config.linewidth_sets, n_workers=workers),
+            }
+            result = sweeps[config.sweep_kind]()
             columns, rows = result.to_records()
             emit(f"{prefix}_{config.sweep_kind}.csv", columns, rows)
+            converged = result.residuals[result.converged]
             diagnostics = {
                 "n_points": int(result.values.size),
-                "n_converged": int(np.sum(result.converged)),
-                "max_residual": float(np.nanmax(result.residuals)),
+                "n_converged": int(converged.size),
+                # null when no point converged
+                "max_residual": float(converged.max()) if converged.size else None,
+                "point_failures": list(result.failures),
             }
             if result.failures and not config.allow_point_failures:
                 print(f"{len(result.failures)} sweep points failed; first: "
@@ -616,8 +604,11 @@ def run(config: RunConfig, quiet: bool = False) -> int:
                 flag = report.converged[k - 1] if k else True
                 rows.append((cutoff, report.values[k], rel, flag))
             emit(f"{prefix}.csv", columns, rows)
+            # a change from an exactly zero value is infinite; JSON has
+            # no infinity, so it is written as null
             diagnostics = {"relative_differences":
-                           list(report.relative_differences),
+                           [r if np.isfinite(r) else None
+                            for r in report.relative_differences],
                            "all_converged": report.all_converged}
 
     except (SolverError, DomainError) as exc:
@@ -642,7 +633,8 @@ def run(config: RunConfig, quiet: bool = False) -> int:
     }
     try:
         manifest_path = out_dir / f"{prefix}_manifest.json"
-        manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True)
+        manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True,
+                                            allow_nan=False)
                                  + "\n", encoding="utf-8")
         if not quiet:
             print(f"wrote {manifest_path}")

@@ -38,13 +38,8 @@ __all__ = [
     "default_delta_grid",
     "default_qd_detuning_grid",
     "default_gamma_d_grid",
-    "QD_GAMMA_FAMILY",
     "INITIAL_STATES",
 ]
-
-# emitter loss rates (ueV) used as the default multi-curve family
-QD_GAMMA_FAMILY = (0.0, 0.66, 3.3, 6.6)
-
 
 def default_phi_grid() -> np.ndarray:
     return np.linspace(0.0, 2.0 * np.pi, 61)
@@ -97,10 +92,6 @@ def _set_mode_linewidths(params: SystemParams, value) -> SystemParams:
     return params.with_mode_linewidths(float(gamma1), float(gamma2))
 
 
-def _set_qd_gamma(params: SystemParams, value) -> SystemParams:
-    return params.with_qd_decay(float(value))
-
-
 _AXIS_SETTERS = {
     "phi": _set_phi,
     "delta": _set_delta,
@@ -108,7 +99,6 @@ _AXIS_SETTERS = {
     "gamma_d": _set_gamma_d,
     "splitting": _set_splitting,
     "mode_linewidths": _set_mode_linewidths,
-    "qd_gamma": _set_qd_gamma,
 }
 
 _AXIS_COLUMNS = {
@@ -118,7 +108,6 @@ _AXIS_COLUMNS = {
     "gamma_d": ("gamma_d_ueV",),
     "splitting": ("splitting_ueV",),
     "mode_linewidths": ("gamma_m1_ueV", "gamma_m2_ueV"),
-    "qd_gamma": ("qd_gamma_ueV",),
 }
 
 

@@ -1,4 +1,4 @@
-"""Composite Hilbert spaces, elementary operators and dense numeric kernels.
+"""Composite Hilbert spaces, elementary operators and the partial trace.
 
 The tensor-product convention is fixed once at space construction: subsystem 0
 is the slowest index (leftmost Kronecker factor).  Qubits are ordered
@@ -8,12 +8,12 @@ is the slowest index (leftmost Kronecker factor).  Qubits are ordered
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import reduce
+from functools import lru_cache, reduce
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .exceptions import DomainError, SingularSolveError
+from .exceptions import DomainError
 
 __all__ = [
     "NumericPolicy",
@@ -27,9 +27,8 @@ __all__ = [
     "boson_annihilation",
     "qubit_lowering",
     "embed",
+    "lowering_operators",
     "partial_trace",
-    "hermitian_eigenvalues",
-    "solve_linear",
 ]
 
 
@@ -254,6 +253,21 @@ def qubit_lowering(space: CompositeSpace, position: int) -> Operator:
     return embed(np.array([[0, 1], [0, 0]], dtype=complex), space, position)
 
 
+@lru_cache(maxsize=16)
+def lowering_operators(space: CompositeSpace) -> tuple[Operator, ...]:
+    """Lowering operator of every subsystem, in subsystem order: |g><e| for
+    a qubit, the truncated photon destruction operator for a boson.
+
+    For the model space (QD1, QD2, mode1, mode2) this is (sigma_1, sigma_2,
+    a_1, a_2).  Cached per space; the operators are immutable.
+    """
+    return tuple(
+        qubit_lowering(space, k) if sub.kind == "qubit"
+        else boson_annihilation(space, k)
+        for k, sub in enumerate(space.subsystems)
+    )
+
+
 def _partial_trace_matrix(matrix: np.ndarray, dims: Sequence[int],
                           keep: Sequence[int]) -> np.ndarray:
     n = len(dims)
@@ -288,56 +302,3 @@ def partial_trace(op, keep: Iterable[int]):
     if isinstance(op, DensityMatrix):
         return DensityMatrix(sub_space, reduced, op.policy)
     return Operator(sub_space, reduced)
-
-
-def hermitian_eigenvalues(matrix, return_vectors: bool = False,
-                          policy: NumericPolicy = DEFAULT_POLICY):
-    """Full real spectrum of a Hermitian matrix, ascending.
-
-    Rejects inputs whose Hermiticity defect exceeds the policy tolerance
-    (scaled by the magnitude of the largest entry).
-    """
-    m = np.asarray(matrix, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise DomainError(f"expected a square matrix, got shape {m.shape}")
-    scale = max(1.0, float(np.max(np.abs(m))) if m.size else 1.0)
-    defect = float(np.max(np.abs(m - m.conj().T)))
-    if defect > policy.algebraic_tol * scale:
-        raise DomainError(f"matrix is not Hermitian (defect {defect:.3e})")
-    if return_vectors:
-        vals, vecs = np.linalg.eigh(m)
-        return vals, vecs
-    return np.linalg.eigvalsh(m)
-
-
-def solve_linear(a, b, policy: NumericPolicy = DEFAULT_POLICY) -> np.ndarray:
-    """Solve ``a @ x = b`` with a residual guarantee.
-
-    Raises ``SingularSolveError`` (carrying a condition estimate) when the
-    system is singular to working precision or the residual bound
-    ``||ax - b|| <= tol * (||a|| ||x|| + ||b||)`` cannot be met.
-    """
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise DomainError(f"expected a square matrix, got shape {a.shape}")
-    if b.shape[0] != a.shape[0]:
-        raise DomainError("right-hand side length does not match the matrix")
-    try:
-        x = np.linalg.solve(a, b)
-    except np.linalg.LinAlgError as exc:
-        raise SingularSolveError(
-            f"linear solve failed: {exc}", condition_estimate=float("inf")
-        ) from exc
-    residual = np.linalg.norm(a @ x - b)
-    bound = policy.algebraic_tol * (
-        np.linalg.norm(a) * np.linalg.norm(x) + np.linalg.norm(b)
-    )
-    if not np.isfinite(residual) or residual > bound:
-        cond = float(np.linalg.cond(a))
-        raise SingularSolveError(
-            f"linear solve residual {residual:.3e} exceeds bound {bound:.3e} "
-            f"(condition estimate {cond:.3e})",
-            condition_estimate=cond,
-        )
-    return x

@@ -1,42 +1,32 @@
-"""Vectorization and sparse assembly of the Lindblad generator.
+"""Sparse assembly of the Lindblad generator.
 
 Vectorization is column-stacking throughout: ``vec(rho) = rho.ravel(order="F")``
 and ``vec(A rho B) = (B^T kron A) vec(rho)``.  All superoperator formulas in
 this module are written against that convention.
 
-Individual dissipators are returned hbar-scaled (in ueV, like the rates that
-enter them); the full generator divides by ``HBAR_UEV_PS`` exactly once at
-assembly, so an assembled Liouvillian has units of 1/ps.
+Hamiltonians and jump rates enter hbar-scaled (in ueV); the generator divides
+by ``HBAR_UEV_PS`` exactly once at assembly, so an assembled Liouvillian has
+units of 1/ps.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 import scipy.sparse as sp
 
 from .exceptions import DomainError
-from .hilbert import (
-    DEFAULT_POLICY,
-    CompositeSpace,
-    NumericPolicy,
-    Operator,
-    boson_annihilation,
-    qubit_lowering,
+from .hilbert import DEFAULT_POLICY, CompositeSpace, Operator
+from .model import (
+    HBAR_UEV_PS,
+    SystemParams,
+    build_effective_hamiltonian,
+    jump_operators,
 )
-from .model import HBAR_UEV_PS, SystemParams, build_effective_hamiltonian
 
 __all__ = [
     "Superoperator",
-    "VectorizedState",
-    "vectorize",
-    "devectorize",
-    "commutator_superoperator",
-    "dissipator",
-    "dephasing_dissipator",
-    "incoherent_pump_dissipator",
     "assemble_generator",
     "build_liouvillian",
 ]
@@ -53,7 +43,6 @@ class Superoperator:
 
     space: CompositeSpace
     matrix: sp.csr_matrix = field(repr=False)
-    policy: NumericPolicy = DEFAULT_POLICY
 
     def __post_init__(self):
         d2 = self.space.total_dim ** 2
@@ -64,7 +53,7 @@ class Superoperator:
         object.__setattr__(self, "matrix", sp.csr_matrix(self.matrix))
         defect = self.trace_defect()
         scale = max(1.0, abs(self.matrix).max() if self.matrix.nnz else 1.0)
-        if defect > self.policy.algebraic_tol * scale:
+        if defect > DEFAULT_POLICY.algebraic_tol * scale:
             raise DomainError(
                 f"superoperator does not preserve the trace (defect {defect:.3e})"
             )
@@ -84,33 +73,6 @@ class Superoperator:
         vec = np.asarray(matrix, dtype=complex).reshape(d * d, order="F")
         return (self.matrix @ vec).reshape((d, d), order="F")
 
-    def __add__(self, other: "Superoperator") -> "Superoperator":
-        if other.space != self.space:
-            raise DomainError("superoperators live on different spaces")
-        return Superoperator(self.space, self.matrix + other.matrix, self.policy)
-
-    def __mul__(self, scalar) -> "Superoperator":
-        return Superoperator(self.space, self.matrix * scalar, self.policy)
-
-    __rmul__ = __mul__
-
-
-@dataclass(frozen=True)
-class VectorizedState:
-    """Column-stacked density matrix of length D^2."""
-
-    space: CompositeSpace
-    vector: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        vec = np.asarray(self.vector, dtype=complex).ravel()
-        if vec.size != self.space.total_dim ** 2:
-            raise DomainError(
-                f"vectorized state has length {vec.size}, expected "
-                f"{self.space.total_dim ** 2}"
-            )
-        object.__setattr__(self, "vector", vec)
-
 
 def identity_bra(space: CompositeSpace) -> np.ndarray:
     """Row vector <<I| whose pairing with vec(rho) gives Tr(rho)."""
@@ -120,97 +82,13 @@ def identity_bra(space: CompositeSpace) -> np.ndarray:
     return bra
 
 
-def vectorize(rho) -> VectorizedState:
-    """Column-stack a density matrix (or operator) into a length-D^2 vector."""
-    return VectorizedState(rho.space, rho.matrix.reshape(-1, order="F"))
-
-
-def devectorize(state, space: CompositeSpace | None = None) -> np.ndarray:
-    """Inverse of :func:`vectorize`; returns the raw matrix."""
-    if isinstance(state, VectorizedState):
-        vec = state.vector
-    else:
-        vec = np.asarray(state, dtype=complex).ravel()
-    d = int(round(np.sqrt(vec.size)))
-    if d * d != vec.size:
-        raise DomainError(f"vector length {vec.size} is not a perfect square")
-    if space is not None and space.total_dim != d:
-        raise DomainError(
-            f"vector length {vec.size} does not match space dimension "
-            f"{space.total_dim}"
-        )
-    return vec.reshape((d, d), order="F").copy()
-
-
-def _sparse(matrix: np.ndarray) -> sp.csr_matrix:
-    return sp.csr_matrix(matrix)
-
-
-def commutator_superoperator(h: Operator) -> Superoperator:
-    """Superoperator for -i [H, rho]; same energy units as H."""
-    hs = _sparse(h.matrix)
-    d = h.space.total_dim
-    eye = sp.identity(d, dtype=complex, format="csr")
-    mat = -1j * (sp.kron(eye, hs, format="coo") - sp.kron(hs.T, eye, format="coo"))
-    return Superoperator(h.space, mat.tocsr())
-
-
-def dissipator(jump: Operator, rate: float) -> Superoperator:
-    """Lindblad dissipator rate * (C rho C^dag - {C^dag C, rho} / 2).
-
-    The rate keeps its hbar scaling (ueV); division by hbar happens once,
-    in :func:`assemble_generator`.
-    """
-    if rate < 0:
-        raise DomainError(f"dissipator rate must be >= 0, got {rate}")
-    d = jump.space.total_dim
-    if rate == 0:
-        return Superoperator(jump.space,
-                             sp.csr_matrix((d * d, d * d), dtype=complex))
-    c = _sparse(jump.matrix)
-    eye = sp.identity(d, dtype=complex, format="csr")
-    cdc = (c.conj().T @ c).tocsr()
-    mat = rate * (
-        sp.kron(c.conj(), c, format="coo")
-        - 0.5 * sp.kron(eye, cdc, format="coo")
-        - 0.5 * sp.kron(cdc.T, eye, format="coo")
-    )
-    return Superoperator(jump.space, mat.tocsr())
-
-
-def _nth_position(space: CompositeSpace, kind: str, index: int) -> int:
-    positions = [k for k, s in enumerate(space.subsystems) if s.kind == kind]
-    if not 0 <= index < len(positions):
-        raise DomainError(
-            f"{kind} index {index} out of range; space has {len(positions)} "
-            f"subsystems of that kind"
-        )
-    return positions[index]
-
-
-def dephasing_dissipator(dot: int, rate: float, space: CompositeSpace) -> Superoperator:
-    """Pure-dephasing dissipator of one emitter, jump operator sigma^+ sigma^-.
-
-    ``rate`` is the emitter's coherence-decay rate: populations are untouched
-    and a bare emitter's off-diagonal element decays as exp(-rate * t / hbar).
-    The excited-state projector halves the phase-damping efficiency of the
-    plain Lindblad form, so the jump is applied at twice the nominal rate to
-    keep that normalization.
-    """
-    sm = qubit_lowering(space, _nth_position(space, "qubit", dot))
-    projector = Operator(space, sm.matrix.conj().T @ sm.matrix)
-    return dissipator(projector, 2.0 * rate)
-
-
-def incoherent_pump_dissipator(mode: int, rate: float,
-                               space: CompositeSpace) -> Superoperator:
-    """Incoherent pumping of one photonic mode, jump operator a^dag."""
-    a = boson_annihilation(space, _nth_position(space, "boson", mode))
-    return dissipator(a.dag(), rate)
-
-
 def assemble_generator(h: Operator, jumps) -> Superoperator:
     """Full generator (-i [H, .] + sum of dissipators) / hbar, in 1/ps.
+
+    Each jump C with rate r contributes r (C rho C^dag - {C^dag C, rho} / 2).
+    The anticommutators fold into H_eff = H - (i/2) sum r C^dag C, so the
+    generator is -i (I kron H_eff) + i ((H_eff^dag)^T kron I)
+    + sum r conj(C) kron C, built in one pass from coordinate triplets.
 
     Parameters
     ----------
@@ -218,55 +96,48 @@ def assemble_generator(h: Operator, jumps) -> Superoperator:
         hbar-scaled Hamiltonian in ueV.
     jumps : iterable of (Operator, float)
         Jump operators with their hbar-scaled rates in ueV; zero-rate entries
-        are skipped.
+        are skipped and negative rates raise ``DomainError``.
     """
-    total = commutator_superoperator(h).matrix.tocoo()
+    d = h.space.total_dim
+    decay = np.zeros((d, d), dtype=complex)
+    rows, cols, vals = [], [], []
     for jump, rate in jumps:
+        if rate < 0:
+            raise DomainError(f"dissipator rate must be >= 0, got {rate}")
         if rate == 0:
             continue
-        total = total + dissipator(jump, rate).matrix
-    return Superoperator(h.space, sp.csr_matrix(total) / HBAR_UEV_PS)
+        c = jump.matrix
+        decay += rate * (c.conj().T @ c)
+        i, j = np.nonzero(c)
+        # conj(C) kron C: entry (i1, j1) of conj(C) times (i2, j2) of C
+        rows.append((i[:, None] * d + i[None, :]).ravel())
+        cols.append((j[:, None] * d + j[None, :]).ravel())
+        vals.append((rate * np.conj(c[i, j])[:, None] * c[i, j][None, :]).ravel())
 
+    offsets = np.arange(d) * d
+    left = h.matrix - 0.5j * decay  # acts from the left: I kron left
+    i, j = np.nonzero(left)
+    rows.append((offsets[:, None] + i[None, :]).ravel())
+    cols.append((offsets[:, None] + j[None, :]).ravel())
+    vals.append(np.tile(-1j * left[i, j], d))
+    right = (h.matrix + 0.5j * decay).T  # acts from the right: right kron I
+    i, j = np.nonzero(right)
+    rows.append((i[:, None] * d + np.arange(d)[None, :]).ravel())
+    cols.append((j[:, None] * d + np.arange(d)[None, :]).ravel())
+    vals.append(np.repeat(1j * right[i, j], d))
 
-@lru_cache(maxsize=8)
-def _unit_dissipators(space: CompositeSpace) -> dict:
-    """Unit-rate dissipator matrices for the standard jump set, keyed by
-    (channel, index); rate independence makes them cacheable per space."""
-    sm = tuple(qubit_lowering(space, n) for n in range(2))
-    a = tuple(boson_annihilation(space, 2 + m) for m in range(2))
-    units = {}
-    for m in range(2):
-        units[("loss", m)] = dissipator(a[m], 1.0).matrix
-        units[("pump", m)] = dissipator(a[m].dag(), 1.0).matrix
-    for n in range(2):
-        units[("decay", n)] = dissipator(sm[n], 1.0).matrix
-        projector = Operator(space, sm[n].matrix.conj().T @ sm[n].matrix)
-        units[("dephasing", n)] = dissipator(projector, 1.0).matrix
-    return units
+    matrix = sp.csr_matrix(
+        (np.concatenate(vals) / HBAR_UEV_PS,
+         (np.concatenate(rows), np.concatenate(cols))),
+        shape=(d * d, d * d),
+    )
+    matrix.eliminate_zeros()  # entries that cancelled exactly
+    return Superoperator(h.space, matrix)
 
 
 def build_liouvillian(params: SystemParams) -> Superoperator:
-    """Lindblad generator of the full system in 1/ps.
-
-    Combines the rotating-frame Hamiltonian with photon loss, emitter decay,
-    pure dephasing and incoherent mode pumping for both modes and both
-    emitters; the single division by hbar happens here.
-    """
+    """Lindblad generator of the full system in 1/ps: the rotating-frame
+    Hamiltonian with the eight loss, decay, dephasing and pump channels."""
     space = params.space()
-    h = build_effective_hamiltonian(params, space)
-    units = _unit_dissipators(space)
-
-    total = commutator_superoperator(h).matrix
-    rates = {}
-    for m in range(2):
-        rates[("loss", m)] = params.modes[m].gamma
-        rates[("pump", m)] = params.modes[m].pump
-    for n in range(2):
-        rates[("decay", n)] = params.dots[n].gamma
-        # gamma_d is the coherence-decay rate; the projector jump needs
-        # twice that rate (see dephasing_dissipator)
-        rates[("dephasing", n)] = 2.0 * params.dots[n].gamma_d
-    for key, rate in rates.items():
-        if rate != 0:
-            total = total + rate * units[key]
-    return Superoperator(space, sp.csr_matrix(total) / HBAR_UEV_PS)
+    return assemble_generator(build_effective_hamiltonian(params, space),
+                              jump_operators(params, space))

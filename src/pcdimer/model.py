@@ -22,15 +22,7 @@ import math
 import numpy as np
 
 from .exceptions import DomainError
-from .hilbert import (
-    CompositeSpace,
-    Operator,
-    boson,
-    boson_annihilation,
-    embed,
-    qubit,
-    qubit_lowering,
-)
+from .hilbert import CompositeSpace, Operator, boson, lowering_operators, qubit
 
 __all__ = [
     "HBAR_UEV_PS",
@@ -43,6 +35,7 @@ __all__ = [
     "coupling_from_field",
     "total_excitation_operator",
     "build_effective_hamiltonian",
+    "jump_operators",
     "build_lab_hamiltonian",
     "identify_dark_state",
     "preset_params",
@@ -234,13 +227,8 @@ def coupling_from_field(omega0: float, d2: float, ey: float) -> float:
 
 def total_excitation_operator(space: CompositeSpace) -> Operator:
     """Sum of all emitter populations and photon numbers."""
-    total = np.zeros((space.total_dim, space.total_dim), dtype=complex)
-    for k, sub in enumerate(space.subsystems):
-        if sub.kind == "qubit":
-            low = qubit_lowering(space, k).matrix
-        else:
-            low = boson_annihilation(space, k).matrix
-        total = total + low.conj().T @ low
+    total = sum(low.matrix.conj().T @ low.matrix
+                for low in lowering_operators(space))
     return Operator(space, total)
 
 
@@ -260,8 +248,8 @@ def _hamiltonian(params: SystemParams, space: CompositeSpace,
     Built as D + (Y + Y^dag) with D real diagonal, so the result is exactly
     Hermitian entrywise.
     """
-    a = [boson_annihilation(space, 2 + m).matrix for m in range(2)]
-    sm = [qubit_lowering(space, n).matrix for n in range(2)]
+    ops = [low.matrix for low in lowering_operators(space)]
+    sm, a = ops[:2], ops[2:]
     g = params.coupling.as_array()
 
     diag = np.zeros((space.total_dim, space.total_dim), dtype=complex)
@@ -295,6 +283,31 @@ def build_effective_hamiltonian(params: SystemParams,
     wp = params.drive.pump_freq
     return _hamiltonian(params, space, mode_shift=wp, dot_shift=wp,
                         drive_phase_factor=1.0 + 0.0j)
+
+
+def jump_operators(params: SystemParams, space: CompositeSpace | None = None
+                   ) -> tuple[tuple[Operator, float], ...]:
+    """The eight Lindblad channels as (jump operator, hbar-scaled rate in ueV).
+
+    Per mode: photon loss a_m at the linewidth and incoherent pumping
+    a_m^dag at the pump rate.  Per emitter: radiative decay sigma_n and pure
+    dephasing through the excited-state projector sigma_n^dag sigma_n.
+    """
+    if space is None:
+        space = params.space()
+    else:
+        _check_space(params, space)
+    sm1, sm2, a1, a2 = lowering_operators(space)
+    jumps = []
+    for a, mode in zip((a1, a2), params.modes):
+        jumps += [(a, mode.gamma), (a.dag(), mode.pump)]
+    for sm, dot in zip((sm1, sm2), params.dots):
+        # gamma_d is the coherence-decay rate: a bare emitter's off-diagonal
+        # element decays as exp(-gamma_d t / hbar) with populations untouched.
+        # The projector jump halves the phase-damping efficiency of the plain
+        # Lindblad form, so it is applied at twice the nominal rate.
+        jumps += [(sm, dot.gamma), (sm.dag() @ sm, 2.0 * dot.gamma_d)]
+    return tuple(jumps)
 
 
 def build_lab_hamiltonian(params: SystemParams, t: float,

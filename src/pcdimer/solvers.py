@@ -16,7 +16,7 @@ from .exceptions import (
     IntegrationError,
     SingularSolveError,
 )
-from .hilbert import CompositeSpace, DensityMatrix, NumericPolicy
+from .hilbert import CompositeSpace, DensityMatrix, NumericPolicy, lowering_operators
 from .liouvillian import Superoperator, build_liouvillian, identity_bra
 from .model import SystemParams
 
@@ -171,20 +171,13 @@ class Trajectory:
 
 @lru_cache(maxsize=16)
 def _population_operators(space: CompositeSpace):
-    from .hilbert import boson_annihilation, qubit_lowering
-
     named = []
-    n_qubit = 0
-    n_boson = 0
-    for k, sub in enumerate(space.subsystems):
-        if sub.kind == "qubit":
-            n_qubit += 1
-            low = qubit_lowering(space, k).matrix
-            named.append((f"pop_qd{n_qubit}", low.conj().T @ low))
-        else:
-            n_boson += 1
-            low = boson_annihilation(space, k).matrix
-            named.append((f"pop_m{n_boson}", low.conj().T @ low))
+    counts = {"qubit": 0, "boson": 0}
+    for sub, low in zip(space.subsystems, lowering_operators(space)):
+        counts[sub.kind] += 1
+        label = "qd" if sub.kind == "qubit" else "m"
+        named.append((f"pop_{label}{counts[sub.kind]}",
+                      low.matrix.conj().T @ low.matrix))
     return tuple(named)
 
 

@@ -1,7 +1,7 @@
 """Acceptance suite: one test per acceptance criterion, each printing a
 PASS/FAIL line (run with ``pytest -s`` to see the lines for passing tests).
 
-Three checks are known to fail for documented physical reasons and are left
+Two checks are known to fail for documented physical reasons and are left
 red on purpose rather than loosened; see the notes inside criterion 3 and
 criterion 8.
 """

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -32,6 +33,29 @@ truncation = 1
 
 [drive]
 amplitude = 1.0
+"""
+
+# no loss, decay or drive: the steady state is never unique; [run] comes
+# last so tests can append keys to it
+CLOSED_SYSTEM = """
+[drive]
+amplitude = 0.0
+at_dark_state = false
+
+[system]
+mode1_omega = 0.0
+mode1_gamma = 0.0
+mode2_omega = 2200.0
+mode2_gamma = 0.0
+qd1_omega = 0.0
+qd2_omega = 0.0
+coupling_m1_qd1 = 110.0
+coupling_m1_qd2 = 110.0
+coupling_m2_qd1 = 110.0
+coupling_m2_qd2 = -110.0
+
+[run]
+command = steady
 """
 
 
@@ -128,6 +152,14 @@ def read_csv(path):
     return lines[0], header, rows
 
 
+def read_strict_json(path):
+    """Parse JSON, rejecting the NaN and Infinity tokens JSON does not have."""
+    def reject(token):
+        raise ValueError(f"non-JSON constant {token}")
+
+    return json.loads(path.read_text(), parse_constant=reject)
+
+
 class TestRun:
     def test_steady_outputs_and_manifest(self, tmp_path):
         config = parse_config(STEADY_PRESET + f"\n[output]\ndirectory = {tmp_path}\n")
@@ -191,28 +223,28 @@ class TestRun:
 
     def test_solver_failure_exit_code(self, tmp_path):
         # a fully closed system has no unique steady state
-        text = """
-[run]
-command = steady
-
-[system]
-mode1_omega = 0.0
-mode1_gamma = 0.0
-mode2_omega = 2200.0
-mode2_gamma = 0.0
-qd1_omega = 0.0
-qd2_omega = 0.0
-coupling_m1_qd1 = 110.0
-coupling_m1_qd2 = 110.0
-coupling_m2_qd1 = 110.0
-coupling_m2_qd2 = -110.0
-
-[drive]
-amplitude = 0.0
-at_dark_state = false
-"""
-        config = parse_config(text + f"\n[output]\ndirectory = {tmp_path}\n")
+        config = parse_config(CLOSED_SYSTEM
+                              + f"\n[output]\ndirectory = {tmp_path}\n")
         assert run(config, quiet=True) == 3
+
+    def test_all_points_failed_manifest_is_strict_json(self, tmp_path):
+        # a closed system stays degenerate at every dephasing rate, so every
+        # sweep point fails and no residual exists
+        text = (CLOSED_SYSTEM.replace("steady", "sweep")
+                + "allow_point_failures = true\n"
+                + "\n[sweep]\nkind = dephasing\n"
+                  "gamma_d_min = 0\ngamma_d_max = 1\ngamma_d_points = 3\n"
+                + f"\n[output]\ndirectory = {tmp_path}\n")
+        config = parse_config(text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert run(config, quiet=True) == 0
+
+        diagnostics = read_strict_json(tmp_path / "sweep_manifest.json")["diagnostics"]
+        assert diagnostics["n_converged"] == 0
+        assert diagnostics["max_residual"] is None
+        assert len(diagnostics["point_failures"]) == 3
+        assert all("steady state" in f for f in diagnostics["point_failures"])
 
     def test_convergence_command(self, tmp_path):
         text = (STEADY_PRESET.replace("steady", "convergence")
@@ -223,6 +255,24 @@ at_dark_state = false
         _, header, rows = read_csv(tmp_path / "convergence.csv")
         assert header == ["cutoff", "negativity", "rel_diff_prev", "converged"]
         assert [row[0] for row in rows] == ["1", "2"]
+
+    def test_convergence_from_zero_manifest_is_strict_json(self, tmp_path):
+        # strong drive: the negativity vanishes at cutoff 2 and returns at
+        # cutoff 3, an infinite relative change
+        text = (EXPLICIT_SYSTEM.replace("steady", "convergence")
+                .replace("amplitude = 1.0", "amplitude = 20.0")
+                .replace("qd2_omega = 0.0", "qd2_omega = 0.0\nqd1_gamma_d = 1.0\n"
+                                            "qd2_gamma_d = 1.0")
+                + "\n[convergence]\ncutoffs = 2,3\n"
+                + f"\n[output]\ndirectory = {tmp_path}\n")
+        assert run(parse_config(text), quiet=True) == 0
+        _, _, rows = read_csv(tmp_path / "convergence.csv")
+        assert float(rows[0][1]) == 0.0 and float(rows[1][1]) > 1e-3
+
+        manifest = read_strict_json(tmp_path / "convergence_manifest.json")
+        diagnostics = manifest["diagnostics"]
+        assert diagnostics["relative_differences"] == [None]
+        assert diagnostics["all_converged"] is False
 
     def test_seventeen_digit_precision(self, tmp_path):
         config = parse_config(STEADY_PRESET + f"\n[output]\ndirectory = {tmp_path}\n")

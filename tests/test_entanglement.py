@@ -89,6 +89,15 @@ class TestPartialTranspose:
         rho = random_density(rng, 4)
         assert np.allclose(partial_transpose_first(partial_transpose_first(rho)), rho)
 
+    def test_partial_transpose_stays_hermitian(self):
+        # transposing one factor of a Hermitian matrix keeps it Hermitian,
+        # so its spectrum stays real
+        rng = np.random.default_rng(17)
+        for _ in range(5):
+            pt = partial_transpose_first(random_density(rng, 4))
+            assert np.max(np.abs(pt - pt.conj().T)) < 1e-15
+            assert np.max(np.abs(np.linalg.eigvals(pt).imag)) < 1e-12
+
     def test_bell_characteristic_polynomial(self):
         # det(pt - x) expands to x^4 - x^3 + x/4 - 1/16, i.e. roots
         # {1/2, 1/2, 1/2, -1/2}

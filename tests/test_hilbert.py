@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from pcdimer.exceptions import DomainError, SingularSolveError
+from pcdimer.exceptions import DomainError
 from pcdimer.hilbert import (
     CompositeSpace,
     DensityMatrix,
@@ -9,11 +9,10 @@ from pcdimer.hilbert import (
     boson,
     boson_annihilation,
     embed,
-    hermitian_eigenvalues,
+    lowering_operators,
     partial_trace,
     qubit,
     qubit_lowering,
-    solve_linear,
 )
 
 
@@ -105,6 +104,23 @@ class TestQubitOperators:
             qubit_lowering(space, 2)
 
 
+class TestLoweringOperators:
+    def test_model_space_order(self):
+        # (sigma_1, sigma_2, a_1, a_2) for the (QD1, QD2, mode1, mode2) space
+        space = two_qubit_two_mode(2)
+        ops = lowering_operators(space)
+        expected = (qubit_lowering(space, 0), qubit_lowering(space, 1),
+                    boson_annihilation(space, 2), boson_annihilation(space, 3))
+        assert len(ops) == 4
+        for op, ref in zip(ops, expected):
+            assert np.array_equal(op.matrix, ref.matrix)
+
+    def test_cached_per_space(self):
+        space = two_qubit_two_mode()
+        assert lowering_operators(space) is lowering_operators(two_qubit_two_mode())
+        assert not lowering_operators(space)[0].matrix.flags.writeable
+
+
 class TestEmbed:
     def test_identity_embeds_to_identity(self):
         space = two_qubit_two_mode()
@@ -187,61 +203,6 @@ class TestPartialTrace:
         rho = DensityMatrix(space, np.eye(16) / 16)
         with pytest.raises(DomainError):
             partial_trace(rho, keep=[])
-
-
-class TestHermitianEigenvalues:
-    def test_pauli_z(self):
-        assert np.allclose(hermitian_eigenvalues(np.diag([1.0, -1.0])), [-1, 1])
-
-    def test_sorted_ascending(self):
-        assert np.allclose(hermitian_eigenvalues(np.diag([3.0, 1.0, 2.0])), [1, 2, 3])
-
-    def test_reconstruction_residual(self):
-        rng = np.random.default_rng(13)
-        a = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
-        m = a + a.conj().T
-        vals, vecs = hermitian_eigenvalues(m, return_vectors=True)
-        assert np.linalg.norm(vecs @ np.diag(vals) @ vecs.conj().T - m) < 1e-10
-
-    def test_rejects_non_hermitian(self):
-        with pytest.raises(DomainError):
-            hermitian_eigenvalues(np.array([[0.0, 1.0], [0.0, 0.0]]))
-
-    def test_partial_transpose_stays_hermitian(self):
-        # transposing one factor of a Hermitian matrix keeps it Hermitian,
-        # so its spectrum stays real
-        rng = np.random.default_rng(17)
-        for _ in range(5):
-            rho = random_density(rng, 4)
-            pt = rho.reshape(2, 2, 2, 2).transpose(2, 1, 0, 3).reshape(4, 4)
-            vals = hermitian_eigenvalues(pt)
-            assert np.all(np.isreal(vals))
-
-
-class TestSolveLinear:
-    def test_identity(self):
-        b = np.array([1.0, 2.0, 3.0 + 1j])
-        assert np.allclose(solve_linear(np.eye(3), b), b)
-
-    def test_diagonal(self):
-        a = np.diag([2.0, 4.0, 0.5])
-        b = np.array([2.0, 2.0, 2.0])
-        assert np.allclose(solve_linear(a, b), b / np.diag(a))
-
-    def test_residual_bound_on_random_system(self):
-        rng = np.random.default_rng(19)
-        a = rng.standard_normal((64, 64)) + 1j * rng.standard_normal((64, 64))
-        a += 8 * np.eye(64)  # keep it well conditioned
-        b = rng.standard_normal(64) + 1j * rng.standard_normal(64)
-        x = solve_linear(a, b)
-        bound = 1e-10 * (np.linalg.norm(a) * np.linalg.norm(x) + np.linalg.norm(b))
-        assert np.linalg.norm(a @ x - b) <= bound
-
-    def test_singular_matrix_reports_condition(self):
-        a = np.array([[1.0, 1.0], [1.0, 1.0]])
-        with pytest.raises(SingularSolveError) as exc_info:
-            solve_linear(a, np.array([1.0, 0.0]))
-        assert exc_info.value.condition_estimate > 1e12
 
 
 class TestDensityMatrix:

@@ -1,20 +1,19 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 from scipy.linalg import expm
 
 from pcdimer.exceptions import DomainError
-from pcdimer.hilbert import CompositeSpace, DensityMatrix, Operator, boson, qubit
-from pcdimer.liouvillian import (
-    assemble_generator,
-    build_liouvillian,
-    commutator_superoperator,
-    dephasing_dissipator,
-    devectorize,
-    dissipator,
-    incoherent_pump_dissipator,
-    identity_bra,
-    vectorize,
+from pcdimer.hilbert import (
+    CompositeSpace,
+    DensityMatrix,
+    Operator,
+    boson,
+    boson_annihilation,
+    qubit,
+    qubit_lowering,
 )
+from pcdimer.liouvillian import assemble_generator, build_liouvillian, identity_bra
 from pcdimer.model import (
     HBAR_UEV_PS,
     CouplingMatrix,
@@ -43,13 +42,20 @@ def propagate(liouville, rho0, t):
     return out.reshape((d, d), order="F")
 
 
-class TestVectorization:
-    def test_round_trip(self):
-        rng = np.random.default_rng(61)
-        space = CompositeSpace((qubit(), qubit()))
-        rho = DensityMatrix(space, random_density(rng, 4))
-        assert np.array_equal(devectorize(vectorize(rho)), rho.matrix)
+def bare_params(modes=(ModeParams(0.0, 0.0), ModeParams(0.0, 0.0)),
+                dots=(QDParams(0.0), QDParams(0.0))):
+    """Uncoupled, undriven system with resonant levels, so H = 0 and only
+    the rates given in ``modes`` and ``dots`` act."""
+    return SystemParams(
+        modes=modes,
+        dots=dots,
+        coupling=CouplingMatrix(((0.0, 0.0), (0.0, 0.0))),
+        drive=DriveParams(amplitude=0.0),
+        truncation=1,
+    )
 
+
+class TestVectorization:
     def test_sandwich_identity(self):
         # vec(A rho B) == (B^T kron A) vec(rho) for column stacking
         rng = np.random.default_rng(67)
@@ -65,31 +71,23 @@ class TestVectorization:
         space = CompositeSpace((qubit(), boson(2)))
         rho = DensityMatrix(space, random_density(rng, 6))
         bra = identity_bra(space)
-        assert np.isclose(bra @ vectorize(rho).vector, 1.0)
-
-    def test_devectorize_rejects_bad_length(self):
-        with pytest.raises(DomainError):
-            devectorize(np.zeros(5))
+        assert np.isclose(bra @ rho.matrix.reshape(-1, order="F"), 1.0)
 
 
 class TestDissipator:
     def test_zero_rate_is_zero(self):
-        from pcdimer.hilbert import qubit_lowering
-
-        d = dissipator(qubit_lowering(QUBIT, 0), 0.0)
-        assert d.matrix.nnz == 0
+        h = Operator(QUBIT, np.zeros((2, 2)))
+        liouville = assemble_generator(h, [(qubit_lowering(QUBIT, 0), 0.0)])
+        assert liouville.matrix.nnz == 0
 
     def test_negative_rate_rejected(self):
-        from pcdimer.hilbert import qubit_lowering
-
+        h = Operator(QUBIT, np.zeros((2, 2)))
         with pytest.raises(DomainError):
-            dissipator(qubit_lowering(QUBIT, 0), -1.0)
+            assemble_generator(h, [(qubit_lowering(QUBIT, 0), -1.0)])
 
     def test_amplitude_damping_law(self):
         # analytic decay: excited population e^(-gamma t / hbar); equals 1/e
         # at t = hbar / gamma
-        from pcdimer.hilbert import qubit_lowering
-
         gamma = 40.0
         h = Operator(QUBIT, np.zeros((2, 2)))
         liouville = assemble_generator(h, [(qubit_lowering(QUBIT, 0), gamma)])
@@ -102,53 +100,55 @@ class TestDissipator:
     def test_trace_annihilated_for_random_jumps(self):
         rng = np.random.default_rng(73)
         space = CompositeSpace((qubit(), boson(1)))
-        bra = identity_bra(space)
+        h = Operator(space, np.zeros((4, 4)))
         for _ in range(5):
             jump = Operator(space, rng.standard_normal((4, 4))
                             + 1j * rng.standard_normal((4, 4)))
-            d = dissipator(jump, rng.uniform(0.1, 10.0))
-            assert np.max(np.abs(bra @ d.matrix)) < 1e-10 * max(
-                1.0, abs(d.matrix).max())
+            d = assemble_generator(h, [(jump, rng.uniform(0.1, 10.0))])
+            assert d.trace_defect() < 1e-10 * max(1.0, abs(d.matrix).max())
 
 
 class TestDephasing:
+    # emitter 1 dephasing alone, the only nonzero rate of the model
+    GAMMA_D = 2.5
+
+    def liouville(self):
+        dots = (QDParams(0.0, gamma_d=self.GAMMA_D), QDParams(0.0))
+        return build_liouvillian(bare_params(dots=dots))
+
     def test_populations_untouched(self):
-        liouville = 1.0 / HBAR_UEV_PS * dephasing_dissipator(0, 3.0, QUBIT)
         rng = np.random.default_rng(79)
-        rho0 = random_density(rng, 2)
-        rho_t = propagate(liouville, rho0, 25.0)
+        rho0 = random_density(rng, 16)
+        rho_t = propagate(self.liouville(), rho0, 25.0)
         assert np.allclose(np.diag(rho_t), np.diag(rho0), atol=1e-12)
 
     def test_coherence_decay_rate(self):
-        # the rate argument is the coherence-decay rate: |rho_ge(t)| falls
-        # as e^(-gamma_d t / hbar)
-        gamma_d = 2.5
-        liouville = 1.0 / HBAR_UEV_PS * dephasing_dissipator(0, gamma_d, QUBIT)
-        rho0 = np.full((2, 2), 0.5, dtype=complex)
+        # gamma_d is the coherence-decay rate: the emitter-1 coherence
+        # |rho_ge(t)| falls as e^(-gamma_d t / hbar)
+        psi = np.zeros(16, dtype=complex)
+        psi[[0, 8]] = np.sqrt(0.5)  # (|g> + |e>) of emitter 1, rest in vacuum
+        rho0 = np.outer(psi, psi.conj())
         for t in (1.0, 100.0, 700.0):
-            rho_t = propagate(liouville, rho0, t)
-            assert np.isclose(rho_t[0, 1], 0.5 * np.exp(-gamma_d * t / HBAR_UEV_PS),
-                              atol=1e-12)
+            rho_t = propagate(self.liouville(), rho0, t)
+            assert np.isclose(
+                rho_t[0, 8], 0.5 * np.exp(-self.GAMMA_D * t / HBAR_UEV_PS),
+                atol=1e-12)
 
     def test_zero_rate(self):
-        assert dephasing_dissipator(1, 0.0, preset_params(
-            "dimer30_dc901").space()).matrix.nnz == 0
-
-    def test_invalid_dot_index(self):
-        with pytest.raises(DomainError):
-            dephasing_dissipator(2, 1.0, QUBIT)
+        assert build_liouvillian(bare_params()).matrix.nnz == 0
 
 
 class TestIncoherentPump:
     def test_zero_rate(self):
         space = CompositeSpace((boson(1),))
-        assert incoherent_pump_dissipator(0, 0.0, space).matrix.nnz == 0
+        h = Operator(space, np.zeros((2, 2)))
+        a = boson_annihilation(space, 0)
+        assert assemble_generator(h, [(a.dag(), 0.0)]).matrix.nnz == 0
 
     def test_truncated_mode_rate_balance(self):
         # two-level rate equations for the cutoff-1 mode give the steady
         # photon number P / (P + gamma)
         from pcdimer.solvers import steady_state
-        from pcdimer.hilbert import boson_annihilation
 
         space = CompositeSpace((boson(1),))
         pump_rate, loss_rate = 3.0, 11.0
@@ -160,14 +160,22 @@ class TestIncoherentPump:
         assert np.isclose(n, pump_rate / (pump_rate + loss_rate), atol=1e-12)
 
     def test_trace_preserved(self):
-        space = CompositeSpace((boson(2),))
-        d = incoherent_pump_dissipator(0, 2.0, space)
-        assert d.trace_defect() < 1e-10
+        modes = (ModeParams(0.0, 0.0, pump=2.0), ModeParams(0.0, 0.0))
+        assert build_liouvillian(bare_params(modes=modes)).trace_defect() < 1e-10
 
-    def test_invalid_mode_index(self):
-        with pytest.raises(DomainError):
-            incoherent_pump_dissipator(3, 1.0, preset_params(
-                "dimer30_dc901").space())
+    def test_rate_normalisation(self):
+        # pump of mode 1 alone at cutoff 1: the vacuum empties into |1> as
+        # 1 - e^(-P t / hbar)
+        pump = 4.0
+        modes = (ModeParams(0.0, 0.0, pump=pump), ModeParams(0.0, 0.0))
+        liouville = build_liouvillian(bare_params(modes=modes))
+        rho0 = np.zeros((16, 16), dtype=complex)
+        rho0[0, 0] = 1.0
+        for t in (1.0, HBAR_UEV_PS / pump, 600.0):
+            rho_t = propagate(liouville, rho0, t)
+            # basis index 2 is (g, g, n1 = 1, n2 = 0)
+            assert np.isclose(rho_t[2, 2].real,
+                              1.0 - np.exp(-pump * t / HBAR_UEV_PS), atol=1e-12)
 
 
 def dense_reference_generator(params):
@@ -221,16 +229,41 @@ def full_params():
     )
 
 
+rates = st.one_of(st.just(0.0), st.floats(0.0, 100.0))
+energies = st.floats(-3000.0, 3000.0)
+couplings = st.complex_numbers(max_magnitude=300.0)
+phases = st.floats(0.0, 2.0 * np.pi)
+
+
+@st.composite
+def physical_params(draw):
+    """Any physical parameter set at cutoff 1 or 2: every rate >= 0 (zero
+    included), arbitrary complex couplings and drive."""
+    modes = tuple(ModeParams(draw(energies), draw(rates), pump=draw(rates))
+                  for _ in range(2))
+    dots = tuple(QDParams(draw(energies), gamma=draw(rates), gamma_d=draw(rates))
+                 for _ in range(2))
+    g = tuple(tuple(draw(couplings) for _ in range(2)) for _ in range(2))
+    drive = DriveParams(amplitude=draw(st.floats(0.0, 50.0)),
+                        phase1=draw(phases), phase2=draw(phases),
+                        pump_freq=draw(energies))
+    return SystemParams(modes=modes, dots=dots, coupling=CouplingMatrix(g),
+                        drive=drive, truncation=draw(st.integers(1, 2)))
+
+
 class TestBuildLiouvillian:
     def test_dimension(self):
         liouville = build_liouvillian(preset_params("dimer30_dc901"))
         assert liouville.matrix.shape == (256, 256)
 
-    def test_sparse_matches_dense_reference(self):
-        params = full_params()
-        sparse = build_liouvillian(params).matrix.toarray()
+    @settings(max_examples=25, deadline=None)
+    @given(params=physical_params())
+    @example(params=full_params())
+    def test_sparse_matches_dense_reference(self, params):
+        liouville = build_liouvillian(params)
         dense = dense_reference_generator(params)
-        assert np.max(np.abs(sparse - dense)) < 1e-12
+        assert np.max(np.abs(liouville.matrix.toarray() - dense)) < 1e-12
+        assert liouville.trace_defect() < 1e-12
 
     def test_trace_preservation(self):
         liouville = build_liouvillian(full_params())
@@ -276,11 +309,12 @@ class TestBuildLiouvillian:
             assert np.linalg.eigvalsh(0.5 * (rho_t + rho_t.conj().T)).min() >= -1e-8
 
     def test_commutator_superoperator_action(self):
+        # with no jumps the generator is -i [H, .] / hbar
         rng = np.random.default_rng(89)
         space = CompositeSpace((qubit(), qubit()))
         h = rng.standard_normal((4, 4))
         h = Operator(space, h + h.T)
-        comm = commutator_superoperator(h)
+        comm = assemble_generator(h, [])
         rho = random_density(rng, 4)
-        expected = -1j * (h.matrix @ rho - rho @ h.matrix)
+        expected = -1j * (h.matrix @ rho - rho @ h.matrix) / HBAR_UEV_PS
         assert np.allclose(comm.apply_to_matrix(rho), expected, atol=1e-12)
