@@ -118,6 +118,15 @@ class RunConfig:
     output_dir: str = "."
     prefix: str | None = None
 
+    def __post_init__(self):
+        # the config format and the run id carry real couplings only
+        g = self.params.coupling.as_array()
+        if np.any(g.imag != 0):
+            raise DomainError(
+                "a run configuration takes real couplings only; got "
+                + ", ".join(str(complex(x)) for x in g.ravel() if x.imag != 0)
+            )
+
     def to_json_dict(self) -> dict:
         """Canonical resolved-physics dictionary; the run id hashes this."""
         p = self.params
@@ -509,6 +518,15 @@ def _trajectory_rows(trajectory):
     return columns, rows
 
 
+def _trajectory_diagnostics(trajectory) -> dict:
+    info = trajectory.info
+    return {"n_samples": int(len(trajectory.times)),
+            "peak_negativity": float(trajectory.observables["negativity"].max()),
+            "propagation_route": info.route,
+            "propagators_built": info.propagators,
+            "max_trace_drift": info.max_trace_drift}
+
+
 def _linspace(spec):
     lo, hi, n = spec
     return np.linspace(lo, hi, n)
@@ -581,18 +599,14 @@ def run(config: RunConfig, quiet: bool = False) -> int:
             trajectory = dynamics_run(params, config.initial,
                                       config.horizon_ps, config.samples)
             emit(f"{prefix}.csv", *_trajectory_rows(trajectory))
-            diagnostics = {"n_samples": int(len(trajectory.times)),
-                           "peak_negativity":
-                               float(trajectory.observables["negativity"].max())}
+            diagnostics = _trajectory_diagnostics(trajectory)
 
         elif config.command == "protocol":
             trajectory = stark_switch_protocol(
                 params, config.tau_ps, config.initial_detuning_uev,
                 config.horizon_ps, config.samples)
             emit(f"{prefix}.csv", *_trajectory_rows(trajectory))
-            diagnostics = {"n_samples": int(len(trajectory.times)),
-                           "peak_negativity":
-                               float(trajectory.observables["negativity"].max())}
+            diagnostics = _trajectory_diagnostics(trajectory)
 
         elif config.command == "convergence":
             report = convergence_scan(params, config.observable,

@@ -1,9 +1,10 @@
 """Two-qubit entanglement quantified by the negativity of the partial transpose.
 
 The two-qubit basis is ordered (|00>, |01>, |10>, |11>) and the partial
-transpose is taken with respect to the first qubit.  Eigenvalues inside
-(-EIGENVALUE_NOISE_FLOOR, 0) are treated as zero so that roundoff cannot
-produce a spurious nonzero negativity.
+transpose is taken with respect to the first qubit.  The partial transpose
+and the negativity accept one 4x4 matrix or a ``(..., 4, 4)`` stack.
+Eigenvalues inside (-EIGENVALUE_NOISE_FLOOR, 0) are treated as zero so that
+roundoff cannot produce a spurious nonzero negativity.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ def bell_state(kind: str) -> DensityMatrix:
 
 def _as_two_qubit_matrix(rho) -> np.ndarray:
     m = rho.matrix if isinstance(rho, DensityMatrix) else np.asarray(rho, dtype=complex)
-    if m.shape != (4, 4):
+    if m.shape[-2:] != (4, 4):
         raise DomainError(f"expected a 4x4 two-qubit matrix, got shape {m.shape}")
     return m
 
@@ -59,18 +60,19 @@ def partial_transpose_first(rho) -> np.ndarray:
     Hermitian with the same trace as the input.
     """
     m = _as_two_qubit_matrix(rho)
-    return m.reshape(2, 2, 2, 2).transpose(2, 1, 0, 3).reshape(4, 4)
+    return m.reshape(m.shape[:-2] + (2, 2, 2, 2)).swapaxes(-4, -2).reshape(m.shape)
 
 
-def negativity(rho) -> float:
+def negativity(rho):
     """Absolute sum of the negative eigenvalues of the partial transpose.
 
     Ranges from 0 (separable) to 0.5 (maximally entangled Bell states).
+    Returns a float for one matrix and an array for a stack.
     """
-    pt = partial_transpose_first(rho)
-    eigenvalues = np.linalg.eigvalsh(pt)
-    negative = eigenvalues[eigenvalues < -EIGENVALUE_NOISE_FLOOR]
-    return float(-negative.sum()) if negative.size else 0.0
+    magnitudes = -np.linalg.eigvalsh(partial_transpose_first(rho))
+    magnitudes[magnitudes <= EIGENVALUE_NOISE_FLOOR] = 0.0
+    result = magnitudes.sum(axis=-1)
+    return float(result) if result.ndim == 0 else result
 
 
 def qd_negativity(rho_full: DensityMatrix) -> float:

@@ -40,7 +40,8 @@ class DegenerateSteadyStateError(SolverError):
 
 
 class IntegrationError(SolverError):
-    """Time integration failed to meet its tolerance.
+    """Time propagation failed (bad grid or schedule, or trace drift beyond
+    its tolerance).
 
     Attributes
     ----------

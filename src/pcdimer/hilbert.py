@@ -22,6 +22,7 @@ __all__ = [
     "CompositeSpace",
     "Operator",
     "DensityMatrix",
+    "check_density_matrix",
     "qubit",
     "boson",
     "boson_annihilation",
@@ -171,22 +172,7 @@ class DensityMatrix(Operator):
         self._validate(policy)
 
     def _validate(self, policy: NumericPolicy):
-        m = self.matrix
-        herm_defect = np.max(np.abs(m - m.conj().T))
-        if herm_defect > policy.algebraic_tol:
-            raise DomainError(
-                f"density matrix is not Hermitian (defect {herm_defect:.3e})"
-            )
-        trace_defect = abs(np.trace(m) - 1.0)
-        if trace_defect > policy.algebraic_tol:
-            raise DomainError(
-                f"density matrix trace differs from 1 by {trace_defect:.3e}"
-            )
-        min_eig = float(np.linalg.eigvalsh(m)[0])
-        if min_eig < -policy.positivity_slack:
-            raise DomainError(
-                f"density matrix has negative eigenvalue {min_eig:.3e}"
-            )
+        check_density_matrix(self.matrix, policy)
 
     @staticmethod
     def from_pure(space: CompositeSpace, amplitudes,
@@ -218,6 +204,51 @@ class DensityMatrix(Operator):
         psi = np.zeros(space.total_dim, dtype=complex)
         psi[index] = 1.0
         return DensityMatrix.from_pure(space, psi, policy)
+
+
+def check_density_matrix(matrix, policy: NumericPolicy = DEFAULT_POLICY) -> None:
+    """Check the state invariants of one density matrix or of a
+    ``(..., d, d)`` stack of them: Hermitian and unit trace within
+    ``policy.algebraic_tol``, no eigenvalue below ``-policy.positivity_slack``.
+
+    The three checks run in that order over the whole stack; the
+    ``DomainError`` names the defect of the first offending state.  A NaN
+    defect fails.
+    """
+    m = np.asarray(matrix)
+    tol = policy.algebraic_tol
+    herm_defect = np.abs(m - m.swapaxes(-1, -2).conj())
+    if not herm_defect.max() <= tol:
+        defect = _first_above(herm_defect.max(axis=(-2, -1)), tol)
+        raise DomainError(f"density matrix is not Hermitian (defect {defect:.3e})")
+    trace_defect = abs(m.trace(0, -2, -1) - 1.0)
+    if not trace_defect.max() <= tol:
+        defect = _first_above(trace_defect, tol)
+        raise DomainError(f"density matrix trace differs from 1 by {defect:.3e}")
+    # m + slack * I has a Cholesky factor exactly when no eigenvalue of m
+    # lies below -slack (up to roundoff); the factorization costs a fraction
+    # of the eigenvalues, which decide only when it fails
+    slack = policy.positivity_slack
+    try:
+        np.linalg.cholesky(m + _scaled_identity(m.shape[-1], slack))
+    except np.linalg.LinAlgError:
+        min_eig = np.linalg.eigvalsh(m)[..., 0]
+        if min_eig.min() < -slack:
+            first = -_first_above(-min_eig, slack)
+            raise DomainError(f"density matrix has negative eigenvalue {first:.3e}")
+
+
+@lru_cache(maxsize=32)
+def _scaled_identity(dim: int, scale: float) -> np.ndarray:
+    out = scale * np.eye(dim)
+    out.flags.writeable = False
+    return out
+
+
+def _first_above(values, limit: float) -> float:
+    """First entry of ``values`` (C order) that is not <= ``limit``."""
+    values = np.ravel(values)
+    return float(values[np.argmax(~(values <= limit))])
 
 
 def _local_annihilation(dim: int) -> np.ndarray:
@@ -268,11 +299,11 @@ def lowering_operators(space: CompositeSpace) -> tuple[Operator, ...]:
     )
 
 
-def _partial_trace_matrix(matrix: np.ndarray, dims: Sequence[int],
-                          keep: Sequence[int]) -> np.ndarray:
+@lru_cache(maxsize=64)
+def _partial_trace_subscripts(dims: tuple[int, ...], keep: tuple[int, ...]):
+    """einsum subscripts that trace out every subsystem not in ``keep``
+    (sorted), over any leading stack axes, and the kept dimension."""
     n = len(dims)
-    keep = sorted(keep)
-    arr = matrix.reshape(tuple(dims) + tuple(dims))
     letters = "abcdefghijklmnopqrstuvwxyz"
     row = list(letters[:n])
     col = list(letters[n:2 * n])
@@ -280,9 +311,18 @@ def _partial_trace_matrix(matrix: np.ndarray, dims: Sequence[int],
         if k not in keep:
             col[k] = row[k]  # contracted index
     out = "".join(row[k] for k in keep) + "".join(col[k] for k in keep)
-    reduced = np.einsum("".join(row) + "".join(col) + "->" + out, arr)
     d_keep = int(np.prod([dims[k] for k in keep]))
-    return reduced.reshape(d_keep, d_keep)
+    return "..." + "".join(row) + "".join(col) + "->..." + out, d_keep
+
+
+def _partial_trace_matrix(matrix: np.ndarray, dims: Sequence[int],
+                          keep: Sequence[int]) -> np.ndarray:
+    """Partial trace of one matrix or of a ``(..., D, D)`` stack."""
+    dims = tuple(dims)
+    subscripts, d_keep = _partial_trace_subscripts(dims, tuple(sorted(keep)))
+    batch = matrix.shape[:-2]
+    reduced = np.einsum(subscripts, matrix.reshape(batch + dims + dims))
+    return reduced.reshape(batch + (d_keep, d_keep))
 
 
 def partial_trace(op, keep: Iterable[int]):

@@ -1,22 +1,29 @@
-"""Steady states, transient integration and Fock-truncation convergence."""
+"""Steady states, exact transient propagation and Fock-truncation convergence."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import lru_cache
+from dataclasses import dataclass, field
+from functools import cached_property, lru_cache
 
 import numpy as np
+import scipy.linalg
 import scipy.sparse as sp
-from scipy.integrate import solve_ivp
-from scipy.sparse.linalg import splu
+from scipy.sparse.linalg import expm_multiply, splu
 
-from .entanglement import qd_negativity
+from .entanglement import negativity, qd_negativity
 from .exceptions import (
     DegenerateSteadyStateError,
     IntegrationError,
     SingularSolveError,
 )
-from .hilbert import CompositeSpace, DensityMatrix, NumericPolicy, lowering_operators
+from .hilbert import (
+    CompositeSpace,
+    DensityMatrix,
+    NumericPolicy,
+    _partial_trace_matrix,
+    check_density_matrix,
+    lowering_operators,
+)
 from .liouvillian import Superoperator, build_liouvillian, identity_bra
 from .model import SystemParams
 
@@ -25,6 +32,7 @@ __all__ = [
     "SteadyStateInfo",
     "steady_state",
     "Schedule",
+    "PropagationInfo",
     "Trajectory",
     "evolve",
     "ConvergenceReport",
@@ -35,17 +43,20 @@ __all__ = [
 # residual bound ||L vec(rho_ss)|| for an accepted steady state (L in 1/ps)
 STEADY_RESIDUAL_TOL = 1e-9
 
-# steady states and integrated trajectories carry a slightly relaxed
+# steady states and propagated trajectories carry a slightly relaxed
 # positivity slack; roundoff at the solver tolerance can dip further below
 # zero than freshly constructed states do
 _SOLVER_POLICY = NumericPolicy(algebraic_tol=1e-10, positivity_slack=1e-8)
 
 _DEGENERACY_SV_RATIO = 1e-12  # second singular value below this * ||L|| => degenerate
 
-# integrator defaults: embedded Runge-Kutta 5(4), per-step relative tolerance
-_RTOL = 1e-8
-_ATOL = 1e-10
 _TRACE_DRIFT_TOL = 1e-7
+
+# Liouville dimensions D^2 up to this (Fock cutoff 1) propagate with dense
+# exp(L dt) matrices; larger spaces with the action of the exponential
+_DENSE_PROPAGATOR_MAX_DIM = 256
+# step lengths within this relative distance share one propagator
+_SHARED_STEP_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -155,12 +166,38 @@ class Schedule:
 
 
 @dataclass(frozen=True)
+class PropagationInfo:
+    """Diagnostics of one ``evolve`` call.
+
+    ``route`` is ``"dense_expm"`` or ``"expm_multiply"``; ``propagators``
+    counts the dense exp(L dt) matrices built, or the ``expm_multiply``
+    calls; ``max_trace_drift`` is the largest |Tr(rho) - 1| of the raw
+    sampled states, before renormalization.
+    """
+
+    route: str
+    propagators: int
+    max_trace_drift: float
+
+
+@dataclass(frozen=True)
 class Trajectory:
-    """Sampled open-system evolution with named observable series."""
+    """Sampled open-system evolution with named observable series.
+
+    ``matrices`` is the validated ``(n, d, d)`` stack of sampled states;
+    ``states`` wraps it as ``DensityMatrix`` objects on first access.
+    """
 
     times: np.ndarray
-    states: tuple[DensityMatrix, ...]
+    space: CompositeSpace
+    matrices: np.ndarray = field(repr=False)
     observables: dict[str, np.ndarray]
+    info: PropagationInfo
+
+    @cached_property
+    def states(self) -> tuple[DensityMatrix, ...]:
+        return tuple(DensityMatrix(self.space, m, policy=_SOLVER_POLICY)
+                     for m in self.matrices)
 
     def peak(self, name: str) -> tuple[float, float]:
         """(time, value) of the maximum of one observable series."""
@@ -171,35 +208,131 @@ class Trajectory:
 
 @lru_cache(maxsize=16)
 def _population_operators(space: CompositeSpace):
-    named = []
+    """(names, (k, d, d) stack of number operators), one per subsystem."""
+    names, ops = [], []
     counts = {"qubit": 0, "boson": 0}
     for sub, low in zip(space.subsystems, lowering_operators(space)):
         counts[sub.kind] += 1
         label = "qd" if sub.kind == "qubit" else "m"
-        named.append((f"pop_{label}{counts[sub.kind]}",
-                      low.matrix.conj().T @ low.matrix))
-    return tuple(named)
+        names.append(f"pop_{label}{counts[sub.kind]}")
+        ops.append(low.matrix.conj().T @ low.matrix)
+    ops = np.array(ops)
+    ops.flags.writeable = False
+    return tuple(names), ops
 
 
-def _observables_from_states(space, states):
-    named = _population_operators(space)
-    result = {name: np.array([np.trace(op @ s.matrix).real for s in states])
-              for name, op in named}
+def _populations(space: CompositeSpace, matrices: np.ndarray) -> dict:
+    """Re Tr(n_k rho) for every subsystem, over one state or a stack."""
+    names, ops = _population_operators(space)
+    values = np.einsum("kij,...ji->k...", ops, matrices).real
+    return dict(zip(names, values))
+
+
+def _trajectory_observables(space: CompositeSpace, matrices: np.ndarray) -> dict:
+    """Populations and, for two leading emitters, the negativity of every
+    state of a validated stack."""
+    result = _populations(space, matrices)
     kinds = tuple(s.kind for s in space.subsystems)
     if len(kinds) >= 2 and kinds[0] == kinds[1] == "qubit":
-        result["negativity"] = np.array([qd_negativity(s) for s in states])
+        reduced = _partial_trace_matrix(matrices, space.dims, (0, 1))
+        check_density_matrix(reduced, _SOLVER_POLICY)
+        result["negativity"] = negativity(reduced)
     return result
 
 
-def evolve(schedule: Schedule, rho0: DensityMatrix, t_grid,
-           rtol: float = _RTOL, atol: float = _ATOL) -> Trajectory:
-    """Integrate d(rho)/dt = L rho across the schedule and sample on t_grid.
+def _step_runs(steps: np.ndarray) -> list[list]:
+    """Consecutive step lengths as [length, count] runs; a step joins the
+    run before it when the two agree to within ``_SHARED_STEP_TOL``."""
+    runs: list[list] = []
+    for h in steps.tolist():
+        if runs and abs(h - runs[-1][0]) <= _SHARED_STEP_TOL * runs[-1][0]:
+            runs[-1][1] += 1
+        else:
+            runs.append([h, 1])
+    return runs
 
-    Uses an adaptive embedded Runge-Kutta 5(4) pair with per-step relative
-    tolerance ``rtol``; segment boundaries are hit exactly and the state is
-    handed over unchanged.  The raw trace drift over the full horizon must
-    stay below 1e-7 or an ``IntegrationError`` is raised; sampled states are
-    re-symmetrized and trace-normalized before being returned.
+
+def _propagate_dense(generator: sp.csr_matrix, y: np.ndarray, steps: np.ndarray):
+    """States after each step by matvecs with one dense expm(L h) per
+    distinct step length; returns (states, propagators built)."""
+    dense = generator.toarray()
+    built: list[tuple[float, np.ndarray]] = []
+    out = np.empty((steps.size, y.size), dtype=complex)
+    k = 0
+    for h, count in _step_runs(steps):
+        propagator = next((p for key, p in built
+                           if abs(h - key) <= _SHARED_STEP_TOL * key), None)
+        if propagator is None:
+            propagator = scipy.linalg.expm(dense * h)
+            built.append((h, propagator))
+        for _ in range(count):
+            y = propagator @ y
+            out[k] = y
+            k += 1
+    return out, len(built)
+
+
+def _propagate_sparse(generator: sp.csr_matrix, y: np.ndarray, steps: np.ndarray):
+    """States after each step by ``expm_multiply`` on each run of equal
+    steps, never forming exp(L h); returns (states, expm_multiply calls)."""
+    runs = _step_runs(steps)
+    out = []
+    for h, count in runs:
+        states = expm_multiply(generator, y, start=0.0, stop=count * h,
+                               num=count + 1, endpoint=True)[1:]
+        out.append(states)
+        y = states[-1]
+    return np.concatenate(out), len(runs)
+
+
+def _propagate_schedule(schedule: Schedule, rho0: DensityMatrix,
+                        t_grid: np.ndarray, propagate):
+    """Column-stacked states at every time of ``t_grid``, as an (n, D^2)
+    array, and the propagator count of ``propagate`` summed over segments."""
+    total = schedule.total_duration
+    y = rho0.matrix.reshape(-1, order="F").astype(complex)
+    sampled = [y[None, :]] if t_grid[0] == 0.0 else []
+    propagators = 0
+    t_cursor = 0.0
+    for seg_index, (duration, params) in enumerate(schedule.segments):
+        last = seg_index == len(schedule.segments) - 1
+        t_end = total if last else min(t_cursor + duration, total)
+        wanted = t_grid[(t_grid > t_cursor) & (t_grid <= t_end)]
+        # the state must also reach the boundary unless it is a sample or
+        # the horizon
+        stops = wanted
+        if not last and (wanted.size == 0 or wanted[-1] < t_end):
+            stops = np.append(wanted, t_end)
+        if stops.size:
+            states, built = propagate(build_liouvillian(params).matrix, y,
+                                      np.diff(stops, prepend=t_cursor))
+            propagators += built
+            sampled.append(states[:wanted.size])
+            y = states[-1]
+        t_cursor = t_end
+    return np.concatenate(sampled), propagators
+
+
+def evolve(schedule: Schedule, rho0: DensityMatrix, t_grid) -> Trajectory:
+    """Propagate d(rho)/dt = L rho exactly across the schedule and sample on
+    t_grid.
+
+    Each segment's generator is built once.  The state moves between
+    consecutive sample times, and to the segment boundaries, by the exact
+    exp(L dt), so boundaries are hit exactly and the state is handed over
+    unchanged.  Two routes, chosen by the Liouville dimension D^2:
+
+    - D^2 <= 256 (Fock cutoff 1): one dense ``scipy.linalg.expm(L dt)`` per
+      distinct step length, applied by matrix-vector products; step lengths
+      that agree to within 1e-12 relative share one propagator.
+    - larger spaces: the action of the exponential on the state,
+      ``scipy.sparse.linalg.expm_multiply`` (Al-Mohy & Higham, SIAM J. Sci.
+      Comput. 33, 488 (2011)), once per run of equal steps.
+
+    The raw trace drift over the sampled states must stay below 1e-7 or an
+    ``IntegrationError`` is raised; the sampled states are re-symmetrized,
+    trace-normalized and validated as one stack.  ``Trajectory.info`` records
+    the route, the propagator count and the largest drift.
     """
     space = schedule.space()
     if rho0.space != space:
@@ -220,54 +353,30 @@ def evolve(schedule: Schedule, rho0: DensityMatrix, t_grid,
                       total, t_grid)
 
     d = space.total_dim
-    y = rho0.matrix.reshape(-1, order="F").astype(complex)
-    sampled: list[np.ndarray] = []
-    sample_times: list[float] = []
-    if t_grid[0] == 0.0:
-        sampled.append(rho0.matrix.copy())
-        sample_times.append(0.0)
-
-    t_cursor = 0.0
-    for seg_index, (duration, params) in enumerate(schedule.segments):
-        last = seg_index == len(schedule.segments) - 1
-        t_end = total if last else min(t_cursor + duration, total)
-        liouville = build_liouvillian(params).matrix
-
-        def rhs(_t, vec, mat=liouville):
-            return mat @ vec
-
-        wanted = t_grid[(t_grid > t_cursor) & (t_grid <= t_end)]
-        t_eval = np.unique(np.concatenate([wanted, [t_end]]))
-        sol = solve_ivp(rhs, (t_cursor, t_end), y, method="RK45",
-                        rtol=rtol, atol=atol, t_eval=t_eval)
-        if not sol.success:
-            raise IntegrationError(
-                f"integration failed in segment ending at {t_end} ps: {sol.message}"
-            )
-        for k, t in enumerate(sol.t):
-            if t in wanted:
-                sampled.append(sol.y[:, k].reshape((d, d), order="F"))
-                sample_times.append(float(t))
-        y = sol.y[:, -1]
-        t_cursor = t_end
-
-    drift = max(abs(np.trace(m) - 1.0) for m in sampled)
-    if drift > _TRACE_DRIFT_TOL:
+    dense = d * d <= _DENSE_PROPAGATOR_MAX_DIM
+    vecs, propagators = _propagate_schedule(
+        schedule, rho0, t_grid, _propagate_dense if dense else _propagate_sparse)
+    # read in C order, each column-stacked sample is rho^T
+    transposed = vecs.reshape(-1, d, d)
+    drift = float(np.abs(np.trace(transposed, axis1=1, axis2=2) - 1.0).max())
+    if not drift <= _TRACE_DRIFT_TOL:
         raise IntegrationError(
             f"trace drift {drift:.3e} exceeds {_TRACE_DRIFT_TOL:.0e}",
-            error_estimate=float(drift),
+            error_estimate=drift,
         )
 
-    states = []
-    for m in sampled:
-        m = 0.5 * (m + m.conj().T)
-        m = m / np.trace(m).real
-        states.append(DensityMatrix(space, m, policy=_SOLVER_POLICY))
-    states = tuple(states)
+    matrices = transposed.conj()  # rho^H
+    matrices += transposed.transpose(0, 2, 1)
+    matrices /= np.trace(matrices, axis1=1, axis2=2).real[:, None, None]
+    check_density_matrix(matrices, _SOLVER_POLICY)
+    matrices.flags.writeable = False
 
-    times = np.array(sample_times)
-    return Trajectory(times=times, states=states,
-                      observables=_observables_from_states(space, states))
+    info = PropagationInfo(route="dense_expm" if dense else "expm_multiply",
+                           propagators=propagators, max_trace_drift=drift)
+    return Trajectory(times=t_grid, space=space,
+                      matrices=matrices,
+                      observables=_trajectory_observables(space, matrices),
+                      info=info)
 
 
 # named steady-state functionals usable by convergence scans and sweeps
@@ -281,10 +390,7 @@ OBSERVABLES = {
 
 
 def _population(rho: DensityMatrix, name: str) -> float:
-    for op_name, op in _population_operators(rho.space):
-        if op_name == name:
-            return float(np.trace(op @ rho.matrix).real)
-    raise KeyError(name)
+    return float(_populations(rho.space, rho.matrix)[name])
 
 
 def resolve_observable(observable):

@@ -1,12 +1,17 @@
+import dataclasses
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
 import pytest
 
 from pcdimer.cli import main, parse_config, run
-from pcdimer.exceptions import ConfigError
+from pcdimer.exceptions import ConfigError, DomainError
+from pcdimer.model import CouplingMatrix
 
 STEADY_PRESET = """
 [run]
@@ -126,6 +131,23 @@ class TestParsing:
         assert again.to_json_dict() == config.to_json_dict()
         assert again.run_id() == config.run_id()
 
+    def test_real_coupling_run_id_is_stable(self):
+        # the canonical physics dictionary, and so every real-coupling run
+        # id, is part of the output contract
+        expected = "f5ac10ebb8675eac7f4c84c636b0d0fa4374dcff665206be810cdd7a26bebfb7"
+        assert parse_config(STEADY_PRESET).run_id() == expected
+        assert parse_config(EXPLICIT_SYSTEM).run_id() == expected
+
+    def test_complex_coupling_rejected(self):
+        # the config format and the run id carry real couplings only; a
+        # 110 + 30j coupling used to share the run id of 110
+        config = parse_config(EXPLICIT_SYSTEM)
+        g = config.params.coupling.as_array()
+        g[0, 1] = 110.0 + 30.0j
+        params = dataclasses.replace(config.params, coupling=CouplingMatrix(g))
+        with pytest.raises(DomainError, match="real couplings"):
+            dataclasses.replace(config, params=params)
+
     def test_round_trip_sweep(self):
         text = STEADY_PRESET.replace("steady", "sweep") + (
             "\n[sweep]\nkind = phase_detuning\n"
@@ -220,6 +242,24 @@ class TestRun:
         _, _, rows = read_csv(tmp_path / "dynamics.csv")
         assert len(rows) == 16
         assert float(rows[0][4]) > 0.999  # photon seeded in mode 1
+        diagnostics = json.loads(
+            (tmp_path / "dynamics_manifest.json").read_text())["diagnostics"]
+        assert diagnostics["propagation_route"] == "dense_expm"
+        assert diagnostics["propagators_built"] == 1  # one uniform step
+        assert 0.0 <= diagnostics["max_trace_drift"] < 1e-7
+
+    def test_protocol_manifest_records_propagation(self, tmp_path):
+        text = (STEADY_PRESET.replace("steady", "protocol")
+                + "\n[protocol]\ntau_ps = 9.0\nhorizon_ps = 20.0\nsamples = 5\n"
+                + f"\n[output]\ndirectory = {tmp_path}\n")
+        assert run(parse_config(text), quiet=True) == 0
+        manifest_text = (tmp_path / "protocol_manifest.json").read_text()
+        diagnostics = json.loads(manifest_text)["diagnostics"]
+        assert diagnostics["propagation_route"] == "dense_expm"
+        # 5 ps steps, 4 ps to the switch at 9 ps, 1 ps after it
+        assert diagnostics["propagators_built"] == 4
+        assert 0.0 <= diagnostics["max_trace_drift"] < 1e-7
+        assert "NaN" not in manifest_text and "Infinity" not in manifest_text
 
     def test_solver_failure_exit_code(self, tmp_path):
         # a fully closed system has no unique steady state
@@ -281,6 +321,17 @@ class TestRun:
         value = rows[0][0]
         assert float(value) == float(f"{float(value):.17g}")
         assert len(value.split(".")[-1]) >= 15  # full double precision kept
+
+
+def test_cli_import_leaves_out_scipy_integrate():
+    # propagation needs no ODE integrator; importing one costs ~20 MB of
+    # resident memory and ~0.3 s of start-up in every run
+    code = ("import sys, pcdimer.cli; "
+            "sys.exit('scipy.integrate' in sys.modules)")
+    done = subprocess.run([sys.executable, "-c", code], timeout=120,
+                          env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr or "scipy.integrate was imported"
 
 
 class TestMain:

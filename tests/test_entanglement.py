@@ -159,6 +159,25 @@ class TestNegativity:
                 rho += w * np.kron(random_density(rng, 2), random_density(rng, 2))
             assert negativity(rho) < 1e-12
 
+    def test_stack_matches_per_state_loop(self):
+        # reference: the one-matrix formula, one state at a time
+        rng = np.random.default_rng(53)
+        stack = np.array([random_density(rng, 4) for _ in range(12)]
+                         + [bell_state(kind).matrix for kind in BELL_KINDS]
+                         + [np.eye(4) / 4])
+        batched = negativity(stack.reshape(17, 1, 4, 4))
+        assert batched.shape == (17, 1)
+        for rho, value in zip(stack, batched[:, 0], strict=True):
+            spectrum = np.linalg.eigvalsh(partial_transpose_first(rho))
+            expected = -spectrum[spectrum < -1e-12].sum()
+            assert abs(value - expected) <= 1e-14
+            assert value == negativity(rho)
+        assert batched[-1, 0] == 0.0 and not np.signbit(batched[-1, 0])
+
+    def test_stack_shape_checked(self):
+        with pytest.raises(DomainError):
+            negativity(np.zeros((3, 4, 2)))
+
     def test_range_bounds(self):
         rng = np.random.default_rng(47)
         for _ in range(25):

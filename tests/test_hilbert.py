@@ -8,9 +8,11 @@ from pcdimer.hilbert import (
     Operator,
     boson,
     boson_annihilation,
+    check_density_matrix,
     embed,
     lowering_operators,
     partial_trace,
+    _partial_trace_matrix,
     qubit,
     qubit_lowering,
 )
@@ -198,6 +200,16 @@ class TestPartialTrace:
             rhs = x @ partial_trace(Operator(space, rho), keep=[0]).matrix
             assert np.allclose(lhs, rhs, atol=1e-10)
 
+    def test_stack_matches_one_matrix_at_a_time(self):
+        rng = np.random.default_rng(17)
+        space = two_qubit_two_mode()
+        stack = np.array([random_density(rng, 16) for _ in range(5)])
+        for keep in ((0, 1), (1, 3), (2,)):
+            reduced = _partial_trace_matrix(stack, space.dims, keep)
+            for rho, red in zip(stack, reduced, strict=True):
+                single = partial_trace(Operator(space, rho), keep).matrix
+                assert np.array_equal(red, single)
+
     def test_empty_keep_rejected(self):
         space = two_qubit_two_mode()
         rho = DensityMatrix(space, np.eye(16) / 16)
@@ -221,6 +233,19 @@ class TestDensityMatrix:
         with pytest.raises(DomainError):
             DensityMatrix(space, np.diag([1.5, -0.5]))
 
+    def test_positivity_slack_boundary(self):
+        # the default slack is 1e-9: a dip just inside passes, just beyond
+        # fails and names the eigenvalue
+        space = CompositeSpace((qubit(),))
+        DensityMatrix(space, np.diag([1.0 + 0.9e-9, -0.9e-9]))
+        with pytest.raises(DomainError, match="negative eigenvalue -1.100e-09"):
+            DensityMatrix(space, np.diag([1.0 + 1.1e-9, -1.1e-9]))
+
+    def test_nan_rejected(self):
+        space = CompositeSpace((qubit(),))
+        with pytest.raises(DomainError, match="not Hermitian"):
+            DensityMatrix(space, np.array([[np.nan, 0.0], [0.0, 1.0]]))
+
     def test_basis_state_index_ordering(self):
         space = two_qubit_two_mode()
         rho = DensityMatrix.basis_state(space, (1, 0, 0, 0))
@@ -230,3 +255,42 @@ class TestDensityMatrix:
         space = CompositeSpace((qubit(),))
         rho = DensityMatrix.from_pure(space, [2.0, 0.0])
         assert np.allclose(rho.matrix, np.diag([1.0, 0.0]))
+
+
+class TestCheckDensityMatrix:
+    """The stack check raises exactly what the one-state path raises."""
+
+    SPACE = CompositeSpace((qubit(),))
+    GOOD = np.diag([0.25, 0.75]).astype(complex)
+    NON_HERMITIAN = np.array([[0.5, 0.5], [0.0, 0.5]], dtype=complex)
+    WRONG_TRACE = np.diag([0.5, 0.6]).astype(complex)
+    NON_POSITIVE = np.diag([1.5, -0.5]).astype(complex)
+
+    def single_error(self, matrix):
+        with pytest.raises(DomainError) as exc_info:
+            DensityMatrix(self.SPACE, matrix)
+        return str(exc_info.value)
+
+    @pytest.mark.parametrize("order, culprit", [
+        (("GOOD", "NON_HERMITIAN", "WRONG_TRACE", "NON_POSITIVE"), "NON_HERMITIAN"),
+        (("NON_POSITIVE", "WRONG_TRACE", "NON_HERMITIAN"), "NON_HERMITIAN"),
+        (("GOOD", "NON_POSITIVE", "WRONG_TRACE"), "WRONG_TRACE"),
+        (("GOOD", "GOOD", "NON_POSITIVE"), "NON_POSITIVE"),
+    ])
+    def test_same_error_as_single_state(self, order, culprit):
+        stack = np.array([getattr(self, name) for name in order])
+        with pytest.raises(DomainError) as exc_info:
+            check_density_matrix(stack)
+        assert str(exc_info.value) == self.single_error(getattr(self, culprit))
+
+    def test_first_offending_state_is_named(self):
+        worse = np.diag([1.9, -0.9]).astype(complex)
+        stack = np.array([self.GOOD, self.NON_POSITIVE, worse])
+        with pytest.raises(DomainError) as exc_info:
+            check_density_matrix(stack)
+        assert str(exc_info.value) == self.single_error(self.NON_POSITIVE)
+
+    def test_valid_stack_passes(self):
+        rng = np.random.default_rng(23)
+        stack = np.array([random_density(rng, 16) for _ in range(7)])
+        check_density_matrix(stack.reshape(7, 1, 16, 16))

@@ -1,9 +1,18 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 from scipy.linalg import expm
 
+from pcdimer.entanglement import negativity, partial_transpose_first
 from pcdimer.exceptions import DegenerateSteadyStateError, IntegrationError
-from pcdimer.hilbert import CompositeSpace, DensityMatrix, Operator, qubit
+from pcdimer.hilbert import (
+    CompositeSpace,
+    DensityMatrix,
+    Operator,
+    lowering_operators,
+    partial_trace,
+    qubit,
+)
 from pcdimer.liouvillian import assemble_generator, build_liouvillian
 from pcdimer.model import (
     HBAR_UEV_PS,
@@ -17,11 +26,13 @@ from pcdimer.model import (
 )
 from pcdimer.hilbert import qubit_lowering
 from pcdimer.solvers import (
+    OBSERVABLES,
     Schedule,
     convergence_scan,
     evolve,
     steady_state,
 )
+from test_liouvillian import physical_params
 
 QUBIT = CompositeSpace((qubit(),))
 
@@ -36,6 +47,25 @@ def dark_tuned(params):
     dark = identify_dark_state(params)
     return (params.with_drive(phase1=np.pi, phase2=0.0)
             .with_drive_detuning(dark.detuning))
+
+
+def expm_oracle(segments, rho0, t_grid):
+    """Sampled states by dense matrix exponentials from the last segment
+    start: exp(L_k (t - t_k)) ... exp(L_1 (t_2 - t_1)) vec(rho0)."""
+    d = rho0.space.total_dim
+    vec = rho0.matrix.reshape(-1, order="F")
+    start, states = 0.0, []
+    for k, (duration, params) in enumerate(segments):
+        dense = build_liouvillian(params).matrix.toarray()
+        # the last segment takes every remaining sample (the horizon may
+        # differ from the summed durations by roundoff)
+        end = start + duration if k < len(segments) - 1 else np.inf
+        for t in t_grid[(t_grid > start) & (t_grid <= end)]:
+            states.append((expm(dense * (t - start)) @ vec).reshape((d, d), order="F"))
+        if k < len(segments) - 1:
+            vec = expm(dense * duration) @ vec
+            start = end
+    return states
 
 
 def trace_distance(rho1, rho2):
@@ -152,6 +182,80 @@ class TestEvolve:
         for k, t in enumerate(t_grid):
             reference = (expm(dense * t) @ vec0).reshape((16, 16), order="F")
             assert np.linalg.norm(trajectory.states[k].matrix - reference) < 1e-7
+
+    @settings(max_examples=10, deadline=None)
+    @given(params=physical_params(), switched=physical_params(),
+           gaps=st.lists(st.floats(0.05, 1.0), min_size=2, max_size=6),
+           horizon=st.floats(1.0, 40.0), switch=st.floats(0.1, 0.9))
+    def test_two_segment_schedule_matches_expm(self, params, switched, gaps,
+                                               horizon, switch):
+        # cutoff 1, the dense-propagator route; the switch falls off the
+        # non-uniform sample grid
+        params, switched = params.with_truncation(1), switched.with_truncation(1)
+        t_grid = horizon * np.cumsum(gaps) / np.sum(gaps)
+        tau = switch * horizon
+        assume(np.min(np.abs(t_grid - tau)) > 1e-3 * horizon)
+        segments = ((tau, params), (horizon - tau, switched))
+        rho0 = DensityMatrix.basis_state(params.space(), (1, 0, 0, 1))
+        trajectory = evolve(Schedule(segments), rho0, t_grid)
+        assert trajectory.info.route == "dense_expm"
+        for state, reference in zip(trajectory.matrices,
+                                    expm_oracle(segments, rho0, t_grid),
+                                    strict=True):
+            assert np.max(np.abs(state - reference)) <= 1e-10
+
+    def test_sparse_route_matches_expm(self):
+        # cutoff 2 (D^2 = 1296) takes expm_multiply; a run of equal steps
+        # is one call
+        params = dark_tuned(preset_params("dimer30_dc901")).with_truncation(2)
+        segments = ((1.3, params.with_qd2_detuning(40.0)), (0.6, params))
+        rho0 = DensityMatrix.basis_state(params.space(), (1, 0, 0, 0))
+        t_grid = np.array([0.0, 0.4, 0.8, 1.9])
+        trajectory = evolve(Schedule(segments), rho0, t_grid)
+        assert trajectory.info.route == "expm_multiply"
+        # step runs (0.4, 0.4), (0.5 to the switch), (0.6)
+        assert trajectory.info.propagators == 3
+        assert np.array_equal(trajectory.matrices[0], rho0.matrix)
+        for state, reference in zip(trajectory.matrices[1:],
+                                    expm_oracle(segments, rho0, t_grid[1:]),
+                                    strict=True):
+            assert np.max(np.abs(state - reference)) <= 1e-10
+
+    def test_one_dense_propagator_per_distinct_step(self):
+        # a uniform grid needs one propagator per segment, plus one per
+        # partial step at the switch
+        params = dark_tuned(preset_params("dimer30_dc901"))
+        rho0 = DensityMatrix.basis_state(params.space(), (1, 0, 0, 0))
+        t_grid = np.linspace(0.0, 100.0, 21)
+        constant = evolve(Schedule.constant(params, 100.0), rho0, t_grid)
+        assert constant.info.propagators == 1
+        switched = evolve(Schedule(((42.0, params), (58.0, params))), rho0, t_grid)
+        assert switched.info.propagators == 4
+        assert 0.0 <= switched.info.max_trace_drift < 1e-12
+
+    def test_batched_observables_match_per_state_values(self):
+        params = dark_tuned(preset_params("dimer30_dc901")).with_qd_decay(0.66)
+        rho0 = DensityMatrix.basis_state(params.space(), (1, 0, 0, 0))
+        trajectory = evolve(Schedule.constant(params, 300.0), rho0,
+                            np.linspace(0.0, 300.0, 31))
+        space = params.space()
+        numbers = {name: low.matrix.conj().T @ low.matrix for name, low in
+                   zip(("pop_qd1", "pop_qd2", "pop_m1", "pop_m2"),
+                       lowering_operators(space))}
+        for k, state in enumerate(trajectory.states):
+            # per-state loop references, one matrix at a time
+            for name, number in numbers.items():
+                expected = np.trace(number @ state.matrix).real
+                assert abs(trajectory.observables[name][k] - expected) <= 1e-14
+                assert abs(OBSERVABLES[name](params, state) - expected) <= 1e-14
+            spectrum = np.linalg.eigvalsh(partial_transpose_first(
+                partial_trace(state, (0, 1))))
+            expected = -spectrum[spectrum < -1e-12].sum()
+            assert abs(trajectory.observables["negativity"][k] - expected) <= 1e-14
+        assert trajectory.observables["negativity"].max() > 0.01
+        assert np.array_equal(trajectory.observables["negativity"],
+                              negativity(np.array([partial_trace(s, (0, 1)).matrix
+                                                   for s in trajectory.states])))
 
     def test_trace_drift_bounded(self):
         params = dark_tuned(preset_params("dimer30_dc901"))
