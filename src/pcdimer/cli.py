@@ -16,6 +16,7 @@ import argparse
 import configparser
 import dataclasses
 import hashlib
+import itertools
 import json
 import sys
 import time
@@ -491,18 +492,20 @@ def parse_config(text: str) -> RunConfig:
 # output writers
 # ---------------------------------------------------------------------------
 
-def _fmt(value) -> str:
-    if isinstance(value, (bool, np.bool_)):
-        return "1" if value else "0"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return f"{float(value):.17g}"
+def _csv_body(rows) -> str:
+    """The data lines of a table by one %-format over all its values: ints
+    and bools print as integers, everything else with 17 significant
+    digits.  Each column takes the type of its first row."""
+    if not rows:
+        return ""
+    line = ",".join("%d" if isinstance(v, (bool, int, np.bool_, np.integer))
+                    else "%.17g" for v in rows[0]) + "\n"
+    return (line * len(rows)) % tuple(itertools.chain.from_iterable(rows))
 
 
 def _write_csv(path: Path, run_id: str, columns, rows) -> str:
-    lines = [f"# manifest={run_id}", ",".join(columns)]
-    lines += [",".join(_fmt(v) for v in row) for row in rows]
-    data = ("\n".join(lines) + "\n").encode("utf-8")
+    text = f"# manifest={run_id}\n" + ",".join(columns) + "\n" + _csv_body(rows)
+    data = text.encode("utf-8")
     path.write_bytes(data)
     return hashlib.sha256(data).hexdigest()
 
@@ -510,11 +513,8 @@ def _write_csv(path: Path, run_id: str, columns, rows) -> str:
 def _trajectory_rows(trajectory):
     columns = ("t_ps", "negativity", "pop_qd1", "pop_qd2", "pop_m1", "pop_m2")
     obs = trajectory.observables
-    rows = [
-        (t, obs["negativity"][k], obs["pop_qd1"][k], obs["pop_qd2"][k],
-         obs["pop_m1"][k], obs["pop_m2"][k])
-        for k, t in enumerate(trajectory.times)
-    ]
+    rows = tuple(zip(trajectory.times.tolist(),
+                     *(obs[name].tolist() for name in columns[1:])))
     return columns, rows
 
 
@@ -561,7 +561,9 @@ def run(config: RunConfig, quiet: bool = False) -> int:
                  ("negativity", "pop_qd1", "pop_qd2", "pop_m1", "pop_m2",
                   "residual"),
                  [row + (info.residual,)])
-            diagnostics = {"residual": info.residual}
+            diagnostics = {"residual": info.residual,
+                           "iterations": info.iterations,
+                           "refined": info.refined}
 
         elif config.command == "sweep":
             grids = {name: _linspace(spec)
@@ -582,12 +584,15 @@ def run(config: RunConfig, quiet: bool = False) -> int:
             result = sweeps[config.sweep_kind]()
             columns, rows = result.to_records()
             emit(f"{prefix}_{config.sweep_kind}.csv", columns, rows)
-            converged = result.residuals[result.converged]
+            converged = result.converged
             diagnostics = {
                 "n_points": int(result.values.size),
-                "n_converged": int(converged.size),
+                "n_converged": int(converged.sum()),
                 # null when no point converged
-                "max_residual": float(converged.max()) if converged.size else None,
+                "max_residual": (float(result.residuals[converged].max())
+                                 if converged.any() else None),
+                "max_iterations": (int(result.iterations[converged].max())
+                                   if converged.any() else None),
                 "point_failures": list(result.failures),
             }
             if result.failures and not config.allow_point_failures:

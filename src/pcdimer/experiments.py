@@ -165,13 +165,16 @@ class SweepSpec:
 
 @dataclass(frozen=True)
 class SweepResult:
-    """Observable grid with per-point solver diagnostics."""
+    """Observable grid with per-point solver diagnostics: the steady-state
+    residual and GMRES step count of every point (NaN and 0 where the solve
+    failed)."""
 
     axes: tuple[SweepAxis, ...]
     observable: str
     values: np.ndarray = field(repr=False)
     residuals: np.ndarray = field(repr=False)
     converged: np.ndarray = field(repr=False)
+    iterations: np.ndarray = field(repr=False)
     failures: tuple[str, ...] = ()
 
     @property
@@ -209,9 +212,9 @@ def _evaluate_point(args):
     func = resolve_observable(observable)
     try:
         rho, info = steady_state(build_liouvillian(params), return_info=True)
-        return float(func(params, rho)), info.residual, True, ""
+        return float(func(params, rho)), info.residual, info.iterations, True, ""
     except SolverError as exc:
-        return float("nan"), float("nan"), False, str(exc)
+        return float("nan"), float("nan"), 0, False, str(exc)
 
 
 def run_sweep(spec: SweepSpec, n_workers: int = 1) -> SweepResult:
@@ -234,10 +237,12 @@ def run_sweep(spec: SweepSpec, n_workers: int = 1) -> SweepResult:
     values = np.empty(shape)
     residuals = np.empty(shape)
     converged = np.empty(shape, dtype=bool)
+    iterations = np.empty(shape, dtype=int)
     failures = []
-    for idx, (value, residual, ok, message) in zip(index_list, outcomes):
+    for idx, (value, residual, steps, ok, message) in zip(index_list, outcomes):
         values[idx] = value
         residuals[idx] = residual
+        iterations[idx] = steps
         converged[idx] = ok
         if not ok:
             failures.append(f"point {idx}: {message}")
@@ -247,6 +252,7 @@ def run_sweep(spec: SweepSpec, n_workers: int = 1) -> SweepResult:
         values=values,
         residuals=residuals,
         converged=converged,
+        iterations=iterations,
         failures=tuple(failures),
     )
 

@@ -36,20 +36,32 @@ __all__ = [
 class Superoperator:
     """Sparse matrix of dimension D^2 x D^2 acting on column-stacked states.
 
-    Trace preservation (the vectorized identity is a left null vector) is
-    checked at construction.  Instances are treated as immutable and may be
-    shared freely across workers.
+    ``h_eff`` is the read-only D x D no-jump Hamiltonian
+    H - (i/2) sum r C^dag C of the generator, divided by hbar (1/ps): the
+    generator is X -> -i (h_eff X - X h_eff^dag) plus the recycling terms
+    sum r C X C^dag.  Trace preservation (the vectorized identity is a left
+    null vector) is checked at construction.  Instances are treated as
+    immutable and may be shared freely across workers.
     """
 
     space: CompositeSpace
     matrix: sp.csr_matrix = field(repr=False)
+    h_eff: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        d2 = self.space.total_dim ** 2
+        d = self.space.total_dim
+        d2 = d * d
         if self.matrix.shape != (d2, d2):
             raise DomainError(
                 f"superoperator has shape {self.matrix.shape}, expected ({d2}, {d2})"
             )
+        h_eff = np.asarray(self.h_eff, dtype=complex)
+        if h_eff.shape != (d, d):
+            raise DomainError(
+                f"no-jump Hamiltonian has shape {h_eff.shape}, expected ({d}, {d})"
+            )
+        h_eff.flags.writeable = False
+        object.__setattr__(self, "h_eff", h_eff)
         object.__setattr__(self, "matrix", sp.csr_matrix(self.matrix))
         defect = self.trace_defect()
         scale = max(1.0, abs(self.matrix).max() if self.matrix.nnz else 1.0)
@@ -88,7 +100,8 @@ def assemble_generator(h: Operator, jumps) -> Superoperator:
     Each jump C with rate r contributes r (C rho C^dag - {C^dag C, rho} / 2).
     The anticommutators fold into H_eff = H - (i/2) sum r C^dag C, so the
     generator is -i (I kron H_eff) + i ((H_eff^dag)^T kron I)
-    + sum r conj(C) kron C, built in one pass from coordinate triplets.
+    + sum r conj(C) kron C, built in one pass from coordinate triplets;
+    H_eff / hbar is kept as ``Superoperator.h_eff``.
 
     Parameters
     ----------
@@ -132,7 +145,7 @@ def assemble_generator(h: Operator, jumps) -> Superoperator:
         shape=(d * d, d * d),
     )
     matrix.eliminate_zeros()  # entries that cancelled exactly
-    return Superoperator(h.space, matrix)
+    return Superoperator(h.space, matrix, left / HBAR_UEV_PS)
 
 
 def build_liouvillian(params: SystemParams) -> Superoperator:

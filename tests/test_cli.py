@@ -10,7 +10,11 @@ import numpy as np
 import pytest
 
 from pcdimer.cli import main, parse_config, run
-from pcdimer.exceptions import ConfigError, DomainError
+from pcdimer.exceptions import (
+    ConfigError,
+    DegenerateSteadyStateError,
+    DomainError,
+)
 from pcdimer.model import CouplingMatrix
 
 STEADY_PRESET = """
@@ -285,6 +289,62 @@ class TestRun:
         assert diagnostics["max_residual"] is None
         assert len(diagnostics["point_failures"]) == 3
         assert all("steady state" in f for f in diagnostics["point_failures"])
+        assert diagnostics["max_iterations"] is None
+
+    def test_degenerate_generators_fail_quietly_and_typed(self, tmp_path,
+                                                          monkeypatch, capfd):
+        # the closed system and its dephasing sweep: every solve fails with
+        # the typed degeneracy error, and no LAPACK message reaches stderr
+        import pcdimer.cli
+        import pcdimer.experiments
+
+        failures = []
+
+        def recording(solve):
+            def wrapped(*args, **kwargs):
+                try:
+                    return solve(*args, **kwargs)
+                except Exception as exc:
+                    failures.append(exc)
+                    raise
+            return wrapped
+
+        for module in (pcdimer.cli, pcdimer.experiments):
+            monkeypatch.setattr(module, "steady_state",
+                                recording(module.steady_state))
+        steady = parse_config(CLOSED_SYSTEM + f"\n[output]\ndirectory = {tmp_path}\n")
+        sweep = parse_config(CLOSED_SYSTEM.replace("steady", "sweep")
+                             + "allow_point_failures = true\n"
+                             + "\n[sweep]\nkind = dephasing\n"
+                               "gamma_d_min = 0\ngamma_d_max = 1\ngamma_d_points = 3\n"
+                             + f"\n[output]\ndirectory = {tmp_path}\n")
+        assert run(steady, quiet=True) == 3
+        assert run(sweep, quiet=True) == 0
+
+        assert len(failures) == 4
+        for exc in failures:
+            assert isinstance(exc, DegenerateSteadyStateError)
+            assert exc.kernel_dimension >= 2
+        err = capfd.readouterr().err
+        assert "On entry to" not in err
+        assert "not unique" in err
+
+    def test_steady_manifest_records_solver_steps(self, tmp_path):
+        config = parse_config(STEADY_PRESET + f"\n[output]\ndirectory = {tmp_path}\n")
+        assert run(config, quiet=True) == 0
+        diagnostics = read_strict_json(tmp_path / "steady_manifest.json")["diagnostics"]
+        assert 1 <= diagnostics["iterations"] <= 80
+        assert diagnostics["refined"] is False
+        assert diagnostics["residual"] < 1e-9
+
+    def test_sweep_manifest_records_max_iterations(self, tmp_path):
+        text = (STEADY_PRESET.replace("steady", "sweep")
+                + "\n[sweep]\nkind = qd_detuning\n"
+                  "detuning_min = -5\ndetuning_max = 5\ndetuning_points = 3\n"
+                + f"\n[output]\ndirectory = {tmp_path}\n")
+        assert run(parse_config(text), quiet=True) == 0
+        diagnostics = read_strict_json(tmp_path / "sweep_manifest.json")["diagnostics"]
+        assert 1 <= diagnostics["max_iterations"] <= 80
 
     def test_convergence_command(self, tmp_path):
         text = (STEADY_PRESET.replace("steady", "convergence")
@@ -321,6 +381,54 @@ class TestRun:
         value = rows[0][0]
         assert float(value) == float(f"{float(value):.17g}")
         assert len(value.split(".")[-1]) >= 15  # full double precision kept
+
+
+def per_value_csv(run_id, columns, rows) -> bytes:
+    """The CSV bytes of the original writer, one formatting call per value."""
+    def fmt(value):
+        if isinstance(value, (bool, np.bool_)):
+            return "1" if value else "0"
+        if isinstance(value, (int, np.integer)):
+            return str(int(value))
+        return f"{float(value):.17g}"
+
+    lines = [f"# manifest={run_id}", ",".join(columns)]
+    lines += [",".join(fmt(v) for v in row) for row in rows]
+    return ("\n".join(lines) + "\n").encode("utf-8")
+
+
+def test_csv_bytes_match_per_value_formatting(tmp_path):
+    from pcdimer.cli import _trajectory_rows, _write_csv
+    from pcdimer.experiments import dynamics_run, sweep_dephasing
+    from pcdimer.model import preset_params
+    from pcdimer.solvers import convergence_scan
+
+    params = preset_params("dimer30_dc901")
+    trajectory = dynamics_run(params, "photon_mode1", 30.0, 16)
+    obs = trajectory.observables
+    names = ("negativity", "pop_qd1", "pop_qd2", "pop_m1", "pop_m2")
+    # the original row layout: numpy scalars indexed per sample
+    trajectory_rows = [(t,) + tuple(obs[name][k] for name in names)
+                       for k, t in enumerate(trajectory.times)]
+    report = convergence_scan(params, cutoffs=(1, 2))
+    convergence_rows = [(1, report.values[0], 0.0, True),
+                        (2, report.values[1], report.relative_differences[0],
+                         report.converged[0]),
+                        (3, float("nan"), float("inf"), np.bool_(False)),
+                        (4, -0.0, 1e-300, np.True_)]
+    tables = {
+        "trajectory": (("t_ps",) + names, trajectory_rows),
+        "sweep": sweep_dephasing(params, [0.0, 0.5, 2.0]).to_records(),
+        "convergence": (("cutoff", "negativity", "rel_diff_prev", "converged"),
+                        convergence_rows),
+    }
+    run_id = "0" * 64
+    for name, (columns, rows) in tables.items():
+        written = _write_csv(tmp_path / f"{name}.csv", run_id, columns, rows)
+        expected = per_value_csv(run_id, columns, rows)
+        assert written == hashlib.sha256(expected).hexdigest(), name
+        assert (tmp_path / f"{name}.csv").read_bytes() == expected
+    assert _trajectory_rows(trajectory)[1] == tuple(map(tuple, trajectory_rows))
 
 
 def test_cli_import_leaves_out_scipy_integrate():

@@ -13,7 +13,12 @@ from pcdimer.hilbert import (
     qubit,
     qubit_lowering,
 )
-from pcdimer.liouvillian import assemble_generator, build_liouvillian, identity_bra
+from pcdimer.liouvillian import (
+    Superoperator,
+    assemble_generator,
+    build_liouvillian,
+    identity_bra,
+)
 from pcdimer.model import (
     HBAR_UEV_PS,
     CouplingMatrix,
@@ -22,6 +27,7 @@ from pcdimer.model import (
     QDParams,
     SystemParams,
     build_effective_hamiltonian,
+    jump_operators,
     preset_params,
 )
 
@@ -264,6 +270,30 @@ class TestBuildLiouvillian:
         dense = dense_reference_generator(params)
         assert np.max(np.abs(liouville.matrix.toarray() - dense)) < 1e-12
         assert liouville.trace_defect() < 1e-12
+
+    def test_keeps_no_jump_hamiltonian(self):
+        # h_eff = (H - (i/2) sum r C^dag C) / hbar, and the generator's
+        # no-jump part is X -> -i (h_eff X - X h_eff^dag)
+        params = full_params()
+        space = params.space()
+        liouville = build_liouvillian(params)
+        h = build_effective_hamiltonian(params, space).matrix
+        decay = sum(rate * (c.matrix.conj().T @ c.matrix)
+                    for c, rate in jump_operators(params, space))
+        expected = (h - 0.5j * decay) / HBAR_UEV_PS
+        assert np.max(np.abs(liouville.h_eff - expected)) < 1e-15
+        assert not liouville.h_eff.flags.writeable
+        x = random_density(np.random.default_rng(5), space.total_dim)
+        no_jump = -1j * (liouville.h_eff @ x - x @ liouville.h_eff.conj().T)
+        recycled = sum(rate * (c.matrix @ x @ c.matrix.conj().T)
+                       for c, rate in jump_operators(params, space)) / HBAR_UEV_PS
+        assert np.allclose(liouville.apply_to_matrix(x), no_jump + recycled,
+                           atol=1e-13)
+
+    def test_no_jump_hamiltonian_shape_checked(self):
+        liouville = build_liouvillian(full_params())
+        with pytest.raises(DomainError):
+            Superoperator(liouville.space, liouville.matrix, np.zeros((4, 4)))
 
     def test_trace_preservation(self):
         liouville = build_liouvillian(full_params())

@@ -1,14 +1,17 @@
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+import scipy.linalg
+from hypothesis import assume, example, given, settings, strategies as st
 from scipy.linalg import expm
 
-from pcdimer.entanglement import negativity, partial_transpose_first
-from pcdimer.exceptions import DegenerateSteadyStateError, IntegrationError
+from pcdimer.entanglement import negativity, partial_transpose_first, qd_negativity
+from pcdimer.exceptions import DegenerateSteadyStateError, IntegrationError, SolverError
 from pcdimer.hilbert import (
     CompositeSpace,
     DensityMatrix,
     Operator,
+    boson,
+    boson_annihilation,
     lowering_operators,
     partial_trace,
     qubit,
@@ -26,13 +29,17 @@ from pcdimer.model import (
 )
 from pcdimer.hilbert import qubit_lowering
 from pcdimer.solvers import (
+    _DEGENERACY_SV_RATIO,
+    _SOLVER_POLICY,
     OBSERVABLES,
     Schedule,
+    _no_jump_inverse,
     convergence_scan,
     evolve,
     steady_state,
 )
-from test_liouvillian import physical_params
+from pcdimer.experiments import stark_switch_protocol
+from test_liouvillian import full_params, physical_params
 
 QUBIT = CompositeSpace((qubit(),))
 
@@ -115,6 +122,65 @@ class TestSteadyState:
             steady_state(liouville)
         assert exc_info.value.kernel_dimension >= 2
 
+    def test_degenerate_levels_found_before_iterating(self, monkeypatch):
+        # every level of a closed system is stationary: H_eff = H has only
+        # real eigenvalues, so no GMRES step and no dense diagnosis runs
+        import pcdimer.solvers
+
+        def unreachable(*args, **kwargs):
+            raise AssertionError("the pre-check should have decided")
+
+        monkeypatch.setattr(pcdimer.solvers, "gmres", unreachable)
+        monkeypatch.setattr(pcdimer.solvers, "_diagnose_kernel", unreachable)
+        space = CompositeSpace((qubit(), qubit()))
+        cases = (
+            (np.zeros((4, 4)), 16),  # one 4-fold level: 4^2 operators
+            (np.diag([0.0, 1.0, 1.0, 2.0]), 6),  # 1 + 2^2 + 1
+            (np.diag([0.0, 1.0, 2.0, 3.0]), 4),
+        )
+        for h, kernel_dim in cases:
+            liouville = assemble_generator(Operator(space, h), [])
+            dense_kernel = np.sum(np.linalg.svd(liouville.matrix.toarray(),
+                                                compute_uv=False) < 1e-12)
+            assert dense_kernel == kernel_dim
+            with pytest.raises(DegenerateSteadyStateError) as exc_info:
+                steady_state(liouville)
+            assert exc_info.value.kernel_dimension == kernel_dim
+
+    def test_dephasing_degeneracy_caught_by_certificate(self):
+        # pure dephasing damps coherences only: the excited level decays
+        # under H_eff, yet both populations are stationary, so the bordered
+        # system is singular but consistent
+        sm = qubit_lowering(QUBIT, 0)
+        number = sm.dag() @ sm
+        h = Operator(QUBIT, 3.0 * number.matrix)
+        liouville = assemble_generator(h, [(number, 0.7)])
+        with pytest.raises(DegenerateSteadyStateError) as exc_info:
+            steady_state(liouville)
+        assert exc_info.value.kernel_dimension == 2
+
+    def test_exceptional_point_with_a_stationary_level(self):
+        # an undriven emitter on a lossy mode at g = kappa / 4: the one-
+        # excitation block of H_eff is a Jordan block, and the ground level
+        # never decays; the steady state is the ground state
+        space = CompositeSpace((qubit(), boson(1)))
+        sm, a = qubit_lowering(space, 0), boson_annihilation(space, 1)
+        kappa = 40.0
+        h = Operator(space, kappa / 4 * (sm.dag() @ a + a.dag() @ sm).matrix)
+        liouville = assemble_generator(h, [(a, kappa)])
+        assert np.linalg.cond(np.linalg.eig(liouville.h_eff)[1]) > 1e6
+        rho = steady_state(liouville)
+        assert np.allclose(rho.matrix, np.diag([1.0, 0.0, 0.0, 0.0]), atol=1e-12)
+
+    def test_solve_info(self):
+        params = dark_tuned(preset_params("dimer30_dc901"))
+        for cutoff in (1, 2, 3):
+            _, info = steady_state(build_liouvillian(params.with_truncation(cutoff)),
+                                   return_info=True)
+            assert 1 <= info.iterations <= 40
+            assert not info.refined
+            assert info.residual < 1e-11
+
     def test_agrees_with_long_time_evolution(self):
         params = dark_tuned(preset_params("dimer30_dc901")).with_qd_decay(6.6)
         liouville = build_liouvillian(params)
@@ -124,6 +190,60 @@ class TestSteadyState:
         trajectory = evolve(Schedule.constant(params, horizon), rho0,
                             np.linspace(0.0, horizon, 9))
         assert trace_distance(trajectory.states[-1], rho_ss) < 1e-5
+
+
+@pytest.mark.parametrize("h_eff", [
+    build_liouvillian(full_params()).h_eff,
+    build_liouvillian(full_params().with_truncation(2)).h_eff,
+    # drive = gamma / 4: an exceptional point, the Schur route
+    driven_qubit_generator(5.0, 20.0).h_eff,
+    np.array([[1.0 - 0.5j, 1.0], [0.0, 1.0 - 0.5j]]),  # a Jordan block
+], ids=["cutoff1", "cutoff2", "exceptional_point", "defective"])
+def test_no_jump_inverse_is_exact(h_eff):
+    d = h_eff.shape[0]
+    rng = np.random.default_rng(3)
+    y = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    x = _no_jump_inverse(h_eff, 1.0)(y.reshape(-1, order="F")).reshape(
+        (d, d), order="F")
+    no_jump = -1j * (h_eff @ x - x @ h_eff.conj().T)
+    assert np.max(np.abs(no_jump - y)) <= 1e-10 * np.max(np.abs(y))
+
+
+class TestSteadyStateProperties:
+    @settings(max_examples=15, deadline=None)
+    @given(params=physical_params().map(lambda p: p.with_truncation(1)))
+    @example(params=full_params().with_truncation(2))
+    def test_random_physical_parameters(self, params):
+        liouville = build_liouvillian(params)
+        _, singular_values, vh = np.linalg.svd(liouville.matrix.toarray())
+        gap = singular_values[-2] / singular_values[0] if singular_values[0] else 0.0
+        # the dense diagnosis counts singular values below this as kernel
+        degenerate = singular_values[-2] < _DEGENERACY_SV_RATIO * max(
+            singular_values[0], 1.0)
+        try:
+            rho = steady_state(liouville)
+        except SolverError as exc:
+            # only a (nearly) degenerate kernel may fail, and an exactly
+            # degenerate one fails as such
+            assert gap < 1e-6, exc
+            if degenerate:
+                assert isinstance(exc, DegenerateSteadyStateError)
+            return
+        assert not degenerate
+        matrix = rho.matrix
+        assert abs(np.trace(matrix) - 1.0) <= _SOLVER_POLICY.algebraic_tol
+        assert np.linalg.eigvalsh(matrix).min() >= -_SOLVER_POLICY.positivity_slack
+        value = qd_negativity(rho)
+        assert 0.0 <= value <= 0.5
+        # the solver's forward error is about its 1e-14 relative residual
+        # over the relative gap: compare where the gap is well open
+        if gap < 1e-3:
+            return
+        d = liouville.dim
+        kernel = vh[-1].conj().reshape((d, d), order="F")
+        assert np.max(np.abs(matrix - kernel / np.trace(kernel))) <= 1e-10
+        shifted = params.with_drive(phase1=params.drive.phase1 + 2.0 * np.pi)
+        assert abs(qd_negativity(steady_state(build_liouvillian(shifted))) - value) <= 1e-10
 
 
 class TestEvolve:
@@ -221,17 +341,41 @@ class TestEvolve:
                                     strict=True):
             assert np.max(np.abs(state - reference)) <= 1e-10
 
-    def test_one_dense_propagator_per_distinct_step(self):
-        # a uniform grid needs one propagator per segment, plus one per
-        # partial step at the switch
+    def test_one_dense_propagator_per_distinct_step(self, monkeypatch):
+        # a uniform grid needs one dense propagator per segment; the partial
+        # step on each side of the switch is taken once and moves the state
+        # by expm_multiply, counted with the propagators
+        dense_built = []
+        monkeypatch.setattr(scipy.linalg, "expm",
+                            lambda a, _expm=scipy.linalg.expm:
+                            dense_built.append(a.shape) or _expm(a))
         params = dark_tuned(preset_params("dimer30_dc901"))
         rho0 = DensityMatrix.basis_state(params.space(), (1, 0, 0, 0))
         t_grid = np.linspace(0.0, 100.0, 21)
         constant = evolve(Schedule.constant(params, 100.0), rho0, t_grid)
         assert constant.info.propagators == 1
+        assert len(dense_built) == 1
+        dense_built.clear()
         switched = evolve(Schedule(((42.0, params), (58.0, params))), rho0, t_grid)
         assert switched.info.propagators == 4
+        assert len(dense_built) == 2  # 4 before single steps moved off dense expm
         assert 0.0 <= switched.info.max_trace_drift < 1e-12
+        for s1, s2 in zip(constant.matrices, switched.matrices):
+            assert np.max(np.abs(s1 - s2)) < 1e-12
+
+    def test_protocol_run_builds_one_dense_propagator(self, monkeypatch):
+        # 5 ps samples, switch at 9 ps: the 5 and 4 ps steps before it and
+        # the 1 ps step after it are each taken once; only the 5 ps step of
+        # the second segment is a dense propagator
+        dense_built = []
+        monkeypatch.setattr(scipy.linalg, "expm",
+                            lambda a, _expm=scipy.linalg.expm:
+                            dense_built.append(a.shape) or _expm(a))
+        trajectory = stark_switch_protocol(preset_params("dimer30_dc901"),
+                                           9.0, 1500.0, 4000.0, 801)
+        assert trajectory.info.route == "dense_expm"
+        assert trajectory.info.propagators == 4
+        assert dense_built == [(256, 256)]
 
     def test_batched_observables_match_per_state_values(self):
         params = dark_tuned(preset_params("dimer30_dc901")).with_qd_decay(0.66)
