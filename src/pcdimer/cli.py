@@ -563,6 +563,7 @@ def run(config: RunConfig, quiet: bool = False) -> int:
                  [row + (info.residual,)])
             diagnostics = {"residual": info.residual,
                            "iterations": info.iterations,
+                           "certificate_iterations": info.certificate_iterations,
                            "refined": info.refined}
 
         elif config.command == "sweep":
@@ -593,6 +594,10 @@ def run(config: RunConfig, quiet: bool = False) -> int:
                                  if converged.any() else None),
                 "max_iterations": (int(result.iterations[converged].max())
                                    if converged.any() else None),
+                "max_certificate_iterations": (
+                    int(result.certificate_iterations[converged].max())
+                    if converged.any() else None),
+                "batch_points": result.batch_points,
                 "point_failures": list(result.failures),
             }
             if result.failures and not config.allow_point_failures:

@@ -1,10 +1,12 @@
 """Steady-state sweeps and transient protocols over the dimer model.
 
 Sweep grids default to ranges that resolve the dark-state resonance, the
-polariton branches and the collapse scales of the model; every grid point is
-an independent steady-state solve, executed sequentially or by a worker pool
-with order-preserving assembly (parallel and sequential runs produce
-identical grids).
+polariton branches and the collapse scales of the model.  Every grid point is
+an independent steady state; the points are cut, in C order, into fixed-size
+batches that are each solved in one lockstep call (``solvers.steady_states``),
+sequentially or by a worker pool that maps batches with order-preserving
+assembly.  The batches do not depend on the worker count, so parallel and
+sequential runs produce identical grids.
 """
 
 from __future__ import annotations
@@ -19,7 +21,16 @@ from .exceptions import DomainError, SolverError
 from .hilbert import DensityMatrix
 from .liouvillian import build_liouvillian
 from .model import SystemParams, identify_dark_state
-from .solvers import Schedule, Trajectory, evolve, resolve_observable, steady_state
+# steady_state is looked up here by bench/tracing.py
+from .solvers import (
+    Schedule,
+    Trajectory,
+    batch_points,
+    evolve,
+    resolve_observable,
+    steady_state,  # noqa: F401
+    steady_states,
+)
 
 __all__ = [
     "SweepAxis",
@@ -166,8 +177,9 @@ class SweepSpec:
 @dataclass(frozen=True)
 class SweepResult:
     """Observable grid with per-point solver diagnostics: the steady-state
-    residual and GMRES step count of every point (NaN and 0 where the solve
-    failed)."""
+    residual and the GMRES step counts of the solve and of its uniqueness
+    certificate at every point (NaN, 0 and 0 where the solve failed), and
+    the number of points solved per batch."""
 
     axes: tuple[SweepAxis, ...]
     observable: str
@@ -175,6 +187,8 @@ class SweepResult:
     residuals: np.ndarray = field(repr=False)
     converged: np.ndarray = field(repr=False)
     iterations: np.ndarray = field(repr=False)
+    certificate_iterations: np.ndarray = field(repr=False)
+    batch_points: int
     failures: tuple[str, ...] = ()
 
     @property
@@ -206,43 +220,60 @@ class SweepResult:
         return tuple(columns), tuple(rows)
 
 
-def _evaluate_point(args):
-    """Solve one steady state; never raises (failures are reported inline)."""
-    params, observable = args
+def _evaluate_batch(args):
+    """Solve one batch of sweep points together; never raises for a point's
+    solver failure (failures are reported inline, per point)."""
+    points, observable = args
     func = resolve_observable(observable)
-    try:
-        rho, info = steady_state(build_liouvillian(params), return_info=True)
-        return float(func(params, rho)), info.residual, info.iterations, True, ""
-    except SolverError as exc:
-        return float("nan"), float("nan"), 0, False, str(exc)
+    solved = steady_states([build_liouvillian(params) for params in points])
+    outcomes = []
+    for params, outcome in zip(points, solved):
+        if isinstance(outcome, SolverError):
+            outcomes.append((float("nan"), float("nan"), 0, 0, False, str(outcome)))
+        else:
+            rho, info = outcome
+            outcomes.append((float(func(params, rho)), info.residual, info.iterations,
+                             info.certificate_iterations, True, ""))
+    return outcomes
 
 
 def run_sweep(spec: SweepSpec, n_workers: int = 1) -> SweepResult:
-    """Evaluate the sweep grid point by point in fixed C-order.
+    """Evaluate the sweep grid in fixed C-order batches.
 
-    Per-point solver failures are recorded (NaN value, converged=False) and
-    the sweep continues.  Results are bit-identical for any worker count.
+    The grid points are cut in C order into batches of
+    ``solvers.batch_points(D^2)`` points, a size set by the Liouville
+    dimension alone; each batch builds its generators and solves them in one
+    ``steady_states`` call.  With ``n_workers > 1`` a process pool maps the
+    batches.  Per-point solver failures are recorded (NaN value,
+    converged=False) and the sweep continues.  Results are bit-identical
+    for any worker count.
     """
     shape = spec.shape
     index_list = list(itertools.product(*(range(n) for n in shape)))
-    tasks = [(spec.point_params(idx), spec.observable) for idx in index_list]
+    size = batch_points(spec.base.space().total_dim ** 2)
+    tasks = [([spec.point_params(idx) for idx in index_list[k:k + size]],
+              spec.observable) for k in range(0, len(index_list), size)]
 
     if n_workers > 1:
         chunk = max(1, len(tasks) // (8 * n_workers))
         with ProcessPoolExecutor(max_workers=n_workers) as pool:
-            outcomes = list(pool.map(_evaluate_point, tasks, chunksize=chunk))
+            batches = list(pool.map(_evaluate_batch, tasks, chunksize=chunk))
     else:
-        outcomes = [_evaluate_point(t) for t in tasks]
+        batches = [_evaluate_batch(t) for t in tasks]
+    outcomes = itertools.chain.from_iterable(batches)
 
     values = np.empty(shape)
     residuals = np.empty(shape)
     converged = np.empty(shape, dtype=bool)
     iterations = np.empty(shape, dtype=int)
+    certificate_iterations = np.empty(shape, dtype=int)
     failures = []
-    for idx, (value, residual, steps, ok, message) in zip(index_list, outcomes):
+    for idx, (value, residual, steps, certificate_steps, ok, message) in zip(
+            index_list, outcomes):
         values[idx] = value
         residuals[idx] = residual
         iterations[idx] = steps
+        certificate_iterations[idx] = certificate_steps
         converged[idx] = ok
         if not ok:
             failures.append(f"point {idx}: {message}")
@@ -253,6 +284,8 @@ def run_sweep(spec: SweepSpec, n_workers: int = 1) -> SweepResult:
         residuals=residuals,
         converged=converged,
         iterations=iterations,
+        certificate_iterations=certificate_iterations,
+        batch_points=size,
         failures=tuple(failures),
     )
 

@@ -8,14 +8,18 @@ from functools import cached_property, lru_cache
 import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
+from scipy.linalg.blas import zaxpy as _axpy
+from scipy.linalg.blas import zdotc as _dotc
 from scipy.linalg.lapack import ztrsyl as _trsyl
-from scipy.sparse.linalg import LinearOperator, expm_multiply, gmres
+from scipy.sparse.linalg import expm_multiply
 
 from .entanglement import negativity, qd_negativity
 from .exceptions import (
     DegenerateSteadyStateError,
+    DomainError,
     IntegrationError,
     SingularSolveError,
+    SolverError,
 )
 from .hilbert import (
     CompositeSpace,
@@ -31,6 +35,8 @@ from .model import SystemParams
 __all__ = [
     "STEADY_RESIDUAL_TOL",
     "SteadyStateInfo",
+    "batch_points",
+    "steady_states",
     "steady_state",
     "Schedule",
     "PropagationInfo",
@@ -60,6 +66,26 @@ _GMRES_RESTART = 128
 _BORDERED_RESIDUAL_TOL = 1e-14
 # relative residual the uniqueness certificate must reach
 _CERTIFICATE_RTOL = 1e-6
+# Liouville dimension from which GMRES orthogonalizes each system by
+# modified Gram-Schmidt, one BLAS dot and axpy per basis vector (one pass
+# over the basis), instead of stacked classical Gram-Schmidt with one
+# reorthogonalization (two passes, but few calls): at D^2 = 4096 (cutoff 3)
+# a step of two systems took 144 against 238 us, at D^2 = 1296 63 against
+# 77 us, and at D^2 = 256 the stacked form wins, 24 systems in 199 against
+# 399 us
+_MGS_MIN_DIM = 1296
+# Krylov vectors preallocated per GMRES system; the basis grows, by
+# doubling up to the restart length, only when a system needs more (a
+# full-length basis for a 12-point batch raised the map's peak RSS from 71
+# to 87 MB: numpy advises huge pages for arrays of 4 MB and more)
+_BASIS_COLUMNS = 16
+# byte budget of the preallocated Krylov bases of one steady-state batch,
+# which sets the batch size: 12 points at Fock cutoff 1 (D^2 = 256), 2 at
+# cutoff 2, 1 above.  On the benchmark map (2-vCPU machine, medians of 5
+# in-process cycles) 1, 4, 8, 12, 16 and 32-point batches ran 141, 248,
+# 271, 281, 313 and 295 points/s, alike within the run-to-run noise from 8
+# points up, and every point more costs ~0.14 MB of basis
+_BATCH_BASIS_BYTES = 1_700_000
 # |Im w| <= this * max |w| marks an eigenvalue of H_eff as non-decaying
 _NON_DECAYING_TOL = 1e-12
 # eigenvector-basis condition number above which the no-jump inverse takes
@@ -82,12 +108,14 @@ class SteadyStateInfo:
     ``residual`` is ||L vec(rho)|| of the accepted state; ``refined`` says
     that a warm-started correction pass was needed to bring the relative
     bordered residual below 1e-14; ``iterations`` counts the GMRES steps of
-    the solve, both passes included.
+    the solve, both passes included, and ``certificate_iterations`` those of
+    the uniqueness certificate.
     """
 
     residual: float
     refined: bool
     iterations: int
+    certificate_iterations: int
 
 
 def _diagnose_kernel(liouville: Superoperator):
@@ -111,70 +139,265 @@ def _diagnose_kernel(liouville: Superoperator):
     )
 
 
-def _no_jump_inverse(h_eff: np.ndarray, shift: float):
-    """Exact inverse of the no-jump part X -> -i (H_eff X - X H_eff^dag),
-    as a function on column-stacked vectors.
+def _no_jump_inverse(h_eff: np.ndarray, shift: np.ndarray):
+    """Exact inverses of the no-jump parts X -> -i (H_eff X - X H_eff^dag)
+    of a stack of no-jump Hamiltonians ``h_eff`` (B, d, d).
 
     With H_eff = V diag(w) V^-1 the no-jump part scales the entries of
     V^-1 X V^-H by -i (w_i - conj(w_j)), so one eigendecomposition makes the
-    inverse two matrix products on each side and a division.  Applying it
-    loses about eps cond(V)^2; near an exceptional point, where V is
-    (nearly) singular, the inverse is instead one triangular Sylvester solve
-    on the complex Schur form H_eff = Q T Q^dag (Bartels-Stewart), exact
-    under unitary similarity.
+    inverse two matrix products on each side and a division; the B
+    eigendecompositions are one stacked ``np.linalg.eig`` call.  Applying it
+    loses about eps cond(V)^2; for a member near an exceptional point, where
+    V is (nearly) singular, the inverse is instead one triangular Sylvester
+    solve on the complex Schur form H_eff = Q T Q^dag (Bartels-Stewart),
+    exact under unitary similarity.
 
     An eigenvalue with zero imaginary part belongs to a pure state that H
     keeps and every jump annihilates.  Two or more of them make the steady
     state degenerate.  A single one would leave a zero denominator; the
     inverse is taken with that eigenvalue moved off the real axis by
-    ``shift / 2`` instead, which makes the denominator ``shift``.
+    ``shift[m] / 2`` instead, which makes the denominator ``shift[m]``.
+
+    Returns ``(apply, errors)``.  ``errors`` maps the index of every member
+    with two or more non-decaying levels to its
+    ``DegenerateSteadyStateError``.  ``apply(y, active=None)`` acts on a
+    (L, k, D^2) stack of column-stacked vectors, k per member, for the L
+    other members in order; vectors outside an (L, k) mask ``active`` are
+    skipped and come back zero.
     """
-    d = h_eff.shape[0]
+    d = h_eff.shape[1]
     w, v = np.linalg.eig(h_eff)
-    tol = _NON_DECAYING_TOL * np.abs(w).max()
-    stationary = np.abs(w.imag) <= tol
-    if np.count_nonzero(stationary) >= 2:
+    tol = _NON_DECAYING_TOL * np.abs(w).max(axis=1)
+    stationary = np.abs(w.imag) <= tol[:, None]
+    errors = {}
+    for m in np.nonzero(np.count_nonzero(stationary, axis=1) >= 2)[0].tolist():
         # k equal levels span k^2 stationary operators |v_i><v_j|
-        levels = np.sort(w.real[stationary])
-        groups = np.split(levels, np.nonzero(np.diff(levels) > tol)[0] + 1)
+        levels = np.sort(w[m].real[stationary[m]])
+        groups = np.split(levels, np.nonzero(np.diff(levels) > tol[m])[0] + 1)
         kernel_dim = sum(g.size ** 2 for g in groups)
-        raise DegenerateSteadyStateError(
+        errors[m] = DegenerateSteadyStateError(
             f"the generator kernel is at least {kernel_dim}-dimensional: "
             f"{levels.size} levels of H_eff never decay; "
             "the steady state is not unique",
             kernel_dimension=kernel_dim,
         )
-    w[stationary] -= 0.5j * shift
+    live = [m for m in range(h_eff.shape[0]) if m not in errors]
+    h_eff, w, v, tol = h_eff[live], w[live], v[live], tol[live]
+    shift, stationary = np.asarray(shift)[live], stationary[live]
+    w[stationary] -= 0.5j * np.broadcast_to(shift[:, None], w.shape)[stationary]
 
     try:
         v_inv = np.linalg.inv(v)
-        # eig returns unit columns, so ||V||_F = sqrt(d)
-        well_conditioned = np.sqrt(d) * np.linalg.norm(v_inv) <= _EIGENBASIS_COND_MAX
-    except np.linalg.LinAlgError:  # a defective H_eff
-        well_conditioned = False
-    if well_conditioned:
-        v_h, v_inv_h = v.conj().T, v_inv.conj().T
-        denominators = -1j * (w[:, None] - w.conj()[None, :])
+    except np.linalg.LinAlgError:  # a defective H_eff among the members
+        v_inv = np.full_like(v, np.nan)
+        for m in range(len(live)):
+            try:
+                v_inv[m] = np.linalg.inv(v[m])
+            except np.linalg.LinAlgError:
+                pass
+    # eig returns unit columns, so ||V||_F = sqrt(d); NaN fails the test
+    eigen = np.sqrt(d) * np.linalg.norm(v_inv, axis=(1, 2)) <= _EIGENBASIS_COND_MAX
+    # every product below acts on the C-order reshape of vec(Y), which is
+    # Y^T: X^T = conj(V) [(conj(V^-1) Y^T (V^-1)^T) / den^T] V^T
+    # (contiguous, like every stack the products below see)
+    left_in = v_inv.conj()
+    right_in = np.ascontiguousarray(v_inv.transpose(0, 2, 1))
+    left_out = v.conj()
+    right_out = np.ascontiguousarray(v.transpose(0, 2, 1))
+    denominators = -1j * (w[:, None, :] - w.conj()[:, :, None])
 
-        def apply(y: np.ndarray) -> np.ndarray:
-            y = y.reshape((d, d), order="F")
-            return (v @ ((v_inv @ y @ v_inv_h) / denominators) @ v_h).reshape(
-                -1, order="F")
+    schur = []
+    for m in np.nonzero(~eigen)[0].tolist():
+        t, q = scipy.linalg.schur(h_eff[m], output="complex")
+        level = np.nonzero(np.abs(np.diag(t).imag) <= tol[m])[0]
+        t[level, level] -= 0.5j * shift[m]
+        schur.append((m, t, q, q.conj().T))
 
-        return apply
+    def apply(y: np.ndarray, active: np.ndarray | None = None) -> np.ndarray:
+        # contiguous, so that a member's products take the same path
+        # whatever the size and layout of the stack
+        yt = np.ascontiguousarray(y).reshape(y.shape[:2] + (d, d))
+        if active is None:
+            active = np.ones(y.shape[:2], dtype=bool)
+        take = active & eigen[:, None]
+        if take.all():
+            return (left_out[:, None] @ ((left_in[:, None] @ yt @ right_in[:, None])
+                                         / denominators[:, None])
+                    @ right_out[:, None]).reshape(y.shape)
+        out = np.zeros_like(yt)
+        members = np.nonzero(take)[0]
+        out[take] = (left_out[members]
+                     @ ((left_in[members] @ yt[take] @ right_in[members])
+                        / denominators[members])
+                     @ right_out[members])
+        for m, t, q, q_h in schur:
+            for k in np.nonzero(active[m])[0]:
+                # T X' - X' T^dag = i Q^dag Y Q, X = Q X' Q^dag
+                c = q_h @ yt[m, k].T @ q
+                z, scale, _ = _trsyl(t, t, c, trana="N", tranb="C", isgn=-1)
+                out[m, k] = (q @ z @ q_h).T * (1j / scale)
+        return out.reshape(y.shape)
 
-    t, q = scipy.linalg.schur(h_eff, output="complex")
-    level = np.nonzero(np.abs(np.diag(t).imag) <= tol)[0]
-    t[level, level] -= 0.5j * shift
-    q_h = q.conj().T
+    return apply, errors
 
-    def apply(y: np.ndarray) -> np.ndarray:
-        # T X' - X' T^dag = i Q^dag Y Q, X = Q X' Q^dag
-        c = q_h @ y.reshape((d, d), order="F") @ q
-        x, scale, _ = _trsyl(t, t, c, trana="N", tranb="C", isgn=-1)
-        return (q @ x @ q_h).reshape(-1, order="F") * (1j / scale)
 
-    return apply
+def _rotation(f: np.ndarray, g: np.ndarray):
+    """Complex Givens rotations (c, s, r) with c f + s g = r and
+    -conj(s) f + c g = 0, elementwise; c = 1, s = 0 where f = g = 0."""
+    magnitude = np.hypot(np.abs(f), np.abs(g))
+    nonzero = magnitude > 0
+    abs_f = np.abs(f)
+    phase = np.where(abs_f > 0, f / np.where(abs_f > 0, abs_f, 1.0), 1.0)
+    safe = np.where(nonzero, magnitude, 1.0)
+    c = np.where(nonzero, abs_f / safe, 1.0)
+    s = np.where(nonzero, phase * g.conj() / safe, 0.0)
+    return c, s, phase * magnitude
+
+
+def _lockstep_gmres(operator, rhs: np.ndarray, rtol: np.ndarray,
+                    passes: int = 2, restart: int = _GMRES_RESTART):
+    """Restarted GMRES (Saad & Schultz, SIAM J. Sci. Stat. Comput. 7, 856
+    (1986)) on a stack of independent systems A_s x_s = b_s, run in lockstep.
+
+    ``rhs`` is (..., n); ``operator(v, active)`` applies every A_s to its
+    own vector of an array of that shape, so one step is one operator call
+    for all systems.  It may skip the systems outside the boolean mask
+    ``active`` (None: all), whose vectors are zero, and return zero for
+    them.  Each system keeps its own Krylov basis (classical Gram-Schmidt
+    with one reorthogonalization over the stack, or modified Gram-Schmidt
+    per system from ``_MGS_MIN_DIM``), Givens rotations and stop step: a pass
+    ends for it when its residual estimate reaches ``rtol * ||b_s||``
+    (``rtol`` broadcasts over ``rhs.shape[:-1]``), at an exact solution, at
+    a non-finite estimate or after ``restart`` steps.  A system whose true
+    residual then misses its target takes another pass, warm-started, up to
+    ``passes`` in all.  Returns x, the steps and passes taken and whether
+    the target was reached, each shaped like ``rhs`` without its last axis.
+    """
+    shape, n = rhs.shape[:-1], rhs.shape[-1]
+    b = rhs.reshape(-1, n)
+    count = b.shape[0]
+    target = np.broadcast_to(rtol, shape).reshape(-1) * np.linalg.norm(b, axis=1)
+    eps = np.finfo(float).eps
+
+    def apply(v, active=None):
+        # contiguous both ways: a system's arithmetic must not depend on
+        # the layout the stack size happens to give
+        out = operator(np.ascontiguousarray(v).reshape(rhs.shape),
+                       None if active is None else active.reshape(shape))
+        return np.ascontiguousarray(out).reshape(count, n)
+
+    x = np.zeros_like(b)
+    r, rnorm = b, np.linalg.norm(b, axis=1)
+    steps = np.zeros(count, dtype=int)
+    used = np.zeros(count, dtype=int)
+    columns = min(_BASIS_COLUMNS, restart)
+    # basis[i] holds the i-th Krylov vector of every system, contiguous
+    basis = np.empty((columns + 1, count, n), dtype=complex)
+    hessenberg = np.empty((count, columns, columns), dtype=complex)
+    # the product of a pass's Givens rotations, applied to each new
+    # Hessenberg column in one product
+    rotations = np.empty((count, columns + 1, columns + 1), dtype=complex)
+    for _pass in range(passes):
+        active = rnorm > target
+        if not active.any():
+            break
+        used += active
+        basis[0] = r * (active / np.where(active, rnorm, 1.0))[:, None]
+        g = np.zeros((count, restart + 1), dtype=complex)
+        g[:, 0] = np.where(active, rnorm, 0.0)
+        rotations[:] = 0.0
+        rotations[:, 0, 0] = 1.0
+        stop = np.zeros(count, dtype=int)
+        for j in range(restart):
+            if j == columns:  # the basis grows only when a system needs it
+                columns = min(2 * columns, restart)
+                grown = np.empty((columns + 1, count, n), dtype=complex)
+                grown[:j + 1] = basis[:j + 1]
+                basis = grown
+                grown = np.empty((count, columns, columns), dtype=complex)
+                grown[:, :j, :j] = hessenberg[:, :j, :j]
+                hessenberg = grown
+                grown = np.zeros((count, columns + 1, columns + 1), dtype=complex)
+                grown[:, :j + 1, :j + 1] = rotations[:, :j + 1, :j + 1]
+                rotations = grown
+            w = apply(basis[j], active)
+            h0 = np.linalg.norm(w, axis=1)
+            coefficients = np.zeros((count, j + 2), dtype=complex)
+            if n >= _MGS_MIN_DIM:
+                for k in np.nonzero(active)[0].tolist():
+                    for i in range(j + 1):  # in place on the row w[k]
+                        coefficients[k, i] = _dotc(basis[i, k], w[k])
+                        _axpy(basis[i, k], w[k], a=-coefficients[k, i])
+            else:
+                # once a system has stopped, only the active ones stream
+                # their bases, one by one, through the same products
+                parts = ([slice(None)] if active.all() else
+                         [slice(k, k + 1) for k in np.nonzero(active)[0].tolist()])
+                for part in parts:
+                    previous = basis[:j + 1, part].transpose(1, 0, 2)
+                    vector = w[part]
+                    for _ in range(2):  # Gram-Schmidt, then once more
+                        projection = (previous @ vector.conj()[:, :, None])[:, :, 0].conj()
+                        vector -= (projection[:, None, :] @ previous)[:, 0]
+                        coefficients[part, :j + 1] += projection
+            h1 = np.linalg.norm(w, axis=1)
+            coefficients[:, j + 1] = h1
+            breakdown = h1 <= eps * h0
+            keep = active & ~breakdown
+            basis[j + 1] = w * (keep / np.where(keep, h1, 1.0))[:, None]
+            column = (rotations[:, :j + 1, :j + 1]
+                      @ coefficients[:, :j + 1, None])[:, :, 0]
+            c, s, column[:, j] = _rotation(column[:, j], h1)
+            hessenberg[:, :j + 1, j] = column
+            # the new rotation mixes rows j and j + 1 of the product
+            row = rotations[:, j, :j + 1].copy()
+            rotations[:, j, :j + 1] = c[:, None] * row
+            rotations[:, j, j + 1] = s
+            rotations[:, j + 1, :j + 1] = -s.conj()[:, None] * row
+            rotations[:, j + 1, j + 1] = c
+            g[:, j + 1] = -s.conj() * g[:, j]
+            g[:, j] *= c
+            estimate = np.abs(g[:, j + 1])
+            stop[active] = j + 1
+            active &= ~((estimate <= target) | breakdown | ~np.isfinite(estimate))
+            if not active.any():
+                break
+            basis[j + 1] *= active[:, None]
+        # back substitution, each system on its own first stop_s columns; the
+        # sums run in a fixed order and past stop_s add exact zeros, so a
+        # system's result does not depend on the others
+        k = int(stop.max())
+        y = np.zeros((count, k), dtype=complex)
+        for i in range(k - 1, -1, -1):
+            diagonal = hessenberg[:, i, i]
+            usable = (i < stop) & (diagonal != 0)
+            residual = g[:, i].copy()
+            for col in range(i + 1, k):
+                residual -= hessenberg[:, i, col] * y[:, col]
+            y[:, i] = np.where(usable, residual, 0.0) / np.where(usable, diagonal, 1.0)
+        for i in range(k):
+            x += y[:, i, None] * basis[i]
+        steps += stop
+        r = b - apply(x)
+        rnorm = np.linalg.norm(r, axis=1)
+    return (x.reshape(rhs.shape), steps.reshape(shape), used.reshape(shape),
+            (rnorm <= target).reshape(shape))
+
+
+def _block_diagonal(matrices: list) -> sp.csr_matrix:
+    """CSR block-diagonal matrix of equally sized CSR blocks; a single
+    block is returned as it is."""
+    if len(matrices) == 1:
+        return matrices[0]
+    n = matrices[0].shape[0]
+    starts = np.cumsum([0] + [m.nnz for m in matrices])
+    indices = np.concatenate([m.indices + k * n for k, m in enumerate(matrices)])
+    indptr = np.concatenate([m.indptr[:-1] + start
+                             for m, start in zip(matrices, starts)]
+                            + [starts[-1:]])
+    size = len(matrices) * n
+    return sp.csr_matrix((np.concatenate([m.data for m in matrices]),
+                          indices, indptr), shape=(size, size))
 
 
 @lru_cache(maxsize=8)
@@ -186,84 +409,121 @@ def _certificate_rhs(n: int) -> np.ndarray:
     return rhs
 
 
-def steady_state(liouville: Superoperator, return_info: bool = False):
-    """Unique steady state of a trace-preserving generator.
+def batch_points(dim2: int) -> int:
+    """Steady states solved together in one batch at Liouville dimension
+    D^2: as many as fit two Krylov bases of ``_BASIS_COLUMNS`` vectors each
+    into ``_BATCH_BASIS_BYTES``, and at least one."""
+    per_point = 2 * (_BASIS_COLUMNS + 1) * dim2 * np.dtype(complex).itemsize
+    return max(1, _BATCH_BASIS_BYTES // per_point)
 
-    Solves the trace-bordered system (L + s |e_0>><<I|) x = s e_0, with s
-    the largest entry of |L|.  It is nonsingular exactly when the kernel of
-    L is one-dimensional, and its solution has unit trace.  GMRES solves
-    it, right preconditioned with the exact inverse of the no-jump part of
-    L (``_no_jump_inverse``, one eigendecomposition of H_eff), so that only
-    the recycling terms and the border are left to iterate on: 10-17 steps
-    on the benchmark systems at Fock cutoffs 1-4.  A pass that misses a
-    relative bordered residual of 1e-14 is followed by one warm-started
-    correction pass.
+
+def steady_states(liouvilles) -> list:
+    """Unique steady states of a batch of trace-preserving generators that
+    share one space, solved together.
+
+    Each generator L gives the trace-bordered system
+    (L + s |e_0>><<I|) x = s e_0, with s the largest entry of |L|.  It is
+    nonsingular exactly when the kernel of L is one-dimensional, and its
+    solution has unit trace.  Every member contributes two systems to one
+    lockstep GMRES (``_lockstep_gmres``, restart 128, two passes): the
+    bordered system, to a relative residual of 1e-14 (a second,
+    warm-started pass sets ``refined``), and its uniqueness certificate,
+    the same matrix with a fixed-seed random right-hand side, to 1e-6.  All
+    systems are right preconditioned with the exact inverse of their
+    no-jump part (``_no_jump_inverse``, one stacked eigendecomposition of
+    the H_eff), so that only the recycling terms and the border are left to
+    iterate on: 10-17 steps on the benchmark systems at Fock cutoffs 1-4.
+    A GMRES step is one batched preconditioner call and one sparse product
+    with the block-diagonal generator of the batch per right-hand side;
+    systems that have stopped are skipped.
 
     A degenerate generator makes the bordered system singular but still
     consistent, so GMRES alone would return a state.  Two checks stop that:
-    two or more non-decaying levels of H_eff raise
-    ``DegenerateSteadyStateError`` before any iteration, and a second GMRES
-    on a fixed-seed random right-hand side must reach a relative residual
-    of 1e-6 (on a singular system it stalls near 0.3).  A stalled
-    certificate, a non-finite result or a steady-state residual
-    ||L vec(rho)|| above ``STEADY_RESIDUAL_TOL`` goes to a dense singular
-    value diagnosis, which raises ``DegenerateSteadyStateError`` or
-    ``SingularSolveError``.
-    """
-    d = liouville.dim
-    n = d * d
-    matrix = liouville.matrix
-    # the trace border, and the denominator of a non-decaying level, carry
-    # the generator's own scale, so the solve does not depend on its units
-    weight = float(np.abs(matrix.data).max()) if matrix.nnz else 1.0
-    precondition = _no_jump_inverse(liouville.h_eff, weight)
-    trace_entries = slice(None, None, d + 1)
+    two or more non-decaying levels of H_eff give a
+    ``DegenerateSteadyStateError`` before any iteration, and on a singular
+    system the certificate stalls (near a relative residual of 0.3).  A
+    stalled certificate, a non-finite result, a steady-state residual
+    ||L vec(rho)|| above ``STEADY_RESIDUAL_TOL`` or a state that fails the
+    density-matrix check goes to a dense singular value diagnosis, which
+    gives ``DegenerateSteadyStateError`` or ``SingularSolveError``.
+    Failures stay with their member.
 
-    def bordered(y):
-        x = precondition(y)
-        out = matrix @ x
-        out[0] += weight * x[trace_entries].sum()
+    Returns one entry per generator, in order: ``(DensityMatrix,
+    SteadyStateInfo)``, or the ``SolverError`` of a failed member.
+    """
+    liouvilles = list(liouvilles)
+    space = liouvilles[0].space
+    if any(liouville.space != space for liouville in liouvilles):
+        raise DomainError("a steady-state batch must share one space")
+    d = space.total_dim
+    n = d * d
+    # the trace border, and the denominator of a non-decaying level, carry
+    # each generator's own scale, so the solve does not depend on its units
+    weights = np.array([float(np.abs(l.matrix.data).max()) if l.matrix.nnz
+                        else 1.0 for l in liouvilles])
+    precondition, outcomes = _no_jump_inverse(
+        np.array([l.h_eff for l in liouvilles]), weights)
+    live = [m for m in range(len(liouvilles)) if m not in outcomes]
+    if not live:
+        return [outcomes[m] for m in range(len(liouvilles))]
+    size = len(live)
+    matrix = _block_diagonal([liouvilles[m].matrix for m in live])
+    weights = weights[live]
+
+    def bordered(y, active=None):
+        x = precondition(y, active)
+        out = np.zeros_like(x)
+        # one product per column (solve or certificate) that some member
+        # still iterates on
+        for k in range(x.shape[1]):
+            if active is None or active[:, k].any():
+                out[:, k] = (matrix @ x[:, k].reshape(-1)).reshape(size, n)
+        out[:, :, 0] += weights[:, None] * x[:, :, ::d + 1].sum(axis=2)
         return out
 
-    operator = LinearOperator((n, n), matvec=bordered, dtype=complex)
-    b = np.zeros(n, dtype=complex)
-    b[0] = weight
-    steps = [0]
+    rhs = np.empty((size, 2, n), dtype=complex)
+    rhs[:, 0] = 0.0
+    rhs[:, 0, 0] = weights
+    rhs[:, 1] = _certificate_rhs(n)
+    y, steps, passes, reached = _lockstep_gmres(
+        bordered, rhs, np.array([_BORDERED_RESIDUAL_TOL, _CERTIFICATE_RTOL]))
+    x = precondition(y[:, :1])[:, 0]
+    accepted = reached[:, 1] & np.all(np.isfinite(x), axis=1)
+    # read in C order, each column-stacked x is rho^T
+    transposed = x[accepted].reshape(-1, d, d)
+    rho = np.zeros((size, d, d), dtype=complex)
+    rho[accepted] = 0.5 * (transposed.transpose(0, 2, 1) + transposed.conj())
+    rho[accepted] /= np.trace(rho[accepted], axis1=1, axis2=2).real[:, None, None]
+    residuals = np.linalg.norm(
+        (matrix @ rho.transpose(0, 2, 1).reshape(-1)).reshape(size, n), axis=1)
+    for i, m in enumerate(live):
+        try:
+            if not (accepted[i] and residuals[i] <= STEADY_RESIDUAL_TOL):
+                _diagnose_kernel(liouvilles[m])
+            try:
+                state = DensityMatrix(space, rho[i], policy=_SOLVER_POLICY)
+            except DomainError:
+                # a state that fails validation (a negative eigenvalue from
+                # a nearly singular generator) is a failed solve
+                _diagnose_kernel(liouvilles[m])
+        except SolverError as exc:
+            outcomes[m] = exc
+            continue
+        outcomes[m] = (state, SteadyStateInfo(
+            residual=float(residuals[i]), refined=bool(passes[i, 0] > 1),
+            iterations=int(steps[i, 0]), certificate_iterations=int(steps[i, 1])))
+    return [outcomes[m] for m in range(len(liouvilles))]
 
-    def count(_):
-        steps[0] += 1
 
-    def solve(rhs, rtol, passes, x0=None):
-        return gmres(operator, rhs, x0=x0, rtol=rtol, restart=_GMRES_RESTART,
-                     maxiter=passes, callback=count, callback_type="pr_norm")
-
-    y, info = solve(b, _BORDERED_RESIDUAL_TOL, 1)
-    refined = info != 0
-    if refined:
-        y, _ = solve(b, _BORDERED_RESIDUAL_TOL, 1, x0=y)
-    iterations = steps[0]
-    _, certified = solve(_certificate_rhs(n), _CERTIFICATE_RTOL, 2)
-    if certified != 0:
-        _diagnose_kernel(liouville)
-
-    x = precondition(y)
-    if not np.all(np.isfinite(x)):
-        _diagnose_kernel(liouville)
-
-    rho = x.reshape((d, d), order="F")
-    rho = 0.5 * (rho + rho.conj().T)
-    rho = rho / np.trace(rho).real
-
-    residual = float(np.linalg.norm(
-        matrix @ rho.reshape(-1, order="F")))
-    if residual > STEADY_RESIDUAL_TOL:
-        _diagnose_kernel(liouville)
-
-    state = DensityMatrix(liouville.space, rho, policy=_SOLVER_POLICY)
-    if return_info:
-        return state, SteadyStateInfo(residual=residual, refined=refined,
-                                      iterations=iterations)
-    return state
+def steady_state(liouville: Superoperator, return_info: bool = False):
+    """Unique steady state of a trace-preserving generator: a one-member
+    ``steady_states`` batch, which solves on ``liouville.matrix`` itself.
+    Raises the member's ``DegenerateSteadyStateError`` or
+    ``SingularSolveError`` when it fails."""
+    (outcome,) = steady_states([liouville])
+    if isinstance(outcome, SolverError):
+        raise outcome
+    return outcome if return_info else outcome[0]
 
 
 @dataclass(frozen=True)

@@ -290,6 +290,8 @@ class TestRun:
         assert len(diagnostics["point_failures"]) == 3
         assert all("steady state" in f for f in diagnostics["point_failures"])
         assert diagnostics["max_iterations"] is None
+        assert diagnostics["max_certificate_iterations"] is None
+        assert diagnostics["batch_points"] == 12
 
     def test_degenerate_generators_fail_quietly_and_typed(self, tmp_path,
                                                           monkeypatch, capfd):
@@ -309,9 +311,18 @@ class TestRun:
                     raise
             return wrapped
 
-        for module in (pcdimer.cli, pcdimer.experiments):
-            monkeypatch.setattr(module, "steady_state",
-                                recording(module.steady_state))
+        def recording_batch(solve):
+            # a batch returns its members' failures instead of raising them
+            def wrapped(*args, **kwargs):
+                outcomes = solve(*args, **kwargs)
+                failures.extend(o for o in outcomes if isinstance(o, Exception))
+                return outcomes
+            return wrapped
+
+        monkeypatch.setattr(pcdimer.cli, "steady_state",
+                            recording(pcdimer.cli.steady_state))
+        monkeypatch.setattr(pcdimer.experiments, "steady_states",
+                            recording_batch(pcdimer.experiments.steady_states))
         steady = parse_config(CLOSED_SYSTEM + f"\n[output]\ndirectory = {tmp_path}\n")
         sweep = parse_config(CLOSED_SYSTEM.replace("steady", "sweep")
                              + "allow_point_failures = true\n"
@@ -334,6 +345,7 @@ class TestRun:
         assert run(config, quiet=True) == 0
         diagnostics = read_strict_json(tmp_path / "steady_manifest.json")["diagnostics"]
         assert 1 <= diagnostics["iterations"] <= 80
+        assert 1 <= diagnostics["certificate_iterations"] <= 80
         assert diagnostics["refined"] is False
         assert diagnostics["residual"] < 1e-9
 
@@ -345,6 +357,8 @@ class TestRun:
         assert run(parse_config(text), quiet=True) == 0
         diagnostics = read_strict_json(tmp_path / "sweep_manifest.json")["diagnostics"]
         assert 1 <= diagnostics["max_iterations"] <= 80
+        assert 1 <= diagnostics["max_certificate_iterations"] <= 80
+        assert diagnostics["batch_points"] == 12
 
     def test_convergence_command(self, tmp_path):
         text = (STEADY_PRESET.replace("steady", "convergence")

@@ -1,6 +1,9 @@
+import json
+
 import numpy as np
 import pytest
 
+from pcdimer.cli import parse_config, run
 from pcdimer.exceptions import DomainError
 from pcdimer.experiments import (
     SweepAxis,
@@ -75,6 +78,35 @@ class TestSweepEngine:
         assert np.array_equal(seq.values, par.values)
         assert np.array_equal(seq.residuals, par.residuals)
         assert np.array_equal(seq.converged, par.converged)
+
+    def test_batches_identical_for_any_worker_count(self, preset, tmp_path):
+        # 5 x 6 points at cutoff 1 span three batches (12, 12, 6): the pool
+        # maps batches, and their partition does not depend on the workers
+        phi = np.linspace(0.0, 2.0 * np.pi, 5)
+        delta = np.linspace(-33.0, 22.0, 6)
+        seq = sweep_phase_detuning(preset, phi, delta, n_workers=1)
+        par = sweep_phase_detuning(preset, phi, delta, n_workers=2)
+        assert seq.batch_points == par.batch_points
+        assert 2 * seq.batch_points < seq.values.size <= 3 * seq.batch_points
+        for name in ("values", "residuals", "iterations",
+                     "certificate_iterations", "converged"):
+            assert np.array_equal(getattr(seq, name), getattr(par, name)), name
+        assert seq.all_converged
+
+        text = ("[run]\ncommand = sweep\npreset = dimer30_dc901\n"
+                "threads = {threads}\n\n[sweep]\nkind = phase_detuning\n"
+                "phi_min = 0\nphi_max = 6.283185307179586\nphi_points = 5\n"
+                "delta_min = -33\ndelta_max = 22\ndelta_points = 6\n"
+                "\n[output]\ndirectory = {out}\n")
+        outputs = []
+        for threads in (1, 2):
+            out = tmp_path / f"threads{threads}"
+            assert run(parse_config(text.format(threads=threads, out=out)),
+                       quiet=True) == 0
+            outputs.append((out / "sweep_phase_detuning.csv").read_bytes())
+            manifest = json.loads((out / "sweep_manifest.json").read_text())
+            assert manifest["diagnostics"]["batch_points"] == seq.batch_points
+        assert outputs[0] == outputs[1]
 
     def test_deterministic_repetition(self, preset):
         delta = np.array([-11.0, 0.0, 11.0])

@@ -5,7 +5,12 @@ from hypothesis import assume, example, given, settings, strategies as st
 from scipy.linalg import expm
 
 from pcdimer.entanglement import negativity, partial_transpose_first, qd_negativity
-from pcdimer.exceptions import DegenerateSteadyStateError, IntegrationError, SolverError
+from pcdimer.exceptions import (
+    DegenerateSteadyStateError,
+    DomainError,
+    IntegrationError,
+    SolverError,
+)
 from pcdimer.hilbert import (
     CompositeSpace,
     DensityMatrix,
@@ -37,6 +42,7 @@ from pcdimer.solvers import (
     convergence_scan,
     evolve,
     steady_state,
+    steady_states,
 )
 from pcdimer.experiments import stark_switch_protocol
 from test_liouvillian import full_params, physical_params
@@ -130,7 +136,7 @@ class TestSteadyState:
         def unreachable(*args, **kwargs):
             raise AssertionError("the pre-check should have decided")
 
-        monkeypatch.setattr(pcdimer.solvers, "gmres", unreachable)
+        monkeypatch.setattr(pcdimer.solvers, "_lockstep_gmres", unreachable)
         monkeypatch.setattr(pcdimer.solvers, "_diagnose_kernel", unreachable)
         space = CompositeSpace((qubit(), qubit()))
         cases = (
@@ -178,6 +184,7 @@ class TestSteadyState:
             _, info = steady_state(build_liouvillian(params.with_truncation(cutoff)),
                                    return_info=True)
             assert 1 <= info.iterations <= 40
+            assert 1 <= info.certificate_iterations <= 40
             assert not info.refined
             assert info.residual < 1e-11
 
@@ -203,8 +210,9 @@ def test_no_jump_inverse_is_exact(h_eff):
     d = h_eff.shape[0]
     rng = np.random.default_rng(3)
     y = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-    x = _no_jump_inverse(h_eff, 1.0)(y.reshape(-1, order="F")).reshape(
-        (d, d), order="F")
+    apply, errors = _no_jump_inverse(h_eff[None], np.array([1.0]))
+    assert errors == {}
+    x = apply(y.reshape(1, 1, -1, order="F"))[0, 0].reshape((d, d), order="F")
     no_jump = -1j * (h_eff @ x - x @ h_eff.conj().T)
     assert np.max(np.abs(no_jump - y)) <= 1e-10 * np.max(np.abs(y))
 
@@ -213,6 +221,12 @@ class TestSteadyStateProperties:
     @settings(max_examples=15, deadline=None)
     @given(params=physical_params().map(lambda p: p.with_truncation(1)))
     @example(params=full_params().with_truncation(2))
+    # relative gap 3.9e-8: the solution dips to an eigenvalue of -1.4e-8
+    @example(params=SystemParams(
+        modes=(ModeParams(0.0, 0.0, pump=6.103515625e-05), ModeParams(0.0, 0.0)),
+        dots=(QDParams(0.0, gamma=2.0), QDParams(0.0)),
+        coupling=CouplingMatrix(((0.0, 0.0), (2.0, 1j))),
+        drive=DriveParams(amplitude=47.0, pump_freq=189.0)))
     def test_random_physical_parameters(self, params):
         liouville = build_liouvillian(params)
         _, singular_values, vh = np.linalg.svd(liouville.matrix.toarray())
@@ -244,6 +258,80 @@ class TestSteadyStateProperties:
         assert np.max(np.abs(matrix - kernel / np.trace(kernel))) <= 1e-10
         shifted = params.with_drive(phase1=params.drive.phase1 + 2.0 * np.pi)
         assert abs(qd_negativity(steady_state(build_liouvillian(shifted))) - value) <= 1e-10
+
+
+def assert_batch_matches_solo(liouvilles):
+    """Every member of one batch solve against the same generator solved
+    alone: states within 1e-12 and step counts within one, or the same
+    failure type and kernel dimension."""
+    outcomes = steady_states(liouvilles)
+    assert len(outcomes) == len(liouvilles)
+    for liouville, outcome in zip(liouvilles, outcomes):
+        try:
+            rho, info = steady_state(liouville, return_info=True)
+        except SolverError as exc:
+            assert type(outcome) is type(exc)
+            assert (getattr(outcome, "kernel_dimension", None)
+                    == getattr(exc, "kernel_dimension", None))
+            continue
+        assert not isinstance(outcome, SolverError), outcome
+        batch_rho, batch_info = outcome
+        assert np.max(np.abs(batch_rho.matrix - rho.matrix)) <= 1e-12
+        assert abs(batch_info.iterations - info.iterations) <= 1
+        assert abs(batch_info.residual - info.residual) <= 1e-12
+
+
+class TestSteadyStateBatches:
+    @settings(max_examples=10, deadline=None)
+    @given(batch=st.lists(physical_params().map(lambda p: p.with_truncation(1)),
+                          min_size=2, max_size=5))
+    def test_members_match_solo_solves(self, batch):
+        assert_batch_matches_solo([build_liouvillian(p) for p in batch])
+
+    def test_failing_members_stay_with_their_member(self):
+        # one space, four routes: the pre-check (a closed system), the
+        # certificate (dephasing with a lossy mode: the two emitter
+        # populations of the photon vacuum are both stationary), the Schur
+        # route (the exceptional point of
+        # test_exceptional_point_with_a_stationary_level) and the eigenbasis
+        space = CompositeSpace((qubit(), boson(1)))
+        sm, a = qubit_lowering(space, 0), boson_annihilation(space, 1)
+        kappa = 40.0
+        exchange = kappa / 4 * (sm.dag() @ a + a.dag() @ sm).matrix
+        number = sm.dag() @ sm
+        closed = assemble_generator(Operator(space, exchange), [])
+        dephased = assemble_generator(Operator(space, 3.0 * number.matrix),
+                                      [(a, kappa), (number, 0.7)])
+        exceptional = assemble_generator(Operator(space, exchange), [(a, kappa)])
+        driven = [assemble_generator(
+            Operator(space, exchange + drive * (sm.dag() + sm).matrix),
+            [(a, kappa), (sm, 2.0)]) for drive in (1.0, 7.0)]
+        batch = [driven[0], closed, exceptional, dephased, driven[1]]
+        assert_batch_matches_solo(batch)
+
+        outcomes = steady_states(batch)
+        assert isinstance(outcomes[1], DegenerateSteadyStateError)
+        assert isinstance(outcomes[3], DegenerateSteadyStateError)
+        assert outcomes[3].kernel_dimension == 2
+        rho, _ = outcomes[2]
+        assert np.allclose(rho.matrix, np.diag([1.0, 0.0, 0.0, 0.0]), atol=1e-12)
+        for k in (0, 4):
+            rho, info = outcomes[k]
+            assert info.residual < 1e-9
+            assert info.certificate_iterations >= 1
+
+    def test_cutoff_two_batch_matches_solo(self):
+        # D^2 = 1296: two points per sweep batch, orthogonalized by modified
+        # Gram-Schmidt
+        params = dark_tuned(preset_params("dimer30_dc901")).with_truncation(2)
+        batch = [build_liouvillian(params),
+                 build_liouvillian(full_params().with_truncation(2))]
+        assert_batch_matches_solo(batch)
+
+    def test_members_share_one_space(self):
+        with pytest.raises(DomainError):
+            steady_states([driven_qubit_generator(1.0, 2.0),
+                           build_liouvillian(full_params())])
 
 
 class TestEvolve:
