@@ -34,12 +34,10 @@ from .model import (
     QDParams,
     SystemParams,
     build_effective_hamiltonian,
-    build_lab_hamiltonian,
     coupling_from_field,
     identify_dark_state,
     jump_operators,
     preset_params,
-    total_excitation_operator,
 )
 from .liouvillian import Superoperator, assemble_generator, build_liouvillian
 from .solvers import (
@@ -55,7 +53,6 @@ from .experiments import (
     SweepResult,
     SweepSpec,
     dynamics_run,
-    optimal_transfer_time,
     oscillation_period,
     run_sweep,
     stark_switch_protocol,

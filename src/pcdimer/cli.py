@@ -59,8 +59,7 @@ SWEEP_KINDS = ("phase_detuning", "qd_detuning", "dephasing", "splitting")
 INITIALS = ("qd1_excited", "photon_mode1", "vacuum")
 
 # key -> (type, validator description); every known key of each section
-_RUN_KEYS = {"command", "preset", "truncation", "threads", "seed",
-             "allow_point_failures"}
+_RUN_KEYS = {"command", "preset", "threads", "allow_point_failures"}
 _SYSTEM_KEYS = {
     "mode1_omega", "mode1_gamma", "mode1_pump",
     "mode2_omega", "mode2_gamma", "mode2_pump",
@@ -104,7 +103,6 @@ class RunConfig:
     preset: str | None = None
     at_dark_state: bool = True
     threads: int = 1
-    seed: int | None = None  # reserved; all computations are deterministic
     allow_point_failures: bool = False
     sweep_kind: str | None = None
     sweep_grids: dict | None = None
@@ -166,57 +164,6 @@ class RunConfig:
         payload = json.dumps(self.to_json_dict(), sort_keys=True,
                              separators=(",", ":"))
         return hashlib.sha256(payload.encode("utf-8")).hexdigest()
-
-    def to_config_text(self) -> str:
-        """Serialize back to config format; reparsing yields an equivalent
-        (fully explicit, preset-free) configuration."""
-        p = self.params
-        g = p.coupling.as_array()
-        lines = ["[run]", f"command = {self.command}",
-                 f"threads = {self.threads}",
-                 f"allow_point_failures = {str(self.allow_point_failures).lower()}"]
-        lines += ["", "[system]"]
-        for k, mode in (("mode1", p.modes[0]), ("mode2", p.modes[1])):
-            lines += [f"{k}_omega = {mode.omega!r}", f"{k}_gamma = {mode.gamma!r}",
-                      f"{k}_pump = {mode.pump!r}"]
-        for k, dot in (("qd1", p.dots[0]), ("qd2", p.dots[1])):
-            lines += [f"{k}_omega = {dot.omega!r}", f"{k}_gamma = {dot.gamma!r}",
-                      f"{k}_gamma_d = {dot.gamma_d!r}"]
-        for m in range(2):
-            for n in range(2):
-                lines.append(f"coupling_m{m+1}_qd{n+1} = {float(g[m, n].real)!r}")
-        lines.append(f"truncation = {p.truncation}")
-        lines += ["", "[drive]",
-                  f"amplitude = {p.drive.amplitude!r}",
-                  f"phase1 = {p.drive.phase1!r}",
-                  f"phase2 = {p.drive.phase2!r}",
-                  f"pump_freq = {p.drive.pump_freq!r}",
-                  f"at_dark_state = {str(self.at_dark_state).lower()}"]
-        if self.command == "sweep":
-            lines += ["", "[sweep]", f"kind = {self.sweep_kind}"]
-            for name, grid in (self.sweep_grids or {}).items():
-                lines += [f"{name}_min = {grid[0]!r}", f"{name}_max = {grid[1]!r}",
-                          f"{name}_points = {grid[2]}"]
-            if self.linewidth_sets:
-                joined = ",".join(f"{a!r}:{b!r}" for a, b in self.linewidth_sets)
-                lines.append(f"linewidth_sets = {joined}")
-        elif self.command == "dynamics":
-            lines += ["", "[dynamics]", f"initial = {self.initial}",
-                      f"horizon_ps = {self.horizon_ps!r}",
-                      f"samples = {self.samples}"]
-        elif self.command == "protocol":
-            lines += ["", "[protocol]", f"tau_ps = {self.tau_ps!r}",
-                      f"initial_detuning_uev = {self.initial_detuning_uev!r}",
-                      f"horizon_ps = {self.horizon_ps!r}",
-                      f"samples = {self.samples}"]
-        elif self.command == "convergence":
-            lines += ["", "[convergence]",
-                      "cutoffs = " + ",".join(str(c) for c in self.cutoffs),
-                      f"observable = {self.observable}"]
-        lines += ["", "[output]", f"directory = {self.output_dir}"]
-        if self.prefix:
-            lines.append(f"prefix = {self.prefix}")
-        return "\n".join(lines) + "\n"
 
 
 class _SectionReader:
@@ -417,7 +364,6 @@ def parse_config(text: str) -> RunConfig:
         preset=preset,
         at_dark_state=at_dark,
         threads=run.integer("threads", 1, minimum=1),
-        seed=run.integer("seed", None),
         allow_point_failures=run.flag("allow_point_failures", False),
         output_dir=output.text("directory", "."),
         prefix=output.text("prefix", None),
@@ -650,7 +596,6 @@ def run(config: RunConfig, quiet: bool = False) -> int:
         "run_id": run_id,
         "config": config.to_json_dict(),
         "threads": config.threads,
-        "seed": config.seed,
         "wall_time_s": time.time() - started,
         "diagnostics": diagnostics,
         "outputs": outputs,
@@ -682,8 +627,6 @@ def main(argv=None) -> int:
                         help="override the per-mode Fock cutoff")
     parser.add_argument("--threads", type=int, default=None,
                         help="sweep worker count (overrides [run] threads)")
-    parser.add_argument("--seed", type=int, default=None,
-                        help="reserved; all computations are deterministic")
     parser.add_argument("--quiet", action="store_true",
                         help="suppress progress output")
     args = parser.parse_args(argv)
@@ -708,8 +651,6 @@ def main(argv=None) -> int:
             if args.threads < 1:
                 raise ConfigError(f"invalid --threads {args.threads}: minimum 1")
             overrides["threads"] = args.threads
-        if args.seed is not None:
-            overrides["seed"] = args.seed
         if overrides:
             config = dataclasses.replace(config, **overrides)
     except ConfigError as exc:

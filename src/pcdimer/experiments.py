@@ -43,7 +43,6 @@ __all__ = [
     "sweep_splitting",
     "dynamics_run",
     "stark_switch_protocol",
-    "optimal_transfer_time",
     "oscillation_period",
     "default_phi_grid",
     "default_delta_grid",
@@ -190,16 +189,6 @@ class SweepResult:
     certificate_iterations: np.ndarray = field(repr=False)
     batch_points: int
     failures: tuple[str, ...] = ()
-
-    @property
-    def all_converged(self) -> bool:
-        return bool(np.all(self.converged))
-
-    def argmax(self) -> tuple:
-        """Axis values at the grid maximum (NaN-safe)."""
-        flat = np.nanargmax(self.values)
-        indices = np.unravel_index(flat, self.values.shape)
-        return tuple(ax.values[k] for ax, k in zip(self.axes, indices))
 
     def to_records(self):
         """(column names, row iterator) for CSV serialization, C-order."""
@@ -406,18 +395,6 @@ def stark_switch_protocol(base: SystemParams, tau: float,
     schedule = Schedule(((tau, detuned), (horizon - tau, resonant)))
     t_grid = np.linspace(0.0, horizon, samples)
     return evolve(schedule, rho0, t_grid)
-
-
-def optimal_transfer_time(base: SystemParams, initial_detuning: float,
-                          t_max: float = 15.0, samples: int = 751):
-    """Scan the first protocol segment for the time that maximally populates
-    the resonant mode; returns (t_opt, peak population)."""
-    resonant = _dark_drive(base)
-    detuned = resonant.with_qd2_detuning(initial_detuning)
-    rho0 = DensityMatrix.basis_state(resonant.space(), INITIAL_STATES["qd1_excited"])
-    t_grid = np.linspace(0.0, t_max, samples)
-    trajectory = evolve(Schedule.constant(detuned, t_max), rho0, t_grid)
-    return trajectory.peak("pop_m1")
 
 
 def oscillation_period(times, values, prominence_fraction: float = 0.1) -> float:

@@ -97,9 +97,6 @@ class CompositeSpace:
     def total_dim(self) -> int:
         return int(np.prod(self.dims))
 
-    def __len__(self) -> int:
-        return len(self.subsystems)
-
     def _check_position(self, position: int, kind: str | None = None) -> SubsystemSpec:
         if not 0 <= position < len(self.subsystems):
             raise DomainError(
@@ -155,10 +152,6 @@ class Operator:
 
     def __matmul__(self, other) -> "Operator":
         return Operator(self.space, self.matrix @ self._coerce(other))
-
-    def expectation(self, rho: "DensityMatrix") -> float:
-        """Real part of Tr(self @ rho)."""
-        return float(np.trace(self.matrix @ rho.matrix).real)
 
 
 class DensityMatrix(Operator):

@@ -62,28 +62,22 @@ class Superoperator:
             )
         h_eff.flags.writeable = False
         object.__setattr__(self, "h_eff", h_eff)
-        object.__setattr__(self, "matrix", sp.csr_matrix(self.matrix))
+        if not isinstance(self.matrix, sp.csr_matrix):
+            raise DomainError(
+                "superoperator matrix must be a scipy.sparse.csr_matrix, got "
+                f"{type(self.matrix).__name__}"
+            )
         defect = self.trace_defect()
-        scale = max(1.0, abs(self.matrix).max() if self.matrix.nnz else 1.0)
+        scale = max(1.0, np.abs(self.matrix.data).max() if self.matrix.nnz else 1.0)
         if defect > DEFAULT_POLICY.algebraic_tol * scale:
             raise DomainError(
                 f"superoperator does not preserve the trace (defect {defect:.3e})"
             )
 
-    @property
-    def dim(self) -> int:
-        return self.space.total_dim
-
     def trace_defect(self) -> float:
         """Max magnitude of <<I| L, zero for a trace-preserving generator."""
         bra = identity_bra(self.space)
         return float(np.max(np.abs(bra @ self.matrix)))
-
-    def apply_to_matrix(self, matrix: np.ndarray) -> np.ndarray:
-        """Action on a density-matrix-shaped array, returned in matrix form."""
-        d = self.dim
-        vec = np.asarray(matrix, dtype=complex).reshape(d * d, order="F")
-        return (self.matrix @ vec).reshape((d, d), order="F")
 
 
 def identity_bra(space: CompositeSpace) -> np.ndarray:

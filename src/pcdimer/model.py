@@ -33,10 +33,8 @@ __all__ = [
     "SystemParams",
     "DarkState",
     "coupling_from_field",
-    "total_excitation_operator",
     "build_effective_hamiltonian",
     "jump_operators",
-    "build_lab_hamiltonian",
     "identify_dark_state",
     "preset_params",
     "PRESET_NAMES",
@@ -225,13 +223,6 @@ def coupling_from_field(omega0: float, d2: float, ey: float) -> float:
     return 1e6 * math.sqrt(2.0 * math.pi * omega0 * d2) * ey
 
 
-def total_excitation_operator(space: CompositeSpace) -> Operator:
-    """Sum of all emitter populations and photon numbers."""
-    total = sum(low.matrix.conj().T @ low.matrix
-                for low in lowering_operators(space))
-    return Operator(space, total)
-
-
 def _check_space(params: SystemParams, space: CompositeSpace):
     if space != params.space():
         raise DomainError(
@@ -240,22 +231,28 @@ def _check_space(params: SystemParams, space: CompositeSpace):
         )
 
 
-def _hamiltonian(params: SystemParams, space: CompositeSpace,
-                 mode_shift: float, dot_shift: float,
-                 drive_phase_factor: complex) -> Operator:
-    """Shared assembly of the lab-frame and rotating-frame Hamiltonians.
+def build_effective_hamiltonian(params: SystemParams,
+                                space: CompositeSpace | None = None) -> Operator:
+    """Rotating-frame Hamiltonian at the drive frequency (hbar-scaled, ueV).
 
-    Built as D + (Y + Y^dag) with D real diagonal, so the result is exactly
-    Hermitian entrywise.
+    Mode and emitter frequencies appear shifted by the drive frequency; the
+    emitter-mode couplings and the now time-independent drive terms are added
+    with their Hermitian conjugates.  Built as D + (Y + Y^dag) with D real
+    diagonal, so the result is exactly Hermitian entrywise.
     """
+    if space is None:
+        space = params.space()
+    else:
+        _check_space(params, space)
     ops = [low.matrix for low in lowering_operators(space)]
     sm, a = ops[:2], ops[2:]
     g = params.coupling.as_array()
+    wp = params.drive.pump_freq
 
     diag = np.zeros((space.total_dim, space.total_dim), dtype=complex)
     for m in range(2):
-        diag += (params.modes[m].omega - mode_shift) * (a[m].conj().T @ a[m])
-        diag += (params.dots[m].omega - dot_shift) * (sm[m].conj().T @ sm[m])
+        diag += (params.modes[m].omega - wp) * (a[m].conj().T @ a[m])
+        diag += (params.dots[m].omega - wp) * (sm[m].conj().T @ sm[m])
 
     lower = np.zeros_like(diag)
     for m in range(2):
@@ -263,26 +260,9 @@ def _hamiltonian(params: SystemParams, space: CompositeSpace,
             lower += np.conj(g[m, n]) * (a[m].conj().T @ sm[n])
     amplitudes = (params.drive.omega1, params.drive.omega2)
     for n in range(2):
-        lower += amplitudes[n] * drive_phase_factor * sm[n].conj().T
+        lower += amplitudes[n] * sm[n].conj().T
 
     return Operator(space, diag + lower + lower.conj().T)
-
-
-def build_effective_hamiltonian(params: SystemParams,
-                                space: CompositeSpace | None = None) -> Operator:
-    """Rotating-frame Hamiltonian at the drive frequency (hbar-scaled, ueV).
-
-    Mode and emitter frequencies appear shifted by the drive frequency; the
-    emitter-mode couplings and the now time-independent drive terms are added
-    with their Hermitian conjugates.
-    """
-    if space is None:
-        space = params.space()
-    else:
-        _check_space(params, space)
-    wp = params.drive.pump_freq
-    return _hamiltonian(params, space, mode_shift=wp, dot_shift=wp,
-                        drive_phase_factor=1.0 + 0.0j)
 
 
 def jump_operators(params: SystemParams, space: CompositeSpace | None = None
@@ -308,19 +288,6 @@ def jump_operators(params: SystemParams, space: CompositeSpace | None = None
         # Lindblad form, so it is applied at twice the nominal rate.
         jumps += [(sm, dot.gamma), (sm.dag() @ sm, 2.0 * dot.gamma_d)]
     return tuple(jumps)
-
-
-def build_lab_hamiltonian(params: SystemParams, t: float,
-                          space: CompositeSpace | None = None) -> Operator:
-    """Laboratory-frame Hamiltonian at time t (ps), with the explicit
-    oscillating drive phases.  Used to validate the frame transform."""
-    if space is None:
-        space = params.space()
-    else:
-        _check_space(params, space)
-    phase = np.exp(-1j * params.drive.pump_freq * t / HBAR_UEV_PS)
-    return _hamiltonian(params, space, mode_shift=0.0, dot_shift=0.0,
-                        drive_phase_factor=phase)
 
 
 @dataclass(frozen=True)

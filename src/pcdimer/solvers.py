@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
 import scipy.linalg
@@ -576,8 +576,7 @@ class PropagationInfo:
 class Trajectory:
     """Sampled open-system evolution with named observable series.
 
-    ``matrices`` is the validated ``(n, d, d)`` stack of sampled states;
-    ``states`` wraps it as ``DensityMatrix`` objects on first access.
+    ``matrices`` is the validated ``(n, d, d)`` stack of sampled states.
     """
 
     times: np.ndarray
@@ -585,11 +584,6 @@ class Trajectory:
     matrices: np.ndarray = field(repr=False)
     observables: dict[str, np.ndarray]
     info: PropagationInfo
-
-    @cached_property
-    def states(self) -> tuple[DensityMatrix, ...]:
-        return tuple(DensityMatrix(self.space, m, policy=_SOLVER_POLICY)
-                     for m in self.matrices)
 
     def peak(self, name: str) -> tuple[float, float]:
         """(time, value) of the maximum of one observable series."""

@@ -69,7 +69,7 @@ def test_criterion_2_phase_detuning_map(preset):
     """The full phase/detuning map peaks at the antisymmetric drive phase on
     the dark state with value 0.103 +- 0.02."""
     result = sweep_phase_detuning(preset, n_workers=N_WORKERS)
-    assert result.all_converged
+    assert result.converged.all()
     k = np.unravel_index(np.nanargmax(result.values), result.values.shape)
     phi_max = result.axes[0].values[k[0]]
     delta_max = result.axes[1].values[k[1]]
@@ -242,7 +242,7 @@ def test_criterion_9_property_suite(preset, tmp_path):
     for k, t in enumerate(t_grid):
         reference = (expm(liouville.matrix.toarray() * t) @ vec0).reshape(
             (16, 16), order="F")
-        worst = max(worst, np.linalg.norm(trajectory.states[k].matrix - reference))
+        worst = max(worst, np.linalg.norm(trajectory.matrices[k] - reference))
     checks["integrator matches exponential"] = worst < 1e-7
 
     rng = np.random.default_rng(97)

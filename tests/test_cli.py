@@ -129,18 +129,42 @@ class TestParsing:
         with pytest.raises(ConfigError):
             parse_config(text)
 
-    def test_round_trip(self):
-        config = parse_config(STEADY_PRESET + "\n[drive]\nat_dark_state = true\n")
-        again = parse_config(config.to_config_text())
-        assert again.to_json_dict() == config.to_json_dict()
-        assert again.run_id() == config.run_id()
-
     def test_real_coupling_run_id_is_stable(self):
         # the canonical physics dictionary, and so every real-coupling run
         # id, is part of the output contract
         expected = "f5ac10ebb8675eac7f4c84c636b0d0fa4374dcff665206be810cdd7a26bebfb7"
         assert parse_config(STEADY_PRESET).run_id() == expected
         assert parse_config(EXPLICIT_SYSTEM).run_id() == expected
+
+    @pytest.mark.parametrize("command, section, expected", [
+        ("sweep", "[sweep]\nkind = phase_detuning\n"
+                  "phi_min = 0\nphi_max = 6.28\nphi_points = 5\n"
+                  "delta_min = -22\ndelta_max = 0\ndelta_points = 3\n",
+         "89e7c624264dff3bd01adebcdef0b7cb0c1837e3ef09047902460299a52dbfd7"),
+        ("dynamics", "[dynamics]\ninitial = qd1_excited\nhorizon_ps = 500.0\n"
+                     "samples = 51\n",
+         "896b6c9343e10d0923dfa85a181bfc9c01ceb3d173a134ef9aa5f62bbe54cdcb"),
+        ("protocol", "[protocol]\ntau_ps = 9.0\ninitial_detuning_uev = 1500.0\n"
+                     "horizon_ps = 400.0\nsamples = 41\n",
+         "51d811bdc59d5415d1f5e375c305c541c07280b18602ae427ed3626a3ae31351"),
+        ("convergence", "[convergence]\ncutoffs = 1,2,3\nobservable = pop_m1\n",
+         "3c945b5458d5d25dc31f2ae3f04983971696eda233aa29875f121c455e4231ce"),
+    ], ids=["sweep", "dynamics", "protocol", "convergence"])
+    def test_run_id_is_pinned(self, command, section, expected):
+        # each command's section enters the canonical dictionary; a changed
+        # id changes the manifest line of every CSV
+        text = STEADY_PRESET.replace("steady", command) + "\n" + section
+        assert parse_config(text).run_id() == expected
+
+    @pytest.mark.parametrize("key", ["truncation", "seed"])
+    def test_retired_run_keys_rejected(self, key):
+        # the Fock cutoff is a [system] key, and every computation is
+        # deterministic: [run] takes neither a truncation nor a seed
+        with pytest.raises(ConfigError) as exc_info:
+            parse_config(STEADY_PRESET + f"{key} = 3\n")
+        message = str(exc_info.value)
+        assert "unknown key" in message and "[run]" in message
+        assert "known keys: allow_point_failures, command, preset, threads" in message
 
     def test_complex_coupling_rejected(self):
         # the config format and the run id carry real couplings only; a
@@ -151,16 +175,6 @@ class TestParsing:
         params = dataclasses.replace(config.params, coupling=CouplingMatrix(g))
         with pytest.raises(DomainError, match="real couplings"):
             dataclasses.replace(config, params=params)
-
-    def test_round_trip_sweep(self):
-        text = STEADY_PRESET.replace("steady", "sweep") + (
-            "\n[sweep]\nkind = phase_detuning\n"
-            "phi_min = 0\nphi_max = 6.28\nphi_points = 5\n"
-            "delta_min = -22\ndelta_max = 0\ndelta_points = 3\n"
-        )
-        config = parse_config(text)
-        again = parse_config(config.to_config_text())
-        assert again.to_json_dict() == config.to_json_dict()
 
     def test_grid_needs_all_three_fields(self):
         text = STEADY_PRESET.replace("steady", "sweep") + (
@@ -201,6 +215,7 @@ class TestRun:
         assert manifest["outputs"]["steady.csv"] == digest
         assert manifest["version"]
         assert manifest["config"]["system"]["mode1"]["gamma"] == 67.0
+        assert "seed" not in manifest
 
     def test_identical_config_gives_identical_bytes(self, tmp_path):
         dir1, dir2 = tmp_path / "a", tmp_path / "b"
@@ -488,11 +503,11 @@ class TestMain:
         assert main(["--config", str(config_path), "--truncation", "0",
                      "--quiet"]) == 2
 
-    def test_seed_accepted_and_recorded(self, tmp_path):
+    def test_seed_flag_rejected(self, tmp_path):
         config_path = tmp_path / "run.cfg"
         config_path.write_text(STEADY_PRESET, encoding="utf-8")
-        code = main(["--config", str(config_path), "--output", str(tmp_path),
-                     "--seed", "7", "--quiet"])
-        assert code == 0
-        manifest = json.loads((tmp_path / "steady_manifest.json").read_text())
-        assert manifest["seed"] == 7
+        with pytest.raises(SystemExit) as exc_info:
+            main(["--config", str(config_path), "--output", str(tmp_path),
+                  "--seed", "7", "--quiet"])
+        assert exc_info.value.code == 2
+        assert not (tmp_path / "steady.csv").exists()

@@ -48,6 +48,12 @@ def propagate(liouville, rho0, t):
     return out.reshape((d, d), order="F")
 
 
+def apply_generator(liouville, x):
+    """Action of the generator on a matrix, by the column-stacked product."""
+    d = x.shape[0]
+    return (liouville.matrix @ x.reshape(-1, order="F")).reshape((d, d), order="F")
+
+
 def bare_params(modes=(ModeParams(0.0, 0.0), ModeParams(0.0, 0.0)),
                 dots=(QDParams(0.0), QDParams(0.0))):
     """Uncoupled, undriven system with resonant levels, so H = 0 and only
@@ -162,7 +168,7 @@ class TestIncoherentPump:
         a = boson_annihilation(space, 0)
         liouville = assemble_generator(h, [(a, loss_rate), (a.dag(), pump_rate)])
         rho = steady_state(liouville)
-        n = (a.dag() @ a).expectation(rho)
+        n = np.trace((a.dag() @ a).matrix @ rho.matrix).real
         assert np.isclose(n, pump_rate / (pump_rate + loss_rate), atol=1e-12)
 
     def test_trace_preserved(self):
@@ -287,13 +293,18 @@ class TestBuildLiouvillian:
         no_jump = -1j * (liouville.h_eff @ x - x @ liouville.h_eff.conj().T)
         recycled = sum(rate * (c.matrix @ x @ c.matrix.conj().T)
                        for c, rate in jump_operators(params, space)) / HBAR_UEV_PS
-        assert np.allclose(liouville.apply_to_matrix(x), no_jump + recycled,
+        assert np.allclose(apply_generator(liouville, x), no_jump + recycled,
                            atol=1e-13)
 
     def test_no_jump_hamiltonian_shape_checked(self):
         liouville = build_liouvillian(full_params())
         with pytest.raises(DomainError):
             Superoperator(liouville.space, liouville.matrix, np.zeros((4, 4)))
+
+    def test_matrix_format_checked(self):
+        liouville = build_liouvillian(full_params())
+        with pytest.raises(DomainError, match="csr_matrix"):
+            Superoperator(liouville.space, liouville.matrix.tocsc(), liouville.h_eff)
 
     def test_trace_preservation(self):
         liouville = build_liouvillian(full_params())
@@ -327,7 +338,7 @@ class TestBuildLiouvillian:
         liouville = build_liouvillian(full_params())
         for _ in range(5):
             rho = random_density(rng, 16)
-            image = liouville.apply_to_matrix(rho)
+            image = apply_generator(liouville, rho)
             assert np.max(np.abs(image - image.conj().T)) < 1e-12
 
     def test_positivity_along_sampled_evolution(self):
@@ -347,4 +358,4 @@ class TestBuildLiouvillian:
         comm = assemble_generator(h, [])
         rho = random_density(rng, 4)
         expected = -1j * (h.matrix @ rho - rho @ h.matrix) / HBAR_UEV_PS
-        assert np.allclose(comm.apply_to_matrix(rho), expected, atol=1e-12)
+        assert np.allclose(apply_generator(comm, rho), expected, atol=1e-12)

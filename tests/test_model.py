@@ -5,6 +5,7 @@ import pytest
 from scipy.linalg import expm
 
 from pcdimer.exceptions import DomainError
+from pcdimer.hilbert import lowering_operators
 from pcdimer.model import (
     HBAR_UEV_PS,
     CouplingMatrix,
@@ -13,16 +14,28 @@ from pcdimer.model import (
     QDParams,
     SystemParams,
     build_effective_hamiltonian,
-    build_lab_hamiltonian,
     coupling_from_field,
     identify_dark_state,
     preset_params,
-    total_excitation_operator,
 )
 
 # field amplitude that inverts to a 110 ueV coupling at the reference
 # transition energy 1.3 eV and squared dipole 0.51 eV nm^3
 EY_FOR_110_UEV = 5.389469106139507e-05
+
+
+def total_excitation(space):
+    """Sum of all emitter populations and photon numbers."""
+    return sum(low.dag().matrix @ low.matrix for low in lowering_operators(space))
+
+
+def lab_hamiltonian(params, t):
+    """Laboratory-frame Hamiltonian at time t (ps): no frequency shift, and
+    the drive phases rotate as phi_n - w_p t / hbar."""
+    s = params.drive.pump_freq * t / HBAR_UEV_PS
+    return build_effective_hamiltonian(params.with_drive(
+        pump_freq=0.0, phase1=params.drive.phase1 - s,
+        phase2=params.drive.phase2 - s)).matrix
 
 
 def make_params(g=((110.0, 110.0), (110.0, -110.0)), splitting=2200.0,
@@ -94,7 +107,7 @@ class TestEffectiveHamiltonian:
         g = 110.0
         params = make_params(g=((g, 0.0), (0.0, 0.0)), splitting=9000.0)
         h = build_effective_hamiltonian(params).matrix
-        n = total_excitation_operator(params.space()).matrix
+        n = total_excitation(params.space())
         single = np.isclose(np.diag(n).real, 1.0)
         block = h[np.ix_(single, single)]
         vals = np.linalg.eigvalsh(block)
@@ -112,7 +125,7 @@ class TestLabFrame:
     def test_reduces_to_effective_at_zero_pump_frequency(self):
         params = make_params(drive=DriveParams(amplitude=2.0, phase1=0.7,
                                                pump_freq=0.0))
-        h_lab = build_lab_hamiltonian(params, t=0.0).matrix
+        h_lab = lab_hamiltonian(params, t=0.0)
         h_eff = build_effective_hamiltonian(params).matrix
         assert np.allclose(h_lab, h_eff)
 
@@ -120,7 +133,7 @@ class TestLabFrame:
         params = make_params(drive=DriveParams(amplitude=1.0, phase1=0.3,
                                                pump_freq=137.0))
         for t in np.linspace(0.0, 50.0, 7):
-            h = build_lab_hamiltonian(params, t=t).matrix
+            h = lab_hamiltonian(params, t=t)
             assert np.max(np.abs(h - h.conj().T)) == 0.0
 
     def test_rotating_frame_transform(self):
@@ -129,11 +142,11 @@ class TestLabFrame:
         rng = np.random.default_rng(59)
         params = make_params(drive=DriveParams(amplitude=1.5, phase1=2.1,
                                                phase2=0.4, pump_freq=83.0))
-        n = total_excitation_operator(params.space()).matrix
+        n = total_excitation(params.space())
         h_eff = build_effective_hamiltonian(params).matrix
         for t in rng.uniform(0.0, 100.0, size=10):
             r = expm(1j * params.drive.pump_freq * t / HBAR_UEV_PS * n)
-            h_lab = build_lab_hamiltonian(params, t=t).matrix
+            h_lab = lab_hamiltonian(params, t=t)
             transformed = r @ h_lab @ r.conj().T - params.drive.pump_freq * n
             assert np.max(np.abs(transformed - h_eff)) < 1e-12 * max(
                 1.0, np.max(np.abs(h_eff)))
@@ -142,7 +155,7 @@ class TestLabFrame:
         params = make_params(drive=DriveParams(amplitude=0.0, pump_freq=0.0))
         shift = 17.0
         shifted = params.with_drive(pump_freq=shift)
-        n = np.diag(total_excitation_operator(params.space()).matrix).real
+        n = np.diag(total_excitation(params.space())).real
         single = np.isclose(n, 1.0)
         h0 = build_effective_hamiltonian(params).matrix
         h1 = build_effective_hamiltonian(shifted).matrix
@@ -254,7 +267,7 @@ class TestParameterValidation:
 
     def test_total_excitation_counts(self):
         params = make_params(truncation=2)
-        n = total_excitation_operator(params.space()).matrix
+        n = total_excitation(params.space())
         assert np.allclose(n, np.diag(np.diag(n)))
         assert np.diag(n).real.max() == 1 + 1 + 2 + 2
 
