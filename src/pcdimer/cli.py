@@ -58,7 +58,8 @@ COMMANDS = ("steady", "dynamics", "sweep", "protocol", "convergence")
 SWEEP_KINDS = ("phase_detuning", "qd_detuning", "dephasing", "splitting")
 INITIALS = ("qd1_excited", "photon_mode1", "vacuum")
 
-# key -> (type, validator description); every known key of each section
+# the known key names of each section; each value's type and bounds are
+# checked where parse_config and its helpers read it through _SectionReader
 _RUN_KEYS = {"command", "preset", "threads", "allow_point_failures"}
 _SYSTEM_KEYS = {
     "mode1_omega", "mode1_gamma", "mode1_pump",

@@ -19,9 +19,9 @@ import numpy as np
 
 from .exceptions import DomainError, SolverError
 from .hilbert import DensityMatrix
-from .liouvillian import build_liouvillian
+# build_liouvillian and steady_state are looked up here by bench/tracing.py
+from .liouvillian import build_liouvillian, build_liouvillians  # noqa: F401
 from .model import SystemParams, identify_dark_state
-# steady_state is looked up here by bench/tracing.py
 from .solvers import (
     Schedule,
     Trajectory,
@@ -214,7 +214,7 @@ def _evaluate_batch(args):
     solver failure (failures are reported inline, per point)."""
     points, observable = args
     func = resolve_observable(observable)
-    solved = steady_states([build_liouvillian(params) for params in points])
+    solved = steady_states(build_liouvillians(points))
     outcomes = []
     for params, outcome in zip(points, solved):
         if isinstance(outcome, SolverError):

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache, reduce
+import math
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -95,7 +96,7 @@ class CompositeSpace:
 
     @property
     def total_dim(self) -> int:
-        return int(np.prod(self.dims))
+        return math.prod(s.dim for s in self.subsystems)
 
     def _check_position(self, position: int, kind: str | None = None) -> SubsystemSpec:
         if not 0 <= position < len(self.subsystems):

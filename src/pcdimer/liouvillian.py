@@ -5,13 +5,22 @@ and ``vec(A rho B) = (B^T kron A) vec(rho)``.  All superoperator formulas in
 this module are written against that convention.
 
 Hamiltonians and jump rates enter hbar-scaled (in ueV); the generator divides
-by ``HBAR_UEV_PS`` exactly once at assembly, so an assembled Liouvillian has
-units of 1/ps.
+by ``HBAR_UEV_PS`` exactly once, in its template, so an assembled Liouvillian
+has units of 1/ps.
+
+A generator is linear in a real coefficient vector theta: the coefficients
+of Hermitian Hamiltonian terms T_k, then the rates r_j of jump operators C_j.
+A ``_Template`` holds, for one set of term operators, the union sparsity
+pattern of every term's superoperator and the sparse maps from theta to the
+no-jump Hamiltonian and to the values on that pattern, so a generator, or a
+batch of them, is a coefficient contraction: three sparse products with
+theta and two scatters.  The model's template is built once per Fock space.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 import scipy.sparse as sp
@@ -21,14 +30,16 @@ from .hilbert import DEFAULT_POLICY, CompositeSpace, Operator
 from .model import (
     HBAR_UEV_PS,
     SystemParams,
-    build_effective_hamiltonian,
-    jump_operators,
+    build_effective_hamiltonian,  # noqa: F401  (looked up here by bench/tracing.py)
+    coefficients,
+    model_terms,
 )
 
 __all__ = [
     "Superoperator",
     "assemble_generator",
     "build_liouvillian",
+    "build_liouvillians",
 ]
 
 
@@ -40,7 +51,8 @@ class Superoperator:
     H - (i/2) sum r C^dag C of the generator, divided by hbar (1/ps): the
     generator is X -> -i (h_eff X - X h_eff^dag) plus the recycling terms
     sum r C X C^dag.  Trace preservation (the vectorized identity is a left
-    null vector) is checked at construction.  Instances are treated as
+    null vector) is checked at construction, or for a whole batch at once
+    where a template assembles the generators.  Instances are treated as
     immutable and may be shared freely across workers.
     """
 
@@ -74,6 +86,18 @@ class Superoperator:
                 f"superoperator does not preserve the trace (defect {defect:.3e})"
             )
 
+    @classmethod
+    def _checked(cls, space: CompositeSpace, matrix: sp.csr_matrix,
+                 h_eff: np.ndarray) -> "Superoperator":
+        """An instance whose shapes, format and trace preservation its
+        assembler has checked already, for a whole batch at once; ``h_eff``
+        must be read-only."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "space", space)
+        object.__setattr__(self, "matrix", matrix)
+        object.__setattr__(self, "h_eff", h_eff)
+        return self
+
     def trace_defect(self) -> float:
         """Max magnitude of <<I| L, zero for a trace-preserving generator."""
         bra = identity_bra(self.space)
@@ -88,14 +112,174 @@ def identity_bra(space: CompositeSpace) -> np.ndarray:
     return bra
 
 
+def _term_entries(d: int, hamiltonian: sp.spmatrix, jumps):
+    """Per term, what its coefficient 1 contributes to the three parts of
+    the generator L = -i (I kron A) + i (B kron I) + R, divided by hbar.
+
+    A Hamiltonian term T (a column of the sparse (d^2, K) ``hamiltonian``,
+    C-order flattened) gives A = T and B = T^T; a jump C (a dense d x d
+    array of ``jumps``) gives A = -(i/2) C^dag C,
+    B = (i/2) (C^dag C)^T and R = conj(C) kron C.  A is the term's part of
+    the no-jump Hamiltonian.  Yields ``(a_keys, a_values, b_keys, b_values,
+    r_keys, r_values)`` per term: C-order flat indices, without repeats,
+    into the d x d matrices A and B and into the D^2 x D^2 generator.
+    """
+    n = d * d
+    none = (np.zeros(0, dtype=np.int64), np.zeros(0, dtype=complex))
+    columns = hamiltonian.tocsc()
+    for k in range(columns.shape[1]):
+        span = slice(columns.indptr[k], columns.indptr[k + 1])
+        flat = columns.indices[span].astype(np.int64)
+        t = columns.data[span] / HBAR_UEV_PS
+        yield (flat, t, (flat % d) * d + flat // d, t) + none
+    for c in jumps:
+        i, j = np.nonzero(c)
+        v = c[i, j]
+        decay = c.conj().T @ c
+        p, q = np.nonzero(decay)
+        w = decay[p, q] / HBAR_UEV_PS
+        # entry (i1 d + i2, j1 d + j2) of conj(C) kron C is conj(C_i1j1) C_i2j2
+        yield (p * d + q, -0.5j * w, q * d + p, 0.5j * w,
+               ((i[:, None] * d + i) * n + (j[:, None] * d + j)).ravel(),
+               (np.conj(v)[:, None] * v).ravel() / HBAR_UEV_PS)
+
+
+def _union(keys) -> np.ndarray:
+    """Sorted distinct values of a sequence of integer arrays (a sort and a
+    mask: ``np.unique`` took ten times longer on the keys of a template)."""
+    keys = np.sort(np.concatenate(keys))
+    distinct = np.ones(keys.size, dtype=bool)
+    distinct[1:] = keys[1:] != keys[:-1]
+    return keys[distinct]
+
+
+def _coefficient_map(rows: list, values: list, size: int) -> sp.csc_matrix:
+    """(size, K) CSC matrix whose column k holds ``values[k]`` at the rows
+    ``rows[k]``."""
+    indptr = np.zeros(len(rows) + 1, dtype=np.int32)
+    np.cumsum([r.size for r in rows], out=indptr[1:])
+    return sp.csc_matrix(
+        (np.concatenate(values), np.concatenate(rows).astype(np.int32), indptr),
+        shape=(size, len(rows)))
+
+
+@dataclass(frozen=True)
+class _Template:
+    """Generators of one set of term operators as linear maps of theta.
+
+    With L = -i (I kron A) + i (B kron I) + R as in ``_term_entries``,
+    ``a``, ``b`` and ``r`` map theta to the C-order flattened A (the no-jump
+    Hamiltonian) and B and to the values of R, all in 1/ps, with one
+    column per term, so that each value sums its terms in one fixed order
+    whatever the batch.  ``indices``/``indptr`` are the CSR pattern of the
+    union of every term's entries in L; ``a_pattern`` lists the flat
+    indices of A that some term fills and ``a_positions[b, k]`` the place
+    of entry ``a_pattern[k]`` of block b of I kron A in the pattern, and
+    likewise for B kron I.  ``trace`` sums the entries of the trace rows of
+    L (rows i (d + 1)) column by column, giving <<I| L.
+    """
+
+    space: CompositeSpace
+    indices: np.ndarray
+    indptr: np.ndarray
+    a: sp.csc_matrix
+    b: sp.csc_matrix
+    r: sp.csc_matrix
+    a_pattern: np.ndarray
+    a_positions: np.ndarray
+    b_pattern: np.ndarray
+    b_positions: np.ndarray
+    trace: sp.csr_matrix
+
+    @staticmethod
+    def build(space: CompositeSpace, hamiltonian: sp.spmatrix, jumps) -> "_Template":
+        d = space.total_dim
+        n = d * d
+        a_keys, a_values, b_keys, b_values, r_keys, r_values = zip(
+            *_term_entries(d, hamiltonian, jumps))
+        a_pattern = _union(a_keys)
+        b_pattern = _union(b_keys)
+        blocks = np.arange(d, dtype=np.int64)[:, None]
+        # flat index of entry (b d + i, b d + j) of I kron A is
+        # b d (n + 1) + i n + j, of entry (i d + b, j d + b) of B kron I
+        # i d n + j d + b (n + 1)
+        in_a = blocks * (d * (n + 1)) + (a_pattern // d) * n + a_pattern % d
+        in_b = (b_pattern // d) * (d * n) + (b_pattern % d) * d + blocks * (n + 1)
+        union = _union((in_a.ravel(), in_b.ravel()) + r_keys)
+        rows = union // n
+        trace_rows = np.flatnonzero(rows % (d + 1) == 0)
+
+        def place(keys):
+            return np.searchsorted(union, keys).astype(np.int32)
+
+        return _Template(
+            space=space,
+            indices=(union % n).astype(np.int32),
+            indptr=np.searchsorted(rows, np.arange(n + 1)).astype(np.int32),
+            a=_coefficient_map(a_keys, a_values, n),
+            b=_coefficient_map(b_keys, b_values, n),
+            r=_coefficient_map([place(k) for k in r_keys], r_values, union.size),
+            a_pattern=a_pattern.astype(np.int32),
+            a_positions=place(in_a),
+            b_pattern=b_pattern.astype(np.int32),
+            b_positions=place(in_b),
+            trace=sp.csr_matrix(
+                (np.ones(trace_rows.size), (union[trace_rows] % n, trace_rows)),
+                shape=(n, union.size)),
+        )
+
+    def contract(self, thetas: np.ndarray) -> list[Superoperator]:
+        """The generators of the rows of the (B, K) coefficient array
+        ``thetas``: three sparse products for the whole batch, two scatters
+        of A and B into the pattern, then each member's values on the
+        pattern without its exact zeros."""
+        thetas = np.asarray(thetas, dtype=float)
+        d = self.space.total_dim
+        a = self.a @ thetas.T  # (d^2, B)
+        values = self.r @ thetas.T  # (nnz, B)
+        values[self.a_positions] += -1j * a[self.a_pattern]
+        values[self.b_positions] += 1j * (self.b @ thetas.T)[self.b_pattern]
+        h_eff = np.ascontiguousarray(a.T).reshape(-1, d, d)
+        for array in (values, h_eff):
+            # subnormal parts become exact zeros: they carry no physics and
+            # overflow the divisions of scipy's expm and norm estimator
+            parts = array.view(float)
+            parts[np.abs(parts) < np.finfo(float).tiny] = 0.0
+        # each member's <<I| L against its own largest entry
+        defects = np.abs(self.trace @ values).max(axis=0, initial=0.0)
+        scales = np.maximum(1.0, np.abs(values).max(axis=0, initial=0.0))
+        bad = np.flatnonzero(defects > DEFAULT_POLICY.algebraic_tol * scales)
+        if bad.size:
+            raise DomainError(
+                "superoperator does not preserve the trace "
+                f"(defect {defects[bad[0]]:.3e})")
+        values = np.ascontiguousarray(values.T)
+        keep = values != 0
+        counts = np.zeros((len(thetas), values.shape[1] + 1), dtype=np.int32)
+        np.cumsum(keep, axis=1, out=counts[:, 1:])
+        indptrs = counts[:, self.indptr]
+        h_eff.flags.writeable = False
+        return [Superoperator._checked(
+            self.space,
+            sp.csr_matrix((row[mask], self.indices[mask], indptr), shape=(d * d,) * 2),
+            h) for row, mask, indptr, h in zip(values, keep, indptrs, h_eff)]
+
+
+@lru_cache(maxsize=8)
+def _model_template(space: CompositeSpace) -> _Template:
+    hamiltonian, jumps = model_terms(space)
+    return _Template.build(space, hamiltonian, [c.toarray() for c in jumps])
+
+
 def assemble_generator(h: Operator, jumps) -> Superoperator:
     """Full generator (-i [H, .] + sum of dissipators) / hbar, in 1/ps.
 
     Each jump C with rate r contributes r (C rho C^dag - {C^dag C, rho} / 2).
     The anticommutators fold into H_eff = H - (i/2) sum r C^dag C, so the
     generator is -i (I kron H_eff) + i ((H_eff^dag)^T kron I)
-    + sum r conj(C) kron C, built in one pass from coordinate triplets;
-    H_eff / hbar is kept as ``Superoperator.h_eff``.
+    + sum r conj(C) kron C; H_eff / hbar is kept as ``Superoperator.h_eff``.
+    Contracted from the template of the terms (H, C_1, ...) with the
+    coefficients (1, r_1, ...).
 
     Parameters
     ----------
@@ -103,48 +287,33 @@ def assemble_generator(h: Operator, jumps) -> Superoperator:
         hbar-scaled Hamiltonian in ueV.
     jumps : iterable of (Operator, float)
         Jump operators with their hbar-scaled rates in ueV; zero-rate entries
-        are skipped and negative rates raise ``DomainError``.
+        contribute nothing and negative rates raise ``DomainError``.
     """
-    d = h.space.total_dim
-    decay = np.zeros((d, d), dtype=complex)
-    rows, cols, vals = [], [], []
-    for jump, rate in jumps:
+    jumps = list(jumps)
+    for _, rate in jumps:
         if rate < 0:
             raise DomainError(f"dissipator rate must be >= 0, got {rate}")
-        if rate == 0:
-            continue
-        c = jump.matrix
-        decay += rate * (c.conj().T @ c)
-        i, j = np.nonzero(c)
-        # conj(C) kron C: entry (i1, j1) of conj(C) times (i2, j2) of C
-        rows.append((i[:, None] * d + i[None, :]).ravel())
-        cols.append((j[:, None] * d + j[None, :]).ravel())
-        vals.append((rate * np.conj(c[i, j])[:, None] * c[i, j][None, :]).ravel())
+    template = _Template.build(
+        h.space, sp.csr_matrix(h.matrix.reshape(-1, 1)),
+        [jump.matrix for jump, _ in jumps])
+    (liouville,) = template.contract([[1.0] + [rate for _, rate in jumps]])
+    return liouville
 
-    offsets = np.arange(d) * d
-    left = h.matrix - 0.5j * decay  # acts from the left: I kron left
-    i, j = np.nonzero(left)
-    rows.append((offsets[:, None] + i[None, :]).ravel())
-    cols.append((offsets[:, None] + j[None, :]).ravel())
-    vals.append(np.tile(-1j * left[i, j], d))
-    right = (h.matrix + 0.5j * decay).T  # acts from the right: right kron I
-    i, j = np.nonzero(right)
-    rows.append((i[:, None] * d + np.arange(d)[None, :]).ravel())
-    cols.append((j[:, None] * d + np.arange(d)[None, :]).ravel())
-    vals.append(np.repeat(1j * right[i, j], d))
 
-    matrix = sp.csr_matrix(
-        (np.concatenate(vals) / HBAR_UEV_PS,
-         (np.concatenate(rows), np.concatenate(cols))),
-        shape=(d * d, d * d),
-    )
-    matrix.eliminate_zeros()  # entries that cancelled exactly
-    return Superoperator(h.space, matrix, left / HBAR_UEV_PS)
+def build_liouvillians(points) -> list[Superoperator]:
+    """Lindblad generators in 1/ps of parameter sets that share one space,
+    contracted together from the space's cached template: the rotating-frame
+    Hamiltonian with the eight loss, pump, decay and dephasing channels of
+    ``model.model_terms``."""
+    points = list(points)
+    space = points[0].space()
+    if any(p.space() != space for p in points):
+        raise DomainError("a generator batch must share one space")
+    return _model_template(space).contract(np.array([coefficients(p) for p in points]))
 
 
 def build_liouvillian(params: SystemParams) -> Superoperator:
     """Lindblad generator of the full system in 1/ps: the rotating-frame
     Hamiltonian with the eight loss, decay, dephasing and pump channels."""
-    space = params.space()
-    return assemble_generator(build_effective_hamiltonian(params, space),
-                              jump_operators(params, space))
+    (liouville,) = build_liouvillians([params])
+    return liouville

@@ -17,9 +17,12 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
+from functools import lru_cache
+import itertools
 import math
 
 import numpy as np
+import scipy.sparse as sp
 
 from .exceptions import DomainError
 from .hilbert import CompositeSpace, Operator, boson, lowering_operators, qubit
@@ -33,6 +36,8 @@ __all__ = [
     "SystemParams",
     "DarkState",
     "coupling_from_field",
+    "model_terms",
+    "coefficients",
     "build_effective_hamiltonian",
     "jump_operators",
     "identify_dark_state",
@@ -231,63 +236,108 @@ def _check_space(params: SystemParams, space: CompositeSpace):
         )
 
 
+@lru_cache(maxsize=16)
+def model_terms(space: CompositeSpace) -> tuple[sp.csc_matrix, tuple[sp.csr_matrix, ...]]:
+    """The term operators of the model on ``space``, sparse: the
+    rotating-frame Hamiltonian is sum_k theta_k T_k and the jumps C_j act at
+    the rates r_j, with (theta, r) = ``coefficients(params)``.
+
+    Couplings and drive amplitudes enter through their real and imaginary
+    parts: conj(g) X + g X^dag = Re g (X + X^dag) + Im g i(X^dag - X), for
+    X = a_m^dag sigma_n, and likewise for Omega_n sigma_n^dag.  Returns
+    ``(hamiltonian, jumps)``.  Column k of the (d^2, 16) ``hamiltonian`` is
+    the C-order flattened Hermitian term T_k:
+    a_1^dag a_1, a_2^dag a_2, sigma_1^dag sigma_1, sigma_2^dag sigma_2, then
+    X + X^dag and i(X^dag - X) for X = a_m^dag sigma_n in the order
+    (m, n) = (1, 1), (1, 2), (2, 1), (2, 2), then sigma_n + sigma_n^dag and
+    i(sigma_n^dag - sigma_n) for n = 1, 2.  ``jumps`` are the eight d x d
+    Lindblad channels: per mode the loss a_m and the pump a_m^dag, per
+    emitter the decay sigma_n and the dephasing projector
+    sigma_n^dag sigma_n.  Cached per space; treat as read-only.
+    """
+    d = space.total_dim
+    sm1, sm2, a1, a2 = (low.matrix for low in lowering_operators(space))
+    exchange = [a.conj().T @ sm for a in (a1, a2) for sm in (sm1, sm2)]
+    terms = itertools.chain(
+        (a.conj().T @ a for a in (a1, a2, sm1, sm2)),
+        (x + x.conj().T for x in exchange),
+        (1j * (x.conj().T - x) for x in exchange),
+        (sm + sm.conj().T for sm in (sm1, sm2)),
+        (1j * (sm.conj().T - sm) for sm in (sm1, sm2)))
+    rows, values = [], []
+    for term in terms:  # one dense d x d term at a time
+        flat = np.flatnonzero(term)
+        rows.append(flat)
+        values.append(term.ravel()[flat])
+    indptr = np.zeros(len(rows) + 1, dtype=np.int32)
+    np.cumsum([r.size for r in rows], out=indptr[1:])
+    hamiltonian = sp.csc_matrix(
+        (np.concatenate(values), np.concatenate(rows).astype(np.int32), indptr),
+        shape=(d * d, len(rows)))
+    jumps = (a1, a1.conj().T, a2, a2.conj().T,
+             sm1, sm1.conj().T @ sm1, sm2, sm2.conj().T @ sm2)
+    return hamiltonian, tuple(sp.csr_matrix(c) for c in jumps)
+
+
+def coefficients(params: SystemParams) -> np.ndarray:
+    """Real coefficient vector of ``params`` over ``model_terms``
+    (hbar-scaled, ueV): the 16 Hamiltonian coefficients, then the 8 jump
+    rates.
+
+    The Hamiltonian coefficients are the mode and emitter frequencies minus
+    the drive frequency, Re and Im of the couplings g[m][n], and Re and Im
+    of the drive amplitudes.  The rates are the linewidth and pump rate of
+    each mode and the decay rate and twice the dephasing rate of each
+    emitter: gamma_d is the coherence-decay rate, a bare emitter's
+    off-diagonal element decaying as exp(-gamma_d t / hbar) with populations
+    untouched, and the projector jump halves the phase-damping efficiency of
+    the plain Lindblad form.
+    """
+    wp = params.drive.pump_freq
+    (m1, m2), (q1, q2) = params.modes, params.dots
+    g = params.coupling.as_array().ravel()
+    drive = np.array([params.drive.omega1, params.drive.omega2])
+    return np.concatenate((
+        [m1.omega - wp, m2.omega - wp, q1.omega - wp, q2.omega - wp],
+        g.real, g.imag, drive.real, drive.imag,
+        [m1.gamma, m1.pump, m2.gamma, m2.pump,
+         q1.gamma, 2.0 * q1.gamma_d, q2.gamma, 2.0 * q2.gamma_d],
+    ))
+
+
 def build_effective_hamiltonian(params: SystemParams,
                                 space: CompositeSpace | None = None) -> Operator:
     """Rotating-frame Hamiltonian at the drive frequency (hbar-scaled, ueV).
 
     Mode and emitter frequencies appear shifted by the drive frequency; the
     emitter-mode couplings and the now time-independent drive terms are added
-    with their Hermitian conjugates.  Built as D + (Y + Y^dag) with D real
-    diagonal, so the result is exactly Hermitian entrywise.
+    with their Hermitian conjugates.  Built as sum_k theta_k T_k over the
+    Hermitian terms of ``model_terms``: each entry and its transpose sum the
+    same real multiples of conjugate values in the same order, so the result
+    is exactly Hermitian entrywise.
     """
     if space is None:
         space = params.space()
     else:
         _check_space(params, space)
-    ops = [low.matrix for low in lowering_operators(space)]
-    sm, a = ops[:2], ops[2:]
-    g = params.coupling.as_array()
-    wp = params.drive.pump_freq
-
-    diag = np.zeros((space.total_dim, space.total_dim), dtype=complex)
-    for m in range(2):
-        diag += (params.modes[m].omega - wp) * (a[m].conj().T @ a[m])
-        diag += (params.dots[m].omega - wp) * (sm[m].conj().T @ sm[m])
-
-    lower = np.zeros_like(diag)
-    for m in range(2):
-        for n in range(2):
-            lower += np.conj(g[m, n]) * (a[m].conj().T @ sm[n])
-    amplitudes = (params.drive.omega1, params.drive.omega2)
-    for n in range(2):
-        lower += amplitudes[n] * sm[n].conj().T
-
-    return Operator(space, diag + lower + lower.conj().T)
+    hamiltonian, _ = model_terms(space)
+    d = space.total_dim
+    theta = coefficients(params)[:hamiltonian.shape[1]]
+    return Operator(space, (hamiltonian @ theta).reshape(d, d))
 
 
 def jump_operators(params: SystemParams, space: CompositeSpace | None = None
                    ) -> tuple[tuple[Operator, float], ...]:
-    """The eight Lindblad channels as (jump operator, hbar-scaled rate in ueV).
-
-    Per mode: photon loss a_m at the linewidth and incoherent pumping
-    a_m^dag at the pump rate.  Per emitter: radiative decay sigma_n and pure
-    dephasing through the excited-state projector sigma_n^dag sigma_n.
-    """
+    """The eight Lindblad channels of ``model_terms`` as (jump operator,
+    hbar-scaled rate in ueV), the rates as in ``coefficients``."""
     if space is None:
         space = params.space()
     else:
         _check_space(params, space)
-    sm1, sm2, a1, a2 = lowering_operators(space)
-    jumps = []
-    for a, mode in zip((a1, a2), params.modes):
-        jumps += [(a, mode.gamma), (a.dag(), mode.pump)]
-    for sm, dot in zip((sm1, sm2), params.dots):
-        # gamma_d is the coherence-decay rate: a bare emitter's off-diagonal
-        # element decays as exp(-gamma_d t / hbar) with populations untouched.
-        # The projector jump halves the phase-damping efficiency of the plain
-        # Lindblad form, so it is applied at twice the nominal rate.
-        jumps += [(sm, dot.gamma), (sm.dag() @ sm, 2.0 * dot.gamma_d)]
-    return tuple(jumps)
+    _, jumps = model_terms(space)
+    rates = coefficients(params)[-len(jumps):]
+    return tuple((Operator(space, c.toarray()), rate)
+                 for c, rate in zip(jumps, rates.tolist()))
 
 
 @dataclass(frozen=True)

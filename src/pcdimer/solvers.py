@@ -11,6 +11,7 @@ import scipy.sparse as sp
 from scipy.linalg.blas import zaxpy as _axpy
 from scipy.linalg.blas import zdotc as _dotc
 from scipy.linalg.lapack import ztrsyl as _trsyl
+from scipy.sparse.csgraph import connected_components
 from scipy.sparse.linalg import expm_multiply
 
 from .entanglement import negativity, qd_negativity
@@ -56,6 +57,9 @@ STEADY_RESIDUAL_TOL = 1e-9
 _SOLVER_POLICY = NumericPolicy(algebraic_tol=1e-10, positivity_slack=1e-8)
 
 _DEGENERACY_SV_RATIO = 1e-12  # second singular value below this * ||L|| => degenerate
+# Liouville dimension up to which a failed solve is diagnosed by the dense
+# singular spectrum, an O(D^6) step: ~0.05 s at D^2 = 256, ~1.4 s at 1296
+_DENSE_DIAGNOSIS_MAX_DIM = 256
 
 # GMRES restart length: the preconditioned bordered system takes 10-17
 # steps on the benchmark systems, and up to ~120 on random physical
@@ -118,9 +122,27 @@ class SteadyStateInfo:
     certificate_iterations: int
 
 
-def _diagnose_kernel(liouville: Superoperator):
+def _diagnose_kernel(liouville: Superoperator, stalled: bool):
     """On solver failure, distinguish a degenerate kernel from plain
-    ill-conditioning via the dense singular spectrum."""
+    ill-conditioning.
+
+    Up to D^2 = ``_DENSE_DIAGNOSIS_MAX_DIM`` the dense singular spectrum
+    decides.  Above it the O(D^6) SVD is not run and the uniqueness
+    certificate decides: one that ``stalled`` (missed its target) marks the
+    bordered system as singular to the solver's precision, a kernel of at
+    least two dimensions.
+    """
+    if liouville.matrix.shape[0] > _DENSE_DIAGNOSIS_MAX_DIM:
+        if stalled:
+            raise DegenerateSteadyStateError(
+                "the uniqueness certificate stalled: the generator kernel is "
+                "at least 2-dimensional; the steady state is not unique",
+                kernel_dimension=2,
+            )
+        raise SingularSolveError(
+            "steady-state solve failed although the uniqueness certificate "
+            "converged (no dense diagnosis above D^2 = "
+            f"{_DENSE_DIAGNOSIS_MAX_DIM})")
     dense = liouville.matrix.toarray()
     singular_values = np.linalg.svd(dense, compute_uv=False)
     norm = singular_values[0] if singular_values.size else 0.0
@@ -139,7 +161,46 @@ def _diagnose_kernel(liouville: Superoperator):
     )
 
 
-def _no_jump_inverse(h_eff: np.ndarray, shift: np.ndarray):
+def _invariant_blocks(h_eff: np.ndarray, matrix: sp.csr_matrix) -> np.ndarray:
+    """Per member of a batch, the number of blocks of Fock basis states
+    that H and every active jump leave invariant: a lower bound on the
+    dimension of the generator kernel.
+
+    The blocks are the connected components of the graph on the d basis
+    states whose edges are the nonzeros of H_eff (those of H and of the
+    C^dag C) and the population transfers j -> i, the entries
+    L[i (d + 1), j (d + 1)] = sum r |C_ij|^2, nonzero exactly where an
+    active jump has C_ij != 0.  The projector onto a block commutes with H
+    and every active jump, a strong symmetry, so each block holds a
+    stationary state of its own (Buca & Prosen, New J. Phys. 14, 073007
+    (2012)).  ``h_eff`` is the (B, d, d) stack and ``matrix`` the
+    block-diagonal generator of the batch.
+    """
+    count, d = h_eff.shape[:2]
+    n = d * d
+    nodes = np.arange(count * d)
+    # the trace rows of every member, gathered as one index array
+    rows = (nodes // d) * n + (nodes % d) * (d + 1)
+    starts = matrix.indptr[rows]
+    lengths = matrix.indptr[rows + 1] - starts
+    offsets = np.cumsum(lengths) - lengths
+    entries = np.arange(lengths.sum()) + np.repeat(starts - offsets, lengths)
+    source = np.repeat(nodes, lengths)
+    local = matrix.indices[entries] % n
+    transfer = (local % (d + 1) == 0) & (matrix.data[entries] != 0)
+    target = (source // d) * d + local // (d + 1)
+    member, i, j = np.nonzero(h_eff)
+    graph = sp.csr_matrix(
+        (np.ones(transfer.sum() + i.size),
+         (np.concatenate((source[transfer], member * d + i)),
+          np.concatenate((target[transfer], member * d + j)))),
+        shape=(count * d, count * d))
+    _, labels = connected_components(graph, directed=True, connection="weak")
+    first = np.unique(labels, return_index=True)[1]
+    return np.bincount(first // d, minlength=count)
+
+
+def _no_jump_inverse(h_eff: np.ndarray, shift: np.ndarray, blocks: np.ndarray):
     """Exact inverses of the no-jump parts X -> -i (H_eff X - X H_eff^dag)
     of a stack of no-jump Hamiltonians ``h_eff`` (B, d, d).
 
@@ -154,31 +215,39 @@ def _no_jump_inverse(h_eff: np.ndarray, shift: np.ndarray):
 
     An eigenvalue with zero imaginary part belongs to a pure state that H
     keeps and every jump annihilates.  Two or more of them make the steady
-    state degenerate.  A single one would leave a zero denominator; the
-    inverse is taken with that eigenvalue moved off the real axis by
-    ``shift[m] / 2`` instead, which makes the denominator ``shift[m]``.
+    state degenerate, as do ``blocks[m] >= 2`` invariant blocks of basis
+    states (``_invariant_blocks``).  A single one would leave a zero
+    denominator; the inverse is taken with that eigenvalue moved off the
+    real axis by ``shift[m] / 2`` instead, which makes the denominator
+    ``shift[m]``.
 
-    Returns ``(apply, errors)``.  ``errors`` maps the index of every member
-    with two or more non-decaying levels to its
-    ``DegenerateSteadyStateError``.  ``apply(y, active=None)`` acts on a
-    (L, k, D^2) stack of column-stacked vectors, k per member, for the L
-    other members in order; vectors outside an (L, k) mask ``active`` are
-    skipped and come back zero.
+    Returns ``(apply, errors)``.  ``errors`` maps the index of every
+    degenerate member to its ``DegenerateSteadyStateError``, whose kernel
+    dimension is the larger of the two bounds.  ``apply(y, active=None)``
+    acts on a (L, k, D^2) stack of column-stacked vectors, k per member,
+    for the L other members in order; vectors outside an (L, k) mask
+    ``active`` are skipped and come back zero.
     """
     d = h_eff.shape[1]
     w, v = np.linalg.eig(h_eff)
     tol = _NON_DECAYING_TOL * np.abs(w).max(axis=1)
     stationary = np.abs(w.imag) <= tol[:, None]
     errors = {}
-    for m in np.nonzero(np.count_nonzero(stationary, axis=1) >= 2)[0].tolist():
+    degenerate = (np.count_nonzero(stationary, axis=1) >= 2) | (blocks >= 2)
+    for m in np.nonzero(degenerate)[0].tolist():
         # k equal levels span k^2 stationary operators |v_i><v_j|
         levels = np.sort(w[m].real[stationary[m]])
         groups = np.split(levels, np.nonzero(np.diff(levels) > tol[m])[0] + 1)
         kernel_dim = sum(g.size ** 2 for g in groups)
+        if kernel_dim >= blocks[m]:
+            reason = f"{levels.size} levels of H_eff never decay"
+        else:
+            kernel_dim = int(blocks[m])
+            reason = (f"H and the jumps leave {kernel_dim} blocks of basis "
+                      "states invariant")
         errors[m] = DegenerateSteadyStateError(
             f"the generator kernel is at least {kernel_dim}-dimensional: "
-            f"{levels.size} levels of H_eff never decay; "
-            "the steady state is not unique",
+            f"{reason}; the steady state is not unique",
             kernel_dimension=kernel_dim,
         )
     live = [m for m in range(h_eff.shape[0]) if m not in errors]
@@ -438,15 +507,18 @@ def steady_states(liouvilles) -> list:
     systems that have stopped are skipped.
 
     A degenerate generator makes the bordered system singular but still
-    consistent, so GMRES alone would return a state.  Two checks stop that:
-    two or more non-decaying levels of H_eff give a
-    ``DegenerateSteadyStateError`` before any iteration, and on a singular
-    system the certificate stalls (near a relative residual of 0.3).  A
-    stalled certificate, a non-finite result, a steady-state residual
+    consistent, so GMRES alone would return a state.  Three checks stop
+    that.  Before any iteration, two or more non-decaying levels of H_eff,
+    or two or more blocks of basis states that H and the active jumps leave
+    invariant (``_invariant_blocks``), give a ``DegenerateSteadyStateError``
+    carrying the larger of the two kernel bounds.  On a singular system the
+    certificate stalls (near a relative residual of 0.3).  A stalled
+    certificate, a non-finite result, a steady-state residual
     ||L vec(rho)|| above ``STEADY_RESIDUAL_TOL`` or a state that fails the
-    density-matrix check goes to a dense singular value diagnosis, which
-    gives ``DegenerateSteadyStateError`` or ``SingularSolveError``.
-    Failures stay with their member.
+    density-matrix check goes to ``_diagnose_kernel``, which gives
+    ``DegenerateSteadyStateError`` or ``SingularSolveError``: by the dense
+    singular values up to D^2 = 256, from the certificate above.  Failures
+    stay with their member.
 
     Returns one entry per generator, in order: ``(DensityMatrix,
     SteadyStateInfo)``, or the ``SolverError`` of a failed member.
@@ -461,13 +533,16 @@ def steady_states(liouvilles) -> list:
     # each generator's own scale, so the solve does not depend on its units
     weights = np.array([float(np.abs(l.matrix.data).max()) if l.matrix.nnz
                         else 1.0 for l in liouvilles])
+    h_eff = np.array([l.h_eff for l in liouvilles])
+    matrix = _block_diagonal([l.matrix for l in liouvilles])
     precondition, outcomes = _no_jump_inverse(
-        np.array([l.h_eff for l in liouvilles]), weights)
+        h_eff, weights, _invariant_blocks(h_eff, matrix))
     live = [m for m in range(len(liouvilles)) if m not in outcomes]
     if not live:
         return [outcomes[m] for m in range(len(liouvilles))]
     size = len(live)
-    matrix = _block_diagonal([liouvilles[m].matrix for m in live])
+    if size < len(liouvilles):
+        matrix = _block_diagonal([liouvilles[m].matrix for m in live])
     weights = weights[live]
 
     def bordered(y, active=None):
@@ -499,13 +574,13 @@ def steady_states(liouvilles) -> list:
     for i, m in enumerate(live):
         try:
             if not (accepted[i] and residuals[i] <= STEADY_RESIDUAL_TOL):
-                _diagnose_kernel(liouvilles[m])
+                _diagnose_kernel(liouvilles[m], not reached[i, 1])
             try:
                 state = DensityMatrix(space, rho[i], policy=_SOLVER_POLICY)
             except DomainError:
                 # a state that fails validation (a negative eigenvalue from
                 # a nearly singular generator) is a failed solve
-                _diagnose_kernel(liouvilles[m])
+                _diagnose_kernel(liouvilles[m], not reached[i, 1])
         except SolverError as exc:
             outcomes[m] = exc
             continue

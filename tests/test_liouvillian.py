@@ -1,9 +1,12 @@
+import dataclasses
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import example, given, settings, strategies as st
 from scipy.linalg import expm
 
-from pcdimer.exceptions import DomainError
+from pcdimer.exceptions import DomainError, SolverError
 from pcdimer.hilbert import (
     CompositeSpace,
     DensityMatrix,
@@ -15,8 +18,10 @@ from pcdimer.hilbert import (
 )
 from pcdimer.liouvillian import (
     Superoperator,
+    _Template,
     assemble_generator,
     build_liouvillian,
+    build_liouvillians,
     identity_bra,
 )
 from pcdimer.model import (
@@ -30,6 +35,7 @@ from pcdimer.model import (
     jump_operators,
     preset_params,
 )
+from pcdimer.solvers import steady_state
 
 QUBIT = CompositeSpace((qubit(),))
 
@@ -160,8 +166,6 @@ class TestIncoherentPump:
     def test_truncated_mode_rate_balance(self):
         # two-level rate equations for the cutoff-1 mode give the steady
         # photon number P / (P + gamma)
-        from pcdimer.solvers import steady_state
-
         space = CompositeSpace((boson(1),))
         pump_rate, loss_rate = 3.0, 11.0
         h = Operator(space, np.zeros((2, 2)))
@@ -190,44 +194,79 @@ class TestIncoherentPump:
                               1.0 - np.exp(-pump * t / HBAR_UEV_PS), atol=1e-12)
 
 
-def dense_reference_generator(params):
-    """Brute-force dense construction by explicit Kronecker products,
-    independent of the sparse assembly path."""
+def _embed(space, local, position):
+    mats = [np.eye(dim, dtype=complex) for dim in space.dims]
+    mats[position] = local
+    out = mats[0]
+    for m in mats[1:]:
+        out = np.kron(out, m)
+    return out
+
+
+def _reference_lowering(params):
+    """(sigma_1, sigma_2, a_1, a_2) by explicit Kronecker products."""
     space = params.space()
-    d = space.total_dim
-    h = build_effective_hamiltonian(params).matrix
-    eye = np.eye(d)
-    total = -1j * (np.kron(eye, h) - np.kron(h.T, eye))
-
-    def lower(dim):
-        return np.diag(np.sqrt(np.arange(1, dim, dtype=float)), 1).astype(complex)
-
-    def embed(local, position):
-        mats = [np.eye(dim, dtype=complex) for dim in space.dims]
-        mats[position] = local
-        out = mats[0]
-        for m in mats[1:]:
-            out = np.kron(out, m)
-        return out
-
-    jumps = []
     nb = params.truncation + 1
+    boson_low = np.diag(np.sqrt(np.arange(1, nb, dtype=float)), 1).astype(complex)
+    qubit_low = np.array([[0, 1], [0, 0]], dtype=complex)
+    return tuple(_embed(space, qubit_low if k < 2 else boson_low, k)
+                 for k in range(4))
+
+
+def dense_reference_hamiltonian(params):
+    """Rotating-frame Hamiltonian (ueV) term by term from its definition,
+    independent of the term template of ``model``."""
+    sm1, sm2, a1, a2 = _reference_lowering(params)
+    sm, a = (sm1, sm2), (a1, a2)
+    g = params.coupling.as_array()
+    wp = params.drive.pump_freq
+    h = np.zeros_like(sm1)
     for m in range(2):
-        a = embed(lower(nb), 2 + m)
-        jumps.append((a, params.modes[m].gamma))
-        jumps.append((a.conj().T, params.modes[m].pump))
-    for n in range(2):
-        sm = embed(np.array([[0, 1], [0, 0]], dtype=complex), n)
-        jumps.append((sm, params.dots[n].gamma))
-        jumps.append((sm.conj().T @ sm, 2.0 * params.dots[n].gamma_d))
-    for c, rate in jumps:
+        h += (params.modes[m].omega - wp) * (a[m].conj().T @ a[m])
+        h += (params.dots[m].omega - wp) * (sm[m].conj().T @ sm[m])
+        for n in range(2):
+            coupling = np.conj(g[m, n]) * (a[m].conj().T @ sm[n])
+            h += coupling + coupling.conj().T
+    for n, omega in enumerate((params.drive.omega1, params.drive.omega2)):
+        drive = omega * sm[n].conj().T
+        h += drive + drive.conj().T
+    return h
+
+
+def reference_jumps(params):
+    """The eight (jump operator, rate) pairs, rates in ueV."""
+    sm1, sm2, a1, a2 = _reference_lowering(params)
+    jumps = []
+    for a, mode in zip((a1, a2), params.modes):
+        jumps += [(a, mode.gamma), (a.conj().T, mode.pump)]
+    for sm, dot in zip((sm1, sm2), params.dots):
+        jumps += [(sm, dot.gamma), (sm.conj().T @ sm, 2.0 * dot.gamma_d)]
+    return jumps
+
+
+def dense_reference_generator(params, sparse=False):
+    """Brute-force construction by explicit Kronecker products, independent
+    of the template path; dense, or with ``scipy.sparse.kron`` where the
+    dense D^2 x D^2 matrix would be too large."""
+    kron = (lambda x, y: sp.kron(x, y, format="csr")) if sparse else np.kron
+    h = dense_reference_hamiltonian(params)
+    eye = np.eye(h.shape[0])
+    total = -1j * (kron(eye, h) - kron(h.T, eye))
+    for c, rate in reference_jumps(params):
         cdc = c.conj().T @ c
         total = total + rate * (
-            np.kron(c.conj(), c)
-            - 0.5 * np.kron(eye, cdc)
-            - 0.5 * np.kron(cdc.T, eye)
+            kron(c.conj(), c)
+            - 0.5 * kron(eye, cdc)
+            - 0.5 * kron(cdc.T, eye)
         )
     return total / HBAR_UEV_PS
+
+
+def reference_h_eff(params):
+    """(H - (i/2) sum r C^dag C) / hbar in 1/ps."""
+    h = dense_reference_hamiltonian(params)
+    decay = sum(rate * (c.conj().T @ c) for c, rate in reference_jumps(params))
+    return (h - 0.5j * decay) / HBAR_UEV_PS
 
 
 def full_params():
@@ -359,3 +398,77 @@ class TestBuildLiouvillian:
         rho = random_density(rng, 4)
         expected = -1j * (h.matrix @ rho - rho @ h.matrix) / HBAR_UEV_PS
         assert np.allclose(apply_generator(comm, rho), expected, atol=1e-12)
+
+
+# every stored entry of a generator is at least this large in magnitude:
+# subnormal parts are flushed to zero at assembly
+TINY = np.finfo(float).tiny
+
+
+def assert_matches_reference(params, liouville):
+    """Generator, no-jump Hamiltonian and Hamiltonian against the explicit
+    Kronecker construction, to 1e-13 relative; the CSR is canonical and
+    stores no zeros."""
+    d2 = params.space().total_dim ** 2
+    reference = dense_reference_generator(params, sparse=d2 > 256)
+    diff = abs(sp.csr_matrix(reference) - liouville.matrix).max()
+    assert diff <= 1e-13 * abs(sp.csr_matrix(reference)).max() + TINY
+    h_eff = reference_h_eff(params)
+    assert np.abs(liouville.h_eff - h_eff).max() <= 1e-13 * np.abs(h_eff).max() + TINY
+    h = dense_reference_hamiltonian(params)
+    assert (np.abs(build_effective_hamiltonian(params).matrix - h).max()
+            <= 1e-13 * np.abs(h).max() + TINY)
+    assert liouville.matrix.has_canonical_format
+    assert np.all(liouville.matrix.data != 0)
+
+
+def same_outcome(first, second):
+    """Bit-identical steady states, or the same failure."""
+    try:
+        rho = steady_state(first).matrix
+    except SolverError as exc:
+        with pytest.raises(type(exc)):
+            steady_state(second)
+        return
+    assert np.array_equal(rho, steady_state(second).matrix)
+
+
+def common_cutoff(batch):
+    return [p.with_truncation(batch[0].truncation) for p in batch]
+
+
+class TestTemplate:
+    @settings(max_examples=25, deadline=None)
+    @given(batch=st.lists(physical_params(), min_size=1, max_size=4).map(common_cutoff))
+    @example(batch=[full_params().with_truncation(3)])
+    @example(batch=[bare_params(), full_params()])
+    def test_batch_matches_reference(self, batch):
+        for params, liouville in zip(batch, build_liouvillians(batch), strict=True):
+            assert_matches_reference(params, liouville)
+
+    @settings(max_examples=10, deadline=None)
+    @given(batch=st.lists(physical_params(), min_size=2, max_size=5).map(common_cutoff))
+    def test_member_alone_or_in_batch_is_bit_identical(self, batch):
+        for together in (build_liouvillians(batch), build_liouvillians(batch[::-1])[::-1]):
+            for params, member in zip(batch, together, strict=True):
+                alone = build_liouvillian(params)
+                for name in ("data", "indices", "indptr"):
+                    assert np.array_equal(getattr(alone.matrix, name),
+                                          getattr(member.matrix, name))
+                assert np.array_equal(alone.h_eff, member.h_eff)
+                same_outcome(alone, member)
+
+    def test_batch_shares_one_space(self):
+        with pytest.raises(DomainError):
+            build_liouvillians([full_params(), full_params().with_truncation(2)])
+
+    def test_trace_check_per_member(self):
+        # a template whose recycling part is doubled, so that it returns
+        # twice the population the anticommutator removes: the member with
+        # a nonzero rate fails
+        template = _Template.build(QUBIT, sp.csr_matrix((4, 1), dtype=complex),
+                                   [qubit_lowering(QUBIT, 0).matrix])
+        broken = dataclasses.replace(template, r=2.0 * template.r)
+        assert broken.contract([[0.0, 0.0]])[0].matrix.nnz == 0
+        with pytest.raises(DomainError, match="does not preserve the trace"):
+            broken.contract([[0.0, 0.0], [0.0, 2.0]])

@@ -154,16 +154,79 @@ class TestSteadyState:
             assert exc_info.value.kernel_dimension == kernel_dim
 
     def test_dephasing_degeneracy_caught_by_certificate(self):
-        # pure dephasing damps coherences only: the excited level decays
-        # under H_eff, yet both populations are stationary, so the bordered
-        # system is singular but consistent
+        # dephasing in the sigma_x basis damps the coherences between the
+        # sigma_x eigenstates only: every level decays under H_eff and the
+        # jump joins the two basis states, yet I and sigma_x are both
+        # stationary, so the bordered system is singular but consistent
         sm = qubit_lowering(QUBIT, 0)
-        number = sm.dag() @ sm
-        h = Operator(QUBIT, 3.0 * number.matrix)
-        liouville = assemble_generator(h, [(number, 0.7)])
+        sx = sm + sm.dag()
+        liouville = assemble_generator(3.0 * sx, [(sx, 0.7)])
         with pytest.raises(DegenerateSteadyStateError) as exc_info:
             steady_state(liouville)
         assert exc_info.value.kernel_dimension == 2
+
+    def test_stalled_certificate_above_dense_limit_skips_svd(self, monkeypatch):
+        # the sigma_x dephasing next to a lossy mode at D^2 = 324: no dense
+        # singular value decomposition; the stalled certificate decides
+        import pcdimer.solvers
+
+        def unreachable(*args, **kwargs):
+            raise AssertionError("no dense SVD above D^2 = 256")
+
+        space = CompositeSpace((qubit(), boson(8)))
+        sm, a = qubit_lowering(space, 0), boson_annihilation(space, 1)
+        sx = sm + sm.dag()
+        liouville = assemble_generator(3.0 * sx, [(sx, 0.7), (a, 40.0)])
+        assert liouville.matrix.shape[0] > pcdimer.solvers._DENSE_DIAGNOSIS_MAX_DIM
+        monkeypatch.setattr(np.linalg, "svd", unreachable)
+        with pytest.raises(DegenerateSteadyStateError) as exc_info:
+            steady_state(liouville)
+        assert exc_info.value.kernel_dimension == 2
+
+    def test_fock_dephasing_degeneracy_found_before_iterating(self, monkeypatch):
+        # dephasing in the Fock basis with a diagonal H joins no two basis
+        # states: two invariant blocks, found before any GMRES step
+        import pcdimer.solvers
+
+        def unreachable(*args, **kwargs):
+            raise AssertionError("the invariant-block check should have decided")
+
+        monkeypatch.setattr(pcdimer.solvers, "_lockstep_gmres", unreachable)
+        monkeypatch.setattr(pcdimer.solvers, "_diagnose_kernel", unreachable)
+        sm = qubit_lowering(QUBIT, 0)
+        number = sm.dag() @ sm
+        liouville = assemble_generator(3.0 * number, [(number, 0.7)])
+        with pytest.raises(DegenerateSteadyStateError) as exc_info:
+            steady_state(liouville)
+        assert exc_info.value.kernel_dimension == 2
+
+    @pytest.mark.parametrize("cutoff", [1, 2, 3])
+    def test_dephased_closed_system_blocks(self, cutoff, monkeypatch):
+        # lossless, undriven, dephasing only: H keeps the total excitation
+        # number, so each of its 2 + 2 cutoff + 1 values is an invariant
+        # block; found with no GMRES step and no dense SVD at any cutoff
+        import pcdimer.solvers
+
+        params = SystemParams(
+            modes=(ModeParams(0.0, 0.0), ModeParams(2200.0, 0.0)),
+            dots=(QDParams(0.0, gamma_d=0.5), QDParams(0.0, gamma_d=0.5)),
+            coupling=CouplingMatrix.bonding_antibonding(110.0),
+            drive=DriveParams(amplitude=0.0), truncation=cutoff)
+        liouville = build_liouvillian(params)
+        blocks = 2 * cutoff + 3
+        if cutoff == 1:  # the dense kernel, where it is cheap
+            singular_values = np.linalg.svd(liouville.matrix.toarray(),
+                                            compute_uv=False)
+            assert np.sum(singular_values < 1e-12 * singular_values[0]) == blocks
+
+        def unreachable(*args, **kwargs):
+            raise AssertionError("the invariant-block check should have decided")
+
+        monkeypatch.setattr(pcdimer.solvers, "_lockstep_gmres", unreachable)
+        monkeypatch.setattr(pcdimer.solvers, "_diagnose_kernel", unreachable)
+        with pytest.raises(DegenerateSteadyStateError) as exc_info:
+            steady_state(liouville)
+        assert exc_info.value.kernel_dimension == blocks
 
     def test_exceptional_point_with_a_stationary_level(self):
         # an undriven emitter on a lossy mode at g = kappa / 4: the one-
@@ -210,7 +273,7 @@ def test_no_jump_inverse_is_exact(h_eff):
     d = h_eff.shape[0]
     rng = np.random.default_rng(3)
     y = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-    apply, errors = _no_jump_inverse(h_eff[None], np.array([1.0]))
+    apply, errors = _no_jump_inverse(h_eff[None], np.array([1.0]), np.array([1]))
     assert errors == {}
     x = apply(y.reshape(1, 1, -1, order="F"))[0, 0].reshape((d, d), order="F")
     no_jump = -1j * (h_eff @ x - x @ h_eff.conj().T)
@@ -289,33 +352,39 @@ class TestSteadyStateBatches:
         assert_batch_matches_solo([build_liouvillian(p) for p in batch])
 
     def test_failing_members_stay_with_their_member(self):
-        # one space, four routes: the pre-check (a closed system), the
-        # certificate (dephasing with a lossy mode: the two emitter
-        # populations of the photon vacuum are both stationary), the Schur
-        # route (the exceptional point of
+        # one space, five routes: the pre-checks (a closed system; dephasing
+        # in the Fock basis, whose two emitter blocks are invariant), the
+        # certificate (dephasing in the sigma_x basis with a lossy mode: I
+        # and sigma_x of the emitter in the photon vacuum are both
+        # stationary), the Schur route (the exceptional point of
         # test_exceptional_point_with_a_stationary_level) and the eigenbasis
         space = CompositeSpace((qubit(), boson(1)))
         sm, a = qubit_lowering(space, 0), boson_annihilation(space, 1)
         kappa = 40.0
         exchange = kappa / 4 * (sm.dag() @ a + a.dag() @ sm).matrix
         number = sm.dag() @ sm
+        sx = sm + sm.dag()
         closed = assemble_generator(Operator(space, exchange), [])
         dephased = assemble_generator(Operator(space, 3.0 * number.matrix),
                                       [(a, kappa), (number, 0.7)])
+        x_dephased = assemble_generator(3.0 * sx, [(a, kappa), (sx, 0.7)])
         exceptional = assemble_generator(Operator(space, exchange), [(a, kappa)])
         driven = [assemble_generator(
             Operator(space, exchange + drive * (sm.dag() + sm).matrix),
             [(a, kappa), (sm, 2.0)]) for drive in (1.0, 7.0)]
-        batch = [driven[0], closed, exceptional, dephased, driven[1]]
+        batch = [driven[0], closed, exceptional, dephased, x_dephased, driven[1]]
         assert_batch_matches_solo(batch)
 
         outcomes = steady_states(batch)
         assert isinstance(outcomes[1], DegenerateSteadyStateError)
-        assert isinstance(outcomes[3], DegenerateSteadyStateError)
-        assert outcomes[3].kernel_dimension == 2
+        for k in (3, 4):
+            assert isinstance(outcomes[k], DegenerateSteadyStateError)
+            assert outcomes[k].kernel_dimension == 2
+        assert "blocks of basis states invariant" in str(outcomes[3])
+        assert str(outcomes[4]).startswith("the generator kernel is 2-dimensional")
         rho, _ = outcomes[2]
         assert np.allclose(rho.matrix, np.diag([1.0, 0.0, 0.0, 0.0]), atol=1e-12)
-        for k in (0, 4):
+        for k in (0, 5):
             rho, info = outcomes[k]
             assert info.residual < 1e-9
             assert info.certificate_iterations >= 1
@@ -395,6 +464,20 @@ class TestEvolve:
     @given(params=physical_params(), switched=physical_params(),
            gaps=st.lists(st.floats(0.05, 1.0), min_size=2, max_size=6),
            horizon=st.floats(1.0, 40.0), switch=st.floats(0.1, 0.9))
+    # a subnormal pump rate: its generator entries are flushed to zero, and
+    # the oracle's dense expm stays finite
+    @example(params=SystemParams(
+                 modes=(ModeParams(0.0, 0.0), ModeParams(0.0, 0.0)),
+                 dots=(QDParams(0.0), QDParams(0.0)),
+                 coupling=CouplingMatrix(((0.0, 0.0), (0.0, 0.0))),
+                 drive=DriveParams(amplitude=0.0)),
+             switched=SystemParams(
+                 modes=(ModeParams(0.0, 0.0),
+                        ModeParams(0.0, 0.0, pump=2.2250738585e-313)),
+                 dots=(QDParams(0.0), QDParams(0.0)),
+                 coupling=CouplingMatrix(((0.0, 0.0), (0.0, 0.0))),
+                 drive=DriveParams(amplitude=0.0, pump_freq=1399.0)),
+             gaps=[1.0, 0.5], horizon=1.0, switch=0.5)
     def test_two_segment_schedule_matches_expm(self, params, switched, gaps,
                                                horizon, switch):
         # cutoff 1, the dense-propagator route; the switch falls off the
