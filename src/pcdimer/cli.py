@@ -38,8 +38,9 @@ from .model import (
     preset_params,
 )
 from .liouvillian import build_liouvillian
-from .solvers import convergence_scan, steady_state
+from .solvers import OBSERVABLES, convergence_scan, steady_state
 from .experiments import (
+    INITIAL_STATES,
     default_delta_grid,
     default_gamma_d_grid,
     default_phi_grid,
@@ -55,43 +56,29 @@ from .experiments import (
 __all__ = ["RunConfig", "parse_config", "run", "main"]
 
 COMMANDS = ("steady", "dynamics", "sweep", "protocol", "convergence")
-SWEEP_KINDS = ("phase_detuning", "qd_detuning", "dephasing", "splitting")
-INITIALS = ("qd1_excited", "photon_mode1", "vacuum")
 
-# the known key names of each section; each value's type and bounds are
-# checked where parse_config and its helpers read it through _SectionReader
-_RUN_KEYS = {"command", "preset", "threads", "allow_point_failures"}
-_SYSTEM_KEYS = {
-    "mode1_omega", "mode1_gamma", "mode1_pump",
-    "mode2_omega", "mode2_gamma", "mode2_pump",
-    "qd1_omega", "qd1_gamma", "qd1_gamma_d",
-    "qd2_omega", "qd2_gamma", "qd2_gamma_d",
-    "coupling_m1_qd1", "coupling_m1_qd2", "coupling_m2_qd1", "coupling_m2_qd2",
-    "truncation",
-}
-_DRIVE_KEYS = {"amplitude", "phase1", "phase2", "pump_freq", "delta",
-               "at_dark_state"}
-_SWEEP_KEYS = {"kind",
-               "phi_min", "phi_max", "phi_points",
-               "delta_min", "delta_max", "delta_points",
-               "detuning_min", "detuning_max", "detuning_points",
-               "gamma_d_min", "gamma_d_max", "gamma_d_points",
-               "splitting_min", "splitting_max", "splitting_points",
-               "linewidth_sets"}
-_DYNAMICS_KEYS = {"initial", "horizon_ps", "samples"}
-_PROTOCOL_KEYS = {"tau_ps", "initial_detuning_uev", "horizon_ps", "samples"}
-_CONVERGENCE_KEYS = {"cutoffs", "observable"}
-_OUTPUT_KEYS = {"directory", "prefix"}
-
-_SECTIONS = {
-    "run": _RUN_KEYS,
-    "system": _SYSTEM_KEYS,
-    "drive": _DRIVE_KEYS,
-    "sweep": _SWEEP_KEYS,
-    "dynamics": _DYNAMICS_KEYS,
-    "protocol": _PROTOCOL_KEYS,
-    "convergence": _CONVERGENCE_KEYS,
-    "output": _OUTPUT_KEYS,
+# each sweep kind: the default grid of each of its axes for the run's system,
+# and its sweep; the lambdas look the sweep functions up at call time
+_SWEEPS = {
+    "phase_detuning": (
+        {"phi": lambda params: default_phi_grid(),
+         "delta": lambda params: default_delta_grid(params.coupling.as_array()[0, 0])},
+        lambda params, grids, config: sweep_phase_detuning(
+            params, grids["phi"], grids["delta"], n_workers=config.threads)),
+    "qd_detuning": (
+        {"detuning": lambda params: default_qd_detuning_grid()},
+        lambda params, grids, config: sweep_detuning(
+            params, grids["detuning"], n_workers=config.threads)),
+    "dephasing": (
+        {"gamma_d": lambda params: default_gamma_d_grid()},
+        lambda params, grids, config: sweep_dephasing(
+            params, grids["gamma_d"], n_workers=config.threads)),
+    "splitting": (
+        {"splitting": lambda params: np.linspace(
+            0.0, 3.0 * params.splitting if params.splitting > 0 else 6600.0, 41)},
+        lambda params, grids, config: sweep_splitting(
+            params, grids["splitting"], linewidth_sets=config.linewidth_sets,
+            n_workers=config.threads)),
 }
 
 
@@ -167,25 +154,27 @@ class RunConfig:
         return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
+def _given(**values) -> dict:
+    """The values that are not None: an absent key keeps the default that
+    its dataclass field declares."""
+    return {key: value for key, value in values.items() if value is not None}
+
+
 class _SectionReader:
-    """Typed access to one config section with unknown-key rejection."""
+    """Typed access to one config section.  It records every key it is asked
+    for, present or not: those are the keys the section takes in this run."""
 
     def __init__(self, parser: configparser.ConfigParser, name: str):
         self.name = name
         self.items = dict(parser.items(name)) if parser.has_section(name) else {}
-        known = _SECTIONS[name]
-        for key in self.items:
-            if key not in known:
-                raise ConfigError(
-                    f"unknown key {key!r} in section [{name}]; "
-                    f"known keys: {', '.join(sorted(known))}"
-                )
+        self.asked: set[str] = set()
 
     def __contains__(self, key):
+        self.asked.add(key)
         return key in self.items
 
     def _get(self, key, cast, default, describe):
-        if key not in self.items:
+        if key not in self:
             return default
         raw = self.items[key]
         try:
@@ -195,8 +184,8 @@ class _SectionReader:
                 f"invalid value {raw!r} for [{self.name}] {key}: expected {describe}"
             ) from None
 
-    def text(self, key, default=None, choices=None):
-        value = self._get(key, str, default, "text")
+    def text(self, key, choices=None):
+        value = self._get(key, str, None, "text")
         if value is not None and choices is not None and value not in choices:
             raise ConfigError(
                 f"invalid value {value!r} for [{self.name}] {key}: "
@@ -213,8 +202,8 @@ class _SectionReader:
             )
         return value
 
-    def integer(self, key, default=None, minimum=None):
-        value = self._get(key, int, default, "an integer")
+    def integer(self, key, minimum=None):
+        value = self._get(key, int, None, "an integer")
         if value is not None and minimum is not None and value < minimum:
             raise ConfigError(
                 f"invalid value {value!r} for [{self.name}] {key}: "
@@ -222,7 +211,7 @@ class _SectionReader:
             )
         return value
 
-    def flag(self, key, default=False):
+    def flag(self, key, default=None):
         table = {"true": True, "false": False, "1": True, "0": False,
                  "yes": True, "no": False}
         return self._get(key, lambda s: table[s.strip().lower()], default,
@@ -232,23 +221,17 @@ class _SectionReader:
 def _build_params(system: _SectionReader, drive: _SectionReader,
                   preset: str | None) -> tuple[SystemParams, bool]:
     if preset is not None:
-        physical = set(system.items) - {"truncation"}
-        if physical:
-            raise ConfigError(
-                "give either a preset or an explicit [system] section, not "
-                f"both (offending keys: {', '.join(sorted(physical))}; only "
-                "truncation may override a preset)"
-            )
         try:
             params = preset_params(preset)
         except DomainError as exc:
             raise ConfigError(str(exc)) from None
     else:
-        required = sorted(_SYSTEM_KEYS - {"mode1_pump", "mode2_pump",
-                                          "qd1_gamma", "qd1_gamma_d",
-                                          "qd2_gamma", "qd2_gamma_d",
-                                          "truncation"})
-        missing = [k for k in required if k not in system]
+        missing = [key for key in ("coupling_m1_qd1", "coupling_m1_qd2",
+                                   "coupling_m2_qd1", "coupling_m2_qd2",
+                                   "mode1_gamma", "mode1_omega",
+                                   "mode2_gamma", "mode2_omega",
+                                   "qd1_omega", "qd2_omega")
+                   if key not in system]
         if missing:
             raise ConfigError(
                 "no preset given and [system] is incomplete; missing keys: "
@@ -256,47 +239,39 @@ def _build_params(system: _SectionReader, drive: _SectionReader,
             )
         try:
             params = SystemParams(
-                modes=(
-                    ModeParams(system.real("mode1_omega"),
-                               system.real("mode1_gamma", minimum=0.0),
-                               system.real("mode1_pump", 0.0, minimum=0.0)),
-                    ModeParams(system.real("mode2_omega"),
-                               system.real("mode2_gamma", minimum=0.0),
-                               system.real("mode2_pump", 0.0, minimum=0.0)),
-                ),
-                dots=(
-                    QDParams(system.real("qd1_omega"),
-                             system.real("qd1_gamma", 0.0, minimum=0.0),
-                             system.real("qd1_gamma_d", 0.0, minimum=0.0)),
-                    QDParams(system.real("qd2_omega"),
-                             system.real("qd2_gamma", 0.0, minimum=0.0),
-                             system.real("qd2_gamma_d", 0.0, minimum=0.0)),
-                ),
-                coupling=CouplingMatrix((
-                    (system.real("coupling_m1_qd1"), system.real("coupling_m1_qd2")),
-                    (system.real("coupling_m2_qd1"), system.real("coupling_m2_qd2")),
-                )),
+                modes=tuple(
+                    ModeParams(system.real(f"mode{n}_omega"),
+                               system.real(f"mode{n}_gamma", minimum=0.0),
+                               **_given(pump=system.real(f"mode{n}_pump",
+                                                         minimum=0.0)))
+                    for n in (1, 2)),
+                dots=tuple(
+                    QDParams(system.real(f"qd{n}_omega"),
+                             **_given(gamma=system.real(f"qd{n}_gamma", minimum=0.0),
+                                      gamma_d=system.real(f"qd{n}_gamma_d",
+                                                          minimum=0.0)))
+                    for n in (1, 2)),
+                coupling=CouplingMatrix(tuple(
+                    tuple(system.real(f"coupling_m{m}_qd{n}") for n in (1, 2))
+                    for m in (1, 2))),
                 drive=DriveParams(amplitude=0.0),
-                truncation=system.integer("truncation", 1, minimum=1),
             )
         except DomainError as exc:
             raise ConfigError(str(exc)) from None
 
-    truncation = system.integer("truncation", None, minimum=1)
-    if preset is not None and truncation is not None:
+    # with a preset, truncation is the one [system] key that is read
+    truncation = system.integer("truncation", minimum=1)
+    if truncation is not None:
         params = params.with_truncation(truncation)
 
-    amplitude = drive.real("amplitude", params.drive.amplitude, minimum=0.0)
-    phase1 = drive.real("phase1", None)
-    phase2 = drive.real("phase2", 0.0)
-    at_dark = drive.flag("at_dark_state", True)
+    at_dark = drive.flag("at_dark_state", RunConfig.at_dark_state)
     if "pump_freq" in drive and "delta" in drive:
         raise ConfigError("give either [drive] pump_freq or delta, not both")
-    params = params.with_drive(
-        amplitude=amplitude,
-        phase1=np.pi if (phase1 is None and at_dark) else (phase1 or 0.0),
-        phase2=phase2,
-    )
+    params = params.with_drive(**_given(
+        amplitude=drive.real("amplitude", minimum=0.0),
+        phase1=drive.real("phase1", np.pi if at_dark else None),
+        phase2=drive.real("phase2"),
+    ))
     if "pump_freq" in drive:
         params = params.with_drive(pump_freq=drive.real("pump_freq"))
     elif "delta" in drive:
@@ -323,8 +298,32 @@ def _grid_spec(section: _SectionReader, name: str, default_grid) -> tuple:
     return (lo, hi, n)
 
 
+def _reject_unread(parser: configparser.ConfigParser,
+                   readers: dict[str, _SectionReader], run_name: str):
+    """Reject each present section the run never opened and each present
+    key that no reader asked for."""
+    for name in parser.sections():
+        if name not in readers:
+            raise ConfigError(
+                f"unknown section [{name}] for a {run_name}; known sections: "
+                + ", ".join(sorted(readers))
+            )
+        reader = readers[name]
+        unread = sorted(reader.items.keys() - reader.asked)
+        if unread:
+            raise ConfigError(
+                f"unknown key {unread[0]!r} in section [{name}] of a "
+                f"{run_name}; known keys: {', '.join(sorted(reader.asked))}"
+            )
+
+
 def parse_config(text: str) -> RunConfig:
-    """Parse and fully resolve a sectioned key-value configuration."""
+    """Parse and fully resolve a sectioned key-value configuration.
+
+    The keys read here are the only declaration of what each command takes:
+    a present section the command does not open, or a present key that no
+    reader asks for, is a ConfigError.
+    """
     parser = configparser.ConfigParser(interpolation=None,
                                        inline_comment_prefixes=("#", ";"))
     try:
@@ -332,14 +331,13 @@ def parse_config(text: str) -> RunConfig:
     except configparser.Error as exc:
         raise ConfigError(f"config syntax error: {exc}") from None
 
-    for section in parser.sections():
-        if section not in _SECTIONS:
-            raise ConfigError(
-                f"unknown section [{section}]; known sections: "
-                + ", ".join(sorted(_SECTIONS))
-            )
+    readers: dict[str, _SectionReader] = {}
 
-    run = _SectionReader(parser, "run")
+    def section(name):
+        readers[name] = _SectionReader(parser, name)
+        return readers[name]
+
+    run = section("run")
     command = run.text("command", choices=COMMANDS)
     if command is None:
         raise ConfigError(
@@ -348,8 +346,8 @@ def parse_config(text: str) -> RunConfig:
         )
     preset = run.text("preset", choices=PRESET_NAMES)
 
-    system = _SectionReader(parser, "system")
-    drive = _SectionReader(parser, "drive")
+    system = section("system")
+    drive = section("drive")
     if preset is None and not system.items:
         raise ConfigError(
             "required: either [run] preset or an explicit [system] section "
@@ -357,40 +355,31 @@ def parse_config(text: str) -> RunConfig:
         )
     params, at_dark = _build_params(system, drive, preset)
 
-    output = _SectionReader(parser, "output")
+    output = section("output")
 
     kwargs = dict(
         command=command,
         params=params,
         preset=preset,
         at_dark_state=at_dark,
-        threads=run.integer("threads", 1, minimum=1),
-        allow_point_failures=run.flag("allow_point_failures", False),
-        output_dir=output.text("directory", "."),
-        prefix=output.text("prefix", None),
+        threads=run.integer("threads", minimum=1),
+        allow_point_failures=run.flag("allow_point_failures"),
+        output_dir=output.text("directory"),
+        prefix=output.text("prefix"),
     )
+    run_name = f"{command} run"
 
     if command == "sweep":
-        sweep = _SectionReader(parser, "sweep")
-        kind = sweep.text("kind", choices=SWEEP_KINDS)
+        sweep = section("sweep")
+        kind = sweep.text("kind", choices=_SWEEPS)
         if kind is None:
             raise ConfigError("missing required key [sweep] kind")
-        g = abs(params.coupling.as_array()[0, 0])
-        grids = {}
-        if kind == "phase_detuning":
-            grids["phi"] = _grid_spec(sweep, "phi", default_phi_grid())
-            grids["delta"] = _grid_spec(sweep, "delta", default_delta_grid(g))
-        elif kind == "qd_detuning":
-            grids["detuning"] = _grid_spec(sweep, "detuning",
-                                           default_qd_detuning_grid())
-        elif kind == "dephasing":
-            grids["gamma_d"] = _grid_spec(sweep, "gamma_d", default_gamma_d_grid())
-        elif kind == "splitting":
-            top = 3.0 * params.splitting if params.splitting > 0 else 6600.0
-            grids["splitting"] = _grid_spec(sweep, "splitting",
-                                            np.linspace(0.0, top, 41))
-        sets = None
-        raw_sets = sweep.text("linewidth_sets")
+        run_name = f"{kind} sweep"
+        default_grids, _ = _SWEEPS[kind]
+        kwargs.update(sweep_kind=kind, sweep_grids={
+            name: _grid_spec(sweep, name, default(params))
+            for name, default in default_grids.items()})
+        raw_sets = sweep.text("linewidth_sets") if kind == "splitting" else None
         if raw_sets:
             try:
                 sets = tuple(
@@ -403,36 +392,44 @@ def parse_config(text: str) -> RunConfig:
                 raise ConfigError(
                     "invalid [sweep] linewidth_sets; expected g1:g2,g1:g2,..."
                 ) from None
-        kwargs.update(sweep_kind=kind, sweep_grids=grids, linewidth_sets=sets)
+            kwargs["linewidth_sets"] = sets
     elif command == "dynamics":
-        dyn = _SectionReader(parser, "dynamics")
+        dyn = section("dynamics")
         kwargs.update(
-            initial=dyn.text("initial", "photon_mode1", choices=INITIALS),
-            horizon_ps=dyn.real("horizon_ps", 4000.0, minimum=1e-9),
-            samples=dyn.integer("samples", 801, minimum=2),
+            initial=dyn.text("initial", choices=INITIAL_STATES),
+            horizon_ps=dyn.real("horizon_ps", minimum=1e-9),
+            samples=dyn.integer("samples", minimum=2),
         )
     elif command == "protocol":
-        proto = _SectionReader(parser, "protocol")
+        proto = section("protocol")
         kwargs.update(
-            tau_ps=proto.real("tau_ps", 9.0, minimum=1e-9),
-            initial_detuning_uev=proto.real("initial_detuning_uev", 1500.0),
-            horizon_ps=proto.real("horizon_ps", 4000.0, minimum=1e-9),
-            samples=proto.integer("samples", 801, minimum=2),
+            tau_ps=proto.real("tau_ps", minimum=1e-9),
+            initial_detuning_uev=proto.real("initial_detuning_uev"),
+            horizon_ps=proto.real("horizon_ps", minimum=1e-9),
+            samples=proto.integer("samples", minimum=2),
         )
     elif command == "convergence":
-        conv = _SectionReader(parser, "convergence")
-        raw = conv.text("cutoffs", "1,2")
-        try:
-            cutoffs = tuple(int(c) for c in raw.split(","))
-        except ValueError:
-            raise ConfigError(
-                f"invalid [convergence] cutoffs {raw!r}; expected e.g. 1,2,3"
-            ) from None
-        if any(c < 1 for c in cutoffs):
-            raise ConfigError("[convergence] cutoffs must be >= 1 (minimum 1)")
-        kwargs.update(cutoffs=cutoffs, observable=conv.text("observable",
-                                                            "negativity"))
-    return RunConfig(**kwargs)
+        conv = section("convergence")
+        raw = conv.text("cutoffs")
+        if raw is not None:
+            try:
+                cutoffs = tuple(int(c) for c in raw.split(","))
+            except ValueError:
+                raise ConfigError(
+                    f"invalid [convergence] cutoffs {raw!r}; expected e.g. 1,2,3"
+                ) from None
+            if any(c < 1 for c in cutoffs):
+                raise ConfigError("[convergence] cutoffs must be >= 1 (minimum 1)")
+            if any(b <= a for a, b in zip(cutoffs, cutoffs[1:])):
+                raise ConfigError(
+                    f"invalid [convergence] cutoffs {raw!r}: expected strictly "
+                    "ascending cutoffs"
+                )
+            kwargs["cutoffs"] = cutoffs
+        kwargs["observable"] = conv.text("observable", choices=OBSERVABLES)
+
+    _reject_unread(parser, readers, run_name)
+    return RunConfig(**_given(**kwargs))
 
 
 # ---------------------------------------------------------------------------
@@ -501,7 +498,6 @@ def run(config: RunConfig, quiet: bool = False) -> int:
 
         if config.command == "steady":
             rho, info = steady_state(build_liouvillian(params), return_info=True)
-            from .solvers import OBSERVABLES
             row = tuple(OBSERVABLES[name](params, rho) for name in
                         ("negativity", "pop_qd1", "pop_qd2", "pop_m1", "pop_m2"))
             emit(f"{prefix}.csv",
@@ -516,20 +512,8 @@ def run(config: RunConfig, quiet: bool = False) -> int:
         elif config.command == "sweep":
             grids = {name: _linspace(spec)
                      for name, spec in config.sweep_grids.items()}
-            workers = config.threads
-            # built per run so the sweep functions are looked up at call time
-            sweeps = {
-                "phase_detuning": lambda: sweep_phase_detuning(
-                    params, grids["phi"], grids["delta"], n_workers=workers),
-                "qd_detuning": lambda: sweep_detuning(
-                    params, grids["detuning"], n_workers=workers),
-                "dephasing": lambda: sweep_dephasing(
-                    params, grids["gamma_d"], n_workers=workers),
-                "splitting": lambda: sweep_splitting(
-                    params, grids["splitting"],
-                    linewidth_sets=config.linewidth_sets, n_workers=workers),
-            }
-            result = sweeps[config.sweep_kind]()
+            _, sweep = _SWEEPS[config.sweep_kind]
+            result = sweep(params, grids, config)
             columns, rows = result.to_records()
             emit(f"{prefix}_{config.sweep_kind}.csv", columns, rows)
             converged = result.converged

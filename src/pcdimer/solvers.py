@@ -868,10 +868,9 @@ def _population(rho: DensityMatrix, name: str) -> float:
     return float(_populations(rho.space, rho.matrix)[name])
 
 
-def resolve_observable(observable):
-    """Accept either a registry name or a callable(params, rho) -> float."""
-    if callable(observable):
-        return observable
+def resolve_observable(observable: str):
+    """The steady-state functional ``(params, rho) -> float`` of a name in
+    ``OBSERVABLES``."""
     try:
         return OBSERVABLES[observable]
     except KeyError:

@@ -183,6 +183,21 @@ class TestParsing:
         with pytest.raises(ConfigError):
             parse_config(text)
 
+    def test_unknown_observable_lists_the_names(self):
+        text = STEADY_PRESET.replace("steady", "convergence") + (
+            "\n[convergence]\nobservable = foo\n")
+        with pytest.raises(ConfigError) as exc_info:
+            parse_config(text)
+        assert ("expected one of negativity, pop_qd1, pop_qd2, pop_m1, pop_m2"
+                in str(exc_info.value))
+
+    @pytest.mark.parametrize("cutoffs", ["2,1", "1,1", "1,3,2"])
+    def test_cutoffs_must_ascend(self, cutoffs):
+        text = STEADY_PRESET.replace("steady", "convergence") + (
+            f"\n[convergence]\ncutoffs = {cutoffs}\n")
+        with pytest.raises(ConfigError, match="strictly ascending"):
+            parse_config(text)
+
 
 def read_csv(path):
     lines = path.read_text(encoding="utf-8").splitlines()
@@ -493,6 +508,33 @@ class TestMain:
         config_path = tmp_path / "run.cfg"
         config_path.write_text("[run]\ncommand = warp\n", encoding="utf-8")
         assert main(["--config", str(config_path), "--quiet"]) == 2
+
+    @pytest.mark.parametrize("command, extra, named, known", [
+        # a section the command does not read
+        ("steady", "[dynamics]\nbogus = 1\n", "section [dynamics]",
+         "known sections: drive, output, run, system"),
+        # another sweep kind's grid key
+        ("sweep", "[sweep]\nkind = dephasing\nphi_min = 0\n", "'phi_min'",
+         "known keys: gamma_d_max, gamma_d_min, gamma_d_points, kind"),
+        # linewidth_sets belongs to the splitting sweep only
+        ("sweep", "[sweep]\nkind = qd_detuning\nlinewidth_sets = 67:37\n",
+         "'linewidth_sets'",
+         "known keys: detuning_max, detuning_min, detuning_points, kind"),
+        # an unknown key in a section the command reads
+        ("dynamics", "[dynamics]\nhorizon = 10\n", "'horizon'",
+         "known keys: horizon_ps, initial, samples"),
+    ], ids=["unread_section", "other_kind_grid_key", "linewidth_sets",
+            "unknown_key"])
+    def test_unread_config_is_an_error(self, tmp_path, capsys, command, extra,
+                                       named, known):
+        config_path = tmp_path / "run.cfg"
+        config_path.write_text(STEADY_PRESET.replace("steady", command) + "\n"
+                               + extra, encoding="utf-8")
+        assert main(["--config", str(config_path), "--output", str(tmp_path),
+                     "--quiet"]) == 2
+        message = capsys.readouterr().err
+        assert named in message and known in message
+        assert list(tmp_path.iterdir()) == [config_path]
 
     def test_missing_config_exit_code(self, tmp_path):
         assert main(["--config", str(tmp_path / "absent.cfg"), "--quiet"]) == 4
