@@ -36,7 +36,6 @@ from .model import (
     build_effective_hamiltonian,
     coupling_from_field,
     identify_dark_state,
-    jump_operators,
     preset_params,
 )
 from .liouvillian import Superoperator, assemble_generator, build_liouvillian

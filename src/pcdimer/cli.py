@@ -38,7 +38,7 @@ from .model import (
     preset_params,
 )
 from .liouvillian import build_liouvillian
-from .solvers import OBSERVABLES, convergence_scan, steady_state
+from .solvers import OBSERVABLES, convergence_scan, observables, steady_state
 from .experiments import (
     INITIAL_STATES,
     default_delta_grid,
@@ -455,11 +455,10 @@ def _write_csv(path: Path, run_id: str, columns, rows) -> str:
 
 
 def _trajectory_rows(trajectory):
-    columns = ("t_ps", "negativity", "pop_qd1", "pop_qd2", "pop_m1", "pop_m2")
     obs = trajectory.observables
     rows = tuple(zip(trajectory.times.tolist(),
-                     *(obs[name].tolist() for name in columns[1:])))
-    return columns, rows
+                     *(series.tolist() for series in obs.values())))
+    return ("t_ps",) + tuple(obs), rows
 
 
 def _trajectory_diagnostics(trajectory) -> dict:
@@ -498,12 +497,9 @@ def run(config: RunConfig, quiet: bool = False) -> int:
 
         if config.command == "steady":
             rho, info = steady_state(build_liouvillian(params), return_info=True)
-            row = tuple(OBSERVABLES[name](params, rho) for name in
-                        ("negativity", "pop_qd1", "pop_qd2", "pop_m1", "pop_m2"))
-            emit(f"{prefix}.csv",
-                 ("negativity", "pop_qd1", "pop_qd2", "pop_m1", "pop_m2",
-                  "residual"),
-                 [row + (info.residual,)])
+            values = observables(rho.space, rho.matrix)
+            emit(f"{prefix}.csv", tuple(values) + ("residual",),
+                 [tuple(values.values()) + (info.residual,)])
             diagnostics = {"residual": info.residual,
                            "iterations": info.iterations,
                            "certificate_iterations": info.certificate_iterations,

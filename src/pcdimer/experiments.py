@@ -27,7 +27,7 @@ from .solvers import (
     Trajectory,
     batch_points,
     evolve,
-    resolve_observable,
+    observables,
     steady_state,  # noqa: F401
     steady_states,
 )
@@ -72,52 +72,21 @@ def default_gamma_d_grid() -> np.ndarray:
 # generic sweep engine
 # ---------------------------------------------------------------------------
 
-def _set_phi(params: SystemParams, value) -> SystemParams:
-    return params.with_drive(phase1=float(value), phase2=0.0)
-
-
-def _set_delta(params: SystemParams, value) -> SystemParams:
-    return params.with_drive_detuning(float(value))
-
-
-def _set_qd2_detuning(params: SystemParams, value) -> SystemParams:
-    return params.with_qd2_detuning(float(value))
-
-
-def _set_gamma_d(params: SystemParams, value) -> SystemParams:
-    return params.with_dephasing(float(value))
-
-
-def _set_splitting(params: SystemParams, value) -> SystemParams:
-    """Move the upper mode and re-tune the drive onto the shifted dark state
-    (the dark resonance tracks the splitting; a fixed drive frequency would
-    just fall off resonance instead of probing the protection)."""
-    moved = params.with_splitting(float(value))
-    dark = identify_dark_state(moved)
-    return moved.with_drive_detuning(dark.detuning)
-
-
-def _set_mode_linewidths(params: SystemParams, value) -> SystemParams:
-    gamma1, gamma2 = value
-    return params.with_mode_linewidths(float(gamma1), float(gamma2))
-
-
-_AXIS_SETTERS = {
-    "phi": _set_phi,
-    "delta": _set_delta,
-    "qd2_detuning": _set_qd2_detuning,
-    "gamma_d": _set_gamma_d,
-    "splitting": _set_splitting,
-    "mode_linewidths": _set_mode_linewidths,
-}
-
-_AXIS_COLUMNS = {
-    "phi": ("phi_rad",),
-    "delta": ("delta_ueV",),
-    "qd2_detuning": ("qd2_detuning_ueV",),
-    "gamma_d": ("gamma_d_ueV",),
-    "splitting": ("splitting_ueV",),
-    "mode_linewidths": ("gamma_m1_ueV", "gamma_m2_ueV"),
+# each sweep axis: its CSV columns and its setter (params, value) -> params
+_AXES = {
+    "phi": (("phi_rad",),
+            lambda params, value: params.with_drive(phase1=value, phase2=0.0)),
+    "delta": (("delta_ueV",), SystemParams.with_drive_detuning),
+    "qd2_detuning": (("qd2_detuning_ueV",), SystemParams.with_qd2_detuning),
+    "gamma_d": (("gamma_d_ueV",), SystemParams.with_dephasing),
+    # moves the upper mode and re-tunes the drive onto the shifted dark state
+    # (the dark resonance tracks the splitting; a fixed drive frequency would
+    # just fall off resonance instead of probing the protection)
+    "splitting": (("splitting_ueV",),
+                  lambda params, value: (moved := params.with_splitting(value))
+                  .with_drive_detuning(identify_dark_state(moved).detuning)),
+    "mode_linewidths": (("gamma_m1_ueV", "gamma_m2_ueV"),
+                        lambda params, value: params.with_mode_linewidths(*value)),
 }
 
 
@@ -129,9 +98,9 @@ class SweepAxis:
     values: tuple
 
     def __post_init__(self):
-        if self.name not in _AXIS_SETTERS:
+        if self.name not in _AXES:
             raise DomainError(
-                f"unknown sweep axis {self.name!r}; known: {sorted(_AXIS_SETTERS)}"
+                f"unknown sweep axis {self.name!r}; known: {sorted(_AXES)}"
             )
         values = tuple(
             tuple(float(x) for x in v) if np.iterable(v) else float(v)
@@ -150,17 +119,15 @@ class SweepAxis:
 
 @dataclass(frozen=True)
 class SweepSpec:
-    """Base parameters plus one or two axes and a steady-state observable."""
+    """Base parameters plus one or two axes."""
 
     base: SystemParams
     axes: tuple[SweepAxis, ...]
-    observable: str = "negativity"
 
     def __post_init__(self):
         object.__setattr__(self, "axes", tuple(self.axes))
         if not 1 <= len(self.axes) <= 2:
             raise DomainError("a sweep takes one or two axes")
-        resolve_observable(self.observable)
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -169,19 +136,18 @@ class SweepSpec:
     def point_params(self, indices) -> SystemParams:
         params = self.base
         for axis, k in zip(self.axes, indices):
-            params = _AXIS_SETTERS[axis.name](params, axis.values[k])
+            params = _AXES[axis.name][1](params, axis.values[k])
         return params
 
 
 @dataclass(frozen=True)
 class SweepResult:
-    """Observable grid with per-point solver diagnostics: the steady-state
+    """Negativity grid with per-point solver diagnostics: the steady-state
     residual and the GMRES step counts of the solve and of its uniqueness
     certificate at every point (NaN, 0 and 0 where the solve failed), and
     the number of points solved per batch."""
 
     axes: tuple[SweepAxis, ...]
-    observable: str
     values: np.ndarray = field(repr=False)
     residuals: np.ndarray = field(repr=False)
     converged: np.ndarray = field(repr=False)
@@ -194,8 +160,8 @@ class SweepResult:
         """(column names, row iterator) for CSV serialization, C-order."""
         columns = []
         for ax in self.axes:
-            columns.extend(_AXIS_COLUMNS[ax.name])
-        columns += [self.observable, "residual", "converged"]
+            columns.extend(_AXES[ax.name][0])
+        columns += ["negativity", "residual", "converged"]
         rows = []
         for indices in itertools.product(*(range(len(ax)) for ax in self.axes)):
             row = []
@@ -209,19 +175,24 @@ class SweepResult:
         return tuple(columns), tuple(rows)
 
 
-def _evaluate_batch(args):
-    """Solve one batch of sweep points together; never raises for a point's
+def _evaluate_batch(points):
+    """Solve one batch of sweep points together and take the negativities
+    of its steady states in one stacked call; never raises for a point's
     solver failure (failures are reported inline, per point)."""
-    points, observable = args
-    func = resolve_observable(observable)
     solved = steady_states(build_liouvillians(points))
+    ok = [k for k, outcome in enumerate(solved)
+          if not isinstance(outcome, SolverError)]
+    values = np.full(len(points), np.nan)
+    if ok:
+        states = np.array([solved[k][0].matrix for k in ok])
+        values[ok] = observables(points[0].space(), states)["negativity"]
     outcomes = []
-    for params, outcome in zip(points, solved):
+    for value, outcome in zip(values.tolist(), solved):
         if isinstance(outcome, SolverError):
-            outcomes.append((float("nan"), float("nan"), 0, 0, False, str(outcome)))
+            outcomes.append((value, float("nan"), 0, 0, False, str(outcome)))
         else:
-            rho, info = outcome
-            outcomes.append((float(func(params, rho)), info.residual, info.iterations,
+            info = outcome[1]
+            outcomes.append((value, info.residual, info.iterations,
                              info.certificate_iterations, True, ""))
     return outcomes
 
@@ -240,8 +211,8 @@ def run_sweep(spec: SweepSpec, n_workers: int = 1) -> SweepResult:
     shape = spec.shape
     index_list = list(itertools.product(*(range(n) for n in shape)))
     size = batch_points(spec.base.space().total_dim ** 2)
-    tasks = [([spec.point_params(idx) for idx in index_list[k:k + size]],
-              spec.observable) for k in range(0, len(index_list), size)]
+    tasks = [[spec.point_params(idx) for idx in index_list[k:k + size]]
+             for k in range(0, len(index_list), size)]
 
     if n_workers > 1:
         chunk = max(1, len(tasks) // (8 * n_workers))
@@ -268,7 +239,6 @@ def run_sweep(spec: SweepSpec, n_workers: int = 1) -> SweepResult:
             failures.append(f"point {idx}: {message}")
     return SweepResult(
         axes=spec.axes,
-        observable=spec.observable,
         values=values,
         residuals=residuals,
         converged=converged,

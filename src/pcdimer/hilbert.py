@@ -163,14 +163,10 @@ class DensityMatrix(Operator):
                  policy: NumericPolicy = DEFAULT_POLICY):
         super().__init__(space=space, matrix=matrix)
         object.__setattr__(self, "policy", policy)
-        self._validate(policy)
-
-    def _validate(self, policy: NumericPolicy):
         check_density_matrix(self.matrix, policy)
 
     @staticmethod
-    def from_pure(space: CompositeSpace, amplitudes,
-                  policy: NumericPolicy = DEFAULT_POLICY) -> "DensityMatrix":
+    def from_pure(space: CompositeSpace, amplitudes) -> "DensityMatrix":
         """Density matrix |psi><psi| of a (normalized) pure state."""
         psi = np.asarray(amplitudes, dtype=complex).ravel()
         if psi.shape != (space.total_dim,):
@@ -181,11 +177,11 @@ class DensityMatrix(Operator):
         if norm == 0:
             raise DomainError("cannot normalize the zero vector")
         psi = psi / norm
-        return DensityMatrix(space, np.outer(psi, psi.conj()), policy)
+        return DensityMatrix(space, np.outer(psi, psi.conj()))
 
     @staticmethod
-    def basis_state(space: CompositeSpace, occupations: Sequence[int],
-                    policy: NumericPolicy = DEFAULT_POLICY) -> "DensityMatrix":
+    def basis_state(space: CompositeSpace,
+                    occupations: Sequence[int]) -> "DensityMatrix":
         """Product basis state |n_0 n_1 ... n_k> as a density matrix."""
         dims = space.dims
         if len(occupations) != len(dims):
@@ -197,7 +193,7 @@ class DensityMatrix(Operator):
             index = index * d + n
         psi = np.zeros(space.total_dim, dtype=complex)
         psi[index] = 1.0
-        return DensityMatrix.from_pure(space, psi, policy)
+        return DensityMatrix.from_pure(space, psi)
 
 
 def check_density_matrix(matrix, policy: NumericPolicy = DEFAULT_POLICY) -> None:

@@ -39,7 +39,6 @@ __all__ = [
     "model_terms",
     "coefficients",
     "build_effective_hamiltonian",
-    "jump_operators",
     "identify_dark_state",
     "preset_params",
     "PRESET_NAMES",
@@ -228,14 +227,6 @@ def coupling_from_field(omega0: float, d2: float, ey: float) -> float:
     return 1e6 * math.sqrt(2.0 * math.pi * omega0 * d2) * ey
 
 
-def _check_space(params: SystemParams, space: CompositeSpace):
-    if space != params.space():
-        raise DomainError(
-            "space does not match the parameter set "
-            f"(expected dims {params.space().dims}, got {space.dims})"
-        )
-
-
 @lru_cache(maxsize=16)
 def model_terms(space: CompositeSpace) -> tuple[sp.csc_matrix, tuple[sp.csr_matrix, ...]]:
     """The term operators of the model on ``space``, sparse: the
@@ -305,8 +296,7 @@ def coefficients(params: SystemParams) -> np.ndarray:
     ))
 
 
-def build_effective_hamiltonian(params: SystemParams,
-                                space: CompositeSpace | None = None) -> Operator:
+def build_effective_hamiltonian(params: SystemParams) -> Operator:
     """Rotating-frame Hamiltonian at the drive frequency (hbar-scaled, ueV).
 
     Mode and emitter frequencies appear shifted by the drive frequency; the
@@ -316,28 +306,11 @@ def build_effective_hamiltonian(params: SystemParams,
     same real multiples of conjugate values in the same order, so the result
     is exactly Hermitian entrywise.
     """
-    if space is None:
-        space = params.space()
-    else:
-        _check_space(params, space)
+    space = params.space()
     hamiltonian, _ = model_terms(space)
     d = space.total_dim
     theta = coefficients(params)[:hamiltonian.shape[1]]
     return Operator(space, (hamiltonian @ theta).reshape(d, d))
-
-
-def jump_operators(params: SystemParams, space: CompositeSpace | None = None
-                   ) -> tuple[tuple[Operator, float], ...]:
-    """The eight Lindblad channels of ``model_terms`` as (jump operator,
-    hbar-scaled rate in ueV), the rates as in ``coefficients``."""
-    if space is None:
-        space = params.space()
-    else:
-        _check_space(params, space)
-    _, jumps = model_terms(space)
-    rates = coefficients(params)[-len(jumps):]
-    return tuple((Operator(space, c.toarray()), rate)
-                 for c, rate in zip(jumps, rates.tolist()))
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,8 @@ from scipy.linalg.lapack import ztrsyl as _trsyl
 from scipy.sparse.csgraph import connected_components
 from scipy.sparse.linalg import expm_multiply
 
-from .entanglement import negativity, qd_negativity
+# qd_negativity is looked up here by bench/tracing.py
+from .entanglement import negativity, qd_negativity  # noqa: F401
 from .exceptions import (
     DegenerateSteadyStateError,
     DomainError,
@@ -45,6 +46,7 @@ __all__ = [
     "evolve",
     "ConvergenceReport",
     "convergence_scan",
+    "observables",
     "OBSERVABLES",
 ]
 
@@ -667,38 +669,41 @@ class Trajectory:
         return float(self.times[k]), float(series[k])
 
 
+# the population names of the model space (QD1, QD2, mode1, mode2)
+_POPULATIONS = ("pop_qd1", "pop_qd2", "pop_m1", "pop_m2")
+
+
 @lru_cache(maxsize=16)
-def _population_operators(space: CompositeSpace):
-    """(names, (k, d, d) stack of number operators), one per subsystem."""
-    names, ops = [], []
-    counts = {"qubit": 0, "boson": 0}
-    for sub, low in zip(space.subsystems, lowering_operators(space)):
-        counts[sub.kind] += 1
-        label = "qd" if sub.kind == "qubit" else "m"
-        names.append(f"pop_{label}{counts[sub.kind]}")
-        ops.append(low.matrix.conj().T @ low.matrix)
-    ops = np.array(ops)
+def _number_operators(space: CompositeSpace) -> np.ndarray:
+    """(k, d, d) stack of the number operators of every subsystem."""
+    ops = np.array([low.matrix.conj().T @ low.matrix
+                    for low in lowering_operators(space)])
     ops.flags.writeable = False
-    return tuple(names), ops
+    return ops
 
 
-def _populations(space: CompositeSpace, matrices: np.ndarray) -> dict:
-    """Re Tr(n_k rho) for every subsystem, over one state or a stack."""
-    names, ops = _population_operators(space)
-    values = np.einsum("kij,...ji->k...", ops, matrices).real
-    return dict(zip(names, values))
+def observables(space: CompositeSpace, matrices: np.ndarray,
+                policy: NumericPolicy = _SOLVER_POLICY) -> dict:
+    """The observables of one model-space state or of a ``(..., d, d)``
+    stack, in CSV column order: the negativity of the two emitters, then
+    the population Re Tr(n_k rho) of each subsystem (``pop_qd1``,
+    ``pop_qd2``, ``pop_m1``, ``pop_m2``).  The reduced emitter states are
+    checked as density matrices under ``policy``."""
+    reduced = _partial_trace_matrix(matrices, space.dims, (0, 1))
+    check_density_matrix(reduced, policy)
+    populations = np.einsum("kij,...ji->k...", _number_operators(space),
+                            matrices).real
+    return {"negativity": negativity(reduced),
+            **dict(zip(_POPULATIONS, populations))}
 
 
-def _trajectory_observables(space: CompositeSpace, matrices: np.ndarray) -> dict:
-    """Populations and, for two leading emitters, the negativity of every
-    state of a validated stack."""
-    result = _populations(space, matrices)
-    kinds = tuple(s.kind for s in space.subsystems)
-    if len(kinds) >= 2 and kinds[0] == kinds[1] == "qubit":
-        reduced = _partial_trace_matrix(matrices, space.dims, (0, 1))
-        check_density_matrix(reduced, _SOLVER_POLICY)
-        result["negativity"] = negativity(reduced)
-    return result
+# named steady-state functionals ``(params, rho) -> value`` of convergence
+# scans, each checked under the state's own policy
+OBSERVABLES = {
+    name: lambda params, rho, name=name:
+        observables(rho.space, rho.matrix, rho.policy)[name]
+    for name in ("negativity",) + _POPULATIONS
+}
 
 
 def _step_runs(steps: np.ndarray) -> list[list]:
@@ -850,33 +855,8 @@ def evolve(schedule: Schedule, rho0: DensityMatrix, t_grid) -> Trajectory:
                            propagators=propagators, max_trace_drift=drift)
     return Trajectory(times=t_grid, space=space,
                       matrices=matrices,
-                      observables=_trajectory_observables(space, matrices),
+                      observables=observables(space, matrices),
                       info=info)
-
-
-# named steady-state functionals usable by convergence scans and sweeps
-OBSERVABLES = {
-    "negativity": lambda params, rho: qd_negativity(rho),
-    "pop_qd1": lambda params, rho: _population(rho, "pop_qd1"),
-    "pop_qd2": lambda params, rho: _population(rho, "pop_qd2"),
-    "pop_m1": lambda params, rho: _population(rho, "pop_m1"),
-    "pop_m2": lambda params, rho: _population(rho, "pop_m2"),
-}
-
-
-def _population(rho: DensityMatrix, name: str) -> float:
-    return float(_populations(rho.space, rho.matrix)[name])
-
-
-def resolve_observable(observable: str):
-    """The steady-state functional ``(params, rho) -> float`` of a name in
-    ``OBSERVABLES``."""
-    try:
-        return OBSERVABLES[observable]
-    except KeyError:
-        raise KeyError(
-            f"unknown observable {observable!r}; known: {sorted(OBSERVABLES)}"
-        ) from None
 
 
 @dataclass(frozen=True)
@@ -901,7 +881,7 @@ def convergence_scan(params: SystemParams, observable="negativity",
     cutoffs = tuple(int(c) for c in cutoffs)
     if any(c < 1 for c in cutoffs) or any(np.diff(cutoffs) <= 0):
         raise ValueError("cutoffs must be ascending integers >= 1")
-    func = resolve_observable(observable)
+    func = OBSERVABLES[observable]
     values = []
     for cutoff in cutoffs:
         p = params.with_truncation(cutoff)

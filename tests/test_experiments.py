@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from pcdimer.cli import parse_config, run
+from pcdimer.entanglement import qd_negativity
 from pcdimer.exceptions import DomainError
 from pcdimer.experiments import (
     SweepAxis,
@@ -19,8 +20,9 @@ from pcdimer.experiments import (
     sweep_splitting,
 )
 from pcdimer.hilbert import DensityMatrix
+from pcdimer.liouvillian import build_liouvillian
 from pcdimer.model import identify_dark_state, preset_params
-from pcdimer.solvers import Schedule, evolve
+from pcdimer.solvers import Schedule, evolve, steady_state
 
 COARSE_PHI = np.linspace(0.0, 2.0 * np.pi, 13)  # includes pi exactly
 
@@ -109,6 +111,22 @@ class TestSweepEngine:
             assert manifest["diagnostics"]["batch_points"] == seq.batch_points
         assert outputs[0] == outputs[1]
 
+    @pytest.mark.parametrize("cutoff, phi_points, batch", [(1, 5, 12), (2, 2, 2)])
+    def test_values_equal_solo_negativity(self, preset, cutoff, phi_points, batch):
+        # the negativities of a batch come from one stacked evaluation; each
+        # equals the per-state value of the point solved on its own, bit for bit
+        phi = np.linspace(0.0, 2.0 * np.pi, phi_points)
+        delta = np.linspace(-33.0, 22.0, 3)
+        spec = SweepSpec(preset.with_truncation(cutoff),
+                         (SweepAxis("phi", tuple(phi)),
+                          SweepAxis("delta", tuple(delta))))
+        result = run_sweep(spec)
+        assert result.batch_points == batch
+        assert result.converged.all()
+        for idx in np.ndindex(result.values.shape):
+            rho = steady_state(build_liouvillian(spec.point_params(idx)))
+            assert result.values[idx] == qd_negativity(rho), idx
+
     def test_deterministic_repetition(self, preset):
         delta = np.array([-11.0, 0.0, 11.0])
         first = sweep_detuning(dark_tuned(preset), delta)
@@ -134,10 +152,6 @@ class TestSweepEngine:
             SweepAxis("phi", (np.nan,))
         with pytest.raises(DomainError):
             SweepSpec(preset, ())
-
-    def test_unknown_observable_rejected(self, preset):
-        with pytest.raises(KeyError):
-            SweepSpec(preset, (SweepAxis("phi", (0.0,)),), observable="purity")
 
 
 class TestDetuningSweep:

@@ -32,7 +32,8 @@ from pcdimer.model import (
     QDParams,
     SystemParams,
     build_effective_hamiltonian,
-    jump_operators,
+    coefficients,
+    model_terms,
     preset_params,
 )
 from pcdimer.solvers import steady_state
@@ -325,16 +326,18 @@ class TestBuildLiouvillian:
         params = full_params()
         space = params.space()
         liouville = build_liouvillian(params)
-        h = build_effective_hamiltonian(params, space).matrix
-        decay = sum(rate * (c.matrix.conj().T @ c.matrix)
-                    for c, rate in jump_operators(params, space))
+        h = build_effective_hamiltonian(params).matrix
+        _, model_jumps = model_terms(space)
+        jumps = [(c.toarray(), rate) for c, rate in
+                 zip(model_jumps, coefficients(params)[-len(model_jumps):])]
+        decay = sum(rate * (c.conj().T @ c) for c, rate in jumps)
         expected = (h - 0.5j * decay) / HBAR_UEV_PS
         assert np.max(np.abs(liouville.h_eff - expected)) < 1e-15
         assert not liouville.h_eff.flags.writeable
         x = random_density(np.random.default_rng(5), space.total_dim)
         no_jump = -1j * (liouville.h_eff @ x - x @ liouville.h_eff.conj().T)
-        recycled = sum(rate * (c.matrix @ x @ c.matrix.conj().T)
-                       for c, rate in jump_operators(params, space)) / HBAR_UEV_PS
+        recycled = sum(rate * (c @ x @ c.conj().T)
+                       for c, rate in jumps) / HBAR_UEV_PS
         assert np.allclose(apply_generator(liouville, x), no_jump + recycled,
                            atol=1e-13)
 

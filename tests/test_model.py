@@ -114,12 +114,6 @@ class TestEffectiveHamiltonian:
         # split pair, the decoupled emitter, and the far detuned mode
         assert np.allclose(vals, [-g, 0.0, g, 9000.0], atol=1e-10)
 
-    def test_space_mismatch(self):
-        params = make_params()
-        other = make_params(truncation=2)
-        with pytest.raises(DomainError):
-            build_effective_hamiltonian(params, other.space())
-
 
 class TestLabFrame:
     def test_reduces_to_effective_at_zero_pump_frequency(self):

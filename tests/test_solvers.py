@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -21,7 +23,7 @@ from pcdimer.hilbert import (
     partial_trace,
     qubit,
 )
-from pcdimer.liouvillian import assemble_generator, build_liouvillian
+from pcdimer.liouvillian import assemble_generator, build_liouvillian, build_liouvillians
 from pcdimer.model import (
     HBAR_UEV_PS,
     CouplingMatrix,
@@ -41,6 +43,7 @@ from pcdimer.solvers import (
     _no_jump_inverse,
     convergence_scan,
     evolve,
+    observables,
     steady_state,
     steady_states,
 )
@@ -321,6 +324,37 @@ class TestSteadyStateProperties:
         assert np.max(np.abs(matrix - kernel / np.trace(kernel))) <= 1e-10
         shifted = params.with_drive(phase1=params.drive.phase1 + 2.0 * np.pi)
         assert abs(qd_negativity(steady_state(build_liouvillian(shifted))) - value) <= 1e-10
+
+
+    @settings(max_examples=40, deadline=None)
+    @given(params=physical_params().map(lambda p: p.with_truncation(1)))
+    @example(params=full_params())
+    def test_emitter_exchange_symmetry(self, params):
+        # exchanging the emitters, with their parameters, drive phases and
+        # coupling columns, and flipping a_2 -> -a_2 is a unitary change of
+        # basis: a weak symmetry of the model (Buca & Prosen, New J. Phys.
+        # 14, 073007 (2012)) that keeps the negativity and the mode
+        # populations and exchanges the emitter populations
+        g = params.coupling.as_array()[:, ::-1] * np.array([[1.0], [-1.0]])
+        exchanged = dataclasses.replace(
+            params, dots=params.dots[::-1],
+            coupling=CouplingMatrix(tuple(map(tuple, g))),
+            drive=dataclasses.replace(params.drive, phase1=params.drive.phase2,
+                                      phase2=params.drive.phase1))
+        liouvilles = build_liouvillians([params, exchanged])
+        # the two solves differ by up to the solver's 1e-14 relative
+        # residual over the relative gap: 1e-10 holds from a gap of 1e-4
+        singular_values = np.linalg.svd(liouvilles[0].matrix.toarray(),
+                                        compute_uv=False)
+        assume(singular_values[-2] >= 1e-4 * singular_values[0])
+        outcomes = steady_states(liouvilles)
+        assume(not any(isinstance(o, SolverError) for o in outcomes))
+        values = observables(params.space(),
+                             np.array([rho.matrix for rho, _ in outcomes]))
+        for name, swapped in (("negativity", "negativity"), ("pop_m1", "pop_m1"),
+                              ("pop_m2", "pop_m2"), ("pop_qd1", "pop_qd2"),
+                              ("pop_qd2", "pop_qd1")):
+            assert abs(values[name][0] - values[swapped][1]) <= 1e-10, name
 
 
 def assert_batch_matches_solo(liouvilles):
