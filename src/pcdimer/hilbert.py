@@ -165,6 +165,17 @@ class DensityMatrix(Operator):
         object.__setattr__(self, "policy", policy)
         check_density_matrix(self.matrix, policy)
 
+    @classmethod
+    def _checked(cls, space: CompositeSpace, matrix: np.ndarray,
+                 policy: NumericPolicy) -> "DensityMatrix":
+        """An instance whose read-only complex ``matrix`` its producer has
+        already validated under ``policy``, for a whole stack at once."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "space", space)
+        object.__setattr__(self, "matrix", matrix)
+        object.__setattr__(self, "policy", policy)
+        return self
+
     @staticmethod
     def from_pure(space: CompositeSpace, amplitudes) -> "DensityMatrix":
         """Density matrix |psi><psi| of a (normalized) pure state."""

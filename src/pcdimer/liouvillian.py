@@ -40,6 +40,8 @@ __all__ = [
     "assemble_generator",
     "build_liouvillian",
     "build_liouvillians",
+    "hermitian_basis",
+    "hermitian_matrices",
 ]
 
 
@@ -110,6 +112,64 @@ def identity_bra(space: CompositeSpace) -> np.ndarray:
     bra = np.zeros(d * d, dtype=complex)
     bra[:: d + 1] = 1.0
     return bra
+
+
+@lru_cache(maxsize=8)
+def _inverse_gather(d: int) -> tuple[np.ndarray, np.ndarray]:
+    """U^H of ``hermitian_basis`` as an index map: for the real and the
+    imaginary part of each C-order entry of rho, interleaved, the
+    coordinate it copies and the factor it takes (1 for a population,
+    +-sqrt(1/2) for a coherence, 0 for the imaginary part of a
+    population)."""
+    i, j = np.triu_indices(d, 1)
+    upper, lower = i * d + j, j * d + i
+    re = d + 2 * np.arange(i.size)
+    source = np.zeros((d * d, 2), dtype=np.intp)
+    factor = np.zeros((d * d, 2))
+    source[::d + 1, 0] = np.arange(d)
+    factor[::d + 1, 0] = 1.0
+    source[upper] = source[lower] = np.column_stack((re, re + 1))
+    factor[upper] = np.sqrt(0.5)
+    factor[lower] = np.sqrt(0.5), -np.sqrt(0.5)
+    source, factor = source.ravel(), factor.ravel()
+    source.flags.writeable = factor.flags.writeable = False
+    return source, factor
+
+
+@lru_cache(maxsize=8)
+def hermitian_basis(d: int) -> sp.csr_matrix:
+    """Sparse unitary U from column-stacked vec(rho) to the real coordinates
+    of a Hermitian d x d matrix: the d populations rho_ii, then
+    sqrt(2) Re rho_ij and sqrt(2) Im rho_ij for each i < j in row-major
+    order.
+
+    The coordinates expand rho over an orthonormal basis of Hermitian
+    operators, so U L U^H is a real matrix for every generator L that
+    preserves Hermiticity (Alicki & Lendi, Quantum Dynamical Semigroups and
+    Applications, LNP 286 (1987)).  Cached per dimension; do not modify.
+    """
+    source, factor = _inverse_gather(d)
+    # U^H puts factor x[source] into the real part and i factor x[source]
+    # into the imaginary part of C-order entry e = i d + j, which sits at
+    # i + j d of vec(rho); U is its conjugate transpose
+    entry = np.repeat(np.arange(d * d), 2)
+    values = factor * np.tile([1.0, -1j], d * d)
+    keep = factor != 0
+    return sp.csr_matrix(
+        (values[keep], (source[keep], (entry % d * d + entry // d)[keep])),
+        shape=(d * d, d * d))
+
+
+def hermitian_matrices(x: np.ndarray, d: int) -> np.ndarray:
+    """The Hermitian (..., d, d) matrices of a real (..., d^2) array of
+    ``hermitian_basis`` coordinates: the inverse of U as one gather of the
+    real and imaginary parts, Hermitian by construction (each coherence
+    and its transpose copy the same coordinates, the imaginary part with
+    opposite signs)."""
+    source, factor = _inverse_gather(d)
+    parts = np.take(np.asarray(x, dtype=float), source, axis=-1)
+    parts *= factor
+    return parts.view(complex).reshape(parts.shape[:-1] + (d, d))
 
 
 def _term_entries(d: int, hamiltonian: sp.spmatrix, jumps):

@@ -24,6 +24,7 @@ from .exceptions import (
     SolverError,
 )
 from .hilbert import (
+    DEFAULT_POLICY,
     CompositeSpace,
     DensityMatrix,
     NumericPolicy,
@@ -31,7 +32,12 @@ from .hilbert import (
     check_density_matrix,
     lowering_operators,
 )
-from .liouvillian import Superoperator, build_liouvillian
+from .liouvillian import (
+    Superoperator,
+    build_liouvillian,
+    hermitian_basis,
+    hermitian_matrices,
+)
 from .model import SystemParams
 
 __all__ = [
@@ -517,10 +523,11 @@ def steady_states(liouvilles) -> list:
     certificate stalls (near a relative residual of 0.3).  A stalled
     certificate, a non-finite result, a steady-state residual
     ||L vec(rho)|| above ``STEADY_RESIDUAL_TOL`` or a state that fails the
-    density-matrix check goes to ``_diagnose_kernel``, which gives
-    ``DegenerateSteadyStateError`` or ``SingularSolveError``: by the dense
-    singular values up to D^2 = 256, from the certificate above.  Failures
-    stay with their member.
+    density-matrix check (one ``check_density_matrix`` over the batch's
+    states, repeated per member only when it fails) goes to
+    ``_diagnose_kernel``, which gives ``DegenerateSteadyStateError`` or
+    ``SingularSolveError``: by the dense singular values up to D^2 = 256,
+    from the certificate above.  Failures stay with their member.
 
     Returns one entry per generator, in order: ``(DensityMatrix,
     SteadyStateInfo)``, or the ``SolverError`` of a failed member.
@@ -573,19 +580,28 @@ def steady_states(liouvilles) -> list:
     rho[accepted] /= np.trace(rho[accepted], axis1=1, axis2=2).real[:, None, None]
     residuals = np.linalg.norm(
         (matrix @ rho.transpose(0, 2, 1).reshape(-1)).reshape(size, n), axis=1)
-    for i, m in enumerate(live):
-        try:
-            if not (accepted[i] and residuals[i] <= STEADY_RESIDUAL_TOL):
-                _diagnose_kernel(liouvilles[m], not reached[i, 1])
+    valid = accepted & (residuals <= STEADY_RESIDUAL_TOL)
+    # a state that fails validation (a negative eigenvalue from a nearly
+    # singular generator) is a failed solve; one check covers the batch,
+    # and only a failed one is repeated per member to find the culprits
+    try:
+        if valid.any():
+            check_density_matrix(rho[valid], _SOLVER_POLICY)
+    except DomainError:
+        for i in np.flatnonzero(valid).tolist():
             try:
-                state = DensityMatrix(space, rho[i], policy=_SOLVER_POLICY)
+                check_density_matrix(rho[i], _SOLVER_POLICY)
             except DomainError:
-                # a state that fails validation (a negative eigenvalue from
-                # a nearly singular generator) is a failed solve
+                valid[i] = False
+    rho.flags.writeable = False
+    for i, m in enumerate(live):
+        if not valid[i]:
+            try:
                 _diagnose_kernel(liouvilles[m], not reached[i, 1])
-        except SolverError as exc:
-            outcomes[m] = exc
-            continue
+            except SolverError as exc:
+                outcomes[m] = exc
+                continue
+        state = DensityMatrix._checked(space, rho[i], _SOLVER_POLICY)
         outcomes[m] = (state, SteadyStateInfo(
             residual=float(residuals[i]), refined=bool(passes[i, 0] > 1),
             iterations=int(steps[i, 0]), certificate_iterations=int(steps[i, 1])))
@@ -718,15 +734,36 @@ def _step_runs(steps: np.ndarray) -> list[list]:
     return runs
 
 
+def _hermitian_generator(liouville: Superoperator) -> sp.csr_matrix:
+    """The generator in the real coordinates of ``hermitian_basis``,
+    G = U L U^H, as a real CSR matrix.
+
+    G is real exactly when L preserves Hermiticity; the product leaves an
+    imaginary part of roundoff size.  Like the trace check, that part must
+    stay within ``algebraic_tol`` times the largest entry of G (and at
+    least 1), or a ``DomainError`` is raised: a nonzero imaginary part is
+    never dropped silently.
+    """
+    u = hermitian_basis(liouville.space.total_dim)
+    g = u @ liouville.matrix @ u.conj().T
+    scale = max(1.0, np.abs(g.data).max(initial=0.0))
+    leak = np.abs(g.data.imag).max(initial=0.0)
+    if not leak <= DEFAULT_POLICY.algebraic_tol * scale:
+        raise DomainError(
+            "generator does not preserve Hermiticity (imaginary part "
+            f"{leak:.3e} in real coordinates)")
+    return sp.csr_matrix((g.data.real, g.indices, g.indptr), shape=g.shape)
+
+
 def _propagate_dense(generator: sp.csr_matrix, y: np.ndarray, steps: np.ndarray):
-    """States after each step by matvecs with one dense expm(L h) per
+    """Coordinates after each step by matvecs with one dense expm(G h) per
     distinct step length.  A step length taken only once moves the state by
-    ``expm_multiply`` instead, never forming exp(L h); returns (states,
+    ``expm_multiply`` instead, never forming exp(G h); returns (states,
     dense propagators built plus single-step ``expm_multiply`` calls)."""
     runs = _step_runs(steps)
     dense = None
     built: list[tuple[float, np.ndarray]] = []
-    out = np.empty((steps.size, y.size), dtype=complex)
+    out = np.empty((steps.size, y.size))
     k = singles = 0
     for h, count in runs:
         if count == 1 and sum(c for key, c in runs
@@ -751,8 +788,9 @@ def _propagate_dense(generator: sp.csr_matrix, y: np.ndarray, steps: np.ndarray)
 
 
 def _propagate_sparse(generator: sp.csr_matrix, y: np.ndarray, steps: np.ndarray):
-    """States after each step by ``expm_multiply`` on each run of equal
-    steps, never forming exp(L h); returns (states, expm_multiply calls)."""
+    """Coordinates after each step by ``expm_multiply`` on each run of
+    equal steps, never forming exp(G h); returns (states, expm_multiply
+    calls)."""
     runs = _step_runs(steps)
     out = []
     for h, count in runs:
@@ -765,14 +803,21 @@ def _propagate_sparse(generator: sp.csr_matrix, y: np.ndarray, steps: np.ndarray
 
 def _propagate_schedule(schedule: Schedule, rho0: DensityMatrix,
                         t_grid: np.ndarray, propagate):
-    """Column-stacked states at every time of ``t_grid``, as an (n, D^2)
-    array, and the propagator count of ``propagate`` summed over segments."""
+    """Real coordinates of the states at every time of ``t_grid``, as an
+    (n, D^2) array, and the propagator count of ``propagate`` summed over
+    segments.  Every segment's generator is built and checked before any
+    propagation."""
     total = schedule.total_duration
-    y = rho0.matrix.reshape(-1, order="F").astype(complex)
+    generators = [_hermitian_generator(build_liouvillian(params))
+                  for _, params in schedule.segments]
+    # U vec(rho0) is real up to the anti-Hermitian part of rho0, which its
+    # validation bounds and which a Hermitian state does not carry
+    y = (hermitian_basis(rho0.space.total_dim)
+         @ rho0.matrix.reshape(-1, order="F")).real
     sampled = [y[None, :]] if t_grid[0] == 0.0 else []
     propagators = 0
     t_cursor = 0.0
-    for seg_index, (duration, params) in enumerate(schedule.segments):
+    for seg_index, (duration, _) in enumerate(schedule.segments):
         last = seg_index == len(schedule.segments) - 1
         t_end = total if last else min(t_cursor + duration, total)
         wanted = t_grid[(t_grid > t_cursor) & (t_grid <= t_end)]
@@ -782,7 +827,7 @@ def _propagate_schedule(schedule: Schedule, rho0: DensityMatrix,
         if not last and (wanted.size == 0 or wanted[-1] < t_end):
             stops = np.append(wanted, t_end)
         if stops.size:
-            states, built = propagate(build_liouvillian(params).matrix, y,
+            states, built = propagate(generators[seg_index], y,
                                       np.diff(stops, prepend=t_cursor))
             propagators += built
             sampled.append(states[:wanted.size])
@@ -795,23 +840,30 @@ def evolve(schedule: Schedule, rho0: DensityMatrix, t_grid) -> Trajectory:
     """Propagate d(rho)/dt = L rho exactly across the schedule and sample on
     t_grid.
 
-    Each segment's generator is built once.  The state moves between
-    consecutive sample times, and to the segment boundaries, by the exact
-    exp(L dt), so boundaries are hit exactly and the state is handed over
-    unchanged.  Two routes, chosen by the Liouville dimension D^2:
+    The state moves in the real coordinates of ``hermitian_basis``: the
+    populations, then sqrt(2) Re and sqrt(2) Im of each coherence.  Each
+    segment's generator is built once, as the real matrix G = U L U^H; a
+    generator whose G has an imaginary part beyond roundoff (one that does
+    not preserve Hermiticity) raises ``DomainError`` before any propagation.
+    The state moves between consecutive sample times, and to the segment
+    boundaries, by the exact exp(G dt), so boundaries are hit exactly and
+    the state is handed over unchanged.  Two routes, chosen by the Liouville
+    dimension D^2, both in float64:
 
-    - D^2 <= 256 (Fock cutoff 1): one dense ``scipy.linalg.expm(L dt)`` per
+    - D^2 <= 256 (Fock cutoff 1): one dense ``scipy.linalg.expm(G dt)`` per
       distinct step length, applied by matrix-vector products; step lengths
       that agree to within 1e-12 relative share one propagator, and a step
       length taken only once (the partial steps at a segment switch) moves
       the state by ``expm_multiply`` instead.
     - larger spaces: the action of the exponential on the state,
       ``scipy.sparse.linalg.expm_multiply`` (Al-Mohy & Higham, SIAM J. Sci.
-      Comput. 33, 488 (2011)), once per run of equal steps.
+      Comput. 33, 488 (2011)), on the sparse G, once per run of equal steps.
 
-    The raw trace drift over the sampled states must stay below 1e-7 or an
-    ``IntegrationError`` is raised; the sampled states are re-symmetrized,
-    trace-normalized and validated as one stack.  ``Trajectory.info`` records
+    The raw trace drift, the sum of the population coordinates minus one,
+    must stay below 1e-7 over the sampled states or an ``IntegrationError``
+    is raised.  The sampled states are trace-normalized, rebuilt from their
+    coordinates by one gather (Hermitian by construction, so nothing is
+    re-symmetrized) and validated as one stack.  ``Trajectory.info`` records
     the route, the propagator count and the largest drift.
     """
     space = schedule.space()
@@ -834,20 +886,17 @@ def evolve(schedule: Schedule, rho0: DensityMatrix, t_grid) -> Trajectory:
 
     d = space.total_dim
     dense = d * d <= _DENSE_PROPAGATOR_MAX_DIM
-    vecs, propagators = _propagate_schedule(
+    x, propagators = _propagate_schedule(
         schedule, rho0, t_grid, _propagate_dense if dense else _propagate_sparse)
-    # read in C order, each column-stacked sample is rho^T
-    transposed = vecs.reshape(-1, d, d)
-    drift = float(np.abs(np.trace(transposed, axis1=1, axis2=2) - 1.0).max())
+    traces = x[:, :d].sum(axis=1)
+    drift = float(np.abs(traces - 1.0).max())
     if not drift <= _TRACE_DRIFT_TOL:
         raise IntegrationError(
             f"trace drift {drift:.3e} exceeds {_TRACE_DRIFT_TOL:.0e}",
             error_estimate=drift,
         )
 
-    matrices = transposed.conj()  # rho^H
-    matrices += transposed.transpose(0, 2, 1)
-    matrices /= np.trace(matrices, axis1=1, axis2=2).real[:, None, None]
+    matrices = hermitian_matrices(x / traces[:, None], d)
     check_density_matrix(matrices, _SOLVER_POLICY)
     matrices.flags.writeable = False
 

@@ -22,6 +22,8 @@ from pcdimer.liouvillian import (
     assemble_generator,
     build_liouvillian,
     build_liouvillians,
+    hermitian_basis,
+    hermitian_matrices,
     identity_bra,
 )
 from pcdimer.model import (
@@ -301,6 +303,39 @@ def physical_params(draw):
                         pump_freq=draw(energies))
     return SystemParams(modes=modes, dots=dots, coupling=CouplingMatrix(g),
                         drive=drive, truncation=draw(st.integers(1, 2)))
+
+
+class TestHermitianCoordinates:
+    def test_coordinate_layout(self):
+        rng = np.random.default_rng(3)
+        rho = random_density(rng, 3)
+        x = hermitian_basis(3) @ rho.reshape(-1, order="F")
+        s = np.sqrt(2.0)
+        expected = [rho[0, 0], rho[1, 1], rho[2, 2],
+                    s * rho[0, 1].real, s * rho[0, 1].imag,
+                    s * rho[0, 2].real, s * rho[0, 2].imag,
+                    s * rho[1, 2].real, s * rho[1, 2].imag]
+        assert np.max(np.abs(x - expected)) <= 1e-15
+
+    @settings(max_examples=25, deadline=None)
+    @given(params=physical_params(), seed=st.integers(0, 2 ** 32 - 1))
+    @example(params=full_params().with_truncation(2), seed=0)
+    def test_real_form(self, params, seed):
+        # U is unitary, Hermitian matrices round-trip through their real
+        # coordinates, and U L U^H is real up to roundoff
+        liouville = build_liouvillian(params)
+        d = params.space().total_dim
+        u = hermitian_basis(d)
+        assert abs(u @ u.conj().T - sp.identity(d * d)).max() <= 1e-14
+        rho = random_density(np.random.default_rng(seed), d)
+        x = u @ rho.reshape(-1, order="F")
+        assert np.max(np.abs(x.imag)) <= 1e-14
+        back = hermitian_matrices(x.real, d)
+        assert np.array_equal(back, back.conj().T)
+        assert np.max(np.abs(back - rho)) <= 1e-14
+        real_form = u @ liouville.matrix @ u.conj().T
+        scale = max(1.0, np.abs(liouville.matrix.data).max(initial=0.0))
+        assert np.abs(real_form.data.imag).max(initial=0.0) <= 1e-14 * scale
 
 
 class TestBuildLiouvillian:

@@ -6,6 +6,7 @@ import scipy.linalg
 from hypothesis import assume, example, given, settings, strategies as st
 from scipy.linalg import expm
 
+import pcdimer.solvers
 from pcdimer.entanglement import negativity, partial_transpose_first, qd_negativity
 from pcdimer.exceptions import (
     DegenerateSteadyStateError,
@@ -423,6 +424,41 @@ class TestSteadyStateBatches:
             assert info.residual < 1e-9
             assert info.certificate_iterations >= 1
 
+    def test_one_stacked_density_check_per_batch(self, monkeypatch):
+        # the batch's states are validated by one stacked call; when it
+        # fails, the members are rechecked one by one and only the
+        # offending member fails
+        params = dark_tuned(preset_params("dimer30_dc901"))
+        batch = [build_liouvillian(params.with_drive(amplitude=a))
+                 for a in (5.0, 10.0, 20.0, 40.0)]
+        solo = [steady_state(liouville).matrix for liouville in batch]
+        check = pcdimer.solvers.check_density_matrix
+        shapes, flagged = [], []
+
+        def recording(matrix, policy):
+            shapes.append(np.shape(matrix))
+            for m in np.reshape(matrix, (-1,) + solo[0].shape):
+                if any(np.max(np.abs(m - f)) < 1e-9 for f in flagged):
+                    raise DomainError("density matrix has negative eigenvalue "
+                                      "-1.000e-03")
+            check(matrix, policy)
+
+        monkeypatch.setattr(pcdimer.solvers, "check_density_matrix", recording)
+        outcomes = steady_states(batch)
+        assert shapes == [(4, 16, 16)]
+        for (rho, _), reference in zip(outcomes, solo, strict=True):
+            assert np.max(np.abs(rho.matrix - reference)) <= 1e-12
+
+        shapes.clear()
+        flagged.append(solo[2])
+        outcomes = steady_states(batch)
+        assert shapes == [(4, 16, 16)] + [(16, 16)] * 4
+        assert isinstance(outcomes[2], SolverError)
+        for k in (0, 1, 3):
+            rho, info = outcomes[k]
+            assert np.max(np.abs(rho.matrix - solo[k])) <= 1e-12
+            assert info.residual <= 1e-9
+
     def test_cutoff_two_batch_matches_solo(self):
         # D^2 = 1296: two points per sweep batch, orthogonalized by modified
         # Gram-Schmidt
@@ -624,6 +660,27 @@ class TestEvolve:
         single = evolve(Schedule.constant(params, 100.0), rho0, t_grid)
         split = evolve(Schedule(((40.0, params), (60.0, params))), rho0, t_grid)
         assert np.max(np.abs(single.matrices - split.matrices)) < 1e-8
+
+    def test_hermiticity_breaking_generator_rejected(self, monkeypatch):
+        # -i [H, .] with a complex-symmetric, non-Hermitian H preserves the
+        # trace but not Hermiticity: its real-coordinate form keeps an
+        # imaginary part, and evolve fails typed before propagating
+        params = preset_params("dimer30_dc901")
+        space = params.space()
+        rng = np.random.default_rng(5)
+        b = 50.0 * (rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16)))
+        generator = assemble_generator(Operator(space, b + b.T), [])
+        assert generator.trace_defect() < 1e-12
+        propagated = []
+        monkeypatch.setattr(pcdimer.solvers, "build_liouvillian",
+                            lambda _params: generator)
+        for route in ("_propagate_dense", "_propagate_sparse"):
+            monkeypatch.setattr(pcdimer.solvers, route,
+                                lambda *args: propagated.append(args))
+        rho0 = DensityMatrix.basis_state(space, (1, 0, 0, 0))
+        with pytest.raises(DomainError, match="does not preserve Hermiticity"):
+            evolve(Schedule.constant(params, 10.0), rho0, np.linspace(0.0, 10.0, 3))
+        assert propagated == []
 
     def test_grid_validation(self):
         params = preset_params("dimer30_dc901")
