@@ -408,6 +408,14 @@ def parse_config(text: str) -> RunConfig:
             horizon_ps=proto.real("horizon_ps", minimum=1e-9),
             samples=proto.integer("samples", minimum=2),
         )
+        # an absent key keeps its RunConfig default, which takes part too
+        tau = kwargs["tau_ps"] if kwargs["tau_ps"] is not None else RunConfig.tau_ps
+        horizon = (kwargs["horizon_ps"] if kwargs["horizon_ps"] is not None
+                   else RunConfig.horizon_ps)
+        if not tau < horizon:
+            raise ConfigError(
+                f"[protocol] tau_ps = {tau:g} must be less than horizon_ps = "
+                f"{horizon:g}: the switch must fall inside the run")
     elif command == "convergence":
         conv = section("convergence")
         raw = conv.text("cutoffs")

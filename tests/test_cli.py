@@ -536,6 +536,23 @@ class TestMain:
         assert named in message and known in message
         assert list(tmp_path.iterdir()) == [config_path]
 
+    @pytest.mark.parametrize("keys", [
+        "tau_ps = 20.0\nhorizon_ps = 10.0\n",
+        "tau_ps = 10.0\nhorizon_ps = 10.0\n",
+        "horizon_ps = 5.0\n",  # against the default tau_ps = 9
+    ], ids=["after", "equal", "default_tau"])
+    def test_protocol_switch_after_horizon_is_a_config_error(
+            self, tmp_path, capsys, keys):
+        # rejected at parse time, before anything is propagated or written
+        config_path = tmp_path / "run.cfg"
+        config_path.write_text(STEADY_PRESET.replace("steady", "protocol")
+                               + "\n[protocol]\n" + keys, encoding="utf-8")
+        assert main(["--config", str(config_path), "--output", str(tmp_path),
+                     "--quiet"]) == 2
+        message = capsys.readouterr().err
+        assert "tau_ps" in message and "horizon_ps" in message
+        assert list(tmp_path.iterdir()) == [config_path]
+
     def test_missing_config_exit_code(self, tmp_path):
         assert main(["--config", str(tmp_path / "absent.cfg"), "--quiet"]) == 4
 

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pcdimer.exceptions import DomainError
 from pcdimer.hilbert import (
@@ -12,6 +13,7 @@ from pcdimer.hilbert import (
     embed,
     lowering_operators,
     partial_trace,
+    _hermiticity_defect,
     _partial_trace_matrix,
     qubit,
     qubit_lowering,
@@ -289,6 +291,40 @@ class TestCheckDensityMatrix:
         with pytest.raises(DomainError) as exc_info:
             check_density_matrix(stack)
         assert str(exc_info.value) == self.single_error(self.NON_POSITIVE)
+
+    @settings(max_examples=60, deadline=None)
+    @given(d=st.sampled_from([1, 2, 4, 16]),
+           lead=st.sampled_from([(), (7,), (3, 5)]),
+           near=st.booleans(), nan=st.booleans(),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_triangle_defect_is_the_full_defect(self, d, lead, near, nan, seed):
+        # over the pairs i <= j only, bit for bit the full |m - m^H| maximum
+        # per state, for arbitrary and for nearly Hermitian stacks, with a
+        # NaN entry in one state or none
+        rng = np.random.default_rng(seed)
+        shape = lead + (d, d)
+        m = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        if near:
+            m = m + m.swapaxes(-1, -2).conj() + 1e-12 * rng.standard_normal(shape)
+        if nan:
+            m.reshape(-1)[rng.integers(m.size)] = np.nan
+        full = np.abs(m - m.swapaxes(-1, -2).conj()).max(axis=(-2, -1))
+        defect = _hermiticity_defect(m)
+        assert np.shape(defect) == lead
+        assert np.array_equal(defect, full, equal_nan=True)
+
+    @pytest.mark.parametrize("entry", [1e-6, np.nan])
+    def test_hermiticity_error_names_the_first_offender(self, entry):
+        # the message of the full-matrix defect, for a stack with one
+        # non-Hermitian member and for one NaN entry
+        rng = np.random.default_rng(29)
+        stack = np.array([random_density(rng, 16) for _ in range(5)])
+        stack[3, 2, 9] += entry
+        full = np.abs(stack - stack.swapaxes(-1, -2).conj()).max(axis=(-2, -1))
+        with pytest.raises(DomainError) as exc_info:
+            check_density_matrix(stack)
+        assert str(exc_info.value) == (
+            f"density matrix is not Hermitian (defect {full[3]:.3e})")
 
     def test_valid_stack_passes(self):
         rng = np.random.default_rng(23)

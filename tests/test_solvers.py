@@ -24,7 +24,12 @@ from pcdimer.hilbert import (
     partial_trace,
     qubit,
 )
-from pcdimer.liouvillian import assemble_generator, build_liouvillian, build_liouvillians
+from pcdimer.liouvillian import (
+    assemble_generator,
+    build_liouvillian,
+    build_liouvillians,
+    hermitian_basis,
+)
 from pcdimer.model import (
     HBAR_UEV_PS,
     CouplingMatrix,
@@ -38,10 +43,14 @@ from pcdimer.model import (
 from pcdimer.hilbert import qubit_lowering
 from pcdimer.solvers import (
     _DEGENERACY_SV_RATIO,
+    _SAMPLE_BLOCK,
     _SOLVER_POLICY,
     OBSERVABLES,
     Schedule,
+    _hermitian_generator,
     _no_jump_inverse,
+    _propagate_dense,
+    _propagate_schedule,
     convergence_scan,
     evolve,
     observables,
@@ -49,7 +58,7 @@ from pcdimer.solvers import (
     steady_states,
 )
 from pcdimer.experiments import stark_switch_protocol
-from test_liouvillian import full_params, physical_params
+from test_liouvillian import full_params, physical_params, random_density
 
 QUBIT = CompositeSpace((qubit(),))
 
@@ -83,6 +92,19 @@ def expm_oracle(segments, rho0, t_grid):
             vec = expm(dense * duration) @ vec
             start = end
     return states
+
+
+def matvec_chain(generator, y, steps):
+    """Reference for the dense route: the coordinates after each step by
+    one matvec with exp(G h), a dense exponential per distinct step."""
+    dense = generator.toarray()
+    propagators, out = {}, []
+    for h in steps.tolist():
+        if h not in propagators:
+            propagators[h] = expm(dense * h)
+        y = propagators[h] @ y
+        out.append(y)
+    return np.array(out), len(propagators)
 
 
 def trace_distance(rho1, rho2):
@@ -617,6 +639,47 @@ class TestEvolve:
         assert trajectory.info.route == "dense_expm"
         assert trajectory.info.propagators == 4
         assert dense_built == [(256, 256)]
+
+    @settings(max_examples=20, deadline=None)
+    @given(params=physical_params().map(lambda p: p.with_truncation(1)),
+           count=st.sampled_from([1, _SAMPLE_BLOCK - 1, _SAMPLE_BLOCK,
+                                  _SAMPLE_BLOCK + 1, 3 * _SAMPLE_BLOCK + 1]),
+           step=st.floats(0.01, 1.0), seed=st.integers(0, 2 ** 32 - 1))
+    def test_blocked_sampling_matches_matvec_chain(self, params, count, step,
+                                                   seed):
+        # the samples after the first block come from products with P^B;
+        # they agree with one matvec per step up to roundoff.  A run of one
+        # step takes expm_multiply, whose distance to expm grows with
+        # max |G h|: up to 7e-13 of max |y| at 5 ps steps (max |G h| ~ 100),
+        # 2e-14 up to 1 ps
+        generator = _hermitian_generator(build_liouvillian(params))
+        rho = random_density(np.random.default_rng(seed), 16)
+        y = (hermitian_basis(16) @ rho.reshape(-1, order="F")).real
+        steps = np.full(count, step)
+        states, built = _propagate_dense(generator, y, steps)
+        reference, _ = matvec_chain(generator, y, steps)
+        assert built == 1
+        assert states.shape == reference.shape
+        assert np.max(np.abs(states - reference)) <= 1e-12 * np.abs(reference).max()
+
+    @settings(max_examples=10, deadline=None)
+    @given(params=physical_params().map(lambda p: p.with_truncation(1)),
+           switched=physical_params().map(lambda p: p.with_truncation(1)),
+           samples=st.integers(2 * _SAMPLE_BLOCK, 4 * _SAMPLE_BLOCK),
+           horizon=st.floats(1.0, 8.0), switch=st.floats(0.1, 0.9))
+    def test_blocked_schedule_matches_matvec_chain(self, params, switched,
+                                                   samples, horizon, switch):
+        # two segments on a uniform grid: a run of equal steps on each side
+        # of the switch, blocked where longer than B, and the single steps
+        # that reach and leave it (steps up to ~1 ps, as above)
+        t_grid = np.linspace(0.0, horizon, samples)
+        tau = switch * horizon
+        assume(np.min(np.abs(t_grid - tau)) > 1e-3 * horizon)
+        schedule = Schedule(((tau, params), (horizon - tau, switched)))
+        rho0 = DensityMatrix.basis_state(params.space(), (1, 0, 0, 1))
+        states, _ = _propagate_schedule(schedule, rho0, t_grid, _propagate_dense)
+        reference, _ = _propagate_schedule(schedule, rho0, t_grid, matvec_chain)
+        assert np.max(np.abs(states - reference)) <= 1e-12 * np.abs(reference).max()
 
     def test_batched_observables_match_per_state_values(self):
         params = dark_tuned(preset_params("dimer30_dc901")).with_qd_decay(0.66)
