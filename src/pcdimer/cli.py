@@ -475,6 +475,8 @@ def _trajectory_diagnostics(trajectory) -> dict:
             "peak_negativity": float(trajectory.observables["negativity"].max()),
             "propagation_route": info.route,
             "propagators_built": info.propagators,
+            "dense_propagators": info.dense_propagators,
+            "expm_multiply_calls": info.expm_multiply_calls,
             "max_trace_drift": info.max_trace_drift}
 
 

@@ -53,6 +53,13 @@ class NumericPolicy:
 
 DEFAULT_POLICY = NumericPolicy()
 
+# bytes of a stack that each test of check_density_matrix takes at a time.
+# On a (801, 16, 16) trajectory stack (2-vCPU Xeon, one BLAS thread; medians
+# of 30 calls) blocks of 32, 64, 128, 256, 512 and 1024 KB took 7.1, 5.4,
+# 4.5, 4.2, 4.2 and 4.5 ms, the whole stack at once 7.2 ms; at 256 KB the
+# tracemalloc peak of a call is 0.53 MB (1.05 MB at 512 KB, 6.6 MB whole)
+_CHECK_BLOCK_BYTES = 256 * 1024
+
 
 @dataclass(frozen=True)
 class SubsystemSpec:
@@ -212,28 +219,45 @@ def check_density_matrix(matrix, policy: NumericPolicy = DEFAULT_POLICY) -> None
     ``(..., d, d)`` stack of them: Hermitian and unit trace within
     ``policy.algebraic_tol``, no eigenvalue below ``-policy.positivity_slack``.
 
-    The three checks run in that order over the whole stack; the
-    ``DomainError`` names the defect of the first offending state.  A NaN
-    defect fails.
+    The three tests run in that order, each over the whole stack in C order
+    before the next starts; the ``DomainError`` names the defect of the
+    first offending state.  A NaN defect fails.  Each test takes the stack
+    in blocks of ``_CHECK_BLOCK_BYTES``, so its temporaries are bounded by
+    one block, not by the stack.
     """
     m = np.asarray(matrix)
-    tol = policy.algebraic_tol
-    herm_defect = _hermiticity_defect(m)
-    if not herm_defect.max() <= tol:
-        defect = _first_above(herm_defect, tol)
-        raise DomainError(f"density matrix is not Hermitian (defect {defect:.3e})")
-    trace_defect = abs(m.trace(0, -2, -1) - 1.0)
-    if not trace_defect.max() <= tol:
-        defect = _first_above(trace_defect, tol)
-        raise DomainError(f"density matrix trace differs from 1 by {defect:.3e}")
+    d = m.shape[-1]
+    stack = m.reshape((-1, d, d))
+    rows = max(1, _CHECK_BLOCK_BYTES // (d * d * m.itemsize))
+    blocks = [stack[start:start + rows] for start in range(0, len(stack), rows)]
+    for test in (_check_hermitian, _check_trace, _check_positive):
+        for block in blocks:
+            test(block, policy)
+
+
+def _check_hermitian(block: np.ndarray, policy: NumericPolicy) -> None:
+    defect = _hermiticity_defect(block)
+    if not defect.max() <= policy.algebraic_tol:
+        first = _first_above(defect, policy.algebraic_tol)
+        raise DomainError(f"density matrix is not Hermitian (defect {first:.3e})")
+
+
+def _check_trace(block: np.ndarray, policy: NumericPolicy) -> None:
+    defect = abs(block.trace(0, -2, -1) - 1.0)
+    if not defect.max() <= policy.algebraic_tol:
+        first = _first_above(defect, policy.algebraic_tol)
+        raise DomainError(f"density matrix trace differs from 1 by {first:.3e}")
+
+
+def _check_positive(block: np.ndarray, policy: NumericPolicy) -> None:
     # m + slack * I has a Cholesky factor exactly when no eigenvalue of m
     # lies below -slack (up to roundoff); the factorization costs a fraction
     # of the eigenvalues, which decide only when it fails
     slack = policy.positivity_slack
     try:
-        np.linalg.cholesky(m + _scaled_identity(m.shape[-1], slack))
+        np.linalg.cholesky(block + _scaled_identity(block.shape[-1], slack))
     except np.linalg.LinAlgError:
-        min_eig = np.linalg.eigvalsh(m)[..., 0]
+        min_eig = np.linalg.eigvalsh(block)[..., 0]
         if min_eig.min() < -slack:
             first = -_first_above(-min_eig, slack)
             raise DomainError(f"density matrix has negative eigenvalue {first:.3e}")

@@ -111,6 +111,15 @@ _TRACE_DRIFT_TOL = 1e-7
 _DENSE_PROPAGATOR_MAX_DIM = 256
 # step lengths within this relative distance share one propagator
 _SHARED_STEP_TOL = 1e-12
+# on the dense route, a step length taken fewer times than this in a segment
+# moves the state by one expm_multiply call per step instead of a dense
+# exp(G h).  At D^2 = 256 (six bench generators, 2-vCPU Xeon, one BLAS
+# thread, medians of 11 calls) one dense propagator and its matvecs took
+# 14-15 ms, and m single expm_multiply steps took 8.3, 12.3, 17.6 and 22.8 ms
+# at 5 ps (m = 2..5), 7.2, 10.1, 13.6 and 16.9 ms at 4 ps; one
+# expm_multiply call over a run of m equal steps took longer (17.2 ms for
+# two 5 ps steps)
+_DENSE_MIN_STEPS = 4
 # samples per block of the dense route, a power of two: after the first
 # _SAMPLE_BLOCK matvecs, each later block of that many samples is one
 # product with (P^B)^T, P^B formed by log2(B) squarings.  800 steps of the
@@ -661,16 +670,23 @@ class Schedule:
 class PropagationInfo:
     """Diagnostics of one ``evolve`` call.
 
-    ``route`` is ``"dense_expm"`` or ``"expm_multiply"``; ``propagators``
-    counts, on the dense route, the dense exp(L dt) matrices built plus the
-    single-step ``expm_multiply`` calls for step lengths taken only once,
-    and on the ``expm_multiply`` route its calls; ``max_trace_drift`` is the
+    ``route`` is ``"dense_expm"`` or ``"expm_multiply"``;
+    ``dense_propagators`` counts the dense exp(L dt) matrices built (none
+    on the ``expm_multiply`` route); ``expm_multiply_calls`` counts the
+    ``expm_multiply`` calls, one per step of a step length taken fewer than
+    4 times in a segment on the dense route and one per run of equal steps
+    on the other; ``propagators`` is their sum; ``max_trace_drift`` is the
     largest |Tr(rho) - 1| of the raw sampled states, before renormalization.
     """
 
     route: str
-    propagators: int
+    dense_propagators: int
+    expm_multiply_calls: int
     max_trace_drift: float
+
+    @property
+    def propagators(self) -> int:
+        return self.dense_propagators + self.expm_multiply_calls
 
 
 @dataclass(frozen=True)
@@ -767,38 +783,36 @@ def _hermitian_generator(liouville: Superoperator) -> sp.csr_matrix:
     return sp.csr_matrix((g.data.real, g.indices, g.indptr), shape=g.shape)
 
 
-def _propagate_dense(generator: sp.csr_matrix, y: np.ndarray, steps: np.ndarray):
-    """Coordinates after each step with one dense P = expm(G h) per distinct
-    step length.  A run of equal steps takes its first ``_SAMPLE_BLOCK``
-    states by matvecs and every later block of that many by one product
-    with P^B, which is not counted as a propagator.  A step length taken
-    only once moves the state by ``expm_multiply`` instead, never forming
-    exp(G h); returns (states, dense propagators built plus single-step
+def _propagate_dense(generator: sp.csr_matrix, y: np.ndarray, steps: np.ndarray,
+                     out: np.ndarray):
+    """Writes the coordinates after each step into the rows of ``out``, with
+    one dense P = expm(G h) per step length taken at least
+    ``_DENSE_MIN_STEPS`` times.  A run of equal steps takes its first
+    ``_SAMPLE_BLOCK`` states by matvecs and every later block of that many
+    by one product with P^B, which is not counted as a propagator.  A step
+    length taken fewer times moves the state by one ``expm_multiply`` call
+    per step, never forming exp(G h); returns (dense propagators built,
     ``expm_multiply`` calls)."""
     runs = _step_runs(steps)
-    dense = None
     built: list[tuple[float, np.ndarray]] = []
-    out = np.empty((steps.size, y.size))
-    k = singles = 0
+    k = calls = 0
     for h, count in runs:
-        if count == 1 and sum(c for key, c in runs
-                              if abs(h - key) <= _SHARED_STEP_TOL * key) == 1:
-            y = expm_multiply(generator * h, y)
-            out[k] = y
-            k += 1
-            singles += 1
+        if sum(c for key, c in runs
+               if abs(h - key) <= _SHARED_STEP_TOL * key) < _DENSE_MIN_STEPS:
+            step = generator * h
+            for _ in range(count):
+                y = out[k] = expm_multiply(step, y)
+                k += 1
+            calls += count
             continue
         propagator = next((p for key, p in built
                            if abs(h - key) <= _SHARED_STEP_TOL * key), None)
         if propagator is None:
-            if dense is None:
-                dense = generator.toarray()
-            propagator = scipy.linalg.expm(dense * h)
+            propagator = scipy.linalg.expm((generator * h).toarray())
             built.append((h, propagator))
         head = min(count, _SAMPLE_BLOCK)
         for _ in range(head):
-            y = propagator @ y
-            out[k] = y
+            y = out[k] = propagator @ y
             k += 1
         if count > head:
             # y_{j+B} = P^B y_j, so each later block of B samples is the
@@ -813,29 +827,34 @@ def _propagate_dense(generator: sp.csr_matrix, y: np.ndarray, steps: np.ndarray)
                           out=out[start:stop])
             k = end
             y = out[k - 1]
-    return out, len(built) + singles
+    return len(built), calls
 
 
-def _propagate_sparse(generator: sp.csr_matrix, y: np.ndarray, steps: np.ndarray):
-    """Coordinates after each step by ``expm_multiply`` on each run of
-    equal steps, never forming exp(G h); returns (states, expm_multiply
-    calls)."""
+def _propagate_sparse(generator: sp.csr_matrix, y: np.ndarray, steps: np.ndarray,
+                      out: np.ndarray):
+    """Writes the coordinates after each step into the rows of ``out`` by
+    ``expm_multiply`` on each run of equal steps, never forming exp(G h);
+    returns (0 dense propagators, ``expm_multiply`` calls)."""
     runs = _step_runs(steps)
-    out = []
+    k = 0
     for h, count in runs:
-        states = expm_multiply(generator, y, start=0.0, stop=count * h,
-                               num=count + 1, endpoint=True)[1:]
-        out.append(states)
-        y = states[-1]
-    return np.concatenate(out), len(runs)
+        out[k:k + count] = expm_multiply(generator, y, start=0.0, stop=count * h,
+                                         num=count + 1, endpoint=True)[1:]
+        k += count
+        y = out[k - 1]
+    return 0, len(runs)
 
 
 def _propagate_schedule(schedule: Schedule, rho0: DensityMatrix,
                         t_grid: np.ndarray, propagate):
-    """Real coordinates of the states at every time of ``t_grid``, as an
-    (n, D^2) array, and the propagator count of ``propagate`` summed over
-    segments.  Every segment's generator is built and checked before any
-    propagation."""
+    """Real coordinates of the states at every time of ``t_grid``, as one
+    (n, D^2) array, and the dense propagators and ``expm_multiply`` calls
+    of ``propagate(generator, y, steps, out)`` summed over segments.  Each
+    segment's call writes its states into a view of that array; the state
+    at a switch that is not a sample is written into the row of the next
+    sample, which the next segment overwrites, and is computed only when a
+    sample follows.  Every segment's generator is built and checked before
+    any propagation."""
     total = schedule.total_duration
     generators = [_hermitian_generator(build_liouvillian(params))
                   for _, params in schedule.segments]
@@ -843,26 +862,32 @@ def _propagate_schedule(schedule: Schedule, rho0: DensityMatrix,
     # validation bounds and which a Hermitian state does not carry
     y = (hermitian_basis(rho0.space.total_dim)
          @ rho0.matrix.reshape(-1, order="F")).real
-    sampled = [y[None, :]] if t_grid[0] == 0.0 else []
-    propagators = 0
+    x = np.empty((t_grid.size, y.size))
+    k = 0
+    if t_grid[0] == 0.0:
+        x[0] = y
+        k = 1
+    dense = calls = 0
     t_cursor = 0.0
     for seg_index, (duration, _) in enumerate(schedule.segments):
         last = seg_index == len(schedule.segments) - 1
         t_end = total if last else min(t_cursor + duration, total)
         wanted = t_grid[(t_grid > t_cursor) & (t_grid <= t_end)]
-        # the state must also reach the boundary unless it is a sample or
-        # the horizon
+        # a later sample needs the state at the switch
         stops = wanted
-        if not last and (wanted.size == 0 or wanted[-1] < t_end):
+        if (k + wanted.size < t_grid.size
+                and (wanted.size == 0 or wanted[-1] < t_end)):
             stops = np.append(wanted, t_end)
         if stops.size:
-            states, built = propagate(generators[seg_index], y,
-                                      np.diff(stops, prepend=t_cursor))
-            propagators += built
-            sampled.append(states[:wanted.size])
-            y = states[-1]
+            built, taken = propagate(generators[seg_index], y,
+                                     np.diff(stops, prepend=t_cursor),
+                                     x[k:k + stops.size])
+            dense += built
+            calls += taken
+            y = x[k + stops.size - 1].copy()
+        k += wanted.size
         t_cursor = t_end
-    return np.concatenate(sampled), propagators
+    return x, dense, calls
 
 
 def evolve(schedule: Schedule, rho0: DensityMatrix, t_grid) -> Trajectory:
@@ -880,23 +905,28 @@ def evolve(schedule: Schedule, rho0: DensityMatrix, t_grid) -> Trajectory:
     dimension D^2, both in float64:
 
     - D^2 <= 256 (Fock cutoff 1): one dense P = ``scipy.linalg.expm(G dt)``
-      per distinct step length; step lengths that agree to within 1e-12
-      relative share one propagator.  A run of equal steps takes its first
-      4 states by matrix-vector products and every later block of 4 by one
-      matrix product with P^4 (two squarings of P, formed per run and not
-      counted as a propagator).  A step length taken only once (the
-      partial steps at a segment switch) moves the state by
-      ``expm_multiply`` instead.
+      per step length taken at least 4 times in a segment; step lengths
+      that agree to within 1e-12 relative share one propagator.  A run of
+      equal steps takes its first 4 states by matrix-vector products and
+      every later block of 4 by one matrix product with P^4 (two squarings
+      of P, formed per run and not counted as a propagator).  A step
+      length taken fewer times (the partial steps at a segment switch, the
+      few sample steps before an early switch) moves the state by one
+      ``expm_multiply`` call per step instead, which costs less than
+      forming P.
     - larger spaces: the action of the exponential on the state,
       ``scipy.sparse.linalg.expm_multiply`` (Al-Mohy & Higham, SIAM J. Sci.
       Comput. 33, 488 (2011)), on the sparse G, once per run of equal steps.
 
-    The raw trace drift, the sum of the population coordinates minus one,
-    must stay below 1e-7 over the sampled states or an ``IntegrationError``
-    is raised.  The sampled states are trace-normalized, rebuilt from their
-    coordinates by one gather (Hermitian by construction, so nothing is
-    re-symmetrized) and validated as one stack.  ``Trajectory.info`` records
-    the route, the propagator count and the largest drift.
+    Every segment writes its samples into one (n, D^2) coordinate array
+    allocated for the whole schedule.  The raw trace drift, the sum of the
+    population coordinates minus one, must stay below 1e-7 over the sampled
+    states or an ``IntegrationError`` is raised.  The sampled states are
+    trace-normalized in place, rebuilt from their coordinates by one gather
+    (Hermitian by construction, so nothing is re-symmetrized) and validated
+    as one stack by the blocked ``check_density_matrix``.
+    ``Trajectory.info`` records the route, the dense propagators and
+    ``expm_multiply`` calls, and the largest drift.
     """
     space = schedule.space()
     if rho0.space != space:
@@ -918,7 +948,7 @@ def evolve(schedule: Schedule, rho0: DensityMatrix, t_grid) -> Trajectory:
 
     d = space.total_dim
     dense = d * d <= _DENSE_PROPAGATOR_MAX_DIM
-    x, propagators = _propagate_schedule(
+    x, dense_built, calls = _propagate_schedule(
         schedule, rho0, t_grid, _propagate_dense if dense else _propagate_sparse)
     traces = x[:, :d].sum(axis=1)
     drift = float(np.abs(traces - 1.0).max())
@@ -928,12 +958,14 @@ def evolve(schedule: Schedule, rho0: DensityMatrix, t_grid) -> Trajectory:
             error_estimate=drift,
         )
 
-    matrices = hermitian_matrices(x / traces[:, None], d)
+    x /= traces[:, None]
+    matrices = hermitian_matrices(x, d)
     check_density_matrix(matrices, _SOLVER_POLICY)
     matrices.flags.writeable = False
 
     info = PropagationInfo(route="dense_expm" if dense else "expm_multiply",
-                           propagators=propagators, max_trace_drift=drift)
+                           dense_propagators=dense_built,
+                           expm_multiply_calls=calls, max_trace_drift=drift)
     return Trajectory(times=t_grid, space=space,
                       matrices=matrices,
                       observables=observables(space, matrices),

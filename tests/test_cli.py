@@ -280,6 +280,8 @@ class TestRun:
             (tmp_path / "dynamics_manifest.json").read_text())["diagnostics"]
         assert diagnostics["propagation_route"] == "dense_expm"
         assert diagnostics["propagators_built"] == 1  # one uniform step
+        assert diagnostics["dense_propagators"] == 1
+        assert diagnostics["expm_multiply_calls"] == 0
         assert 0.0 <= diagnostics["max_trace_drift"] < 1e-7
 
     def test_protocol_manifest_records_propagation(self, tmp_path):
@@ -290,8 +292,12 @@ class TestRun:
         manifest_text = (tmp_path / "protocol_manifest.json").read_text()
         diagnostics = json.loads(manifest_text)["diagnostics"]
         assert diagnostics["propagation_route"] == "dense_expm"
-        # 5 ps steps, 4 ps to the switch at 9 ps, 1 ps after it
-        assert diagnostics["propagators_built"] == 4
+        # 5 ps steps, 4 ps to the switch at 9 ps, 1 ps after it; the 5 ps
+        # step after the switch is taken twice, fewer times than a dense
+        # propagator pays for, so every step is one expm_multiply call
+        assert diagnostics["propagators_built"] == 5
+        assert diagnostics["dense_propagators"] == 0
+        assert diagnostics["expm_multiply_calls"] == 5
         assert 0.0 <= diagnostics["max_trace_drift"] < 1e-7
         assert "NaN" not in manifest_text and "Infinity" not in manifest_text
 

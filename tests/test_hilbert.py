@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,6 +11,7 @@ from pcdimer.hilbert import (
     Operator,
     boson,
     boson_annihilation,
+    _CHECK_BLOCK_BYTES,
     check_density_matrix,
     embed,
     lowering_operators,
@@ -330,3 +333,59 @@ class TestCheckDensityMatrix:
         rng = np.random.default_rng(23)
         stack = np.array([random_density(rng, 16) for _ in range(7)])
         check_density_matrix(stack.reshape(7, 1, 16, 16))
+
+    @staticmethod
+    def long_stack(n):
+        """n valid 16 x 16 states, more than three check blocks."""
+        rng = np.random.default_rng(31)
+        stack = np.array([random_density(rng, 16) for _ in range(n)])
+        assert stack.nbytes > 3 * _CHECK_BLOCK_BYTES
+        return stack
+
+    @pytest.mark.parametrize("late, message", [
+        ("non_hermitian", "density matrix is not Hermitian (defect 1.000e-06)"),
+        ("wrong_trace", "density matrix trace differs from 1 by 1.000e-01"),
+        ("nan", "density matrix is not Hermitian (defect nan)"),
+    ])
+    def test_tests_keep_their_order_across_blocks(self, late, message):
+        # a non-positive state in the first block does not pre-empt a
+        # Hermiticity or trace defect in the last block: each test runs
+        # over the whole stack before the next one starts
+        stack = self.long_stack(250)
+        stack[3] = np.diag([1.5, -0.5] + [0.0] * 14)
+        if late == "non_hermitian":
+            stack[-2, 2, 9] += 1e-6
+        elif late == "wrong_trace":
+            stack[-2] *= 1.1
+        else:
+            stack[-1, 5, 5] = np.nan
+        with pytest.raises(DomainError) as exc_info:
+            check_density_matrix(stack)
+        assert str(exc_info.value) == message
+
+    def test_blocked_stack_names_its_first_non_positive_state(self):
+        # two non-positive states in different blocks: the earlier one is
+        # named; the states before it pass
+        stack = self.long_stack(250)
+        stack[100] = np.diag([1.7, -0.7] + [0.0] * 14)
+        stack[240] = np.diag([1.9, -0.9] + [0.0] * 14)
+        assert 240 * stack[0].nbytes >= 2 * _CHECK_BLOCK_BYTES
+        with pytest.raises(DomainError,
+                           match="negative eigenvalue -7.000e-01"):
+            check_density_matrix(stack)
+        check_density_matrix(stack[:100])
+
+    def test_trajectory_stack_footprint(self):
+        # an (801, 16, 16) stack is checked block by block: the temporaries
+        # of one block, 0.53 MB, against 6.6 MB for the whole stack at once
+        stack = np.broadcast_to(random_density(np.random.default_rng(37), 16),
+                                (801, 16, 16)).copy()
+        check_density_matrix(stack)  # fill the per-dimension caches
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            check_density_matrix(stack)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6

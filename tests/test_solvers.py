@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -43,6 +44,7 @@ from pcdimer.model import (
 from pcdimer.hilbert import qubit_lowering
 from pcdimer.solvers import (
     _DEGENERACY_SV_RATIO,
+    _DENSE_MIN_STEPS,
     _SAMPLE_BLOCK,
     _SOLVER_POLICY,
     OBSERVABLES,
@@ -94,17 +96,18 @@ def expm_oracle(segments, rho0, t_grid):
     return states
 
 
-def matvec_chain(generator, y, steps):
-    """Reference for the dense route: the coordinates after each step by
-    one matvec with exp(G h), a dense exponential per distinct step."""
+def matvec_chain(generator, y, steps, out):
+    """Reference for the dense route: writes the coordinates after each
+    step into the rows of ``out`` by one matvec with exp(G h), a dense
+    exponential per distinct step, in the propagate contract of
+    ``_propagate_schedule``."""
     dense = generator.toarray()
-    propagators, out = {}, []
-    for h in steps.tolist():
+    propagators = {}
+    for k, h in enumerate(steps.tolist()):
         if h not in propagators:
             propagators[h] = expm(dense * h)
-        y = propagators[h] @ y
-        out.append(y)
-    return np.array(out), len(propagators)
+        y = out[k] = propagators[h] @ y
+    return len(propagators), 0
 
 
 def trace_distance(rho1, rho2):
@@ -598,6 +601,7 @@ class TestEvolve:
         assert trajectory.info.route == "expm_multiply"
         # step runs (0.4, 0.4), (0.5 to the switch), (0.6)
         assert trajectory.info.propagators == 3
+        assert trajectory.info.dense_propagators == 0
         assert np.array_equal(trajectory.matrices[0], rho0.matrix)
         for state, reference in zip(trajectory.matrices[1:],
                                     expm_oracle(segments, rho0, t_grid[1:]),
@@ -617,10 +621,13 @@ class TestEvolve:
         t_grid = np.linspace(0.0, 100.0, 21)
         constant = evolve(Schedule.constant(params, 100.0), rho0, t_grid)
         assert constant.info.propagators == 1
+        assert constant.info.dense_propagators == 1
         assert len(dense_built) == 1
         dense_built.clear()
         switched = evolve(Schedule(((42.0, params), (58.0, params))), rho0, t_grid)
         assert switched.info.propagators == 4
+        assert (switched.info.dense_propagators,
+                switched.info.expm_multiply_calls) == (2, 2)
         assert len(dense_built) == 2  # 4 before single steps moved off dense expm
         assert 0.0 <= switched.info.max_trace_drift < 1e-12
         for s1, s2 in zip(constant.matrices, switched.matrices):
@@ -638,7 +645,30 @@ class TestEvolve:
                                            9.0, 1500.0, 4000.0, 801)
         assert trajectory.info.route == "dense_expm"
         assert trajectory.info.propagators == 4
+        assert (trajectory.info.dense_propagators,
+                trajectory.info.expm_multiply_calls) == (1, 3)
         assert dense_built == [(256, 256)]
+
+    def test_few_equal_steps_take_expm_multiply(self, monkeypatch):
+        # a step length taken twice in a segment, as the 5 ps samples before
+        # a switch after 10 ps are, costs less as two expm_multiply calls
+        # than as a dense exp(G h)
+        dense_built = []
+        monkeypatch.setattr(scipy.linalg, "expm",
+                            lambda a, _expm=scipy.linalg.expm:
+                            dense_built.append(a.shape) or _expm(a))
+        params = dark_tuned(preset_params("dimer30_dc901"))
+        rho0 = DensityMatrix.basis_state(params.space(), (1, 0, 0, 0))
+        t_grid = np.array([0.0, 5.0, 10.0])
+        segments = ((10.0, params),)
+        trajectory = evolve(Schedule(segments), rho0, t_grid)
+        assert dense_built == []
+        assert (trajectory.info.dense_propagators,
+                trajectory.info.expm_multiply_calls) == (0, 2)
+        for state, reference in zip(trajectory.matrices[1:],
+                                    expm_oracle(segments, rho0, t_grid[1:]),
+                                    strict=True):
+            assert np.max(np.abs(state - reference)) <= 1e-10
 
     @settings(max_examples=20, deadline=None)
     @given(params=physical_params().map(lambda p: p.with_truncation(1)),
@@ -648,18 +678,19 @@ class TestEvolve:
     def test_blocked_sampling_matches_matvec_chain(self, params, count, step,
                                                    seed):
         # the samples after the first block come from products with P^B;
-        # they agree with one matvec per step up to roundoff.  A run of one
-        # step takes expm_multiply, whose distance to expm grows with
-        # max |G h|: up to 7e-13 of max |y| at 5 ps steps (max |G h| ~ 100),
-        # 2e-14 up to 1 ps
+        # they agree with one matvec per step up to roundoff.  A run shorter
+        # than _DENSE_MIN_STEPS takes expm_multiply per step, whose distance
+        # to expm grows with max |G h|: up to 7e-13 of max |y| at 5 ps steps
+        # (max |G h| ~ 100), 2e-14 up to 1 ps
         generator = _hermitian_generator(build_liouvillian(params))
         rho = random_density(np.random.default_rng(seed), 16)
         y = (hermitian_basis(16) @ rho.reshape(-1, order="F")).real
         steps = np.full(count, step)
-        states, built = _propagate_dense(generator, y, steps)
-        reference, _ = matvec_chain(generator, y, steps)
-        assert built == 1
-        assert states.shape == reference.shape
+        states, reference = np.empty((2, count, y.size))
+        built, calls = _propagate_dense(generator, y, steps, states)
+        matvec_chain(generator, y, steps, reference)
+        assert (built, calls) == ((1, 0) if count >= _DENSE_MIN_STEPS
+                                  else (0, count))
         assert np.max(np.abs(states - reference)) <= 1e-12 * np.abs(reference).max()
 
     @settings(max_examples=10, deadline=None)
@@ -677,8 +708,8 @@ class TestEvolve:
         assume(np.min(np.abs(t_grid - tau)) > 1e-3 * horizon)
         schedule = Schedule(((tau, params), (horizon - tau, switched)))
         rho0 = DensityMatrix.basis_state(params.space(), (1, 0, 0, 1))
-        states, _ = _propagate_schedule(schedule, rho0, t_grid, _propagate_dense)
-        reference, _ = _propagate_schedule(schedule, rho0, t_grid, matvec_chain)
+        states, _, _ = _propagate_schedule(schedule, rho0, t_grid, _propagate_dense)
+        reference, _, _ = _propagate_schedule(schedule, rho0, t_grid, matvec_chain)
         assert np.max(np.abs(states - reference)) <= 1e-12 * np.abs(reference).max()
 
     def test_batched_observables_match_per_state_values(self):
@@ -706,6 +737,27 @@ class TestEvolve:
         assert np.array_equal(trajectory.observables["negativity"],
                               negativity(np.array([partial_trace(s, (0, 1)).matrix
                                                    for s in states])))
+
+    def test_long_run_footprint(self):
+        # a cutoff-1, 4000 ps, 801-sample run allocates one coordinate array
+        # and one matrix stack (1.6 and 3.3 MB) plus the temporaries of one
+        # dense expm (~4.2 MB at D^2 = 256, while the coordinates are live);
+        # it peaked 6.5 MB above its start, against 11.5 MB when every
+        # segment had its own sample array and the density check took the
+        # whole stack at once
+        params = dark_tuned(preset_params("dimer30_dc901"))
+        rho0 = DensityMatrix.basis_state(params.space(), (1, 0, 0, 0))
+        schedule = Schedule.constant(params, 4000.0)
+        t_grid = np.linspace(0.0, 4000.0, 801)
+        evolve(schedule, rho0, t_grid)  # fill the per-space caches
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            evolve(schedule, rho0, t_grid)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert peak < 8e6
 
     def test_trace_drift_bounded(self):
         params = dark_tuned(preset_params("dimer30_dc901"))
