@@ -363,13 +363,13 @@ def parse_config(text: str) -> RunConfig:
         preset=preset,
         at_dark_state=at_dark,
         threads=run.integer("threads", minimum=1),
-        allow_point_failures=run.flag("allow_point_failures"),
         output_dir=output.text("directory"),
         prefix=output.text("prefix"),
     )
     run_name = f"{command} run"
 
     if command == "sweep":
+        kwargs["allow_point_failures"] = run.flag("allow_point_failures")
         sweep = section("sweep")
         kind = sweep.text("kind", choices=_SWEEPS)
         if kind is None:

@@ -11,18 +11,9 @@ class SolverError(RuntimeError):
 
 
 class SingularSolveError(SolverError):
-    """Linear system is singular to working precision.
-
-    Attributes
-    ----------
-    condition_estimate : float
-        Estimate of the condition number of the offending matrix
-        (``inf`` when the factorization failed outright).
-    """
-
-    def __init__(self, message, condition_estimate=float("inf")):
-        super().__init__(message)
-        self.condition_estimate = condition_estimate
+    """A steady-state solve failed although its uniqueness certificate
+    converged: a non-finite result, a residual above the steady-state
+    tolerance or a state that fails the density-matrix check."""
 
 
 class DegenerateSteadyStateError(SolverError):

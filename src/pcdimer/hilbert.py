@@ -121,7 +121,8 @@ class CompositeSpace:
 
 @dataclass(frozen=True)
 class Operator:
-    """A square complex matrix tagged with the space it acts on."""
+    """A square complex matrix tagged with the space it acts on, copied
+    read-only at construction; products and sums are taken on ``matrix``."""
 
     space: CompositeSpace
     matrix: np.ndarray = field(repr=False)
@@ -136,30 +137,6 @@ class Operator:
         mat = mat.copy()
         mat.flags.writeable = False
         object.__setattr__(self, "matrix", mat)
-
-    def dag(self) -> "Operator":
-        return Operator(self.space, self.matrix.conj().T)
-
-    def _coerce(self, other) -> np.ndarray:
-        if isinstance(other, Operator):
-            if other.space != self.space:
-                raise DomainError("operators live on different spaces")
-            return other.matrix
-        return np.asarray(other, dtype=complex)
-
-    def __add__(self, other) -> "Operator":
-        return Operator(self.space, self.matrix + self._coerce(other))
-
-    def __sub__(self, other) -> "Operator":
-        return Operator(self.space, self.matrix - self._coerce(other))
-
-    def __mul__(self, scalar) -> "Operator":
-        return Operator(self.space, self.matrix * complex(scalar))
-
-    __rmul__ = __mul__
-
-    def __matmul__(self, other) -> "Operator":
-        return Operator(self.space, self.matrix @ self._coerce(other))
 
 
 class DensityMatrix(Operator):

@@ -64,11 +64,6 @@ STEADY_RESIDUAL_TOL = 1e-9
 # zero than freshly constructed states do
 _SOLVER_POLICY = NumericPolicy(algebraic_tol=1e-10, positivity_slack=1e-8)
 
-_DEGENERACY_SV_RATIO = 1e-12  # second singular value below this * ||L|| => degenerate
-# Liouville dimension up to which a failed solve is diagnosed by the dense
-# singular spectrum, an O(D^6) step: ~0.05 s at D^2 = 256, ~1.4 s at 1296
-_DENSE_DIAGNOSIS_MAX_DIM = 256
-
 # GMRES restart length: the preconditioned bordered system takes 10-17
 # steps on the benchmark systems, and up to ~120 on random physical
 # parameters whose jump rates dominate their Hamiltonian
@@ -147,43 +142,22 @@ class SteadyStateInfo:
     certificate_iterations: int
 
 
-def _diagnose_kernel(liouville: Superoperator, stalled: bool):
-    """On solver failure, distinguish a degenerate kernel from plain
-    ill-conditioning.
-
-    Up to D^2 = ``_DENSE_DIAGNOSIS_MAX_DIM`` the dense singular spectrum
-    decides.  Above it the O(D^6) SVD is not run and the uniqueness
-    certificate decides: one that ``stalled`` (missed its target) marks the
-    bordered system as singular to the solver's precision, a kernel of at
-    least two dimensions.
+def _diagnose_kernel(stalled: bool) -> SolverError:
+    """The error of a failed steady-state member, by one rule at every
+    Liouville dimension: a uniqueness certificate that ``stalled`` (missed
+    its target) marks the bordered system as singular to the solver's
+    precision, a kernel of at least two dimensions; any other failure is a
+    plain ``SingularSolveError``.
     """
-    if liouville.matrix.shape[0] > _DENSE_DIAGNOSIS_MAX_DIM:
-        if stalled:
-            raise DegenerateSteadyStateError(
-                "the uniqueness certificate stalled: the generator kernel is "
-                "at least 2-dimensional; the steady state is not unique",
-                kernel_dimension=2,
-            )
-        raise SingularSolveError(
-            "steady-state solve failed although the uniqueness certificate "
-            "converged (no dense diagnosis above D^2 = "
-            f"{_DENSE_DIAGNOSIS_MAX_DIM})")
-    dense = liouville.matrix.toarray()
-    singular_values = np.linalg.svd(dense, compute_uv=False)
-    norm = singular_values[0] if singular_values.size else 0.0
-    kernel_dim = int(np.sum(singular_values < _DEGENERACY_SV_RATIO * max(norm, 1.0)))
-    if kernel_dim >= 2:
-        raise DegenerateSteadyStateError(
-            f"the generator kernel is {kernel_dim}-dimensional; "
-            "the steady state is not unique",
-            kernel_dimension=kernel_dim,
+    if stalled:
+        return DegenerateSteadyStateError(
+            "the uniqueness certificate stalled: the generator kernel is "
+            "at least 2-dimensional; the steady state is not unique",
+            kernel_dimension=2,
         )
-    cond = norm / singular_values[-1] if singular_values[-1] > 0 else float("inf")
-    raise SingularSolveError(
-        "steady-state solve failed on a nondegenerate generator "
-        f"(condition estimate {cond:.3e})",
-        condition_estimate=cond,
-    )
+    return SingularSolveError(
+        "steady-state solve failed although the uniqueness certificate "
+        "converged")
 
 
 def _invariant_blocks(h_eff: np.ndarray, matrix: sp.csr_matrix) -> np.ndarray:
@@ -542,9 +516,10 @@ def steady_states(liouvilles) -> list:
     ||L vec(rho)|| above ``STEADY_RESIDUAL_TOL`` or a state that fails the
     density-matrix check (one ``check_density_matrix`` over the batch's
     states, repeated per member only when it fails) goes to
-    ``_diagnose_kernel``, which gives ``DegenerateSteadyStateError`` or
-    ``SingularSolveError``: by the dense singular values up to D^2 = 256,
-    from the certificate above.  Failures stay with their member.
+    ``_diagnose_kernel``, one rule at every Fock cutoff: a stalled
+    certificate gives ``DegenerateSteadyStateError`` with kernel dimension
+    2, any other failure ``SingularSolveError``.  Failures stay with their
+    member.
 
     Returns one entry per generator, in order: ``(DensityMatrix,
     SteadyStateInfo)``, or the ``SolverError`` of a failed member.
@@ -613,11 +588,8 @@ def steady_states(liouvilles) -> list:
     rho.flags.writeable = False
     for i, m in enumerate(live):
         if not valid[i]:
-            try:
-                _diagnose_kernel(liouvilles[m], not reached[i, 1])
-            except SolverError as exc:
-                outcomes[m] = exc
-                continue
+            outcomes[m] = _diagnose_kernel(not reached[i, 1])
+            continue
         state = DensityMatrix._checked(space, rho[i], _SOLVER_POLICY)
         outcomes[m] = (state, SteadyStateInfo(
             residual=float(residuals[i]), refined=bool(passes[i, 0] > 1),
@@ -990,10 +962,17 @@ class ConvergenceReport:
 def convergence_scan(params: SystemParams, observable="negativity",
                      cutoffs=(1, 2), threshold: float = 0.01) -> ConvergenceReport:
     """Recompute a steady-state observable at increasing Fock cutoffs and
-    report the successive relative differences."""
-    cutoffs = tuple(int(c) for c in cutoffs)
+    report the successive relative differences.  An unknown observable or
+    cutoffs that are not ascending integers >= 1 raise ``DomainError``."""
+    if observable not in OBSERVABLES:
+        raise DomainError(f"unknown observable {observable!r}; known "
+                          f"observables: {', '.join(OBSERVABLES)}")
+    try:
+        cutoffs = tuple(int(c) for c in cutoffs)
+    except (TypeError, ValueError):
+        raise DomainError(f"cutoffs must be integers, got {cutoffs!r}") from None
     if any(c < 1 for c in cutoffs) or any(np.diff(cutoffs) <= 0):
-        raise ValueError("cutoffs must be ascending integers >= 1")
+        raise DomainError("cutoffs must be ascending integers >= 1")
     func = OBSERVABLES[observable]
     values = []
     for cutoff in cutoffs:

@@ -143,7 +143,7 @@ def test_criterion_6_driven_two_level_oracle():
     worst = 0.0
     for drive in (0.1, 0.5, 1.0, 3.0, 10.0):
         for gamma in (0.2, 1.0, 2.5, 8.0, 30.0):
-            h = Operator(space, drive * (sm.dag() + sm).matrix)
+            h = Operator(space, drive * (sm.matrix.conj().T + sm.matrix))
             rho = steady_state(assemble_generator(h, [(sm, gamma)]))
             expected = drive**2 / (gamma**2 / 4 + 2 * drive**2)
             worst = max(worst, abs(rho.matrix[1, 1].real - expected))

@@ -164,7 +164,17 @@ class TestParsing:
             parse_config(STEADY_PRESET + f"{key} = 3\n")
         message = str(exc_info.value)
         assert "unknown key" in message and "[run]" in message
-        assert "known keys: allow_point_failures, command, preset, threads" in message
+        assert "known keys: command, preset, threads" in message
+
+    def test_allow_point_failures_is_sweep_only(self):
+        # only a sweep has points that may fail alone
+        key = "allow_point_failures = true\n"
+        with pytest.raises(ConfigError) as exc_info:
+            parse_config(STEADY_PRESET.replace("steady", "dynamics") + key)
+        assert "unknown key 'allow_point_failures'" in str(exc_info.value)
+        sweep = (STEADY_PRESET.replace("steady", "sweep") + key
+                 + "\n[sweep]\nkind = phase_detuning\n")
+        assert parse_config(sweep).allow_point_failures
 
     def test_complex_coupling_rejected(self):
         # the config format and the run id carry real couplings only; a

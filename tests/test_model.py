@@ -26,7 +26,7 @@ EY_FOR_110_UEV = 5.389469106139507e-05
 
 def total_excitation(space):
     """Sum of all emitter populations and photon numbers."""
-    return sum(low.dag().matrix @ low.matrix for low in lowering_operators(space))
+    return sum(low.matrix.conj().T @ low.matrix for low in lowering_operators(space))
 
 
 def lab_hamiltonian(params, t):

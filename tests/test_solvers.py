@@ -13,6 +13,7 @@ from pcdimer.exceptions import (
     DegenerateSteadyStateError,
     DomainError,
     IntegrationError,
+    SingularSolveError,
     SolverError,
 )
 from pcdimer.hilbert import (
@@ -43,7 +44,6 @@ from pcdimer.model import (
 )
 from pcdimer.hilbert import qubit_lowering
 from pcdimer.solvers import (
-    _DEGENERACY_SV_RATIO,
     _DENSE_MIN_STEPS,
     _SAMPLE_BLOCK,
     _SOLVER_POLICY,
@@ -63,12 +63,26 @@ from pcdimer.experiments import stark_switch_protocol
 from test_liouvillian import full_params, physical_params, random_density
 
 QUBIT = CompositeSpace((qubit(),))
+# how the message of a member whose uniqueness certificate stalled begins
+CERTIFICATE_STALLED = "the uniqueness certificate stalled"
 
 
 def driven_qubit_generator(drive, gamma):
     sm = qubit_lowering(QUBIT, 0)
-    h = Operator(QUBIT, drive * (sm.dag() + sm).matrix)
+    h = Operator(QUBIT, drive * (sm.matrix.conj().T + sm.matrix))
     return assemble_generator(h, [(sm, gamma)])
+
+
+def sigma_x_dephased(space):
+    """H = 3 sigma_x on the emitter at position 0 of ``space``, dephased in
+    the sigma_x basis at rate 0.7; a boson at position 1 loses photons at
+    rate 40."""
+    sm = qubit_lowering(space, 0).matrix
+    sx = Operator(space, sm + sm.conj().T)
+    jumps = [(sx, 0.7)]
+    if len(space.dims) > 1:
+        jumps.append((boson_annihilation(space, 1), 40.0))
+    return assemble_generator(Operator(space, 3.0 * sx.matrix), jumps)
 
 
 def dark_tuned(params):
@@ -150,8 +164,8 @@ class TestSteadyState:
     def test_degenerate_kernel_detected(self):
         # a closed (dissipation-free) system preserves every level
         # population: the kernel is high-dimensional
-        sm = qubit_lowering(QUBIT, 0)
-        h = Operator(QUBIT, (sm.dag() @ sm).matrix * 3.0)
+        sm = qubit_lowering(QUBIT, 0).matrix
+        h = Operator(QUBIT, (sm.conj().T @ sm) * 3.0)
         liouville = assemble_generator(h, [])
         with pytest.raises(DegenerateSteadyStateError) as exc_info:
             steady_state(liouville)
@@ -159,7 +173,7 @@ class TestSteadyState:
 
     def test_degenerate_levels_found_before_iterating(self, monkeypatch):
         # every level of a closed system is stationary: H_eff = H has only
-        # real eigenvalues, so no GMRES step and no dense diagnosis runs
+        # real eigenvalues, so no GMRES step and no post-failure diagnosis runs
         import pcdimer.solvers
 
         def unreachable(*args, **kwargs):
@@ -182,35 +196,24 @@ class TestSteadyState:
                 steady_state(liouville)
             assert exc_info.value.kernel_dimension == kernel_dim
 
-    def test_dephasing_degeneracy_caught_by_certificate(self):
+    @pytest.mark.parametrize("space", [
+        QUBIT, CompositeSpace((qubit(), boson(8)))], ids=["d2_4", "d2_324"])
+    def test_stalled_certificate_decides_without_svd(self, space, monkeypatch):
         # dephasing in the sigma_x basis damps the coherences between the
         # sigma_x eigenstates only: every level decays under H_eff and the
         # jump joins the two basis states, yet I and sigma_x are both
-        # stationary, so the bordered system is singular but consistent
-        sm = qubit_lowering(QUBIT, 0)
-        sx = sm + sm.dag()
-        liouville = assemble_generator(3.0 * sx, [(sx, 0.7)])
-        with pytest.raises(DegenerateSteadyStateError) as exc_info:
-            steady_state(liouville)
-        assert exc_info.value.kernel_dimension == 2
-
-    def test_stalled_certificate_above_dense_limit_skips_svd(self, monkeypatch):
-        # the sigma_x dephasing next to a lossy mode at D^2 = 324: no dense
-        # singular value decomposition; the stalled certificate decides
-        import pcdimer.solvers
-
+        # stationary (next to a lossy mode: in its vacuum), so the bordered
+        # system is singular but consistent.  The stalled certificate
+        # decides at every Liouville dimension, with no dense SVD
         def unreachable(*args, **kwargs):
-            raise AssertionError("no dense SVD above D^2 = 256")
+            raise AssertionError("no dense SVD diagnoses a failed solve")
 
-        space = CompositeSpace((qubit(), boson(8)))
-        sm, a = qubit_lowering(space, 0), boson_annihilation(space, 1)
-        sx = sm + sm.dag()
-        liouville = assemble_generator(3.0 * sx, [(sx, 0.7), (a, 40.0)])
-        assert liouville.matrix.shape[0] > pcdimer.solvers._DENSE_DIAGNOSIS_MAX_DIM
+        liouville = sigma_x_dephased(space)
         monkeypatch.setattr(np.linalg, "svd", unreachable)
         with pytest.raises(DegenerateSteadyStateError) as exc_info:
             steady_state(liouville)
         assert exc_info.value.kernel_dimension == 2
+        assert str(exc_info.value).startswith(CERTIFICATE_STALLED)
 
     def test_fock_dephasing_degeneracy_found_before_iterating(self, monkeypatch):
         # dephasing in the Fock basis with a diagonal H joins no two basis
@@ -222,9 +225,10 @@ class TestSteadyState:
 
         monkeypatch.setattr(pcdimer.solvers, "_lockstep_gmres", unreachable)
         monkeypatch.setattr(pcdimer.solvers, "_diagnose_kernel", unreachable)
-        sm = qubit_lowering(QUBIT, 0)
-        number = sm.dag() @ sm
-        liouville = assemble_generator(3.0 * number, [(number, 0.7)])
+        sm = qubit_lowering(QUBIT, 0).matrix
+        number = Operator(QUBIT, sm.conj().T @ sm)
+        liouville = assemble_generator(Operator(QUBIT, 3.0 * number.matrix),
+                                       [(number, 0.7)])
         with pytest.raises(DegenerateSteadyStateError) as exc_info:
             steady_state(liouville)
         assert exc_info.value.kernel_dimension == 2
@@ -233,7 +237,7 @@ class TestSteadyState:
     def test_dephased_closed_system_blocks(self, cutoff, monkeypatch):
         # lossless, undriven, dephasing only: H keeps the total excitation
         # number, so each of its 2 + 2 cutoff + 1 values is an invariant
-        # block; found with no GMRES step and no dense SVD at any cutoff
+        # block; found with no GMRES step and no diagnosis at any cutoff
         import pcdimer.solvers
 
         params = SystemParams(
@@ -264,7 +268,8 @@ class TestSteadyState:
         space = CompositeSpace((qubit(), boson(1)))
         sm, a = qubit_lowering(space, 0), boson_annihilation(space, 1)
         kappa = 40.0
-        h = Operator(space, kappa / 4 * (sm.dag() @ a + a.dag() @ sm).matrix)
+        h = Operator(space, kappa / 4 * (sm.matrix.conj().T @ a.matrix
+                                         + a.matrix.conj().T @ sm.matrix))
         liouville = assemble_generator(h, [(a, kappa)])
         assert np.linalg.cond(np.linalg.eig(liouville.h_eff)[1]) > 1e6
         rho = steady_state(liouville)
@@ -323,8 +328,10 @@ class TestSteadyStateProperties:
         liouville = build_liouvillian(params)
         _, singular_values, vh = np.linalg.svd(liouville.matrix.toarray())
         gap = singular_values[-2] / singular_values[0] if singular_values[0] else 0.0
-        # the dense diagnosis counts singular values below this as kernel
-        degenerate = singular_values[-2] < _DEGENERACY_SV_RATIO * max(
+        # a second singular value below this ratio to the largest makes the
+        # kernel degenerate
+        degenerate_ratio = 1e-12
+        degenerate = singular_values[-2] < degenerate_ratio * max(
             singular_values[0], 1.0)
         try:
             rho = steady_state(liouville)
@@ -421,16 +428,16 @@ class TestSteadyStateBatches:
         space = CompositeSpace((qubit(), boson(1)))
         sm, a = qubit_lowering(space, 0), boson_annihilation(space, 1)
         kappa = 40.0
-        exchange = kappa / 4 * (sm.dag() @ a + a.dag() @ sm).matrix
-        number = sm.dag() @ sm
-        sx = sm + sm.dag()
+        exchange = kappa / 4 * (sm.matrix.conj().T @ a.matrix
+                                + a.matrix.conj().T @ sm.matrix)
+        number = Operator(space, sm.matrix.conj().T @ sm.matrix)
         closed = assemble_generator(Operator(space, exchange), [])
         dephased = assemble_generator(Operator(space, 3.0 * number.matrix),
                                       [(a, kappa), (number, 0.7)])
-        x_dephased = assemble_generator(3.0 * sx, [(a, kappa), (sx, 0.7)])
+        x_dephased = sigma_x_dephased(space)
         exceptional = assemble_generator(Operator(space, exchange), [(a, kappa)])
         driven = [assemble_generator(
-            Operator(space, exchange + drive * (sm.dag() + sm).matrix),
+            Operator(space, exchange + drive * (sm.matrix.conj().T + sm.matrix)),
             [(a, kappa), (sm, 2.0)]) for drive in (1.0, 7.0)]
         batch = [driven[0], closed, exceptional, dephased, x_dephased, driven[1]]
         assert_batch_matches_solo(batch)
@@ -441,7 +448,7 @@ class TestSteadyStateBatches:
             assert isinstance(outcomes[k], DegenerateSteadyStateError)
             assert outcomes[k].kernel_dimension == 2
         assert "blocks of basis states invariant" in str(outcomes[3])
-        assert str(outcomes[4]).startswith("the generator kernel is 2-dimensional")
+        assert str(outcomes[4]).startswith(CERTIFICATE_STALLED)
         rho, _ = outcomes[2]
         assert np.allclose(rho.matrix, np.diag([1.0, 0.0, 0.0, 0.0]), atol=1e-12)
         for k in (0, 5):
@@ -474,11 +481,16 @@ class TestSteadyStateBatches:
         for (rho, _), reference in zip(outcomes, solo, strict=True):
             assert np.max(np.abs(rho.matrix - reference)) <= 1e-12
 
+        def unreachable(*args, **kwargs):
+            raise AssertionError("no dense SVD diagnoses a failed solve")
+
+        monkeypatch.setattr(np.linalg, "svd", unreachable)
         shapes.clear()
         flagged.append(solo[2])
         outcomes = steady_states(batch)
         assert shapes == [(4, 16, 16)] + [(16, 16)] * 4
-        assert isinstance(outcomes[2], SolverError)
+        # the certificate converged: a plain singular solve
+        assert isinstance(outcomes[2], SingularSolveError)
         for k in (0, 1, 3):
             rho, info = outcomes[k]
             assert np.max(np.abs(rho.matrix - solo[k])) <= 1e-12
@@ -856,11 +868,13 @@ class TestConvergenceScan:
 
     def test_cutoffs_validated(self):
         params = preset_params("dimer30_dc901")
-        with pytest.raises(ValueError):
-            convergence_scan(params, "negativity", cutoffs=(0, 1))
-        with pytest.raises(ValueError):
-            convergence_scan(params, "negativity", cutoffs=(2, 2))
+        for cutoffs in ((0, 1), (2, 2), (2, 1), ("one", 2)):
+            with pytest.raises(DomainError):
+                convergence_scan(params, "negativity", cutoffs=cutoffs)
 
     def test_unknown_observable(self):
-        with pytest.raises(KeyError):
+        with pytest.raises(DomainError) as exc_info:
             convergence_scan(preset_params("dimer30_dc901"), "entropy")
+        message = str(exc_info.value)
+        assert "'entropy'" in message
+        assert all(name in message for name in OBSERVABLES)
