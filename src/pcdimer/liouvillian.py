@@ -14,11 +14,14 @@ A ``_Template`` holds, for one set of term operators, the union sparsity
 pattern of every term's superoperator and the sparse maps from theta to the
 no-jump Hamiltonian and to the values on that pattern, so a generator, or a
 batch of them, is a coefficient contraction: three sparse products with
-theta and two scatters.  The model's template is built once per Fock space.
+theta and three scatters.  The model's template is built once per Fock space,
+and a contraction emits a batch's generators as one ``GeneratorBatch``:
+block-diagonal L and R and the stack of no-jump Hamiltonians.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -36,6 +39,7 @@ from .model import (
 )
 
 __all__ = [
+    "GeneratorBatch",
     "Superoperator",
     "assemble_generator",
     "build_liouvillian",
@@ -52,15 +56,19 @@ class Superoperator:
     ``h_eff`` is the read-only D x D no-jump Hamiltonian
     H - (i/2) sum r C^dag C of the generator, divided by hbar (1/ps): the
     generator is X -> -i (h_eff X - X h_eff^dag) plus the recycling terms
-    sum r C X C^dag.  Trace preservation (the vectorized identity is a left
-    null vector) is checked at construction, or for a whole batch at once
-    where a template assembles the generators.  Instances are treated as
-    immutable and may be shared freely across workers.
+    sum r C X C^dag.  ``recycling`` is the CSR matrix R = sum r conj(C) kron C
+    of those terms, L less its no-jump part, without stored zeros: a
+    template writes it exactly, and the constructor derives it as that
+    difference, to roundoff.  Trace preservation (the vectorized identity is
+    a left null vector) is checked at construction, or for a whole batch at
+    once where a template assembles the generators.  Instances are treated
+    as immutable and may be shared freely across workers.
     """
 
     space: CompositeSpace
     matrix: sp.csr_matrix = field(repr=False)
     h_eff: np.ndarray = field(repr=False)
+    recycling: sp.csr_matrix = field(init=False, repr=False)
 
     def __post_init__(self):
         d = self.space.total_dim
@@ -87,10 +95,16 @@ class Superoperator:
             raise DomainError(
                 f"superoperator does not preserve the trace (defect {defect:.3e})"
             )
+        eye = sp.identity(d, format="csr")
+        h = sp.csr_matrix(h_eff)
+        recycling = sp.csr_matrix(
+            self.matrix + 1j * sp.kron(eye, h) - 1j * sp.kron(h.conj(), eye))
+        recycling.eliminate_zeros()
+        object.__setattr__(self, "recycling", recycling)
 
     @classmethod
     def _checked(cls, space: CompositeSpace, matrix: sp.csr_matrix,
-                 h_eff: np.ndarray) -> "Superoperator":
+                 h_eff: np.ndarray, recycling: sp.csr_matrix) -> "Superoperator":
         """An instance whose shapes, format and trace preservation its
         assembler has checked already, for a whole batch at once; ``h_eff``
         must be read-only."""
@@ -98,12 +112,78 @@ class Superoperator:
         object.__setattr__(self, "space", space)
         object.__setattr__(self, "matrix", matrix)
         object.__setattr__(self, "h_eff", h_eff)
+        object.__setattr__(self, "recycling", recycling)
         return self
 
     def trace_defect(self) -> float:
         """Max magnitude of <<I| L, zero for a trace-preserving generator."""
         bra = identity_bra(self.space)
         return float(np.max(np.abs(bra @ self.matrix)))
+
+
+def _block_diagonal(matrices: list) -> sp.csr_matrix:
+    """CSR block-diagonal matrix of equally sized CSR blocks; a single
+    block is returned as it is."""
+    if len(matrices) == 1:
+        return matrices[0]
+    n = matrices[0].shape[0]
+    starts = np.cumsum([0] + [m.nnz for m in matrices])
+    indices = np.concatenate([m.indices + k * n for k, m in enumerate(matrices)])
+    indptr = np.concatenate([m.indptr[:-1] + start
+                             for m, start in zip(matrices, starts)]
+                            + [starts[-1:]])
+    size = len(matrices) * n
+    return sp.csr_matrix((np.concatenate([m.data for m in matrices]),
+                          indices, indptr), shape=(size, size))
+
+
+def _block(matrix: sp.csr_matrix, m: int, n: int) -> sp.csr_matrix:
+    """Diagonal block m of a CSR block-diagonal matrix of n x n blocks; a
+    matrix of one block is returned as it is."""
+    if matrix.shape[0] == n:
+        return matrix
+    start, stop = matrix.indptr[m * n], matrix.indptr[(m + 1) * n]
+    return sp.csr_matrix((matrix.data[start:stop], matrix.indices[start:stop] - m * n,
+                          matrix.indptr[m * n:(m + 1) * n + 1] - start), shape=(n, n))
+
+
+@dataclass(frozen=True)
+class GeneratorBatch(Sequence):
+    """Generators of one space as block-diagonal CSR matrices, member m in
+    the rows and columns m D^2 to (m + 1) D^2 - 1: ``matrix`` holds the
+    generators L and ``recycling`` their recycling parts R (see
+    ``Superoperator``); ``h_eff`` is the read-only (B, d, d) stack of
+    no-jump Hamiltonians.  Indexing gives a member as a ``Superoperator``,
+    a slice a list of them; a batch of one holds its member's matrices."""
+
+    space: CompositeSpace
+    matrix: sp.csr_matrix = field(repr=False)
+    recycling: sp.csr_matrix = field(repr=False)
+    h_eff: np.ndarray = field(repr=False)
+
+    @staticmethod
+    def join(members) -> "GeneratorBatch":
+        """The batch of a sequence of ``Superoperator`` that share one space."""
+        members = list(members)
+        space = members[0].space
+        if any(member.space != space for member in members):
+            raise DomainError("a generator batch must share one space")
+        h_eff = np.array([member.h_eff for member in members])
+        h_eff.flags.writeable = False
+        return GeneratorBatch(
+            space, _block_diagonal([member.matrix for member in members]),
+            _block_diagonal([member.recycling for member in members]), h_eff)
+
+    def __len__(self) -> int:
+        return len(self.h_eff)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[m] for m in range(len(self))[index]]
+        m = range(len(self))[index]
+        n = self.space.total_dim ** 2
+        return Superoperator._checked(self.space, _block(self.matrix, m, n),
+                                      self.h_eff[m], _block(self.recycling, m, n))
 
 
 def identity_bra(space: CompositeSpace) -> np.ndarray:
@@ -232,11 +312,13 @@ class _Template:
     Hamiltonian) and B and to the values of R, all in 1/ps, with one
     column per term, so that each value sums its terms in one fixed order
     whatever the batch.  ``indices``/``indptr`` are the CSR pattern of the
-    union of every term's entries in L; ``a_pattern`` lists the flat
-    indices of A that some term fills and ``a_positions[b, k]`` the place
-    of entry ``a_pattern[k]`` of block b of I kron A in the pattern, and
-    likewise for B kron I.  ``trace`` sums the entries of the trace rows of
-    L (rows i (d + 1)) column by column, giving <<I| L.
+    union of every term's entries in L, and ``r_indices``/``r_indptr`` that
+    of R, whose entries sit at ``r_positions`` of L's pattern;
+    ``a_pattern`` lists the flat indices of A that some term fills and
+    ``a_positions[b, k]`` the place of entry ``a_pattern[k]`` of block b of
+    I kron A in the pattern, and likewise for B kron I.  ``trace`` sums the
+    entries of the trace rows of L (rows i (d + 1)) column by column,
+    giving <<I| L.
     """
 
     space: CompositeSpace
@@ -245,6 +327,9 @@ class _Template:
     a: sp.csc_matrix
     b: sp.csc_matrix
     r: sp.csc_matrix
+    r_indices: np.ndarray
+    r_indptr: np.ndarray
+    r_positions: np.ndarray
     a_pattern: np.ndarray
     a_positions: np.ndarray
     b_pattern: np.ndarray
@@ -265,12 +350,13 @@ class _Template:
         # i d n + j d + b (n + 1)
         in_a = blocks * (d * (n + 1)) + (a_pattern // d) * n + a_pattern % d
         in_b = (b_pattern // d) * (d * n) + (b_pattern % d) * d + blocks * (n + 1)
-        union = _union((in_a.ravel(), in_b.ravel()) + r_keys)
+        r_union = _union(r_keys)
+        union = _union((in_a.ravel(), in_b.ravel(), r_union))
         rows = union // n
         trace_rows = np.flatnonzero(rows % (d + 1) == 0)
 
-        def place(keys):
-            return np.searchsorted(union, keys).astype(np.int32)
+        def place(keys, pattern=union):
+            return np.searchsorted(pattern, keys).astype(np.int32)
 
         return _Template(
             space=space,
@@ -278,7 +364,11 @@ class _Template:
             indptr=np.searchsorted(rows, np.arange(n + 1)).astype(np.int32),
             a=_coefficient_map(a_keys, a_values, n),
             b=_coefficient_map(b_keys, b_values, n),
-            r=_coefficient_map([place(k) for k in r_keys], r_values, union.size),
+            r=_coefficient_map([place(k, r_union) for k in r_keys], r_values,
+                               r_union.size),
+            r_indices=(r_union % n).astype(np.int32),
+            r_indptr=np.searchsorted(r_union // n, np.arange(n + 1)).astype(np.int32),
+            r_positions=place(r_union),
             a_pattern=a_pattern.astype(np.int32),
             a_positions=place(in_a),
             b_pattern=b_pattern.astype(np.int32),
@@ -288,19 +378,21 @@ class _Template:
                 shape=(n, union.size)),
         )
 
-    def contract(self, thetas: np.ndarray) -> list[Superoperator]:
+    def contract(self, thetas: np.ndarray) -> GeneratorBatch:
         """The generators of the rows of the (B, K) coefficient array
-        ``thetas``: three sparse products for the whole batch, two scatters
-        of A and B into the pattern, then each member's values on the
-        pattern without its exact zeros."""
+        ``thetas``: three sparse products for the whole batch, three
+        scatters of R, A and B into the pattern, then the block-diagonal L
+        and R of the batch, each member without its exact zeros."""
         thetas = np.asarray(thetas, dtype=float)
         d = self.space.total_dim
         a = self.a @ thetas.T  # (d^2, B)
-        values = self.r @ thetas.T  # (nnz, B)
+        recycling = self.r @ thetas.T  # (nnz of R, B)
+        values = np.zeros((self.indices.size, len(thetas)), dtype=complex)
+        values[self.r_positions] = recycling
         values[self.a_positions] += -1j * a[self.a_pattern]
         values[self.b_positions] += 1j * (self.b @ thetas.T)[self.b_pattern]
         h_eff = np.ascontiguousarray(a.T).reshape(-1, d, d)
-        for array in (values, h_eff):
+        for array in (values, recycling, h_eff):
             # subnormal parts become exact zeros: they carry no physics and
             # overflow the divisions of scipy's expm and norm estimator
             parts = array.view(float)
@@ -313,16 +405,28 @@ class _Template:
             raise DomainError(
                 "superoperator does not preserve the trace "
                 f"(defect {defects[bad[0]]:.3e})")
-        values = np.ascontiguousarray(values.T)
-        keep = values != 0
-        counts = np.zeros((len(thetas), values.shape[1] + 1), dtype=np.int32)
-        np.cumsum(keep, axis=1, out=counts[:, 1:])
-        indptrs = counts[:, self.indptr]
         h_eff.flags.writeable = False
-        return [Superoperator._checked(
-            self.space,
-            sp.csr_matrix((row[mask], self.indices[mask], indptr), shape=(d * d,) * 2),
-            h) for row, mask, indptr, h in zip(values, keep, indptrs, h_eff)]
+        return GeneratorBatch(
+            self.space, _stacked_csr(values, self.indices, self.indptr),
+            _stacked_csr(recycling, self.r_indices, self.r_indptr), h_eff)
+
+
+def _stacked_csr(values: np.ndarray, indices: np.ndarray,
+                 indptr: np.ndarray) -> sp.csr_matrix:
+    """Block-diagonal CSR matrix of the columns of ``values`` (nnz, B), each
+    a member's values on the pattern ``indices``/``indptr``, without its
+    exact zeros."""
+    n = indptr.size - 1
+    size, count = values.shape
+    values = np.ascontiguousarray(values.T)
+    keep = values != 0
+    counts = np.zeros(keep.size + 1, dtype=np.int32)
+    np.cumsum(keep, out=counts[1:])
+    offsets = np.arange(count)[:, None]
+    starts = (indptr[:-1] + size * offsets).ravel()
+    return sp.csr_matrix(
+        (values[keep], (indices + n * offsets)[keep],
+         np.append(counts[starts], counts[-1])), shape=(count * n,) * 2)
 
 
 @lru_cache(maxsize=8)
@@ -356,15 +460,14 @@ def assemble_generator(h: Operator, jumps) -> Superoperator:
     template = _Template.build(
         h.space, sp.csr_matrix(h.matrix.reshape(-1, 1)),
         [jump.matrix for jump, _ in jumps])
-    (liouville,) = template.contract([[1.0] + [rate for _, rate in jumps]])
-    return liouville
+    return template.contract([[1.0] + [rate for _, rate in jumps]])[0]
 
 
-def build_liouvillians(points) -> list[Superoperator]:
+def build_liouvillians(points) -> GeneratorBatch:
     """Lindblad generators in 1/ps of parameter sets that share one space,
-    contracted together from the space's cached template: the rotating-frame
-    Hamiltonian with the eight loss, pump, decay and dephasing channels of
-    ``model.model_terms``."""
+    contracted together from the space's cached template into one
+    ``GeneratorBatch``: the rotating-frame Hamiltonian with the eight loss,
+    pump, decay and dephasing channels of ``model.model_terms``."""
     points = list(points)
     space = points[0].space()
     if any(p.space() != space for p in points):
@@ -375,5 +478,4 @@ def build_liouvillians(points) -> list[Superoperator]:
 def build_liouvillian(params: SystemParams) -> Superoperator:
     """Lindblad generator of the full system in 1/ps: the rotating-frame
     Hamiltonian with the eight loss, decay, dephasing and pump channels."""
-    (liouville,) = build_liouvillians([params])
-    return liouville
+    return build_liouvillians([params])[0]

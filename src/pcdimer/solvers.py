@@ -33,7 +33,9 @@ from .hilbert import (
     lowering_operators,
 )
 from .liouvillian import (
+    GeneratorBatch,
     Superoperator,
+    _block_diagonal,
     build_liouvillian,
     hermitian_basis,
     hermitian_matrices,
@@ -98,6 +100,10 @@ _NON_DECAYING_TOL = 1e-12
 # eigenvector-basis condition number above which the no-jump inverse takes
 # the Schur route (eps * cond^2 ~ 1e-4)
 _EIGENBASIS_COND_MAX = 1e6
+# eigenbasis condition bound up to which the eigenbasis inverse counts as
+# exact, so that a GMRES step may apply the recycling terms alone: the
+# inverse loses about eps * cond^2, which this keeps at the bordered target
+_RECYCLING_COND_MAX = np.sqrt(_BORDERED_RESIDUAL_TOL / np.finfo(float).eps)
 
 _TRACE_DRIFT_TOL = 1e-7
 
@@ -160,7 +166,7 @@ def _diagnose_kernel(stalled: bool) -> SolverError:
         "converged")
 
 
-def _invariant_blocks(h_eff: np.ndarray, matrix: sp.csr_matrix) -> np.ndarray:
+def _invariant_blocks(h_eff: np.ndarray, recycling: sp.csr_matrix) -> np.ndarray:
     """Per member of a batch, the number of blocks of Fock basis states
     that H and every active jump leave invariant: a lower bound on the
     dimension of the generator kernel.
@@ -168,25 +174,26 @@ def _invariant_blocks(h_eff: np.ndarray, matrix: sp.csr_matrix) -> np.ndarray:
     The blocks are the connected components of the graph on the d basis
     states whose edges are the nonzeros of H_eff (those of H and of the
     C^dag C) and the population transfers j -> i, the entries
-    L[i (d + 1), j (d + 1)] = sum r |C_ij|^2, nonzero exactly where an
-    active jump has C_ij != 0.  The projector onto a block commutes with H
-    and every active jump, a strong symmetry, so each block holds a
-    stationary state of its own (Buca & Prosen, New J. Phys. 14, 073007
-    (2012)).  ``h_eff`` is the (B, d, d) stack and ``matrix`` the
-    block-diagonal generator of the batch.
+    R[i (d + 1), j (d + 1)] = sum r |C_ij|^2 of the recycling terms,
+    nonzero exactly where an active jump has C_ij != 0.  For i != j they
+    are the generator's entries too, since its no-jump part has none there.
+    The projector onto a block commutes with H and every active jump, a
+    strong symmetry, so each block holds a stationary state of its own
+    (Buca & Prosen, New J. Phys. 14, 073007 (2012)).  ``h_eff`` is the
+    (B, d, d) stack and ``recycling`` the block-diagonal R of the batch.
     """
     count, d = h_eff.shape[:2]
     n = d * d
     nodes = np.arange(count * d)
     # the trace rows of every member, gathered as one index array
     rows = (nodes // d) * n + (nodes % d) * (d + 1)
-    starts = matrix.indptr[rows]
-    lengths = matrix.indptr[rows + 1] - starts
+    starts = recycling.indptr[rows]
+    lengths = recycling.indptr[rows + 1] - starts
     offsets = np.cumsum(lengths) - lengths
     entries = np.arange(lengths.sum()) + np.repeat(starts - offsets, lengths)
     source = np.repeat(nodes, lengths)
-    local = matrix.indices[entries] % n
-    transfer = (local % (d + 1) == 0) & (matrix.data[entries] != 0)
+    local = recycling.indices[entries] % n
+    transfer = (local % (d + 1) == 0) & (recycling.data[entries] != 0)
     target = (source // d) * d + local // (d + 1)
     member, i, j = np.nonzero(h_eff)
     graph = sp.csr_matrix(
@@ -220,12 +227,19 @@ def _no_jump_inverse(h_eff: np.ndarray, shift: np.ndarray, blocks: np.ndarray):
     real axis by ``shift[m] / 2`` instead, which makes the denominator
     ``shift[m]``.
 
-    Returns ``(apply, errors)``.  ``errors`` maps the index of every
+    Returns ``(apply, errors, exact)``.  ``errors`` maps the index of every
     degenerate member to its ``DegenerateSteadyStateError``, whose kernel
     dimension is the larger of the two bounds.  ``apply(y, active=None)``
     acts on a (L, k, D^2) stack of column-stacked vectors, k per member,
     for the L other members in order; vectors outside an (L, k) mask
-    ``active`` are skipped and come back zero.
+    ``active`` are skipped and come back zero.  ``exact`` (L,) marks the
+    members whose inverse is that of their no-jump part N to roundoff: no
+    level shifted, and a bound on cond(V) that keeps eps cond^2 at the
+    1e-14 bordered target.  For them L N^-1 = I + R N^-1, with R the
+    recycling terms, so a GMRES step need not multiply by L.  The bound
+    takes the unit columns of V: its singular values have sum sigma^2 = d,
+    so every (sigma - 1/sigma)^2 is at most e = ||V^-1||_F^2 - d and
+    cond(V) <= s^2 with s = (sqrt(e) + sqrt(e + 4)) / 2.
     """
     d = h_eff.shape[1]
     w, v = np.linalg.eig(h_eff)
@@ -263,8 +277,13 @@ def _no_jump_inverse(h_eff: np.ndarray, shift: np.ndarray, blocks: np.ndarray):
                 v_inv[m] = np.linalg.inv(v[m])
             except np.linalg.LinAlgError:
                 pass
-    # eig returns unit columns, so ||V||_F = sqrt(d); NaN fails the test
-    eigen = np.sqrt(d) * np.linalg.norm(v_inv, axis=(1, 2)) <= _EIGENBASIS_COND_MAX
+    # eig returns unit columns, so ||V||_F = sqrt(d); NaN fails the tests
+    inverse_norm = np.linalg.norm(v_inv, axis=(1, 2))
+    eigen = np.sqrt(d) * inverse_norm <= _EIGENBASIS_COND_MAX
+    # sqrt(e) of the cond(V) bound above, clipped at zero against roundoff
+    root_e = np.sqrt(np.maximum(inverse_norm ** 2 - d, 0.0))
+    exact = ((root_e + np.sqrt(root_e ** 2 + 4.0)) / 2.0) ** 2 <= _RECYCLING_COND_MAX
+    exact &= ~stationary.any(axis=1)
     # every product below acts on the C-order reshape of vec(Y), which is
     # Y^T: X^T = conj(V) [(conj(V^-1) Y^T (V^-1)^T) / den^T] V^T
     # (contiguous, like every stack the products below see)
@@ -306,7 +325,7 @@ def _no_jump_inverse(h_eff: np.ndarray, shift: np.ndarray, blocks: np.ndarray):
                 out[m, k] = (q @ z @ q_h).T * (1j / scale)
         return out.reshape(y.shape)
 
-    return apply, errors
+    return apply, errors, exact
 
 
 def _rotation(f: np.ndarray, g: np.ndarray):
@@ -452,22 +471,6 @@ def _lockstep_gmres(operator, rhs: np.ndarray, rtol: np.ndarray,
             (rnorm <= target).reshape(shape))
 
 
-def _block_diagonal(matrices: list) -> sp.csr_matrix:
-    """CSR block-diagonal matrix of equally sized CSR blocks; a single
-    block is returned as it is."""
-    if len(matrices) == 1:
-        return matrices[0]
-    n = matrices[0].shape[0]
-    starts = np.cumsum([0] + [m.nnz for m in matrices])
-    indices = np.concatenate([m.indices + k * n for k, m in enumerate(matrices)])
-    indptr = np.concatenate([m.indptr[:-1] + start
-                             for m, start in zip(matrices, starts)]
-                            + [starts[-1:]])
-    size = len(matrices) * n
-    return sp.csr_matrix((np.concatenate([m.data for m in matrices]),
-                          indices, indptr), shape=(size, size))
-
-
 @lru_cache(maxsize=8)
 def _certificate_rhs(n: int) -> np.ndarray:
     """Fixed-seed random right-hand side of the uniqueness certificate."""
@@ -485,9 +488,22 @@ def batch_points(dim2: int) -> int:
     return max(1, _BATCH_BASIS_BYTES // per_point)
 
 
+def _step_matrix(batch: GeneratorBatch, exact: np.ndarray) -> sp.csr_matrix:
+    """Block-diagonal matrix a GMRES step multiplies by: a member's
+    recycling terms R where its no-jump inverse is ``exact``, its whole
+    generator L elsewhere."""
+    if exact.all():
+        return batch.recycling
+    if not exact.any():
+        return batch.matrix
+    return _block_diagonal([member.recycling if flag else member.matrix
+                            for member, flag in zip(batch, exact)])
+
+
 def steady_states(liouvilles) -> list:
     """Unique steady states of a batch of trace-preserving generators that
-    share one space, solved together.
+    share one space, solved together: a ``GeneratorBatch``, or a sequence
+    of ``Superoperator`` joined into one.
 
     Each generator L gives the trace-bordered system
     (L + s |e_0>><<I|) x = s e_0, with s the largest entry of |L|.  It is
@@ -497,54 +513,63 @@ def steady_states(liouvilles) -> list:
     bordered system, to a relative residual of 1e-14 (a second,
     warm-started pass sets ``refined``), and its uniqueness certificate,
     the same matrix with a fixed-seed random right-hand side, to 1e-6.  All
-    systems are right preconditioned with the exact inverse of their
-    no-jump part (``_no_jump_inverse``, one stacked eigendecomposition of
-    the H_eff), so that only the recycling terms and the border are left to
-    iterate on: 10-17 steps on the benchmark systems at Fock cutoffs 1-4.
-    A GMRES step is one batched preconditioner call and one sparse product
-    with the block-diagonal generator of the batch per right-hand side;
-    systems that have stopped are skipped.
+    systems are right preconditioned with the inverse P^-1 of their
+    no-jump part N (``_no_jump_inverse``, one stacked eigendecomposition of
+    the H_eff), so that only the recycling terms R and the border are left
+    to iterate on: 10-17 steps on the benchmark systems at Fock cutoffs 1-4.
+    Where P^-1 inverts N to roundoff, L P^-1 = I + R P^-1, and a step
+    applies y + R P^-1 y plus the border: R holds about a fifth of L's
+    nonzeros.  A member with a shifted non-decaying level, or whose
+    eigenbasis is too ill-conditioned for that, applies L P^-1 y plus the
+    border instead.  The choice is read per member from its data, so a
+    member's arithmetic does not depend on its batch.  A GMRES step is one
+    batched preconditioner call and one sparse product with the
+    block-diagonal matrix of those operators per right-hand side; systems
+    that have stopped are skipped.
 
     A degenerate generator makes the bordered system singular but still
     consistent, so GMRES alone would return a state.  Three checks stop
     that.  Before any iteration, two or more non-decaying levels of H_eff,
     or two or more blocks of basis states that H and the active jumps leave
-    invariant (``_invariant_blocks``), give a ``DegenerateSteadyStateError``
-    carrying the larger of the two kernel bounds.  On a singular system the
-    certificate stalls (near a relative residual of 0.3).  A stalled
-    certificate, a non-finite result, a steady-state residual
-    ||L vec(rho)|| above ``STEADY_RESIDUAL_TOL`` or a state that fails the
-    density-matrix check (one ``check_density_matrix`` over the batch's
-    states, repeated per member only when it fails) goes to
-    ``_diagnose_kernel``, one rule at every Fock cutoff: a stalled
-    certificate gives ``DegenerateSteadyStateError`` with kernel dimension
-    2, any other failure ``SingularSolveError``.  Failures stay with their
-    member.
+    invariant (``_invariant_blocks``, read from R), give a
+    ``DegenerateSteadyStateError`` carrying the larger of the two kernel
+    bounds.  On a singular system the certificate stalls (near a relative
+    residual of 0.3).  A stalled certificate, a non-finite result, a
+    steady-state residual ||L vec(rho)|| above ``STEADY_RESIDUAL_TOL`` (on
+    the whole L) or a state that fails the density-matrix check (one
+    ``check_density_matrix`` over the batch's states, repeated per member
+    only when it fails) goes to ``_diagnose_kernel``, one rule at every
+    Fock cutoff: a stalled certificate gives ``DegenerateSteadyStateError``
+    with kernel dimension 2, any other failure ``SingularSolveError``.
+    Failures stay with their member.
 
     Returns one entry per generator, in order: ``(DensityMatrix,
     SteadyStateInfo)``, or the ``SolverError`` of a failed member.
     """
-    liouvilles = list(liouvilles)
-    space = liouvilles[0].space
-    if any(liouville.space != space for liouville in liouvilles):
-        raise DomainError("a steady-state batch must share one space")
+    batch = (liouvilles if isinstance(liouvilles, GeneratorBatch)
+             else GeneratorBatch.join(liouvilles))
+    count = len(batch)
+    space = batch.space
     d = space.total_dim
     n = d * d
     # the trace border, and the denominator of a non-decaying level, carry
     # each generator's own scale, so the solve does not depend on its units
-    weights = np.array([float(np.abs(l.matrix.data).max()) if l.matrix.nnz
-                        else 1.0 for l in liouvilles])
-    h_eff = np.array([l.h_eff for l in liouvilles])
-    matrix = _block_diagonal([l.matrix for l in liouvilles])
-    precondition, outcomes = _no_jump_inverse(
-        h_eff, weights, _invariant_blocks(h_eff, matrix))
-    live = [m for m in range(len(liouvilles)) if m not in outcomes]
+    magnitudes = np.abs(batch.matrix.data)
+    bounds = batch.matrix.indptr[::n]
+    weights = np.array([magnitudes[start:stop].max(initial=0.0) or 1.0
+                        for start, stop in zip(bounds[:-1], bounds[1:])])
+    precondition, outcomes, exact = _no_jump_inverse(
+        batch.h_eff, weights, _invariant_blocks(batch.h_eff, batch.recycling))
+    live = [m for m in range(count) if m not in outcomes]
     if not live:
-        return [outcomes[m] for m in range(len(liouvilles))]
+        return [outcomes[m] for m in range(count)]
     size = len(live)
-    if size < len(liouvilles):
-        matrix = _block_diagonal([liouvilles[m].matrix for m in live])
+    if size < count:
+        batch = GeneratorBatch.join([batch[m] for m in live])
     weights = weights[live]
+    step = _step_matrix(batch, exact)
+    # the identity of I + R P^-1, on the members that apply R alone
+    recycled = True if exact.all() else exact[:, None, None]
 
     def bordered(y, active=None):
         x = precondition(y, active)
@@ -553,7 +578,8 @@ def steady_states(liouvilles) -> list:
         # still iterates on
         for k in range(x.shape[1]):
             if active is None or active[:, k].any():
-                out[:, k] = (matrix @ x[:, k].reshape(-1)).reshape(size, n)
+                out[:, k] = (step @ x[:, k].reshape(-1)).reshape(size, n)
+        np.add(out, y, out=out, where=recycled)
         out[:, :, 0] += weights[:, None] * x[:, :, ::d + 1].sum(axis=2)
         return out
 
@@ -571,7 +597,7 @@ def steady_states(liouvilles) -> list:
     rho[accepted] = 0.5 * (transposed.transpose(0, 2, 1) + transposed.conj())
     rho[accepted] /= np.trace(rho[accepted], axis1=1, axis2=2).real[:, None, None]
     residuals = np.linalg.norm(
-        (matrix @ rho.transpose(0, 2, 1).reshape(-1)).reshape(size, n), axis=1)
+        (batch.matrix @ rho.transpose(0, 2, 1).reshape(-1)).reshape(size, n), axis=1)
     valid = accepted & (residuals <= STEADY_RESIDUAL_TOL)
     # a state that fails validation (a negative eigenvalue from a nearly
     # singular generator) is a failed solve; one check covers the batch,
@@ -594,12 +620,12 @@ def steady_states(liouvilles) -> list:
         outcomes[m] = (state, SteadyStateInfo(
             residual=float(residuals[i]), refined=bool(passes[i, 0] > 1),
             iterations=int(steps[i, 0]), certificate_iterations=int(steps[i, 1])))
-    return [outcomes[m] for m in range(len(liouvilles))]
+    return [outcomes[m] for m in range(count)]
 
 
 def steady_state(liouville: Superoperator, return_info: bool = False):
     """Unique steady state of a trace-preserving generator: a one-member
-    ``steady_states`` batch, which solves on ``liouville.matrix`` itself.
+    ``steady_states`` batch, whose arithmetic is the member's in any batch.
     Raises the member's ``DegenerateSteadyStateError`` or
     ``SingularSolveError`` when it fails."""
     (outcome,) = steady_states([liouville])

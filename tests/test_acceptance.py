@@ -20,7 +20,7 @@ from pcdimer.experiments import (
     sweep_phase_detuning,
 )
 from pcdimer.hilbert import CompositeSpace, DensityMatrix, Operator, qubit, qubit_lowering
-from pcdimer.liouvillian import assemble_generator, build_liouvillian, identity_bra
+from pcdimer.liouvillian import assemble_generator, build_liouvillian
 from pcdimer.model import HBAR_UEV_PS, identify_dark_state, preset_params
 from pcdimer.solvers import Schedule, convergence_scan, evolve, steady_state
 

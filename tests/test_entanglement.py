@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from pcdimer.entanglement import (
-    TWO_QUBIT_SPACE,
     bell_state,
     negativity,
     partial_transpose_first,

@@ -17,6 +17,7 @@ from pcdimer.hilbert import (
     qubit_lowering,
 )
 from pcdimer.liouvillian import (
+    GeneratorBatch,
     Superoperator,
     _Template,
     assemble_generator,
@@ -285,6 +286,16 @@ def full_params():
     )
 
 
+def dephased_closed_params(cutoff):
+    """Lossless and undriven, with dephasing on both emitters alone: H keeps
+    the total excitation number, so the steady state is never unique."""
+    return SystemParams(
+        modes=(ModeParams(0.0, 0.0), ModeParams(2200.0, 0.0)),
+        dots=(QDParams(0.0, gamma_d=0.5), QDParams(0.0, gamma_d=0.5)),
+        coupling=CouplingMatrix.bonding_antibonding(110.0),
+        drive=DriveParams(amplitude=0.0), truncation=cutoff)
+
+
 rates = st.one_of(st.just(0.0), st.floats(0.0, 100.0))
 energies = st.floats(-3000.0, 3000.0)
 couplings = st.complex_numbers(max_magnitude=300.0)
@@ -505,6 +516,16 @@ class TestTemplate:
         with pytest.raises(DomainError):
             build_liouvillians([full_params(), full_params().with_truncation(2)])
 
+    def test_batch_is_block_diagonal(self):
+        batch = [full_params(), full_params().with_drive(phase1=0.5)]
+        generators = build_liouvillians(batch)
+        assert not generators.h_eff.flags.writeable
+        for together in (generators, GeneratorBatch.join(generators)):
+            for name in ("matrix", "recycling"):
+                expected = sp.block_diag([getattr(build_liouvillian(p), name)
+                                          for p in batch])
+                assert (getattr(together, name) != expected).nnz == 0
+
     def test_trace_check_per_member(self):
         # a template whose recycling part is doubled, so that it returns
         # twice the population the anticommutator removes: the member with
@@ -515,3 +536,51 @@ class TestTemplate:
         assert broken.contract([[0.0, 0.0]])[0].matrix.nnz == 0
         with pytest.raises(DomainError, match="does not preserve the trace"):
             broken.contract([[0.0, 0.0], [0.0, 2.0]])
+
+
+def no_jump_part(liouville):
+    """-i (I kron H_eff - conj(H_eff) kron I), the no-jump part of L."""
+    eye = sp.identity(liouville.space.total_dim, format="csr")
+    h = sp.csr_matrix(liouville.h_eff)
+    return -1j * (sp.kron(eye, h) - sp.kron(h.conj(), eye))
+
+
+def assert_recycling_matches(liouville):
+    """R is L less its no-jump part N, entry by entry: equal to L wherever N
+    has no entry, to roundoff of L elsewhere; canonical, without stored
+    zeros.  The constructor's R, derived as that difference, agrees."""
+    recycling, matrix = liouville.recycling, liouville.matrix
+    no_jump = no_jump_part(liouville)
+    assert recycling.has_canonical_format
+    assert np.all(recycling.data != 0)
+    scale = max(abs(matrix).max(), 1.0)
+    for candidate in (recycling, Superoperator(liouville.space, matrix,
+                                               liouville.h_eff).recycling):
+        assert abs(candidate - (matrix - no_jump)).max() <= 1e-15 * scale
+    outside = recycling - matrix
+    outside = outside - outside.multiply(abs(no_jump).sign())
+    outside.eliminate_zeros()
+    assert outside.nnz == 0
+
+
+class TestRecyclingTerms:
+    @settings(max_examples=15, deadline=None)
+    @given(params=physical_params())
+    @example(params=full_params().with_truncation(2))
+    def test_recycling_is_generator_less_no_jump_part(self, params):
+        assert_recycling_matches(build_liouvillian(params))
+
+    def test_dephased_closed_system(self):
+        # dephasing alone: on a population, and on a coherence between
+        # levels of one H energy and the same emitter occupations, the
+        # recycling entry cancels the no-jump part, so L stores none there
+        liouville = build_liouvillian(dephased_closed_params(1))
+        assert_recycling_matches(liouville)
+        n = liouville.matrix.shape[0]
+
+        def keys(matrix):
+            coo = matrix.tocoo()
+            return set((coo.row * n + coo.col).tolist())
+
+        assert liouville.recycling.nnz == 112
+        assert len(keys(liouville.recycling) - keys(liouville.matrix)) == 24

@@ -1,5 +1,3 @@
-import dataclasses
-
 import numpy as np
 import pytest
 from scipy.linalg import expm

@@ -50,6 +50,7 @@ from pcdimer.solvers import (
     OBSERVABLES,
     Schedule,
     _hermitian_generator,
+    _invariant_blocks,
     _no_jump_inverse,
     _propagate_dense,
     _propagate_schedule,
@@ -60,7 +61,12 @@ from pcdimer.solvers import (
     steady_states,
 )
 from pcdimer.experiments import stark_switch_protocol
-from test_liouvillian import full_params, physical_params, random_density
+from test_liouvillian import (
+    dephased_closed_params,
+    full_params,
+    physical_params,
+    random_density,
+)
 
 QUBIT = CompositeSpace((qubit(),))
 # how the message of a member whose uniqueness certificate stalled begins
@@ -240,13 +246,11 @@ class TestSteadyState:
         # block; found with no GMRES step and no diagnosis at any cutoff
         import pcdimer.solvers
 
-        params = SystemParams(
-            modes=(ModeParams(0.0, 0.0), ModeParams(2200.0, 0.0)),
-            dots=(QDParams(0.0, gamma_d=0.5), QDParams(0.0, gamma_d=0.5)),
-            coupling=CouplingMatrix.bonding_antibonding(110.0),
-            drive=DriveParams(amplitude=0.0), truncation=cutoff)
-        liouville = build_liouvillian(params)
+        liouville = build_liouvillian(dephased_closed_params(cutoff))
         blocks = 2 * cutoff + 3
+        # the population transfers are read from R; L gives the same graph
+        for matrix in (liouville.recycling, liouville.matrix):
+            assert _invariant_blocks(liouville.h_eff[None], matrix).tolist() == [blocks]
         if cutoff == 1:  # the dense kernel, where it is cheap
             singular_values = np.linalg.svd(liouville.matrix.toarray(),
                                             compute_uv=False)
@@ -296,19 +300,21 @@ class TestSteadyState:
         assert trace_distance(trajectory.matrices[-1], rho_ss.matrix) < 1e-5
 
 
-@pytest.mark.parametrize("h_eff", [
-    build_liouvillian(full_params()).h_eff,
-    build_liouvillian(full_params().with_truncation(2)).h_eff,
+@pytest.mark.parametrize("h_eff, exact", [
+    (build_liouvillian(full_params()).h_eff, True),
+    (build_liouvillian(full_params().with_truncation(2)).h_eff, True),
     # drive = gamma / 4: an exceptional point, the Schur route
-    driven_qubit_generator(5.0, 20.0).h_eff,
-    np.array([[1.0 - 0.5j, 1.0], [0.0, 1.0 - 0.5j]]),  # a Jordan block
+    (driven_qubit_generator(5.0, 20.0).h_eff, False),
+    (np.array([[1.0 - 0.5j, 1.0], [0.0, 1.0 - 0.5j]]), False),  # a Jordan block
 ], ids=["cutoff1", "cutoff2", "exceptional_point", "defective"])
-def test_no_jump_inverse_is_exact(h_eff):
+def test_no_jump_inverse_is_exact(h_eff, exact):
     d = h_eff.shape[0]
     rng = np.random.default_rng(3)
     y = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-    apply, errors = _no_jump_inverse(h_eff[None], np.array([1.0]), np.array([1]))
+    apply, errors, flags = _no_jump_inverse(h_eff[None], np.array([1.0]), np.array([1]))
     assert errors == {}
+    # the recycling form applies only where the eigenbasis is well conditioned
+    assert flags.tolist() == [exact]
     x = apply(y.reshape(1, 1, -1, order="F"))[0, 0].reshape((d, d), order="F")
     no_jump = -1j * (h_eff @ x - x @ h_eff.conj().T)
     assert np.max(np.abs(no_jump - y)) <= 1e-10 * np.max(np.abs(y))
@@ -495,6 +501,49 @@ class TestSteadyStateBatches:
             rho, info = outcomes[k]
             assert np.max(np.abs(rho.matrix - solo[k])) <= 1e-12
             assert info.residual <= 1e-9
+
+    @settings(max_examples=15, deadline=None)
+    @given(batch=st.lists(physical_params().map(lambda p: p.with_truncation(1)),
+                          min_size=1, max_size=4))
+    def test_invariant_blocks_read_from_recycling_terms(self, batch):
+        # off the diagonal, the population transfers of L are R's entries
+        generators = build_liouvillians(batch)
+        assert np.array_equal(
+            _invariant_blocks(generators.h_eff, generators.recycling),
+            _invariant_blocks(generators.h_eff, generators.matrix))
+
+    def test_operator_choice_per_member(self, monkeypatch):
+        # a regular member iterates on y + R P^-1 y; the lossy undriven
+        # qubit (its ground level never decays, so its no-jump inverse is
+        # shifted) and the exceptional point (an ill-conditioned eigenbasis,
+        # the Schur route) on L P^-1 y.  Each member's choice is its own,
+        # so the batch reproduces every solo solve bit for bit
+        sm = qubit_lowering(QUBIT, 0)
+        batch = [driven_qubit_generator(1.0, 2.0),
+                 assemble_generator(Operator(QUBIT, np.zeros((2, 2))), [(sm, 2.0)]),
+                 driven_qubit_generator(5.0, 20.0)]
+        step_matrix = pcdimer.solvers._step_matrix
+        whole = []  # per solve, the members whose GMRES steps apply L
+
+        def counting(generators, exact):
+            step = step_matrix(generators, exact)
+            n = generators.space.total_dim ** 2
+            for m, (member, flag) in enumerate(zip(generators, exact, strict=True)):
+                block = step[m * n:(m + 1) * n, m * n:(m + 1) * n]
+                expected = member.recycling if flag else member.matrix
+                assert (block != expected).nnz == 0
+            whole.append([m for m, flag in enumerate(exact) if not flag])
+            return step
+
+        monkeypatch.setattr(pcdimer.solvers, "_step_matrix", counting)
+        outcomes = steady_states(batch)
+        for liouville, (rho, info) in zip(batch, outcomes, strict=True):
+            solo_rho, solo_info = steady_state(liouville, return_info=True)
+            assert np.array_equal(rho.matrix, solo_rho.matrix)
+            assert info == solo_info
+        assert whole == [[1, 2], [], [0], [0]]
+        rho, _ = outcomes[1]
+        assert np.allclose(rho.matrix, np.diag([1.0, 0.0]), atol=1e-12)
 
     def test_cutoff_two_batch_matches_solo(self):
         # D^2 = 1296: two points per sweep batch, orthogonalized by modified
