@@ -1,7 +1,12 @@
 """Driven-dissipative model of two quantum emitters radiatively coupled by
 the normal modes of a photonic-crystal dimer, with steady-state and transient
-entanglement quantified by the two-qubit negativity."""
+entanglement quantified by the two-qubit negativity.
 
+Importing the package fixes glibc's malloc thresholds for the process
+(``_malloc``), so that every solver call reuses the heap pages of the last
+one instead of faulting in fresh ones by a rule that depends on history."""
+
+from ._malloc import fix_malloc_thresholds
 from .exceptions import (
     ConfigError,
     DegenerateSteadyStateError,
@@ -62,3 +67,5 @@ from .experiments import (
 )
 
 __version__ = "0.1.0"
+
+fix_malloc_thresholds()

@@ -1,4 +1,6 @@
 import dataclasses
+import platform
+import resource
 import tracemalloc
 
 import numpy as np
@@ -8,6 +10,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 from scipy.linalg import expm
 
 import pcdimer.solvers
+from pcdimer._malloc import fix_malloc_thresholds
 from pcdimer.entanglement import negativity, partial_transpose_first, qd_negativity
 from pcdimer.exceptions import (
     DegenerateSteadyStateError,
@@ -552,6 +555,22 @@ class TestSteadyStateBatches:
         batch = [build_liouvillian(params),
                  build_liouvillian(full_params().with_truncation(2))]
         assert_batch_matches_solo(batch)
+
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc malloc only")
+    def test_warm_batch_reuses_heap_pages(self):
+        # with the malloc thresholds fixed (on import of the package), a
+        # repeated 12-point sweep batch allocates from the heap pages that
+        # the last one freed; under glibc's dynamic thresholds the same
+        # solve could fault in several hundred fresh pages
+        params = dark_tuned(preset_params("dimer30_dc901"))
+        points = [params.with_drive(phase1=phi)
+                  for phi in np.linspace(0.0, 2.0 * np.pi, 12)]
+        for _ in range(2):
+            steady_states(build_liouvillians(points))
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        steady_states(build_liouvillians(points))
+        assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before < 50
+        assert fix_malloc_thresholds()
 
     def test_members_share_one_space(self):
         with pytest.raises(DomainError):
