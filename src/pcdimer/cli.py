@@ -487,7 +487,8 @@ def _linspace(spec):
 
 def run(config: RunConfig, quiet: bool = False) -> int:
     """Execute one resolved configuration; returns the process exit code."""
-    started = time.time()
+    # a monotonic clock: the wall clock can step backwards during a run
+    started = time.perf_counter()
     run_id = config.run_id()
     out_dir = Path(config.output_dir)
     prefix = config.prefix or config.command
@@ -587,7 +588,7 @@ def run(config: RunConfig, quiet: bool = False) -> int:
         "run_id": run_id,
         "config": config.to_json_dict(),
         "threads": config.threads,
-        "wall_time_s": time.time() - started,
+        "wall_time_s": time.perf_counter() - started,
         "diagnostics": diagnostics,
         "outputs": outputs,
     }

@@ -8,8 +8,8 @@ from functools import lru_cache
 import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
-from scipy.linalg.blas import zaxpy as _axpy
-from scipy.linalg.blas import zdotc as _dotc
+from scipy.linalg.blas import daxpy as _axpy
+from scipy.linalg.blas import ddot as _dot
 from scipy.linalg.lapack import ztrsyl as _trsyl
 from scipy.sparse.csgraph import connected_components
 from scipy.sparse.linalg import expm_multiply
@@ -24,7 +24,6 @@ from .exceptions import (
     SolverError,
 )
 from .hilbert import (
-    DEFAULT_POLICY,
     CompositeSpace,
     DensityMatrix,
     NumericPolicy,
@@ -37,7 +36,7 @@ from .liouvillian import (
     Superoperator,
     _block_diagonal,
     build_liouvillian,
-    hermitian_basis,
+    hermitian_coordinates,
     hermitian_matrices,
 )
 from .model import SystemParams
@@ -89,11 +88,14 @@ _MGS_MIN_DIM = 1296
 # to 87 MB: numpy advises huge pages for arrays of 4 MB and more)
 _BASIS_COLUMNS = 16
 # byte budget of the preallocated Krylov bases of one steady-state batch,
-# which sets the batch size: 12 points at Fock cutoff 1 (D^2 = 256), 2 at
-# cutoff 2, 1 above.  On the benchmark map (2-vCPU machine, medians of 5
-# in-process cycles) 1, 4, 8, 12, 16 and 32-point batches ran 141, 248,
-# 271, 281, 313 and 295 points/s, alike within the run-to-run noise from 8
-# points up, and every point more costs ~0.14 MB of basis
+# which sets the batch size: with real float64 coordinates, 24 points at
+# Fock cutoff 1 (D^2 = 256), 4 at cutoff 2, 1 above, and every point more
+# costs ~0.07 MB of basis.  The per-step bookkeeping of the lockstep GMRES
+# is paid per batch, so a larger batch spreads it over more points: the
+# contraction plus solve of the 60 points of a seed-1 benchmark map block
+# (2-vCPU machine, one BLAS thread, medians of 60 interleaved rounds in one
+# process) took 67.6 ms with 12-point and 59.9 ms with 24-point batches.
+# Complex coordinates held 12 points in the same budget, at 76.1 ms
 _BATCH_BASIS_BYTES = 1_700_000
 # |Im w| <= this * max |w| marks an eigenvalue of H_eff as non-decaying
 _NON_DECAYING_TOL = 1e-12
@@ -174,27 +176,29 @@ def _invariant_blocks(h_eff: np.ndarray, recycling: sp.csr_matrix) -> np.ndarray
     The blocks are the connected components of the graph on the d basis
     states whose edges are the nonzeros of H_eff (those of H and of the
     C^dag C) and the population transfers j -> i, the entries
-    R[i (d + 1), j (d + 1)] = sum r |C_ij|^2 of the recycling terms,
-    nonzero exactly where an active jump has C_ij != 0.  For i != j they
-    are the generator's entries too, since its no-jump part has none there.
-    The projector onto a block commutes with H and every active jump, a
-    strong symmetry, so each block holds a stationary state of its own
-    (Buca & Prosen, New J. Phys. 14, 073007 (2012)).  ``h_eff`` is the
-    (B, d, d) stack and ``recycling`` the block-diagonal R of the batch.
+    R_h[i, j] = sum r |C_ij|^2 of the leading d x d block of the recycling
+    terms in real coordinates (the populations are the first d
+    coordinates), nonzero exactly where an active jump has C_ij != 0.  For
+    i != j they are the entries of G too, since its no-jump part moves no
+    population.  The projector onto a block commutes with H and every
+    active jump, a strong symmetry, so each block holds a stationary state
+    of its own (Buca & Prosen, New J. Phys. 14, 073007 (2012)).  ``h_eff``
+    is the (B, d, d) stack and ``recycling`` the block-diagonal R_h of the
+    batch.
     """
     count, d = h_eff.shape[:2]
     n = d * d
     nodes = np.arange(count * d)
-    # the trace rows of every member, gathered as one index array
-    rows = (nodes // d) * n + (nodes % d) * (d + 1)
+    # the population rows of every member, gathered as one index array
+    rows = (nodes // d) * n + nodes % d
     starts = recycling.indptr[rows]
     lengths = recycling.indptr[rows + 1] - starts
     offsets = np.cumsum(lengths) - lengths
     entries = np.arange(lengths.sum()) + np.repeat(starts - offsets, lengths)
     source = np.repeat(nodes, lengths)
     local = recycling.indices[entries] % n
-    transfer = (local % (d + 1) == 0) & (recycling.data[entries] != 0)
-    target = (source // d) * d + local // (d + 1)
+    transfer = (local < d) & (recycling.data[entries] != 0)
+    target = (source // d) * d + local
     member, i, j = np.nonzero(h_eff)
     graph = sp.csr_matrix(
         (np.ones(transfer.sum() + i.size),
@@ -230,9 +234,9 @@ def _no_jump_inverse(h_eff: np.ndarray, shift: np.ndarray, blocks: np.ndarray):
     Returns ``(apply, errors, exact)``.  ``errors`` maps the index of every
     degenerate member to its ``DegenerateSteadyStateError``, whose kernel
     dimension is the larger of the two bounds.  ``apply(y, active=None)``
-    acts on a (L, k, D^2) stack of column-stacked vectors, k per member,
-    for the L other members in order; vectors outside an (L, k) mask
-    ``active`` are skipped and come back zero.  ``exact`` (L,) marks the
+    acts on a (L, k, d, d) stack of matrices, k per member, for the L
+    other members in order; matrices outside an (L, k) mask ``active``
+    are skipped and come back zero.  ``exact`` (L,) marks the
     members whose inverse is that of their no-jump part N to roundoff: no
     level shifted, and a bound on cond(V) that keeps eps cond^2 at the
     1e-14 bordered target.  For them L N^-1 = I + R N^-1, with R the
@@ -284,14 +288,13 @@ def _no_jump_inverse(h_eff: np.ndarray, shift: np.ndarray, blocks: np.ndarray):
     root_e = np.sqrt(np.maximum(inverse_norm ** 2 - d, 0.0))
     exact = ((root_e + np.sqrt(root_e ** 2 + 4.0)) / 2.0) ** 2 <= _RECYCLING_COND_MAX
     exact &= ~stationary.any(axis=1)
-    # every product below acts on the C-order reshape of vec(Y), which is
-    # Y^T: X^T = conj(V) [(conj(V^-1) Y^T (V^-1)^T) / den^T] V^T
-    # (contiguous, like every stack the products below see)
-    left_in = v_inv.conj()
-    right_in = np.ascontiguousarray(v_inv.transpose(0, 2, 1))
-    left_out = v.conj()
-    right_out = np.ascontiguousarray(v.transpose(0, 2, 1))
-    denominators = -1j * (w[:, None, :] - w.conj()[:, :, None])
+    # X = V [(V^-1 Y V^-H) / den] V^H (contiguous, like every stack the
+    # products below see)
+    left_in = v_inv
+    right_in = np.ascontiguousarray(v_inv.conj().transpose(0, 2, 1))
+    left_out = v
+    right_out = np.ascontiguousarray(v.conj().transpose(0, 2, 1))
+    denominators = -1j * (w[:, :, None] - w.conj()[:, None, :])
 
     schur = []
     for m in np.nonzero(~eigen)[0].tolist():
@@ -303,48 +306,45 @@ def _no_jump_inverse(h_eff: np.ndarray, shift: np.ndarray, blocks: np.ndarray):
     def apply(y: np.ndarray, active: np.ndarray | None = None) -> np.ndarray:
         # contiguous, so that a member's products take the same path
         # whatever the size and layout of the stack
-        yt = np.ascontiguousarray(y).reshape(y.shape[:2] + (d, d))
+        y = np.ascontiguousarray(y)
         if active is None:
             active = np.ones(y.shape[:2], dtype=bool)
         take = active & eigen[:, None]
         if take.all():
-            return (left_out[:, None] @ ((left_in[:, None] @ yt @ right_in[:, None])
+            return (left_out[:, None] @ ((left_in[:, None] @ y @ right_in[:, None])
                                          / denominators[:, None])
-                    @ right_out[:, None]).reshape(y.shape)
-        out = np.zeros_like(yt)
+                    @ right_out[:, None])
+        out = np.zeros_like(y)
         members = np.nonzero(take)[0]
         out[take] = (left_out[members]
-                     @ ((left_in[members] @ yt[take] @ right_in[members])
+                     @ ((left_in[members] @ y[take] @ right_in[members])
                         / denominators[members])
                      @ right_out[members])
         for m, t, q, q_h in schur:
             for k in np.nonzero(active[m])[0]:
                 # T X' - X' T^dag = i Q^dag Y Q, X = Q X' Q^dag
-                c = q_h @ yt[m, k].T @ q
+                c = q_h @ y[m, k] @ q
                 z, scale, _ = _trsyl(t, t, c, trana="N", tranb="C", isgn=-1)
-                out[m, k] = (q @ z @ q_h).T * (1j / scale)
-        return out.reshape(y.shape)
+                out[m, k] = (q @ z @ q_h) * (1j / scale)
+        return out
 
     return apply, errors, exact
 
 
 def _rotation(f: np.ndarray, g: np.ndarray):
-    """Complex Givens rotations (c, s, r) with c f + s g = r and
-    -conj(s) f + c g = 0, elementwise; c = 1, s = 0 where f = g = 0."""
-    magnitude = np.hypot(np.abs(f), np.abs(g))
-    nonzero = magnitude > 0
-    abs_f = np.abs(f)
-    phase = np.where(abs_f > 0, f / np.where(abs_f > 0, abs_f, 1.0), 1.0)
-    safe = np.where(nonzero, magnitude, 1.0)
-    c = np.where(nonzero, abs_f / safe, 1.0)
-    s = np.where(nonzero, phase * g.conj() / safe, 0.0)
-    return c, s, phase * magnitude
+    """Real Givens rotations (c, s, r) with c f + s g = r and
+    -s f + c g = 0, elementwise; c = 1, s = 0 where f = g = 0."""
+    r = np.hypot(f, g)
+    nonzero = r > 0
+    safe = np.where(nonzero, r, 1.0)
+    return np.where(nonzero, f / safe, 1.0), g / safe, r
 
 
 def _lockstep_gmres(operator, rhs: np.ndarray, rtol: np.ndarray,
                     passes: int = 2, restart: int = _GMRES_RESTART):
     """Restarted GMRES (Saad & Schultz, SIAM J. Sci. Stat. Comput. 7, 856
-    (1986)) on a stack of independent systems A_s x_s = b_s, run in lockstep.
+    (1986)) on a stack of independent real systems A_s x_s = b_s, run in
+    lockstep.
 
     ``rhs`` is (..., n); ``operator(v, active)`` applies every A_s to its
     own vector of an array of that shape, so one step is one operator call
@@ -352,13 +352,16 @@ def _lockstep_gmres(operator, rhs: np.ndarray, rtol: np.ndarray,
     ``active`` (None: all), whose vectors are zero, and return zero for
     them.  Each system keeps its own Krylov basis (classical Gram-Schmidt
     with one reorthogonalization over the stack, or modified Gram-Schmidt
-    per system from ``_MGS_MIN_DIM``), Givens rotations and stop step: a pass
-    ends for it when its residual estimate reaches ``rtol * ||b_s||``
-    (``rtol`` broadcasts over ``rhs.shape[:-1]``), at an exact solution, at
-    a non-finite estimate or after ``restart`` steps.  A system whose true
-    residual then misses its target takes another pass, warm-started, up to
-    ``passes`` in all.  Returns x, the steps and passes taken and whether
-    the target was reached, each shaped like ``rhs`` without its last axis.
+    per system from ``_MGS_MIN_DIM``, one BLAS ``ddot`` and ``daxpy`` per
+    basis vector), Givens rotations and stop step: a pass ends for it when
+    its residual estimate reaches ``rtol * ||b_s||`` (``rtol`` broadcasts
+    over ``rhs.shape[:-1]``), at an exact solution, at a non-finite
+    estimate or after ``restart`` steps.  A system whose true residual then
+    misses its target takes another pass, warm-started, up to ``passes``
+    in all.  The basis, the Hessenberg matrices, the rotations and the
+    coefficient rows are allocated once per call and grow together.
+    Returns x, the steps and passes taken and whether the target was
+    reached, each shaped like ``rhs`` without its last axis.
     """
     shape, n = rhs.shape[:-1], rhs.shape[-1]
     b = rhs.reshape(-1, n)
@@ -379,18 +382,21 @@ def _lockstep_gmres(operator, rhs: np.ndarray, rtol: np.ndarray,
     used = np.zeros(count, dtype=int)
     columns = min(_BASIS_COLUMNS, restart)
     # basis[i] holds the i-th Krylov vector of every system, contiguous
-    basis = np.empty((columns + 1, count, n), dtype=complex)
-    hessenberg = np.empty((count, columns, columns), dtype=complex)
+    basis = np.empty((columns + 1, count, n))
+    hessenberg = np.empty((count, columns, columns))
     # the product of a pass's Givens rotations, applied to each new
     # Hessenberg column in one product
-    rotations = np.empty((count, columns + 1, columns + 1), dtype=complex)
+    rotations = np.empty((count, columns + 1, columns + 1))
+    # the Gram-Schmidt coefficients of the step's new vector
+    coefficients = np.empty((count, columns + 1))
+    g = np.empty((count, restart + 1))
     for _pass in range(passes):
         active = rnorm > target
         if not active.any():
             break
         used += active
         basis[0] = r * (active / np.where(active, rnorm, 1.0))[:, None]
-        g = np.zeros((count, restart + 1), dtype=complex)
+        g[:] = 0.0
         g[:, 0] = np.where(active, rnorm, 0.0)
         rotations[:] = 0.0
         rotations[:, 0, 0] = 1.0
@@ -398,23 +404,25 @@ def _lockstep_gmres(operator, rhs: np.ndarray, rtol: np.ndarray,
         for j in range(restart):
             if j == columns:  # the basis grows only when a system needs it
                 columns = min(2 * columns, restart)
-                grown = np.empty((columns + 1, count, n), dtype=complex)
+                grown = np.empty((columns + 1, count, n))
                 grown[:j + 1] = basis[:j + 1]
                 basis = grown
-                grown = np.empty((count, columns, columns), dtype=complex)
+                grown = np.empty((count, columns, columns))
                 grown[:, :j, :j] = hessenberg[:, :j, :j]
                 hessenberg = grown
-                grown = np.zeros((count, columns + 1, columns + 1), dtype=complex)
+                grown = np.zeros((count, columns + 1, columns + 1))
                 grown[:, :j + 1, :j + 1] = rotations[:, :j + 1, :j + 1]
                 rotations = grown
+                coefficients = np.empty((count, columns + 1))
             w = apply(basis[j], active)
             h0 = np.linalg.norm(w, axis=1)
-            coefficients = np.zeros((count, j + 2), dtype=complex)
+            row = coefficients[:, :j + 2]
+            row[:] = 0.0
             if n >= _MGS_MIN_DIM:
                 for k in np.nonzero(active)[0].tolist():
                     for i in range(j + 1):  # in place on the row w[k]
-                        coefficients[k, i] = _dotc(basis[i, k], w[k])
-                        _axpy(basis[i, k], w[k], a=-coefficients[k, i])
+                        row[k, i] = _dot(basis[i, k], w[k])
+                        _axpy(basis[i, k], w[k], a=-row[k, i])
             else:
                 # once a system has stopped, only the active ones stream
                 # their bases, one by one, through the same products
@@ -424,25 +432,24 @@ def _lockstep_gmres(operator, rhs: np.ndarray, rtol: np.ndarray,
                     previous = basis[:j + 1, part].transpose(1, 0, 2)
                     vector = w[part]
                     for _ in range(2):  # Gram-Schmidt, then once more
-                        projection = (previous @ vector.conj()[:, :, None])[:, :, 0].conj()
+                        projection = (previous @ vector[:, :, None])[:, :, 0]
                         vector -= (projection[:, None, :] @ previous)[:, 0]
-                        coefficients[part, :j + 1] += projection
+                        row[part, :j + 1] += projection
             h1 = np.linalg.norm(w, axis=1)
-            coefficients[:, j + 1] = h1
+            row[:, j + 1] = h1
             breakdown = h1 <= eps * h0
             keep = active & ~breakdown
             basis[j + 1] = w * (keep / np.where(keep, h1, 1.0))[:, None]
-            column = (rotations[:, :j + 1, :j + 1]
-                      @ coefficients[:, :j + 1, None])[:, :, 0]
+            column = (rotations[:, :j + 1, :j + 1] @ row[:, :j + 1, None])[:, :, 0]
             c, s, column[:, j] = _rotation(column[:, j], h1)
             hessenberg[:, :j + 1, j] = column
             # the new rotation mixes rows j and j + 1 of the product
-            row = rotations[:, j, :j + 1].copy()
-            rotations[:, j, :j + 1] = c[:, None] * row
+            previous_row = rotations[:, j, :j + 1].copy()
+            rotations[:, j, :j + 1] = c[:, None] * previous_row
             rotations[:, j, j + 1] = s
-            rotations[:, j + 1, :j + 1] = -s.conj()[:, None] * row
+            rotations[:, j + 1, :j + 1] = -s[:, None] * previous_row
             rotations[:, j + 1, j + 1] = c
-            g[:, j + 1] = -s.conj() * g[:, j]
+            g[:, j + 1] = -s * g[:, j]
             g[:, j] *= c
             estimate = np.abs(g[:, j + 1])
             stop[active] = j + 1
@@ -454,7 +461,7 @@ def _lockstep_gmres(operator, rhs: np.ndarray, rtol: np.ndarray,
         # sums run in a fixed order and past stop_s add exact zeros, so a
         # system's result does not depend on the others
         k = int(stop.max())
-        y = np.zeros((count, k), dtype=complex)
+        y = np.zeros((count, k))
         for i in range(k - 1, -1, -1):
             diagonal = hessenberg[:, i, i]
             usable = (i < stop) & (diagonal != 0)
@@ -473,30 +480,31 @@ def _lockstep_gmres(operator, rhs: np.ndarray, rtol: np.ndarray,
 
 @lru_cache(maxsize=8)
 def _certificate_rhs(n: int) -> np.ndarray:
-    """Fixed-seed random right-hand side of the uniqueness certificate."""
-    rng = np.random.default_rng(0)
-    rhs = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    """Fixed-seed random right-hand side of the uniqueness certificate: the
+    real coordinates of a random Hermitian matrix."""
+    rhs = np.random.default_rng(0).standard_normal(n)
     rhs.flags.writeable = False
     return rhs
 
 
 def batch_points(dim2: int) -> int:
     """Steady states solved together in one batch at Liouville dimension
-    D^2: as many as fit two Krylov bases of ``_BASIS_COLUMNS`` vectors each
-    into ``_BATCH_BASIS_BYTES``, and at least one."""
-    per_point = 2 * (_BASIS_COLUMNS + 1) * dim2 * np.dtype(complex).itemsize
+    D^2: as many as fit two real float64 Krylov bases of
+    ``_BASIS_COLUMNS`` vectors each into ``_BATCH_BASIS_BYTES`` (24 at
+    D^2 = 256, 4 at 1296), and at least one."""
+    per_point = 2 * (_BASIS_COLUMNS + 1) * dim2 * np.dtype(float).itemsize
     return max(1, _BATCH_BASIS_BYTES // per_point)
 
 
 def _step_matrix(batch: GeneratorBatch, exact: np.ndarray) -> sp.csr_matrix:
-    """Block-diagonal matrix a GMRES step multiplies by: a member's
-    recycling terms R where its no-jump inverse is ``exact``, its whole
-    generator L elsewhere."""
+    """Block-diagonal real matrix a GMRES step multiplies by: a member's
+    recycling terms R_h where its no-jump inverse is ``exact``, its whole
+    generator G elsewhere."""
     if exact.all():
-        return batch.recycling
+        return batch.real_recycling
     if not exact.any():
-        return batch.matrix
-    return _block_diagonal([member.recycling if flag else member.matrix
+        return batch.real_matrix
+    return _block_diagonal([member.real_recycling if flag else member.real_matrix
                             for member, flag in zip(batch, exact)])
 
 
@@ -505,43 +513,50 @@ def steady_states(liouvilles) -> list:
     share one space, solved together: a ``GeneratorBatch``, or a sequence
     of ``Superoperator`` joined into one.
 
-    Each generator L gives the trace-bordered system
-    (L + s |e_0>><<I|) x = s e_0, with s the largest entry of |L|.  It is
-    nonsingular exactly when the kernel of L is one-dimensional, and its
-    solution has unit trace.  Every member contributes two systems to one
-    lockstep GMRES (``_lockstep_gmres``, restart 128, two passes): the
-    bordered system, to a relative residual of 1e-14 (a second,
-    warm-started pass sets ``refined``), and its uniqueness certificate,
-    the same matrix with a fixed-seed random right-hand side, to 1e-6.  All
-    systems are right preconditioned with the inverse P^-1 of their
-    no-jump part N (``_no_jump_inverse``, one stacked eigendecomposition of
-    the H_eff), so that only the recycling terms R and the border are left
-    to iterate on: 10-17 steps on the benchmark systems at Fock cutoffs 1-4.
-    Where P^-1 inverts N to roundoff, L P^-1 = I + R P^-1, and a step
-    applies y + R P^-1 y plus the border: R holds about a fifth of L's
+    The solve runs in float64, in the real coordinates x = U vec(rho) of
+    ``liouvillian.hermitian_basis``, on the real generators G = U L U^H
+    that the template emits (populations first).  Each generator gives the
+    trace-bordered system (G + s e_0 t^T) x = s e_0, where t sums the d
+    population coordinates (the trace), e_0 is the population of the first
+    basis state and s the largest entry of |G|.  It is nonsingular exactly
+    when the kernel of G is one-dimensional, and its solution has unit
+    trace.  Every member contributes two systems to one lockstep GMRES
+    (``_lockstep_gmres``, restart 128, two passes): the bordered system, to
+    a relative residual of 1e-14 (a second, warm-started pass sets
+    ``refined``), and its uniqueness certificate, the same matrix with a
+    fixed-seed random real right-hand side (a random Hermitian matrix), to
+    1e-6.  All systems are right preconditioned with the inverse P^-1 of
+    their no-jump part N (``_no_jump_inverse``, one stacked
+    eigendecomposition of the H_eff), applied between one gather of the
+    coordinates to Hermitian matrices and one gather back, so that only the
+    recycling terms R_h = U R U^H and the border are left to iterate on:
+    10-17 steps on the benchmark systems at Fock cutoffs 1-4.  Where P^-1
+    inverts N to roundoff, G P^-1 = I + R_h P^-1, and a step applies
+    y + R_h P^-1 y plus the border: R_h holds about a fifth of G's
     nonzeros.  A member with a shifted non-decaying level, or whose
-    eigenbasis is too ill-conditioned for that, applies L P^-1 y plus the
+    eigenbasis is too ill-conditioned for that, applies G P^-1 y plus the
     border instead.  The choice is read per member from its data, so a
     member's arithmetic does not depend on its batch.  A GMRES step is one
     batched preconditioner call and one sparse product with the
     block-diagonal matrix of those operators per right-hand side; systems
-    that have stopped are skipped.
+    that have stopped are skipped.  The complex L is never formed.
 
     A degenerate generator makes the bordered system singular but still
     consistent, so GMRES alone would return a state.  Three checks stop
     that.  Before any iteration, two or more non-decaying levels of H_eff,
     or two or more blocks of basis states that H and the active jumps leave
-    invariant (``_invariant_blocks``, read from R), give a
-    ``DegenerateSteadyStateError`` carrying the larger of the two kernel
-    bounds.  On a singular system the certificate stalls (near a relative
-    residual of 0.3).  A stalled certificate, a non-finite result, a
-    steady-state residual ||L vec(rho)|| above ``STEADY_RESIDUAL_TOL`` (on
-    the whole L) or a state that fails the density-matrix check (one
-    ``check_density_matrix`` over the batch's states, repeated per member
-    only when it fails) goes to ``_diagnose_kernel``, one rule at every
-    Fock cutoff: a stalled certificate gives ``DegenerateSteadyStateError``
-    with kernel dimension 2, any other failure ``SingularSolveError``.
-    Failures stay with their member.
+    invariant (``_invariant_blocks``, read from the leading d x d block of
+    R_h), give a ``DegenerateSteadyStateError`` carrying the larger of the
+    two kernel bounds.  On a singular system the certificate stalls (near a
+    relative residual of 0.3).  A stalled certificate, a non-finite result,
+    a steady-state residual ||L vec(rho)|| = ||G x|| above
+    ``STEADY_RESIDUAL_TOL`` (on the whole G) or a state that fails the
+    density-matrix check (one ``check_density_matrix`` over the batch's
+    states, repeated per member only when it fails) goes to
+    ``_diagnose_kernel``, one rule at every Fock cutoff: a stalled
+    certificate gives ``DegenerateSteadyStateError`` with kernel dimension
+    2, any other failure ``SingularSolveError``.  Failures stay with their
+    member.
 
     Returns one entry per generator, in order: ``(DensityMatrix,
     SteadyStateInfo)``, or the ``SolverError`` of a failed member.
@@ -554,12 +569,12 @@ def steady_states(liouvilles) -> list:
     n = d * d
     # the trace border, and the denominator of a non-decaying level, carry
     # each generator's own scale, so the solve does not depend on its units
-    magnitudes = np.abs(batch.matrix.data)
-    bounds = batch.matrix.indptr[::n]
+    magnitudes = np.abs(batch.real_matrix.data)
+    bounds = batch.real_matrix.indptr[::n]
     weights = np.array([magnitudes[start:stop].max(initial=0.0) or 1.0
                         for start, stop in zip(bounds[:-1], bounds[1:])])
     precondition, outcomes, exact = _no_jump_inverse(
-        batch.h_eff, weights, _invariant_blocks(batch.h_eff, batch.recycling))
+        batch.h_eff, weights, _invariant_blocks(batch.h_eff, batch.real_recycling))
     live = [m for m in range(count) if m not in outcomes]
     if not live:
         return [outcomes[m] for m in range(count)]
@@ -568,11 +583,16 @@ def steady_states(liouvilles) -> list:
         batch = GeneratorBatch.join([batch[m] for m in live])
     weights = weights[live]
     step = _step_matrix(batch, exact)
-    # the identity of I + R P^-1, on the members that apply R alone
+    # the identity of I + R_h P^-1, on the members that apply R_h alone
     recycled = True if exact.all() else exact[:, None, None]
 
+    def inverse(y, active=None):
+        # P^-1 in real coordinates: the no-jump inverse between one gather
+        # to Hermitian matrices and one back
+        return hermitian_coordinates(precondition(hermitian_matrices(y, d), active), d)
+
     def bordered(y, active=None):
-        x = precondition(y, active)
+        x = inverse(y, active)
         out = np.zeros_like(x)
         # one product per column (solve or certificate) that some member
         # still iterates on
@@ -580,24 +600,24 @@ def steady_states(liouvilles) -> list:
             if active is None or active[:, k].any():
                 out[:, k] = (step @ x[:, k].reshape(-1)).reshape(size, n)
         np.add(out, y, out=out, where=recycled)
-        out[:, :, 0] += weights[:, None] * x[:, :, ::d + 1].sum(axis=2)
+        out[:, :, 0] += weights[:, None] * x[:, :, :d].sum(axis=2)
         return out
 
-    rhs = np.empty((size, 2, n), dtype=complex)
-    rhs[:, 0] = 0.0
+    rhs = np.zeros((size, 2, n))
     rhs[:, 0, 0] = weights
     rhs[:, 1] = _certificate_rhs(n)
     y, steps, passes, reached = _lockstep_gmres(
         bordered, rhs, np.array([_BORDERED_RESIDUAL_TOL, _CERTIFICATE_RTOL]))
-    x = precondition(y[:, :1])[:, 0]
+    x = inverse(y[:, :1])[:, 0]
     accepted = reached[:, 1] & np.all(np.isfinite(x), axis=1)
-    # read in C order, each column-stacked x is rho^T
-    transposed = x[accepted].reshape(-1, d, d)
-    rho = np.zeros((size, d, d), dtype=complex)
-    rho[accepted] = 0.5 * (transposed.transpose(0, 2, 1) + transposed.conj())
-    rho[accepted] /= np.trace(rho[accepted], axis1=1, axis2=2).real[:, None, None]
+    # the coordinates of the accepted states, trace-normalized: the
+    # populations come first
+    coordinates = np.zeros((size, n))
+    coordinates[accepted] = x[accepted] / x[accepted, :d].sum(axis=1)[:, None]
+    rho = hermitian_matrices(coordinates, d)
+    # ||L vec(rho)|| = ||G x||, U being unitary
     residuals = np.linalg.norm(
-        (batch.matrix @ rho.transpose(0, 2, 1).reshape(-1)).reshape(size, n), axis=1)
+        (batch.real_matrix @ coordinates.reshape(-1)).reshape(size, n), axis=1)
     valid = accepted & (residuals <= STEADY_RESIDUAL_TOL)
     # a state that fails validation (a negative eigenvalue from a nearly
     # singular generator) is a failed solve; one check covers the batch,
@@ -760,27 +780,6 @@ def _step_runs(steps: np.ndarray) -> list[list]:
     return runs
 
 
-def _hermitian_generator(liouville: Superoperator) -> sp.csr_matrix:
-    """The generator in the real coordinates of ``hermitian_basis``,
-    G = U L U^H, as a real CSR matrix.
-
-    G is real exactly when L preserves Hermiticity; the product leaves an
-    imaginary part of roundoff size.  Like the trace check, that part must
-    stay within ``algebraic_tol`` times the largest entry of G (and at
-    least 1), or a ``DomainError`` is raised: a nonzero imaginary part is
-    never dropped silently.
-    """
-    u = hermitian_basis(liouville.space.total_dim)
-    g = u @ liouville.matrix @ u.conj().T
-    scale = max(1.0, np.abs(g.data).max(initial=0.0))
-    leak = np.abs(g.data.imag).max(initial=0.0)
-    if not leak <= DEFAULT_POLICY.algebraic_tol * scale:
-        raise DomainError(
-            "generator does not preserve Hermiticity (imaginary part "
-            f"{leak:.3e} in real coordinates)")
-    return sp.csr_matrix((g.data.real, g.indices, g.indptr), shape=g.shape)
-
-
 def _propagate_dense(generator: sp.csr_matrix, y: np.ndarray, steps: np.ndarray,
                      out: np.ndarray):
     """Writes the coordinates after each step into the rows of ``out``, with
@@ -854,12 +853,11 @@ def _propagate_schedule(schedule: Schedule, rho0: DensityMatrix,
     sample follows.  Every segment's generator is built and checked before
     any propagation."""
     total = schedule.total_duration
-    generators = [_hermitian_generator(build_liouvillian(params))
+    generators = [build_liouvillian(params).real_matrix
                   for _, params in schedule.segments]
     # U vec(rho0) is real up to the anti-Hermitian part of rho0, which its
     # validation bounds and which a Hermitian state does not carry
-    y = (hermitian_basis(rho0.space.total_dim)
-         @ rho0.matrix.reshape(-1, order="F")).real
+    y = hermitian_coordinates(rho0.matrix, rho0.space.total_dim)
     x = np.empty((t_grid.size, y.size))
     k = 0
     if t_grid[0] == 0.0:
@@ -894,8 +892,9 @@ def evolve(schedule: Schedule, rho0: DensityMatrix, t_grid) -> Trajectory:
 
     The state moves in the real coordinates of ``hermitian_basis``: the
     populations, then sqrt(2) Re and sqrt(2) Im of each coherence.  Each
-    segment's generator is built once, as the real matrix G = U L U^H; a
-    generator whose G has an imaginary part beyond roundoff (one that does
+    segment's generator is read once, as the real matrix G = U L U^H that
+    the model's template contracts directly; a generator formed from a
+    matrix L whose G has an imaginary part beyond roundoff (one that does
     not preserve Hermiticity) raises ``DomainError`` before any propagation.
     The state moves between consecutive sample times, and to the segment
     boundaries, by the exact exp(G dt), so boundaries are hit exactly and

@@ -1,14 +1,18 @@
 import dataclasses
 import hashlib
+import itertools
 import json
 import os
 import subprocess
 import sys
+import time
+import types
 import warnings
 
 import numpy as np
 import pytest
 
+import pcdimer.cli
 from pcdimer.cli import main, parse_config, run
 from pcdimer.exceptions import (
     ConfigError,
@@ -242,6 +246,18 @@ class TestRun:
         assert manifest["config"]["system"]["mode1"]["gamma"] == 67.0
         assert "seed" not in manifest
 
+    def test_wall_time_survives_a_clock_step_back(self, tmp_path, monkeypatch):
+        # the wall clock steps back an hour at every reading during the run;
+        # the manifest's duration is read from a monotonic clock
+        readings = itertools.count()
+        monkeypatch.setattr(pcdimer.cli, "time", types.SimpleNamespace(
+            time=lambda: 1.0e9 - 3600.0 * next(readings),
+            perf_counter=time.perf_counter))
+        config = parse_config(STEADY_PRESET + f"\n[output]\ndirectory = {tmp_path}\n")
+        assert run(config, quiet=True) == 0
+        manifest = read_strict_json(tmp_path / "steady_manifest.json")
+        assert manifest["wall_time_s"] >= 0.0
+
     def test_identical_config_gives_identical_bytes(self, tmp_path):
         dir1, dir2 = tmp_path / "a", tmp_path / "b"
         for directory in (dir1, dir2):
@@ -337,7 +353,7 @@ class TestRun:
         assert all("steady state" in f for f in diagnostics["point_failures"])
         assert diagnostics["max_iterations"] is None
         assert diagnostics["max_certificate_iterations"] is None
-        assert diagnostics["batch_points"] == 12
+        assert diagnostics["batch_points"] == 24
 
     def test_degenerate_generators_fail_quietly_and_typed(self, tmp_path,
                                                           monkeypatch, capfd):
@@ -404,7 +420,7 @@ class TestRun:
         diagnostics = read_strict_json(tmp_path / "sweep_manifest.json")["diagnostics"]
         assert 1 <= diagnostics["max_iterations"] <= 80
         assert 1 <= diagnostics["max_certificate_iterations"] <= 80
-        assert diagnostics["batch_points"] == 12
+        assert diagnostics["batch_points"] == 24
 
     def test_convergence_command(self, tmp_path):
         text = (STEADY_PRESET.replace("steady", "convergence")

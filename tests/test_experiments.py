@@ -83,10 +83,10 @@ class TestSweepEngine:
         assert np.array_equal(seq.converged, par.converged)
 
     def test_batches_identical_for_any_worker_count(self, preset, tmp_path):
-        # 5 x 6 points at cutoff 1 span three batches (12, 12, 6): the pool
+        # 5 x 12 points at cutoff 1 span three batches (24, 24, 12): the pool
         # maps batches, and their partition does not depend on the workers
         phi = np.linspace(0.0, 2.0 * np.pi, 5)
-        delta = np.linspace(-33.0, 22.0, 6)
+        delta = np.linspace(-33.0, 22.0, 12)
         seq = sweep_phase_detuning(preset, phi, delta, n_workers=1)
         par = sweep_phase_detuning(preset, phi, delta, n_workers=2)
         assert seq.batch_points == par.batch_points
@@ -99,7 +99,7 @@ class TestSweepEngine:
         text = ("[run]\ncommand = sweep\npreset = dimer30_dc901\n"
                 "threads = {threads}\n\n[sweep]\nkind = phase_detuning\n"
                 "phi_min = 0\nphi_max = 6.283185307179586\nphi_points = 5\n"
-                "delta_min = -33\ndelta_max = 22\ndelta_points = 6\n"
+                "delta_min = -33\ndelta_max = 22\ndelta_points = 12\n"
                 "\n[output]\ndirectory = {out}\n")
         outputs = []
         for threads in (1, 2):
@@ -111,7 +111,7 @@ class TestSweepEngine:
             assert manifest["diagnostics"]["batch_points"] == seq.batch_points
         assert outputs[0] == outputs[1]
 
-    @pytest.mark.parametrize("cutoff, phi_points, batch", [(1, 5, 12), (2, 2, 2)])
+    @pytest.mark.parametrize("cutoff, phi_points, batch", [(1, 9, 24), (2, 2, 4)])
     def test_values_equal_solo_negativity(self, preset, cutoff, phi_points, batch):
         # the negativities of a batch come from one stacked evaluation; each
         # equals the per-state value of the point solved on its own, bit for bit

@@ -1,4 +1,5 @@
 import dataclasses
+import pickle
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from pcdimer.liouvillian import (
     build_liouvillian,
     build_liouvillians,
     hermitian_basis,
+    hermitian_coordinates,
     hermitian_matrices,
     identity_bra,
 )
@@ -350,6 +352,22 @@ class TestHermitianCoordinates:
         scale = max(1.0, np.abs(liouville.matrix.data).max(initial=0.0))
         assert np.abs(real_form.data.imag).max(initial=0.0) <= 1e-14 * scale
 
+    @settings(max_examples=25, deadline=None)
+    @given(d=st.integers(1, 6), seed=st.integers(0, 2 ** 32 - 1))
+    def test_coordinates_of_matrices(self, d, seed):
+        # the gather gives Re(U vec(rho)) bit for bit, the coordinates of
+        # the Hermitian part, and inverts hermitian_matrices to roundoff
+        rng = np.random.default_rng(seed)
+        rho = rng.standard_normal((2, d, d)) + 1j * rng.standard_normal((2, d, d))
+        x = hermitian_coordinates(rho, d)
+        for matrix, coordinates in zip(rho, x, strict=True):
+            expected = (hermitian_basis(d) @ matrix.reshape(-1, order="F")).real
+            assert np.array_equal(coordinates, expected)
+        hermitian = 0.5 * (rho + rho.conj().transpose(0, 2, 1))
+        assert np.max(np.abs(hermitian_matrices(x, d) - hermitian)) <= 1e-14 * np.abs(rho).max()
+        back = hermitian_coordinates(hermitian_matrices(x, d), d)
+        assert np.max(np.abs(back - x)) <= 1e-15 * np.abs(x).max()
+
 
 class TestBuildLiouvillian:
     def test_dimension(self):
@@ -525,6 +543,46 @@ class TestTemplate:
                 expected = sp.block_diag([getattr(build_liouvillian(p), name)
                                           for p in batch])
                 assert (getattr(together, name) != expected).nnz == 0
+
+    @settings(max_examples=25, deadline=None)
+    @given(batch=st.lists(physical_params(), min_size=1, max_size=3).map(common_cutoff))
+    @example(batch=[dephased_closed_params(1)])
+    @example(batch=[dephased_closed_params(2), full_params().with_truncation(2)])
+    def test_template_emits_the_real_forms(self, batch):
+        # the template's G and R_h are U L U^H and U R U^H entry by entry,
+        # real and without stored zeros
+        u = hermitian_basis(batch[0].space().total_dim)
+        for member in build_liouvillians(batch):
+            for real, complex_form in ((member.real_matrix, member.matrix),
+                                       (member.real_recycling, member.recycling)):
+                expected = u @ complex_form @ u.conj().T
+                scale = max(1.0, abs(expected).max())
+                assert real.dtype == np.float64
+                assert np.all(real.data != 0)
+                assert abs(real - expected).max() <= 1e-14 * scale
+
+    def test_generators_compare_by_identity(self):
+        # equality, membership and hashing neither raise nor compare the
+        # sparse matrices: a generator equals itself alone
+        first, second = build_liouvillian(full_params()), build_liouvillian(full_params())
+        assert first == first and first != second
+        batch = build_liouvillians([full_params(), full_params().with_drive(phase1=0.5)])
+        assert batch[1] is batch[1] and batch[1] in batch
+        assert first not in batch
+        assert batch == batch and batch != build_liouvillians([full_params()])
+        assert len({first, second, first, batch, batch, batch[0]}) == 4
+
+    def test_generators_pickle(self):
+        # generators cross process boundaries: a batch, a member and a
+        # generator built from a matrix come back with equal forms
+        batch = build_liouvillians([full_params(), full_params().with_drive(phase1=0.5)])
+        assembled = assemble_generator(Operator(QUBIT, np.zeros((2, 2))),
+                                       [(qubit_lowering(QUBIT, 0), 2.0)])
+        for generator in (batch, batch[1], assembled):
+            copy = pickle.loads(pickle.dumps(generator))
+            for name in ("matrix", "recycling", "real_matrix", "real_recycling"):
+                assert (getattr(copy, name) != getattr(generator, name)).nnz == 0
+            assert np.array_equal(copy.h_eff, generator.h_eff)
 
     def test_trace_check_per_member(self):
         # a template whose recycling part is doubled, so that it returns

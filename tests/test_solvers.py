@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse.csgraph
 from hypothesis import assume, example, given, settings, strategies as st
 from scipy.linalg import expm
 
@@ -52,11 +53,11 @@ from pcdimer.solvers import (
     _SOLVER_POLICY,
     OBSERVABLES,
     Schedule,
-    _hermitian_generator,
     _invariant_blocks,
     _no_jump_inverse,
     _propagate_dense,
     _propagate_schedule,
+    batch_points,
     convergence_scan,
     evolve,
     observables,
@@ -251,9 +252,10 @@ class TestSteadyState:
 
         liouville = build_liouvillian(dephased_closed_params(cutoff))
         blocks = 2 * cutoff + 3
-        # the population transfers are read from R; L gives the same graph
-        for matrix in (liouville.recycling, liouville.matrix):
+        # the population transfers are read from R_h; G gives the same graph
+        for matrix in (liouville.real_recycling, liouville.real_matrix):
             assert _invariant_blocks(liouville.h_eff[None], matrix).tolist() == [blocks]
+        assert reference_blocks(liouville) == blocks
         if cutoff == 1:  # the dense kernel, where it is cheap
             singular_values = np.linalg.svd(liouville.matrix.toarray(),
                                             compute_uv=False)
@@ -318,7 +320,7 @@ def test_no_jump_inverse_is_exact(h_eff, exact):
     assert errors == {}
     # the recycling form applies only where the eigenbasis is well conditioned
     assert flags.tolist() == [exact]
-    x = apply(y.reshape(1, 1, -1, order="F"))[0, 0].reshape((d, d), order="F")
+    x = apply(y[None, None])[0, 0]
     no_jump = -1j * (h_eff @ x - x @ h_eff.conj().T)
     assert np.max(np.abs(no_jump - y)) <= 1e-10 * np.max(np.abs(y))
 
@@ -397,6 +399,18 @@ class TestSteadyStateProperties:
                               ("pop_m2", "pop_m2"), ("pop_qd1", "pop_qd2"),
                               ("pop_qd2", "pop_qd1")):
             assert abs(values[name][0] - values[swapped][1]) <= 1e-10, name
+
+
+def reference_blocks(liouville):
+    """The invariant blocks of one generator from its complex forms: the
+    weak components of the graph of H_eff's nonzeros and of the population
+    transfers R[i (d + 1), j (d + 1)]."""
+    d = liouville.space.total_dim
+    diagonal = np.arange(d) * (d + 1)
+    transfers = liouville.recycling.toarray()[np.ix_(diagonal, diagonal)]
+    graph = (liouville.h_eff != 0) | (transfers != 0)
+    return scipy.sparse.csgraph.connected_components(
+        graph, directed=True, connection="weak")[0]
 
 
 def assert_batch_matches_solo(liouvilles):
@@ -508,43 +522,53 @@ class TestSteadyStateBatches:
     @settings(max_examples=15, deadline=None)
     @given(batch=st.lists(physical_params().map(lambda p: p.with_truncation(1)),
                           min_size=1, max_size=4))
+    @example(batch=[dephased_closed_params(1), full_params(),
+                    dephased_closed_params(1)])
     def test_invariant_blocks_read_from_recycling_terms(self, batch):
-        # off the diagonal, the population transfers of L are R's entries
+        # off the diagonal, the population transfers of G are R_h's entries,
+        # and both give the blocks of the complex R's population entries
         generators = build_liouvillians(batch)
+        blocks = _invariant_blocks(generators.h_eff, generators.real_recycling)
         assert np.array_equal(
-            _invariant_blocks(generators.h_eff, generators.recycling),
-            _invariant_blocks(generators.h_eff, generators.matrix))
+            blocks, _invariant_blocks(generators.h_eff, generators.real_matrix))
+        assert blocks.tolist() == [reference_blocks(member) for member in generators]
 
     def test_operator_choice_per_member(self, monkeypatch):
-        # a regular member iterates on y + R P^-1 y; the lossy undriven
+        # a regular member iterates on y + R_h P^-1 y; the lossy undriven
         # qubit (its ground level never decays, so its no-jump inverse is
         # shifted) and the exceptional point (an ill-conditioned eigenbasis,
-        # the Schur route) on L P^-1 y.  Each member's choice is its own,
-        # so the batch reproduces every solo solve bit for bit
+        # the Schur route) on G P^-1 y.  Each member's choice is its own,
+        # so a batch of the sweeps' size at Fock cutoff 1 reproduces every
+        # solo solve bit for bit
         sm = qubit_lowering(QUBIT, 0)
-        batch = [driven_qubit_generator(1.0, 2.0),
-                 assemble_generator(Operator(QUBIT, np.zeros((2, 2))), [(sm, 2.0)]),
-                 driven_qubit_generator(5.0, 20.0)]
+        generators = [driven_qubit_generator(1.0, 2.0),
+                      assemble_generator(Operator(QUBIT, np.zeros((2, 2))), [(sm, 2.0)]),
+                      driven_qubit_generator(5.0, 20.0)]
+        size = batch_points(256)
+        assert size == 24
+        batch = generators * (size // 3)
         step_matrix = pcdimer.solvers._step_matrix
-        whole = []  # per solve, the members whose GMRES steps apply L
+        whole = []  # per solve, the members whose GMRES steps apply G
 
         def counting(generators, exact):
             step = step_matrix(generators, exact)
             n = generators.space.total_dim ** 2
             for m, (member, flag) in enumerate(zip(generators, exact, strict=True)):
                 block = step[m * n:(m + 1) * n, m * n:(m + 1) * n]
-                expected = member.recycling if flag else member.matrix
+                expected = member.real_recycling if flag else member.real_matrix
                 assert (block != expected).nnz == 0
             whole.append([m for m, flag in enumerate(exact) if not flag])
             return step
 
         monkeypatch.setattr(pcdimer.solvers, "_step_matrix", counting)
         outcomes = steady_states(batch)
-        for liouville, (rho, info) in zip(batch, outcomes, strict=True):
-            solo_rho, solo_info = steady_state(liouville, return_info=True)
+        solo = [steady_state(liouville, return_info=True) for liouville in generators]
+        assert len(outcomes) == size
+        for m, (rho, info) in enumerate(outcomes):
+            solo_rho, solo_info = solo[m % 3]
             assert np.array_equal(rho.matrix, solo_rho.matrix)
             assert info == solo_info
-        assert whole == [[1, 2], [], [0], [0]]
+        assert whole == [[m for m in range(size) if m % 3], [], [0], [0]]
         rho, _ = outcomes[1]
         assert np.allclose(rho.matrix, np.diag([1.0, 0.0]), atol=1e-12)
 
@@ -762,7 +786,7 @@ class TestEvolve:
         # than _DENSE_MIN_STEPS takes expm_multiply per step, whose distance
         # to expm grows with max |G h|: up to 7e-13 of max |y| at 5 ps steps
         # (max |G h| ~ 100), 2e-14 up to 1 ps
-        generator = _hermitian_generator(build_liouvillian(params))
+        generator = build_liouvillian(params).real_matrix
         rho = random_density(np.random.default_rng(seed), 16)
         y = (hermitian_basis(16) @ rho.reshape(-1, order="F")).real
         steps = np.full(count, step)
