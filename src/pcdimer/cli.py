@@ -160,6 +160,15 @@ def _given(**values) -> dict:
     return {key: value for key, value in values.items() if value is not None}
 
 
+def _finite(raw: str) -> float:
+    """The finite float that ``raw`` spells; ``ValueError`` for anything
+    else, "nan" and "inf" included."""
+    value = float(raw)
+    if not np.isfinite(value):
+        raise ValueError(raw)
+    return value
+
+
 class _SectionReader:
     """Typed access to one config section.  It records every key it is asked
     for, present or not: those are the keys the section takes in this run."""
@@ -194,7 +203,7 @@ class _SectionReader:
         return value
 
     def real(self, key, default=None, minimum=None):
-        value = self._get(key, float, default, "a real number")
+        value = self._get(key, _finite, default, "a finite real number")
         if value is not None and minimum is not None and value < minimum:
             raise ConfigError(
                 f"invalid value {value!r} for [{self.name}] {key}: "

@@ -339,8 +339,8 @@ def dynamics_run(base: SystemParams, initial: str, horizon: float,
         raise DomainError(
             f"unknown initial state {initial!r}; choose from {sorted(INITIAL_STATES)}"
         ) from None
-    if horizon <= 0:
-        raise DomainError("horizon must be positive")
+    if not 0 < horizon < np.inf:
+        raise DomainError("horizon must be positive and finite")
     params = _dark_drive(base)
     rho0 = DensityMatrix.basis_state(params.space(), occupations)
     t_grid = np.linspace(0.0, horizon, samples)

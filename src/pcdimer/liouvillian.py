@@ -12,26 +12,27 @@ A generator L preserves Hermiticity, so the real coordinates x = U vec(rho)
 of ``hermitian_basis`` carry it as the real matrix G = U L U^H, and its
 recycling terms R as R_h = U R U^H.  G is the form the solvers read: the
 steady states iterate on it and the trajectories propagate with it.  The
-complex L and R stay available, exact, for the API and its checks.
+complex L and R stay available, exact, for the API and its checks: one
+helper, ``_lindblad_forms``, builds them from the Lindblad formula.
 
 A generator is linear in a real coefficient vector theta: the coefficients
 of Hermitian Hamiltonian terms T_k, then the rates r_j of jump operators C_j.
 A ``_Template`` holds, for one set of term operators, the sparse maps from
 theta to the no-jump Hamiltonian and to the values of G and R_h on their
 union sparsity patterns, so a batch of generators is a coefficient
-contraction: three sparse products with theta and one scatter.  L and R are
-contracted from the template's maps of the complex entries only when they
-are read.  The model's template is built once per Fock space, and a
-contraction emits a batch's generators as one ``GeneratorBatch``:
-block-diagonal G and R_h and the stack of no-jump Hamiltonians.
+contraction: three sparse products with theta and one scatter.  A
+member's L and R are built from its no-jump Hamiltonian, the template's
+jumps and its own rates only when they are read.  The model's template is
+built once per Fock space, and a contraction emits a batch's generators as
+one ``GeneratorBatch``: block-diagonal G and R_h and the stack of no-jump
+Hamiltonians.
 """
 
 from __future__ import annotations
 
-import math
-from collections.abc import Callable, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache, partial
+from functools import cached_property, lru_cache
 
 import numpy as np
 import scipy.sparse as sp
@@ -77,10 +78,11 @@ class Superoperator:
     derived as L less its no-jump part, to roundoff, and G and R_h are
     formed from L and R on first read, where an imaginary part beyond
     roundoff (a generator that does not preserve Hermiticity) raises
-    ``DomainError``.  A member of a ``GeneratorBatch`` cuts each form from
-    its batch's on first read, so its complex forms are contracted only
-    when they are read.  Instances are treated as immutable, compare by
-    identity, and may be shared freely across workers.
+    ``DomainError``.  A member of a template's ``GeneratorBatch`` cuts G
+    and R_h from its batch's on first read, and builds L and R from its
+    ``h_eff``, the template's jumps and its own rates (``_lindblad_forms``)
+    only when they are read.  Instances are treated as immutable, compare
+    by identity, and may be shared freely across workers.
     """
 
     space: CompositeSpace
@@ -118,34 +120,39 @@ class Superoperator:
 
     @classmethod
     def _member(cls, batch: "GeneratorBatch", m: int) -> "Superoperator":
-        """Member m of ``batch``, whose checks its assembler has made for
-        the whole batch at once.  It keeps the batch's forms, not the
-        batch, so that no reference cycle outlives a batch."""
+        """Member m of a template's ``batch``, whose checks the template has
+        made for the whole batch at once.  It keeps the batch's forms, not
+        the batch, so that no reference cycle outlives a batch."""
         self = object.__new__(cls)
         object.__setattr__(self, "space", batch.space)
         object.__setattr__(self, "h_eff", batch.h_eff[m])
-        # the batch's G, R_h and complex forms, and the member's index
-        object.__setattr__(self, "_forms", (batch.real_matrix, batch.real_recycling,
-                                            batch.complex_forms, m))
+        # the batch's G and R_h, the member's index, the template's jumps
+        # and the member's rates
+        object.__setattr__(self, "_forms", (batch.real_matrix, batch.real_recycling, m,
+                                            batch.jumps, batch.rates[m]))
         return self
 
     def _cut(self, matrix: sp.csr_matrix) -> sp.csr_matrix:
         """This member's diagonal block of a block-diagonal batch form."""
-        return _block(matrix, self._forms[-1], self.space.total_dim ** 2)
+        return _block(matrix, self._forms[2], self.space.total_dim ** 2)
+
+    @cached_property
+    def _lindblad(self) -> tuple:
+        # a template member's L and R: A = h_eff and B = conj(h_eff), its
+        # Hamiltonian being Hermitian
+        return _lindblad_forms(self.h_eff, self.h_eff.conj(), *self._forms[3:])
 
     @cached_property
     def matrix(self) -> sp.csr_matrix:
-        # reached only by batch members: a generator built from L holds it
-        return self._cut(self._forms[2]()[0])
+        # reached only by template members: a generator built from L holds it
+        return self._lindblad[0]
 
     @cached_property
     def recycling(self) -> sp.csr_matrix:
         if self._forms:
-            return self._cut(self._forms[2]()[1])
-        eye = sp.identity(self.space.total_dim, format="csr")
-        h = sp.csr_matrix(self.h_eff)
-        recycling = sp.csr_matrix(
-            self.matrix + 1j * sp.kron(eye, h) - 1j * sp.kron(h.conj(), eye))
+            return self._lindblad[1]
+        # L less its no-jump part, the L of no jumps
+        recycling = self.matrix - _lindblad_forms(self.h_eff, self.h_eff.conj(), (), ())[0]
         recycling.eliminate_zeros()
         return recycling
 
@@ -165,6 +172,59 @@ class Superoperator:
         """Max magnitude of <<I| L, zero for a trace-preserving generator."""
         bra = identity_bra(self.space)
         return float(np.max(np.abs(bra @ self.matrix)))
+
+
+def _lindblad_forms(a: np.ndarray, b: np.ndarray, jumps, rates) -> tuple:
+    """The generator L = R - i (I kron A) + i (B kron I) and its recycling
+    terms R = sum_j r_j (conj(C_j) kron C_j / hbar), of the d x d matrices
+    A and B (1/ps), the entries of conj(C_j) kron C_j / hbar of each jump
+    (``_recycling_entries``) and the rates r_j (ueV): canonical CSR
+    matrices without stored zeros, and with subnormal parts flushed to
+    zero.  Each entry sums its terms from zero in one fixed order: the
+    jumps' in jump order, then -i A, then i B.  The no-jump part
+    -i (A X - X B^T) is X -> -i (h_eff X - X h_eff^dag) for A = h_eff and
+    B = conj(h_eff)."""
+    d = a.shape[0]
+    n = d * d
+    keys = [k for k, _ in jumps]
+    values = [v * rate for (_, v), rate in zip(jumps, rates)]
+    recycled = sum(k.size for k in keys)
+    # I kron A holds A_pq at (s d + p, s d + q) and B kron I holds B_pq at
+    # (p d + s, q d + s), for s = 0 ... d - 1
+    s = np.arange(d)[:, None]
+    p, q = np.nonzero(a)
+    keys.append(((s * d + p) * n + s * d + q).ravel())
+    values.append(np.broadcast_to(-1j * a[p, q], (d, p.size)).ravel())
+    p, q = np.nonzero(b)
+    keys.append(((p * d + s) * n + q * d + s).ravel())
+    values.append(np.broadcast_to(1j * b[p, q], (d, p.size)).ravel())
+    pattern, slot = np.unique(np.concatenate(keys), return_inverse=True)
+    values = np.concatenate(values)
+
+    def summed(count):
+        # the CSR matrix of the sums of the first count values, each from
+        # zero and in order
+        data = np.empty(pattern.size, dtype=complex)
+        data.real = np.bincount(slot[:count], values.real[:count], pattern.size)
+        data.imag = np.bincount(slot[:count], values.imag[:count], pattern.size)
+        _flush_subnormals(data)
+        keep = data != 0
+        at = pattern[keep]
+        return sp.csr_matrix(
+            (data[keep], at % n, np.searchsorted(at // n, np.arange(n + 1))), shape=(n, n))
+
+    return summed(values.size), summed(recycled)
+
+
+def _recycling_entries(c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The flat indices (row D^2 + column) and values of
+    conj(C) kron C / hbar for a dense d x d jump C, without repeats."""
+    d = c.shape[0]
+    i, j = np.nonzero(c)
+    v = c[i, j]
+    # entry (i1 d + i2, j1 d + j2) of conj(C) kron C is conj(C_i1j1) C_i2j2
+    return (((i[:, None] * d + i) * d * d + (j[:, None] * d + j)).ravel(),
+            (np.conj(v)[:, None] * v).ravel() / HBAR_UEV_PS)
 
 
 def _real_form(matrix: sp.csr_matrix, d: int) -> sp.csr_matrix:
@@ -219,40 +279,36 @@ class GeneratorBatch(Sequence):
     """Generators of one space as block-diagonal CSR matrices, member m in
     the rows and columns m D^2 to (m + 1) D^2 - 1: ``real_matrix`` holds
     their G and ``real_recycling`` their R_h (see ``Superoperator``), and
-    ``h_eff`` is the read-only (B, d, d) stack of no-jump Hamiltonians.
-    ``matrix`` (the generators L) and ``recycling`` (their R) are formed
-    together by ``complex_forms``, a callable that caches its result, when
-    first read.  Indexing gives a member as a ``Superoperator``, the same
-    object on every access, and a slice a list of them; a batch of one
-    holds its member's matrices.  Batches compare by identity."""
+    ``h_eff`` is the read-only (B, d, d) stack of no-jump Hamiltonians.  A
+    template's batch also keeps the template's ``jumps`` (the entries of
+    each conj(C) kron C / hbar) and the read-only (B, J) ``rates`` of its
+    members, from which a member builds its complex L and R.  Indexing
+    gives a member as a ``Superoperator``, the same object on every access,
+    and a slice a list of them; a batch joined from generators gives the
+    generators it was given, and a batch of one holds its member's
+    matrices.  Batches compare by identity."""
 
     space: CompositeSpace
     real_matrix: sp.csr_matrix = field(repr=False)
     real_recycling: sp.csr_matrix = field(repr=False)
     h_eff: np.ndarray = field(repr=False)
-    complex_forms: Callable[[], tuple] = field(repr=False)
+    jumps: tuple = field(repr=False, default=())
+    rates: np.ndarray | None = field(repr=False, default=None)
 
     @staticmethod
     def join(members) -> "GeneratorBatch":
         """The batch of a sequence of ``Superoperator`` that share one space."""
-        members = list(members)
+        members = tuple(members)
         space = members[0].space
         if any(member.space != space for member in members):
             raise DomainError("a generator batch must share one space")
         h_eff = np.array([member.h_eff for member in members])
         h_eff.flags.writeable = False
-        return GeneratorBatch(
+        batch = GeneratorBatch(
             space, _block_diagonal([member.real_matrix for member in members]),
-            _block_diagonal([member.real_recycling for member in members]), h_eff,
-            _Once(partial(_joined_complex_forms, members)))
-
-    @property
-    def matrix(self) -> sp.csr_matrix:
-        return self.complex_forms()[0]
-
-    @property
-    def recycling(self) -> sp.csr_matrix:
-        return self.complex_forms()[1]
+            _block_diagonal([member.real_recycling for member in members]), h_eff)
+        object.__setattr__(batch, "_members", members)
+        return batch
 
     @cached_property
     def _members(self) -> tuple:
@@ -265,26 +321,6 @@ class GeneratorBatch(Sequence):
         if isinstance(index, slice):
             return list(self._members[index])
         return self._members[index]
-
-
-class _Once:
-    """A zero-argument callable's result, formed on the first call and kept
-    (unlike ``functools.cache``, it pickles with its batch)."""
-
-    def __init__(self, form: Callable[[], tuple]):
-        self._form = form
-        self._value = None
-
-    def __call__(self) -> tuple:
-        if self._value is None:
-            self._value = self._form()
-        return self._value
-
-
-def _joined_complex_forms(members) -> tuple:
-    """The block-diagonal L and R of a list of ``Superoperator``."""
-    return (_block_diagonal([member.matrix for member in members]),
-            _block_diagonal([member.recycling for member in members]))
 
 
 def identity_bra(space: CompositeSpace) -> np.ndarray:
@@ -392,44 +428,27 @@ def hermitian_coordinates(matrices: np.ndarray, d: int) -> np.ndarray:
 
 
 def _term_entries(d: int, hamiltonian: sp.spmatrix, jumps):
-    """Per term, what its coefficient 1 contributes to the three parts of
-    the generator L = -i (I kron A) + i (B kron I) + R, divided by hbar.
+    """Per term, what its coefficient 1 contributes to the no-jump
+    Hamiltonian A and to the recycling terms R of the generator
+    L = -i (I kron A) + i (conj(A) kron I) + R, divided by hbar.
 
     A Hamiltonian term T (a column of the sparse (d^2, K) ``hamiltonian``,
-    C-order flattened) gives A = T and B = T^T; a jump C (a dense d x d
-    array of ``jumps``) gives A = -(i/2) C^dag C,
-    B = (i/2) (C^dag C)^T and R = conj(C) kron C.  A is the term's part of
-    the no-jump Hamiltonian.  Yields ``(a_keys, a_values, b_keys, b_values,
-    r_keys, r_values)`` per term: C-order flat indices, without repeats,
-    into the d x d matrices A and B and into the D^2 x D^2 generator.
+    C-order flattened) gives A = T; a jump C (a dense d x d array of
+    ``jumps``) gives A = -(i/2) C^dag C and R = conj(C) kron C.  Yields
+    ``(a_keys, a_values, r_keys, r_values)`` per term: C-order flat
+    indices, without repeats, into the d x d matrix A and into the
+    D^2 x D^2 generator.
     """
-    n = d * d
     none = (np.zeros(0, dtype=np.int64), np.zeros(0, dtype=complex))
     columns = hamiltonian.tocsc()
     for k in range(columns.shape[1]):
         span = slice(columns.indptr[k], columns.indptr[k + 1])
-        flat = columns.indices[span].astype(np.int64)
-        t = columns.data[span] / HBAR_UEV_PS
-        yield (flat, t, (flat % d) * d + flat // d, t) + none
+        yield (columns.indices[span].astype(np.int64),
+               columns.data[span] / HBAR_UEV_PS) + none
     for c in jumps:
-        i, j = np.nonzero(c)
-        v = c[i, j]
         decay = c.conj().T @ c
         p, q = np.nonzero(decay)
-        w = decay[p, q] / HBAR_UEV_PS
-        # entry (i1 d + i2, j1 d + j2) of conj(C) kron C is conj(C_i1j1) C_i2j2
-        yield (p * d + q, -0.5j * w, q * d + p, 0.5j * w,
-               ((i[:, None] * d + i) * n + (j[:, None] * d + j)).ravel(),
-               (np.conj(v)[:, None] * v).ravel() / HBAR_UEV_PS)
-
-
-def _union(keys) -> np.ndarray:
-    """Sorted distinct values of a sequence of integer arrays (a sort and a
-    mask: ``np.unique`` took ten times longer on the keys of a template)."""
-    keys = np.sort(np.concatenate(keys))
-    distinct = np.ones(keys.size, dtype=bool)
-    distinct[1:] = keys[1:] != keys[:-1]
-    return keys[distinct]
+        yield (p * d + q, -0.5j * (decay[p, q] / HBAR_UEV_PS)) + _recycling_entries(c)
 
 
 def _coefficient_map(rows: list, values: list, size: int) -> sp.csc_matrix:
@@ -473,8 +492,8 @@ def _real_entries(d: int, a_pattern: np.ndarray, terms):
     disjoint sources, each with its repeated entries summed.
 
     The no-jump part is X -> Z + Z^dag with Z = -i A X, which assumes
-    B = conj(A) for every term (a Hermitian H), so A alone gives its
-    entries: A_ps takes X_sq into Z_pq for every q.  The recycling part
+    Hermitian Hamiltonian terms (see ``_term_entries``), so A alone gives
+    its entries: A_ps takes X_sq into Z_pq for every q.  The recycling part
     takes each entry of R through the at most two entries of U in its row
     and column; every product of those is real or imaginary, so each entry
     reads one part of its source.  Every entry is written in four slots
@@ -517,10 +536,10 @@ def _real_entries(d: int, a_pattern: np.ndarray, terms):
                      half * row_factor * col_sign, row_sign * col_sign))
     # recycling part, one chunk: entry (vec p, vec q) of R, vec p = i2 + i1 d
     # for rho[i2, i1], takes Re(U[a, p] v conj(U[b, q]))
-    keys = np.concatenate([t[4] for t in terms])
-    v = np.concatenate([t[5] for t in terms])
+    keys = np.concatenate([t[2] for t in terms])
+    v = np.concatenate([t[3] for t in terms])
     source = 2 * a_pattern.size + np.repeat(np.arange(len(terms), dtype=np.int32),
-                                            [t[4].size for t in terms])
+                                            [t[2].size for t in terms])
     vp, vq = np.divmod(keys, n)
     ep, eq = (vp % d) * d + vp // d, (vq % d) * d + vq // d
     row_sign, col_sign = sign[ep], sign[eq]
@@ -530,85 +549,6 @@ def _real_entries(d: int, a_pattern: np.ndarray, terms):
                 (u_row * u_col * v.real, half * row_sign * u_col * v.imag,
                  -half * col_sign * u_row * v.imag,
                  0.5 * row_sign * col_sign * v.real))
-
-
-@dataclass(frozen=True)
-class _ComplexPattern:
-    """Generators of one set of term operators in their complex forms, as
-    linear maps of theta: with L = -i (I kron A) + i (B kron I) + R as in
-    ``_term_entries``, ``a``, ``b`` and ``r`` map theta to the C-order
-    flattened A (the no-jump Hamiltonian) and B and to the values of R, in
-    1/ps.  ``indices``/``indptr`` are the CSR pattern of the union of
-    every term's entries in L, and ``r_indices``/``r_indptr`` that of R,
-    whose entries sit at ``r_positions`` of L's pattern; ``a_pattern``
-    lists the flat indices of A that some term fills and
-    ``a_positions[b, k]`` the place of entry ``a_pattern[k]`` of block b of
-    I kron A in the pattern, and likewise for B kron I."""
-
-    indices: np.ndarray
-    indptr: np.ndarray
-    a: sp.csc_matrix
-    b: sp.csc_matrix
-    r: sp.csc_matrix
-    r_indices: np.ndarray
-    r_indptr: np.ndarray
-    r_positions: np.ndarray
-    a_pattern: np.ndarray
-    a_positions: np.ndarray
-    b_pattern: np.ndarray
-    b_positions: np.ndarray
-
-    @staticmethod
-    def build(d: int, terms) -> "_ComplexPattern":
-        n = d * d
-        a_keys, a_values, b_keys, b_values, r_keys, r_values = zip(*terms)
-        a_pattern = _union(a_keys)
-        b_pattern = _union(b_keys)
-        blocks = np.arange(d, dtype=np.int64)[:, None]
-        # flat index of entry (b d + i, b d + j) of I kron A is
-        # b d (n + 1) + i n + j, of entry (i d + b, j d + b) of B kron I
-        # i d n + j d + b (n + 1)
-        in_a = blocks * (d * (n + 1)) + (a_pattern // d) * n + a_pattern % d
-        in_b = (b_pattern // d) * (d * n) + (b_pattern % d) * d + blocks * (n + 1)
-        r_union = _union(r_keys)
-        union = _union((in_a.ravel(), in_b.ravel(), r_union))
-
-        def place(keys, pattern=union):
-            return np.searchsorted(pattern, keys).astype(np.int32)
-
-        return _ComplexPattern(
-            indices=(union % n).astype(np.int32),
-            indptr=np.searchsorted(union // n, np.arange(n + 1)).astype(np.int32),
-            a=_coefficient_map(a_keys, a_values, n),
-            b=_coefficient_map(b_keys, b_values, n),
-            r=_coefficient_map([place(k, r_union) for k in r_keys], r_values,
-                               r_union.size),
-            r_indices=(r_union % n).astype(np.int32),
-            r_indptr=np.searchsorted(r_union // n, np.arange(n + 1)).astype(np.int32),
-            r_positions=place(r_union),
-            a_pattern=a_pattern.astype(np.int32),
-            a_positions=place(in_a),
-            b_pattern=b_pattern.astype(np.int32),
-            b_positions=place(in_b),
-        )
-
-    def contract(self, thetas) -> tuple:
-        """The block-diagonal L and R of the rows of the (B, K) coefficient
-        array ``thetas`` and the (B, d, d) stack of their no-jump
-        Hamiltonians: three sparse products and three scatters of R, A and
-        B into L's pattern."""
-        thetas = np.asarray(thetas, dtype=float)
-        a = self.a @ thetas.T  # (d^2, B)
-        recycling = self.r @ thetas.T  # (nnz of R, B)
-        values = np.zeros((self.indices.size, len(thetas)), dtype=complex)
-        values[self.r_positions] = recycling
-        values[self.a_positions] += -1j * a[self.a_pattern]
-        values[self.b_positions] += 1j * (self.b @ thetas.T)[self.b_pattern]
-        d = math.isqrt(self.a.shape[0])
-        h_eff = np.ascontiguousarray(a.T).reshape(-1, d, d)
-        _flush_subnormals(values, recycling, h_eff)
-        return (_stacked_csr(values, self.indices, self.indptr),
-                _stacked_csr(recycling, self.r_indices, self.r_indptr), h_eff)
 
 
 @dataclass(frozen=True)
@@ -626,12 +566,13 @@ class _Template:
     (the first d) column by column, giving <<I| L U^H.  The real maps assume
     Hermitian Hamiltonian terms, as the model's are (see ``_real_entries``);
     ``assemble_generator``, whose H may be any matrix, forms its G from L.
-    ``terms`` are the per-term entries of ``_term_entries``, from which the
-    complex half (``_ComplexPattern``) is built on first use.
+    ``jumps`` holds the entries of conj(C) kron C / hbar of each jump C
+    (``_recycling_entries``), whose rates are the last coefficients of
+    theta: a member reads them to build its complex L and R.
     """
 
     space: CompositeSpace
-    terms: tuple = field(repr=False)
+    jumps: tuple = field(repr=False)
     a: sp.csc_matrix = field(repr=False)
     a_pattern: np.ndarray = field(repr=False)
     n: sp.csr_matrix = field(repr=False)
@@ -649,7 +590,7 @@ class _Template:
         size = d * d
         terms = tuple(_term_entries(d, hamiltonian, jumps))
         a_keys = [t[0] for t in terms]
-        a_pattern = _union(a_keys)
+        a_pattern = np.unique(np.concatenate(a_keys))
         parts = 2 * a_pattern.size
         # one CSR over (row, column x width + source), the sum of the
         # chunks' disjoint entries, orders each row by column, then by source
@@ -694,7 +635,7 @@ class _Template:
         population_end = indptr[d]
         return _Template(
             space=space,
-            terms=terms,
+            jumps=tuple(t[2:] for t in terms[hamiltonian.shape[1]:]),
             a=_coefficient_map(a_keys, [t[1] for t in terms], size),
             a_pattern=a_pattern,
             n=n_map,
@@ -710,17 +651,13 @@ class _Template:
                 shape=(size, indices.size)),
         )
 
-    @cached_property
-    def _complex(self) -> _ComplexPattern:
-        return _ComplexPattern.build(self.space.total_dim, self.terms)
-
     def contract(self, thetas: np.ndarray) -> GeneratorBatch:
         """The generators of the rows of the (B, K) coefficient array
         ``thetas``: three sparse products for the whole batch (A, then the
         no-jump part of G from A, and R_h), one scatter of R_h into G, the
         trace check of every member, then the block-diagonal G and R_h of
-        the batch, each member without its exact zeros.  The complex L and R
-        are contracted on first read (``complex_forms``)."""
+        the batch, each member without its exact zeros.  The batch keeps
+        the jumps and each member's rates for its complex L and R."""
         thetas = np.asarray(thetas, dtype=float)
         d = self.space.total_dim
         a = self.a @ thetas.T  # (d^2, B)
@@ -740,14 +677,12 @@ class _Template:
                 "superoperator does not preserve the trace "
                 f"(defect {defects[bad[0]]:.3e})")
         h_eff.flags.writeable = False
+        rates = thetas[:, thetas.shape[1] - len(self.jumps):].copy()
+        rates.flags.writeable = False
         return GeneratorBatch(
             self.space, _stacked_csr(values, self.indices, self.indptr),
             _stacked_csr(recycling, self.r_indices, self.r_indptr), h_eff,
-            _Once(partial(self._complex_forms, thetas)))
-
-    def _complex_forms(self, thetas: np.ndarray) -> tuple:
-        """The block-diagonal L and R of the rows of ``thetas``."""
-        return self._complex.contract(thetas)[:2]
+            self.jumps, rates)
 
 
 def _flush_subnormals(*arrays):
@@ -785,12 +720,15 @@ def assemble_generator(h: Operator, jumps) -> Superoperator:
     """Full generator (-i [H, .] + sum of dissipators) / hbar, in 1/ps.
 
     Each jump C with rate r contributes r (C rho C^dag - {C^dag C, rho} / 2).
-    The anticommutators fold into H_eff = H - (i/2) sum r C^dag C, so the
-    generator is -i (I kron H_eff) + i ((H_eff^dag)^T kron I)
-    + sum r conj(C) kron C; H_eff / hbar is kept as ``Superoperator.h_eff``.
-    Contracted from the complex maps of the terms (H, C_1, ...) with the
-    coefficients (1, r_1, ...).  H may be any matrix, so the real forms
-    are formed from L on first read, with their Hermiticity check.
+    The anticommutators fold into H_eff = H - (i/2) sum r C^dag C, kept
+    divided by hbar as ``Superoperator.h_eff``, and the generator is
+    -i (I kron H_eff) + i (B kron I) + sum r conj(C) kron C with
+    B = H^T + (i/2) sum r (C^dag C)^T, all divided by hbar
+    (``_lindblad_forms``): the Hamiltonian part stays the commutator
+    -i [H, .], which preserves the trace for any H.  R is kept as built,
+    free of the roundoff residues of L less its no-jump part.  H may be
+    any matrix, so the real forms are formed from L and R on first read,
+    with their Hermiticity check.
 
     Parameters
     ----------
@@ -798,17 +736,26 @@ def assemble_generator(h: Operator, jumps) -> Superoperator:
         hbar-scaled Hamiltonian in ueV.
     jumps : iterable of (Operator, float)
         Jump operators with their hbar-scaled rates in ueV; zero-rate entries
-        contribute nothing and negative rates raise ``DomainError``.
+        contribute nothing, and negative or non-finite rates raise
+        ``DomainError``.
     """
     jumps = list(jumps)
     for _, rate in jumps:
-        if rate < 0:
-            raise DomainError(f"dissipator rate must be >= 0, got {rate}")
-    terms = _term_entries(h.space.total_dim, sp.csr_matrix(h.matrix.reshape(-1, 1)),
-                          [jump.matrix for jump, _ in jumps])
-    matrix, _, h_eff = _ComplexPattern.build(h.space.total_dim, tuple(terms)).contract(
-        [[1.0] + [rate for _, rate in jumps]])
-    return Superoperator(h.space, matrix, h_eff[0])
+        if not 0 <= rate < np.inf:
+            raise DomainError(f"dissipator rate must be finite and >= 0, got {rate}")
+    rates = [float(rate) for _, rate in jumps]
+    a = h.matrix / HBAR_UEV_PS
+    b = h.matrix.T / HBAR_UEV_PS
+    for (jump, _), rate in zip(jumps, rates):
+        decay = jump.matrix.conj().T @ jump.matrix / HBAR_UEV_PS
+        a = a + rate * (-0.5j * decay)
+        b = b + rate * (0.5j * decay.T)
+    _flush_subnormals(a)
+    matrix, recycling = _lindblad_forms(
+        a, b, [_recycling_entries(jump.matrix) for jump, _ in jumps], rates)
+    generator = Superoperator(h.space, matrix, a)
+    generator.__dict__["recycling"] = recycling
+    return generator
 
 
 def build_liouvillians(points) -> GeneratorBatch:

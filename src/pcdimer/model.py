@@ -58,6 +58,8 @@ class ModeParams:
     pump: float = 0.0
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.omega, self.gamma, self.pump))):
+            raise DomainError(f"mode parameters must be finite, got {self}")
         if self.gamma < 0:
             raise DomainError(f"mode linewidth must be >= 0, got {self.gamma}")
         if self.pump < 0:
@@ -74,6 +76,8 @@ class QDParams:
     gamma_d: float = 0.0
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.omega, self.gamma, self.gamma_d))):
+            raise DomainError(f"emitter parameters must be finite, got {self}")
         if self.gamma < 0:
             raise DomainError(f"emitter decay rate must be >= 0, got {self.gamma}")
         if self.gamma_d < 0:
@@ -94,6 +98,9 @@ class DriveParams:
     pump_freq: float = 0.0
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.amplitude, self.phase1, self.phase2,
+                                       self.pump_freq))):
+            raise DomainError(f"drive parameters must be finite, got {self}")
         if self.amplitude < 0:
             raise DomainError(f"drive amplitude must be >= 0, got {self.amplitude}")
 

@@ -69,6 +69,9 @@ _SOLVER_POLICY = NumericPolicy(algebraic_tol=1e-10, positivity_slack=1e-8)
 # steps on the benchmark systems, and up to ~120 on random physical
 # parameters whose jump rates dominate their Hamiltonian
 _GMRES_RESTART = 128
+# GMRES passes a system may take: a second, warm-started pass refines a
+# solution whose true residual missed its target
+_GMRES_PASSES = 2
 # target of ||A x - b|| / ||b|| for the bordered system A x = b; the
 # forward error is about this over the generator's relative spectral gap
 _BORDERED_RESIDUAL_TOL = 1e-14
@@ -340,8 +343,7 @@ def _rotation(f: np.ndarray, g: np.ndarray):
     return np.where(nonzero, f / safe, 1.0), g / safe, r
 
 
-def _lockstep_gmres(operator, rhs: np.ndarray, rtol: np.ndarray,
-                    passes: int = 2, restart: int = _GMRES_RESTART):
+def _lockstep_gmres(operator, rhs: np.ndarray, rtol: np.ndarray):
     """Restarted GMRES (Saad & Schultz, SIAM J. Sci. Stat. Comput. 7, 856
     (1986)) on a stack of independent real systems A_s x_s = b_s, run in
     lockstep.
@@ -356,10 +358,11 @@ def _lockstep_gmres(operator, rhs: np.ndarray, rtol: np.ndarray,
     basis vector), Givens rotations and stop step: a pass ends for it when
     its residual estimate reaches ``rtol * ||b_s||`` (``rtol`` broadcasts
     over ``rhs.shape[:-1]``), at an exact solution, at a non-finite
-    estimate or after ``restart`` steps.  A system whose true residual then
-    misses its target takes another pass, warm-started, up to ``passes``
-    in all.  The basis, the Hessenberg matrices, the rotations and the
-    coefficient rows are allocated once per call and grow together.
+    estimate or after ``_GMRES_RESTART`` steps.  A system whose true
+    residual then misses its target takes another pass, warm-started, up to
+    ``_GMRES_PASSES`` in all.  The basis, the Hessenberg matrices, the
+    rotations and the coefficient rows are allocated once per call and grow
+    together.
     Returns x, the steps and passes taken and whether the target was
     reached, each shaped like ``rhs`` without its last axis.
     """
@@ -380,7 +383,7 @@ def _lockstep_gmres(operator, rhs: np.ndarray, rtol: np.ndarray,
     r, rnorm = b, np.linalg.norm(b, axis=1)
     steps = np.zeros(count, dtype=int)
     used = np.zeros(count, dtype=int)
-    columns = min(_BASIS_COLUMNS, restart)
+    columns = min(_BASIS_COLUMNS, _GMRES_RESTART)
     # basis[i] holds the i-th Krylov vector of every system, contiguous
     basis = np.empty((columns + 1, count, n))
     hessenberg = np.empty((count, columns, columns))
@@ -389,8 +392,8 @@ def _lockstep_gmres(operator, rhs: np.ndarray, rtol: np.ndarray,
     rotations = np.empty((count, columns + 1, columns + 1))
     # the Gram-Schmidt coefficients of the step's new vector
     coefficients = np.empty((count, columns + 1))
-    g = np.empty((count, restart + 1))
-    for _pass in range(passes):
+    g = np.empty((count, _GMRES_RESTART + 1))
+    for _pass in range(_GMRES_PASSES):
         active = rnorm > target
         if not active.any():
             break
@@ -401,9 +404,9 @@ def _lockstep_gmres(operator, rhs: np.ndarray, rtol: np.ndarray,
         rotations[:] = 0.0
         rotations[:, 0, 0] = 1.0
         stop = np.zeros(count, dtype=int)
-        for j in range(restart):
+        for j in range(_GMRES_RESTART):
             if j == columns:  # the basis grows only when a system needs it
-                columns = min(2 * columns, restart)
+                columns = min(2 * columns, _GMRES_RESTART)
                 grown = np.empty((columns + 1, count, n))
                 grown[:j + 1] = basis[:j + 1]
                 basis = grown
@@ -665,8 +668,8 @@ class Schedule:
         segments = tuple((float(d), p) for d, p in self.segments)
         if not segments:
             raise IntegrationError("schedule needs at least one segment")
-        if any(d <= 0 for d, _ in segments):
-            raise IntegrationError("segment durations must be positive")
+        if not all(0 < d < np.inf for d, _ in segments):
+            raise IntegrationError("segment durations must be positive and finite")
         spaces = {p.space() for _, p in segments}
         if len(spaces) != 1:
             raise IntegrationError("all schedule segments must share one space")

@@ -536,10 +536,21 @@ class TestMain:
         manifest = json.loads((tmp_path / "steady_manifest.json").read_text())
         assert manifest["config"]["system"]["truncation"] == 2
 
-    def test_config_error_exit_code(self, tmp_path):
+    def test_config_error_exit_code(self, tmp_path, capsys):
         config_path = tmp_path / "run.cfg"
         config_path.write_text("[run]\ncommand = warp\n", encoding="utf-8")
         assert main(["--config", str(config_path), "--quiet"]) == 2
+        # non-finite reals are config errors, not tracebacks of the solvers
+        for command, section in (("dynamics", "[dynamics]\nhorizon_ps = nan\n"),
+                                 ("dynamics", "[dynamics]\nhorizon_ps = inf\n"),
+                                 ("steady", "[drive]\namplitude = nan\n"),
+                                 ("steady", "[drive]\ndelta = nan\n")):
+            config_path.write_text(STEADY_PRESET.replace("steady", command) + "\n"
+                                   + section, encoding="utf-8")
+            assert main(["--config", str(config_path), "--output", str(tmp_path),
+                         "--quiet"]) == 2
+            assert "expected a finite real number" in capsys.readouterr().err
+            assert list(tmp_path.iterdir()) == [config_path]
 
     @pytest.mark.parametrize("command, extra, named, known", [
         # a section the command does not read

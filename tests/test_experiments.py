@@ -224,6 +224,11 @@ class TestDynamics:
         with pytest.raises(DomainError):
             dynamics_run(preset, "photon_mode2", horizon=10.0)
 
+    @pytest.mark.parametrize("horizon", [0.0, np.nan, np.inf])
+    def test_horizon_must_be_positive_and_finite(self, preset, horizon):
+        with pytest.raises(DomainError, match="horizon"):
+            dynamics_run(preset, "vacuum", horizon=horizon)
+
     def test_oscillation_period_matches_collective_drive(self, preset):
         # the ground <-> antisymmetric-state transition is driven with
         # matrix element sqrt(2) Omega_0, so the negativity oscillates with

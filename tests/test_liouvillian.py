@@ -106,8 +106,9 @@ class TestDissipator:
 
     def test_negative_rate_rejected(self):
         h = Operator(QUBIT, np.zeros((2, 2)))
-        with pytest.raises(DomainError):
-            assemble_generator(h, [(qubit_lowering(QUBIT, 0), -1.0)])
+        for rate in (-1.0, np.nan, np.inf):
+            with pytest.raises(DomainError):
+                assemble_generator(h, [(qubit_lowering(QUBIT, 0), rate)])
 
     def test_amplitude_damping_law(self):
         # analytic decay: excited population e^(-gamma t / hbar); equals 1/e
@@ -494,6 +495,16 @@ def assert_matches_reference(params, liouville):
     assert np.all(liouville.matrix.data != 0)
 
 
+def assembled_model_generator(params):
+    """``assemble_generator`` of the model's Hamiltonian and rated jumps."""
+    space = params.space()
+    _, jumps = model_terms(space)
+    rates = coefficients(params)[-len(jumps):]
+    return assemble_generator(
+        build_effective_hamiltonian(params),
+        [(Operator(space, c.toarray()), rate) for c, rate in zip(jumps, rates)])
+
+
 def same_outcome(first, second):
     """Bit-identical steady states, or the same failure."""
     try:
@@ -518,6 +529,27 @@ class TestTemplate:
         for params, liouville in zip(batch, build_liouvillians(batch), strict=True):
             assert_matches_reference(params, liouville)
 
+    @settings(max_examples=25, deadline=None)
+    @given(params=physical_params())
+    @example(params=full_params().with_truncation(2))
+    def test_assembled_generator_matches_template(self, params):
+        # the model's Hamiltonian and jumps through assemble_generator give
+        # the template's L to 1e-14 relative.  The template sums a level's
+        # energy term by term, so where two equal energies cancel exactly in
+        # H / hbar it may store a residue of roundoff size
+        member = build_liouvillian(params)
+        assert (abs(assembled_model_generator(params).matrix - member.matrix).max()
+                <= 1e-14 * abs(member.matrix).max())
+
+    @pytest.mark.parametrize("params", [
+        full_params(), full_params().with_truncation(2), dephased_closed_params(2),
+        preset_params("dimer30_dc901").with_truncation(2)])
+    def test_assembled_generator_has_template_pattern(self, params):
+        assembled = assembled_model_generator(params).matrix
+        member = build_liouvillian(params).matrix
+        for name in ("indices", "indptr"):
+            assert np.array_equal(getattr(assembled, name), getattr(member, name))
+
     @settings(max_examples=10, deadline=None)
     @given(batch=st.lists(physical_params(), min_size=2, max_size=5).map(common_cutoff))
     def test_member_alone_or_in_batch_is_bit_identical(self, batch):
@@ -538,11 +570,16 @@ class TestTemplate:
         batch = [full_params(), full_params().with_drive(phase1=0.5)]
         generators = build_liouvillians(batch)
         assert not generators.h_eff.flags.writeable
-        for together in (generators, GeneratorBatch.join(generators)):
-            for name in ("matrix", "recycling"):
-                expected = sp.block_diag([getattr(build_liouvillian(p), name)
-                                          for p in batch])
+        alone = [build_liouvillian(p) for p in batch]
+        joined = GeneratorBatch.join(generators)
+        assert all(member is generator for member, generator in zip(joined, generators))
+        for together in (generators, joined):
+            for name in ("real_matrix", "real_recycling"):
+                expected = sp.block_diag([getattr(single, name) for single in alone])
                 assert (getattr(together, name) != expected).nnz == 0
+            for member, single in zip(together, alone, strict=True):
+                for name in ("matrix", "recycling"):
+                    assert (getattr(member, name) != getattr(single, name)).nnz == 0
 
     @settings(max_examples=25, deadline=None)
     @given(batch=st.lists(physical_params(), min_size=1, max_size=3).map(common_cutoff))
@@ -576,13 +613,20 @@ class TestTemplate:
         # generators cross process boundaries: a batch, a member and a
         # generator built from a matrix come back with equal forms
         batch = build_liouvillians([full_params(), full_params().with_drive(phase1=0.5)])
+        unread = pickle.loads(pickle.dumps(batch))  # before any member exists
         assembled = assemble_generator(Operator(QUBIT, np.zeros((2, 2))),
                                        [(qubit_lowering(QUBIT, 0), 2.0)])
-        for generator in (batch, batch[1], assembled):
-            copy = pickle.loads(pickle.dumps(generator))
-            for name in ("matrix", "recycling", "real_matrix", "real_recycling"):
+        generators = (batch, batch[1], assembled)
+        copies = [pickle.loads(pickle.dumps(generator)) for generator in generators]
+        for generator, copy in zip(generators, copies):
+            for name in ("real_matrix", "real_recycling"):
                 assert (getattr(copy, name) != getattr(generator, name)).nnz == 0
             assert np.array_equal(copy.h_eff, generator.h_eff)
+        # the complex forms of the batch's members and of the single generators
+        for generator, copy in [*zip(batch, copies[0]), *zip(batch, unread),
+                                *zip(generators[1:], copies[1:])]:
+            for name in ("matrix", "recycling"):
+                assert (getattr(copy, name) != getattr(generator, name)).nnz == 0
 
     def test_trace_check_per_member(self):
         # a template whose recycling part is doubled, so that it returns
@@ -622,6 +666,15 @@ def assert_recycling_matches(liouville):
 
 
 class TestRecyclingTerms:
+    def test_assembled_closed_system_has_no_recycling(self):
+        # assemble_generator keeps the R it builds: a closed system's is
+        # empty, where L less its no-jump part would leave roundoff residues
+        rng = np.random.default_rng(89)
+        space = CompositeSpace((qubit(), boson(1)))
+        h = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+        generator = assemble_generator(Operator(space, h + h.conj().T), [])
+        assert generator.recycling.nnz == 0 and generator.real_recycling.nnz == 0
+
     @settings(max_examples=15, deadline=None)
     @given(params=physical_params())
     @example(params=full_params().with_truncation(2))

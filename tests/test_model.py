@@ -235,14 +235,26 @@ class TestPresets:
 
 class TestParameterValidation:
     def test_negative_rates_rejected(self):
-        with pytest.raises(DomainError):
-            ModeParams(0.0, -1.0)
-        with pytest.raises(DomainError):
-            QDParams(0.0, gamma=-1.0)
-        with pytest.raises(DomainError):
-            QDParams(0.0, gamma_d=-1.0)
-        with pytest.raises(DomainError):
-            DriveParams(amplitude=-1.0)
+        # NaN and infinity fail the checks too
+        for rate in (-1.0, np.nan, np.inf):
+            with pytest.raises(DomainError):
+                ModeParams(0.0, rate)
+            with pytest.raises(DomainError):
+                ModeParams(0.0, 1.0, pump=rate)
+            with pytest.raises(DomainError):
+                QDParams(0.0, gamma=rate)
+            with pytest.raises(DomainError):
+                QDParams(0.0, gamma_d=rate)
+            with pytest.raises(DomainError):
+                DriveParams(amplitude=rate)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_energies_and_phases_rejected(self, value):
+        for make in (lambda x: ModeParams(x, 1.0), lambda x: QDParams(x),
+                     lambda x: DriveParams(1.0, phase1=x), lambda x: DriveParams(1.0, phase2=x),
+                     lambda x: DriveParams(1.0, pump_freq=x)):
+            with pytest.raises(DomainError, match="must be finite"):
+                make(value)
 
     def test_truncation_minimum(self):
         with pytest.raises(DomainError):

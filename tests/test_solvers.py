@@ -914,8 +914,9 @@ class TestEvolve:
 
     def test_schedule_validation(self):
         params = preset_params("dimer30_dc901")
-        with pytest.raises(IntegrationError):
-            Schedule(((0.0, params),))
+        for duration in (0.0, np.nan, np.inf):
+            with pytest.raises(IntegrationError):
+                Schedule(((duration, params),))
         with pytest.raises(IntegrationError):
             Schedule(((5.0, params), (5.0, params.with_truncation(2))))
         with pytest.raises(IntegrationError):
