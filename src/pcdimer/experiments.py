@@ -367,7 +367,12 @@ def stark_switch_protocol(base: SystemParams, tau: float,
     return evolve(schedule, rho0, t_grid)
 
 
-def oscillation_period(times, values, prominence_fraction: float = 0.1) -> float:
+# a maximum counts towards ``oscillation_period`` when its prominence is at
+# least this fraction of the series' span
+_PEAK_PROMINENCE_FRACTION = 0.1
+
+
+def oscillation_period(times, values) -> float:
     """Period estimate from successive maxima of an oscillating series."""
     from scipy.signal import find_peaks
 
@@ -375,7 +380,7 @@ def oscillation_period(times, values, prominence_fraction: float = 0.1) -> float
     span = float(values.max() - values.min())
     if span <= 0:
         raise DomainError("series does not oscillate")
-    peaks, _ = find_peaks(values, prominence=prominence_fraction * span)
+    peaks, _ = find_peaks(values, prominence=_PEAK_PROMINENCE_FRACTION * span)
     if len(peaks) < 2:
         raise DomainError(
             f"found {len(peaks)} peaks; need at least 2 to measure a period"

@@ -10,22 +10,21 @@ has units of 1/ps.
 
 A generator L preserves Hermiticity, so the real coordinates x = U vec(rho)
 of ``hermitian_basis`` carry it as the real matrix G = U L U^H, and its
-recycling terms R as R_h = U R U^H.  G is the form the solvers read: the
-steady states iterate on it and the trajectories propagate with it.  The
-complex L and R stay available, exact, for the API and its checks: one
+recycling terms R as R_h = U R U^H.  The steady states iterate on the
+no-jump Hamiltonian H_eff and R_h, and the trajectories propagate with G.
+The complex L and R stay available, exact, for the API and its checks: one
 helper, ``_lindblad_forms``, builds them from the Lindblad formula.
 
 A generator is linear in a real coefficient vector theta: the coefficients
 of Hermitian Hamiltonian terms T_k, then the rates r_j of jump operators C_j.
 A ``_Template`` holds, for one set of term operators, the sparse maps from
-theta to the no-jump Hamiltonian and to the values of G and R_h on their
-union sparsity patterns, so a batch of generators is a coefficient
-contraction: three sparse products with theta and one scatter.  A
-member's L and R are built from its no-jump Hamiltonian, the template's
-jumps and its own rates only when they are read.  The model's template is
-built once per Fock space, and a contraction emits a batch's generators as
-one ``GeneratorBatch``: block-diagonal G and R_h and the stack of no-jump
-Hamiltonians.
+theta to H_eff and from the rates to the values of R_h on the union of the
+jumps' patterns, so a batch of generators is a coefficient contraction: two
+sparse products with theta.  A member's L and R are built from its H_eff,
+the template's jumps and its own rates, and its G from its H_eff and R_h,
+only when they are read.  The model's template is built once per Fock
+space, and a contraction emits a batch's generators as one
+``GeneratorBatch``: block-diagonal R_h and the stack of H_eff.
 """
 
 from __future__ import annotations
@@ -78,11 +77,12 @@ class Superoperator:
     derived as L less its no-jump part, to roundoff, and G and R_h are
     formed from L and R on first read, where an imaginary part beyond
     roundoff (a generator that does not preserve Hermiticity) raises
-    ``DomainError``.  A member of a template's ``GeneratorBatch`` cuts G
-    and R_h from its batch's on first read, and builds L and R from its
-    ``h_eff``, the template's jumps and its own rates (``_lindblad_forms``)
-    only when they are read.  Instances are treated as immutable, compare
-    by identity, and may be shared freely across workers.
+    ``DomainError``.  A member of a template's ``GeneratorBatch`` cuts R_h
+    from its batch's and forms G from its ``h_eff`` and R_h on first read
+    (``_real_generator``), and builds L and R from its ``h_eff``, the
+    template's jumps and its own rates (``_lindblad_forms``) only when they
+    are read.  Instances are treated as immutable, compare by identity, and
+    may be shared freely across workers.
     """
 
     space: CompositeSpace
@@ -126,21 +126,17 @@ class Superoperator:
         self = object.__new__(cls)
         object.__setattr__(self, "space", batch.space)
         object.__setattr__(self, "h_eff", batch.h_eff[m])
-        # the batch's G and R_h, the member's index, the template's jumps
-        # and the member's rates
-        object.__setattr__(self, "_forms", (batch.real_matrix, batch.real_recycling, m,
-                                            batch.jumps, batch.rates[m]))
+        # the batch's R_h, the member's index, the template's jumps and the
+        # member's rates
+        object.__setattr__(self, "_forms", (batch.real_recycling, m, batch.jumps,
+                                            batch.rates[m]))
         return self
-
-    def _cut(self, matrix: sp.csr_matrix) -> sp.csr_matrix:
-        """This member's diagonal block of a block-diagonal batch form."""
-        return _block(matrix, self._forms[2], self.space.total_dim ** 2)
 
     @cached_property
     def _lindblad(self) -> tuple:
         # a template member's L and R: A = h_eff and B = conj(h_eff), its
         # Hamiltonian being Hermitian
-        return _lindblad_forms(self.h_eff, self.h_eff.conj(), *self._forms[3:])
+        return _lindblad_forms(self.h_eff, self.h_eff.conj(), *self._forms[2:])
 
     @cached_property
     def matrix(self) -> sp.csr_matrix:
@@ -158,14 +154,14 @@ class Superoperator:
 
     @cached_property
     def real_matrix(self) -> sp.csr_matrix:
-        if self._forms:
-            return self._cut(self._forms[0])
+        if self._forms:  # a template member's Hamiltonian is Hermitian
+            return _real_generator(self.h_eff, self.real_recycling)
         return _real_form(self.matrix, self.space.total_dim)
 
     @cached_property
     def real_recycling(self) -> sp.csr_matrix:
         if self._forms:
-            return self._cut(self._forms[1])
+            return _block(self._forms[0], self._forms[1], self.space.total_dim ** 2)
         return _real_form(self.recycling, self.space.total_dim)
 
     def trace_defect(self) -> float:
@@ -248,6 +244,53 @@ def _real_form(matrix: sp.csr_matrix, d: int) -> sp.csr_matrix:
     return sp.csr_matrix((g.data.real, g.indices, g.indptr), shape=g.shape)
 
 
+def _real_terms(out: np.ndarray, into: np.ndarray, c: np.ndarray, d: int):
+    """The entries of the real map x -> Re(U vec(M)) for the terms
+    M_out += c X_in, with out and into C-order entries of d x d matrices and
+    X the Hermitian matrix of the coordinates x: flat keys (row D^2 +
+    column) and values, repeats not summed.  On the real and imaginary
+    parts of the entries, Re(U vec(M)) is the transpose of the gather of
+    ``hermitian_matrices``, which fills each part from one coordinate with
+    one factor, so each term gives four real entries: Re c Re X and
+    -Im c Im X into Re M, Im c Re X and Re c Im X into Im M."""
+    source, factor = _inverse_gather(d)
+    out = np.concatenate((2 * out, 2 * out, 2 * out + 1, 2 * out + 1))
+    into = np.concatenate((2 * into, 2 * into + 1, 2 * into, 2 * into + 1))
+    values = np.concatenate((c.real, -c.imag, c.imag, c.real)) * (factor[out] * factor[into])
+    return source[out] * (d * d) + source[into], values
+
+
+def _summed(keys: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct keys, ascending, and the sums of their real values, each
+    in input order, with subnormal sums flushed and zero sums dropped."""
+    keep = values != 0
+    pattern, slot = np.unique(keys[keep], return_inverse=True)
+    sums = np.bincount(slot, values[keep], pattern.size).astype(float, copy=False)
+    _flush_subnormals(sums)
+    keep = sums != 0
+    return pattern[keep], sums[keep]
+
+
+def _real_generator(h: np.ndarray, recycling: sp.csr_matrix) -> sp.csr_matrix:
+    """G = U L U^H of the generator with no-jump Hamiltonian h (d x d, its
+    Hamiltonian part Hermitian) and recycling terms R_h, as a canonical
+    real CSR matrix without stored zeros.  For a Hermitian X the no-jump
+    part is M + M^dag with M = -i h X, whose coordinates are
+    2 Re(U vec(M)): the ``_real_terms`` of 2 M, M_pq += -i h_ps X_sq for
+    every column q, summed with the entries of R_h."""
+    d = h.shape[0]
+    n = d * d
+    p, s = np.nonzero(h)
+    q = np.arange(d)
+    keys, values = _real_terms((p[:, None] * d + q).ravel(), (s[:, None] * d + q).ravel(),
+                               np.repeat(-2j * h[p, s], d), d)
+    rows = np.repeat(np.arange(n), np.diff(recycling.indptr))
+    pattern, data = _summed(np.concatenate((keys, rows * n + recycling.indices)),
+                            np.concatenate((values, recycling.data)))
+    return sp.csr_matrix(
+        (data, pattern % n, np.searchsorted(pattern // n, np.arange(n + 1))), shape=(n, n))
+
+
 def _block_diagonal(matrices: list) -> sp.csr_matrix:
     """CSR block-diagonal matrix of equally sized CSR blocks; a single
     block is returned as it is."""
@@ -276,20 +319,20 @@ def _block(matrix: sp.csr_matrix, m: int, n: int) -> sp.csr_matrix:
 
 @dataclass(frozen=True, eq=False)
 class GeneratorBatch(Sequence):
-    """Generators of one space as block-diagonal CSR matrices, member m in
-    the rows and columns m D^2 to (m + 1) D^2 - 1: ``real_matrix`` holds
-    their G and ``real_recycling`` their R_h (see ``Superoperator``), and
-    ``h_eff`` is the read-only (B, d, d) stack of no-jump Hamiltonians.  A
-    template's batch also keeps the template's ``jumps`` (the entries of
-    each conj(C) kron C / hbar) and the read-only (B, J) ``rates`` of its
-    members, from which a member builds its complex L and R.  Indexing
-    gives a member as a ``Superoperator``, the same object on every access,
-    and a slice a list of them; a batch joined from generators gives the
-    generators it was given, and a batch of one holds its member's
-    matrices.  Batches compare by identity."""
+    """Generators of one space, member m in the rows and columns m D^2 to
+    (m + 1) D^2 - 1 of block-diagonal CSR matrices: ``real_recycling``
+    holds their R_h (see ``Superoperator``) and ``h_eff`` is the read-only
+    (B, d, d) stack of no-jump Hamiltonians, the two forms that a steady
+    state solve reads.  ``real_matrix``, the block-diagonal G, is formed
+    from the members' G only when read.  A template's batch also keeps the
+    template's ``jumps`` (the entries of each conj(C) kron C / hbar) and the
+    read-only (B, J) ``rates`` of its members, from which a member builds
+    its complex L and R.  Indexing gives a member as a ``Superoperator``,
+    the same object on every access, and a slice a list of them; a batch
+    joined from generators gives the generators it was given, and a batch
+    of one holds its member's matrices.  Batches compare by identity."""
 
     space: CompositeSpace
-    real_matrix: sp.csr_matrix = field(repr=False)
     real_recycling: sp.csr_matrix = field(repr=False)
     h_eff: np.ndarray = field(repr=False)
     jumps: tuple = field(repr=False, default=())
@@ -297,7 +340,8 @@ class GeneratorBatch(Sequence):
 
     @staticmethod
     def join(members) -> "GeneratorBatch":
-        """The batch of a sequence of ``Superoperator`` that share one space."""
+        """The batch of a sequence of ``Superoperator`` that share one space;
+        it reads their R_h and H_eff, not their G."""
         members = tuple(members)
         space = members[0].space
         if any(member.space != space for member in members):
@@ -305,14 +349,38 @@ class GeneratorBatch(Sequence):
         h_eff = np.array([member.h_eff for member in members])
         h_eff.flags.writeable = False
         batch = GeneratorBatch(
-            space, _block_diagonal([member.real_matrix for member in members]),
-            _block_diagonal([member.real_recycling for member in members]), h_eff)
+            space, _block_diagonal([member.real_recycling for member in members]), h_eff)
         object.__setattr__(batch, "_members", members)
         return batch
 
     @cached_property
     def _members(self) -> tuple:
         return tuple(Superoperator._member(self, m) for m in range(len(self)))
+
+    @cached_property
+    def real_matrix(self) -> sp.csr_matrix:
+        return _block_diagonal([member.real_matrix for member in self])
+
+    @cached_property
+    def scales(self) -> np.ndarray:
+        """Per member, the scale of its generator read from H_eff and R_h
+        without G: the largest of |h_pp - conj(h_qq)| over level pairs (the
+        rates on the no-jump part's diagonal), twice the largest
+        off-diagonal |h_pq| and the largest |R_h| entry; 1 for a zero
+        generator.  On the preset's map points it matched the largest entry
+        of |G| to 1e-3."""
+        d = self.space.total_dim
+        diagonal = np.diagonal(self.h_eff, axis1=1, axis2=2)
+        spread = np.abs(diagonal[:, :, None] - diagonal.conj()[:, None, :]).max(axis=(1, 2))
+        off = np.abs(self.h_eff)
+        off[:, range(d), range(d)] = 0.0
+        magnitudes = np.abs(self.real_recycling.data)
+        bounds = self.real_recycling.indptr[::d * d]
+        recycled = [magnitudes[start:stop].max(initial=0.0)
+                    for start, stop in zip(bounds[:-1], bounds[1:])]
+        scales = np.maximum.reduce([spread, 2.0 * off.max(axis=(1, 2)), recycled])
+        scales[scales == 0] = 1.0
+        return scales
 
     def __len__(self) -> int:
         return len(self.h_eff)
@@ -428,27 +496,20 @@ def hermitian_coordinates(matrices: np.ndarray, d: int) -> np.ndarray:
 
 
 def _term_entries(d: int, hamiltonian: sp.spmatrix, jumps):
-    """Per term, what its coefficient 1 contributes to the no-jump
-    Hamiltonian A and to the recycling terms R of the generator
-    L = -i (I kron A) + i (conj(A) kron I) + R, divided by hbar.
-
-    A Hamiltonian term T (a column of the sparse (d^2, K) ``hamiltonian``,
-    C-order flattened) gives A = T; a jump C (a dense d x d array of
-    ``jumps``) gives A = -(i/2) C^dag C and R = conj(C) kron C.  Yields
-    ``(a_keys, a_values, r_keys, r_values)`` per term: C-order flat
-    indices, without repeats, into the d x d matrix A and into the
-    D^2 x D^2 generator.
-    """
-    none = (np.zeros(0, dtype=np.int64), np.zeros(0, dtype=complex))
+    """Per term, the C-order flat indices, without repeats, and the values
+    (ueV) of what its coefficient 1 contributes to the no-jump Hamiltonian
+    A of the generator L = -i (I kron A) + i (conj(A) kron I) + R, times
+    hbar: a Hamiltonian term T (a column of the sparse (d^2, K)
+    ``hamiltonian``, C-order flattened) gives A = T, a jump C (a dense
+    d x d array of ``jumps``) gives A = -(i/2) C^dag C."""
     columns = hamiltonian.tocsc()
     for k in range(columns.shape[1]):
         span = slice(columns.indptr[k], columns.indptr[k + 1])
-        yield (columns.indices[span].astype(np.int64),
-               columns.data[span] / HBAR_UEV_PS) + none
+        yield columns.indices[span].astype(np.int64), columns.data[span]
     for c in jumps:
         decay = c.conj().T @ c
         p, q = np.nonzero(decay)
-        yield (p * d + q, -0.5j * (decay[p, q] / HBAR_UEV_PS)) + _recycling_entries(c)
+        yield p * d + q, -0.5j * decay[p, q]
 
 
 def _coefficient_map(rows: list, values: list, size: int) -> sp.csc_matrix:
@@ -461,228 +522,101 @@ def _coefficient_map(rows: list, values: list, size: int) -> sp.csc_matrix:
         shape=(size, len(rows)))
 
 
-@lru_cache(maxsize=8)
-def _pair_coordinates(d: int) -> tuple[np.ndarray, np.ndarray]:
-    """Per C-order entry e = i d + j of a d x d matrix, the first
-    ``hermitian_basis`` coordinate of the pair {i, j} (the population i, or
-    sqrt(2) Re of the coherence, whose sqrt(2) Im coordinate follows it)
-    and sign(j - i): rho_ij = (x_re + i sign x_im) / sqrt(2) off the
-    diagonal, so U holds sqrt(1/2) and -i sign sqrt(1/2) in the column of
-    vec index i + j d."""
-    i, j = np.divmod(np.arange(d * d), d)
-    low, high = np.minimum(i, j), np.maximum(i, j)
-    pair = low * d - low * (low + 1) // 2 + high - low - 1
-    first = np.where(i == j, i, d + 2 * pair)
-    return first, np.sign(j - i)
-
-
-# no-jump entries per chunk of ``_real_entries``, which bounds the
-# temporaries of a template build
-_REAL_CHUNK = 16384
-
-
-def _real_entries(d: int, a_pattern: np.ndarray, terms):
-    """The entries of G = U L U^H and R_h = U R U^H as real linear maps,
-    one (d^2, d^2 width) CSR matrix per chunk of sources: entry
-    (row, column width + source) is the coefficient of the source in entry
-    (row, column) of the real form, with width = 2 len(a_pattern) +
-    len(terms).  Sources 2 j and 2 j + 1 are Re and Im of entry
-    ``a_pattern[j]`` of the no-jump Hamiltonian A, source
-    2 len(a_pattern) + k the coefficient of term k.  The chunks hold
-    disjoint sources, each with its repeated entries summed.
-
-    The no-jump part is X -> Z + Z^dag with Z = -i A X, which assumes
-    Hermitian Hamiltonian terms (see ``_term_entries``), so A alone gives
-    its entries: A_ps takes X_sq into Z_pq for every q.  The recycling part
-    takes each entry of R through the at most two entries of U in its row
-    and column; every product of those is real or imaginary, so each entry
-    reads one part of its source.  Every entry is written in four slots
-    (first or Im coordinate of the row and of the column); a slot that
-    does not exist, at a population, takes a zero value.  The no-jump part
-    comes in chunks of about ``_REAL_CHUNK`` entries, which keep the
-    temporaries small, and the recycling part in one.
-    """
-    n = d * d
-    first, sign = _pair_coordinates(d)
-    half = np.sqrt(0.5)
-    root2 = np.sqrt(2.0)
-    width = 2 * a_pattern.size + len(terms)
-
-    def chunk(row, col, sources, parts):
-        # the four slots of entries whose first coordinates are row, col
-        rows = np.concatenate((row, row + 1, row, row + 1))
-        keys = np.concatenate([(col + dc) * width + source
-                               for dc, source in zip((0, 0, 1, 1), sources)])
-        matrix = sp.csr_matrix((np.concatenate(parts), (rows, keys)),
-                               shape=(n, n * width))
-        matrix.sum_duplicates()
-        return matrix
-
-    # no-jump part: Z_pq = -i A_ps X_sq, and X_sq = u x over the first
-    # coordinate (u = 1 or sqrt(1/2)) plus i sign sqrt(1/2) x_im; Y puts
-    # 2 Re Z_pp into a population, sqrt(2) Re Z_pq into Re and
-    # sign sqrt(2) Im Z_pq into Im of the pair {p, q}
-    step = max(1, _REAL_CHUNK // d)
-    for start in range(0, a_pattern.size, step):
-        p, s = np.divmod(a_pattern[start:start + step], d)
-        z = (p[:, None] * d + np.arange(d)).ravel()
-        x = (s[:, None] * d + np.arange(d)).ravel()
-        re = 2 * np.repeat(np.arange(start, start + p.size, dtype=np.int32), d)
-        row_sign, col_sign = sign[z], sign[x]
-        row_factor = np.where(row_sign == 0, 2.0, root2)
-        u = np.where(col_sign == 0, 1.0, half)
-        yield chunk(first[z], first[x], (re + 1, re, re, re + 1),
-                    (row_factor * u, -root2 * row_sign * u,
-                     half * row_factor * col_sign, row_sign * col_sign))
-    # recycling part, one chunk: entry (vec p, vec q) of R, vec p = i2 + i1 d
-    # for rho[i2, i1], takes Re(U[a, p] v conj(U[b, q]))
-    keys = np.concatenate([t[2] for t in terms])
-    v = np.concatenate([t[3] for t in terms])
-    source = 2 * a_pattern.size + np.repeat(np.arange(len(terms), dtype=np.int32),
-                                            [t[2].size for t in terms])
-    vp, vq = np.divmod(keys, n)
-    ep, eq = (vp % d) * d + vp // d, (vq % d) * d + vq // d
-    row_sign, col_sign = sign[ep], sign[eq]
-    u_row = np.where(row_sign == 0, 1.0, half)
-    u_col = np.where(col_sign == 0, 1.0, half)
-    yield chunk(first[ep], first[eq], (source,) * 4,
-                (u_row * u_col * v.real, half * row_sign * u_col * v.imag,
-                 -half * col_sign * u_row * v.imag,
-                 0.5 * row_sign * col_sign * v.real))
-
-
 @dataclass(frozen=True)
 class _Template:
     """Generators of one set of term operators as linear maps of theta.
 
-    ``a`` maps theta to the C-order flattened no-jump Hamiltonian A, in
-    1/ps, whose entries ``a_pattern`` some term fills.  ``n`` maps the real
-    and imaginary parts of those entries, interleaved, to the values of
-    the no-jump part of G on G's pattern ``indices``/``indptr``, and ``r``
-    maps theta, one column per term, to the values of R_h on its pattern
-    ``r_indices``/``r_indptr``, whose entries sit at ``r_positions`` of
-    G's; G is their sum.  Each value sums its sources in one fixed order,
-    whatever the batch.  ``trace`` sums the entries of G's population rows
-    (the first d) column by column, giving <<I| L U^H.  The real maps assume
-    Hermitian Hamiltonian terms, as the model's are (see ``_real_entries``);
-    ``assemble_generator``, whose H may be any matrix, forms its G from L.
-    ``jumps`` holds the entries of conj(C) kron C / hbar of each jump C
-    (``_recycling_entries``), whose rates are the last coefficients of
-    theta: a member reads them to build its complex L and R.
+    ``a`` maps theta to the C-order flattened no-jump Hamiltonian A in ueV,
+    which ``contract`` divides by hbar once, so that equal energies cancel
+    exactly.  ``r`` maps the jump rates, the last coefficients of theta, to
+    the values of R_h = U R U^H on its pattern ``r_indices``/``r_indptr``,
+    the union of the jumps' patterns: column j holds the real form of
+    conj(C_j) kron C_j / hbar, built once per template.  Each value sums its
+    sources in one fixed order, whatever the batch.  G is not held: a
+    member forms it only when read.  ``jumps`` holds the entries of
+    conj(C) kron C / hbar of each jump C (``_recycling_entries``): a member
+    reads them to build its complex L and R.
     """
 
     space: CompositeSpace
     jumps: tuple = field(repr=False)
     a: sp.csc_matrix = field(repr=False)
-    a_pattern: np.ndarray = field(repr=False)
-    n: sp.csr_matrix = field(repr=False)
     r: sp.csr_matrix = field(repr=False)
-    indices: np.ndarray = field(repr=False)
-    indptr: np.ndarray = field(repr=False)
     r_indices: np.ndarray = field(repr=False)
     r_indptr: np.ndarray = field(repr=False)
-    r_positions: np.ndarray = field(repr=False)
-    trace: sp.csr_matrix = field(repr=False)
 
     @staticmethod
     def build(space: CompositeSpace, hamiltonian: sp.spmatrix, jumps) -> "_Template":
         d = space.total_dim
-        size = d * d
+        n = d * d
         terms = tuple(_term_entries(d, hamiltonian, jumps))
-        a_keys = [t[0] for t in terms]
-        a_pattern = np.unique(np.concatenate(a_keys))
-        parts = 2 * a_pattern.size
-        # one CSR over (row, column x width + source), the sum of the
-        # chunks' disjoint entries, orders each row by column, then by source
-        entries = None
-        for chunk in _real_entries(d, a_pattern, terms):
-            entries = chunk if entries is None else entries + chunk
-        entries.eliminate_zeros()
-        values, pointers = entries.data, entries.indptr
-        column, source = np.divmod(entries.indices, parts + len(terms))
-        del entries
-        # an entry opens a position of G where its row begins or its column
-        # differs from the entry before it
-        opens = np.empty(column.size, dtype=bool)
-        opens[:1] = True
-        np.not_equal(column[1:], column[:-1], out=opens[1:])
-        opens[pointers[:-1][pointers[:-1] < column.size]] = True
-        counts = np.zeros(column.size + 1, dtype=np.int32)
-        np.cumsum(opens, out=counts[1:])
-        indptr = counts[pointers]
-        indices = column[opens]
-        del column, opens
-        position = counts[1:]
-        position -= 1
-
-        def by_row(at, columns, data, shape):
-            # CSR of entries already in row order
-            starts = np.zeros(shape[0] + 1, dtype=np.int32)
-            np.cumsum(np.bincount(at, minlength=shape[0]), out=starts[1:])
-            return sp.csr_matrix((data, columns, starts), shape=shape)
-
-        no_jump = source < parts
-        n_map = by_row(position[no_jump], source[no_jump], values[no_jump],
-                       (indices.size, parts))
-        recycling = ~no_jump
-        at = position[recycling]
-        new = np.ones(at.size, dtype=bool)
-        new[1:] = at[1:] != at[:-1]
-        r_positions = at[new]
-        r_map = by_row(np.cumsum(new) - 1, source[recycling] - parts,
-                       values[recycling], (r_positions.size, len(terms)))
-        r_rows = np.searchsorted(indptr, r_positions, side="right") - 1
-        population_end = indptr[d]
+        entries = tuple(_recycling_entries(c) for c in jumps)
+        # each jump's R_h: conj(C) kron C takes X to C X C^dag, Hermitian,
+        # whose coordinates are Re(U vec(C X C^dag)); entry (a, b) of the
+        # Kronecker product maps vec index b to a, and vec index j d + i is
+        # C-order entry i d + j
+        forms = []
+        for key, value in entries:
+            a, b = np.divmod(key, n)
+            forms.append(_summed(*_real_terms(a % d * d + a // d, b % d * d + b // d,
+                                              value, d)))
+        # one row per position of the union pattern, its columns the jumps
+        # in order
+        pattern, slot = np.unique(np.concatenate([keys for keys, _ in forms]),
+                                  return_inverse=True)
+        jump = np.repeat(np.arange(len(forms)), [keys.size for keys, _ in forms])
         return _Template(
             space=space,
-            jumps=tuple(t[2:] for t in terms[hamiltonian.shape[1]:]),
-            a=_coefficient_map(a_keys, [t[1] for t in terms], size),
-            a_pattern=a_pattern,
-            n=n_map,
-            r=r_map,
-            indices=indices,
-            indptr=indptr,
-            r_indices=indices[r_positions],
-            r_indptr=np.searchsorted(r_rows, np.arange(size + 1)).astype(np.int32),
-            r_positions=r_positions,
-            trace=sp.csr_matrix(
-                (np.ones(population_end),
-                 (indices[:population_end], np.arange(population_end))),
-                shape=(size, indices.size)),
+            jumps=entries,
+            a=_coefficient_map([t[0] for t in terms], [t[1] for t in terms], n),
+            r=sp.csr_matrix((np.concatenate([sums for _, sums in forms]), (slot, jump)),
+                            shape=(pattern.size, len(forms))),
+            r_indices=(pattern % n).astype(np.int32),
+            r_indptr=np.searchsorted(pattern // n, np.arange(n + 1)).astype(np.int32),
         )
 
     def contract(self, thetas: np.ndarray) -> GeneratorBatch:
         """The generators of the rows of the (B, K) coefficient array
-        ``thetas``: three sparse products for the whole batch (A, then the
-        no-jump part of G from A, and R_h), one scatter of R_h into G, the
-        trace check of every member, then the block-diagonal G and R_h of
-        the batch, each member without its exact zeros.  The batch keeps
-        the jumps and each member's rates for its complex L and R."""
+        ``thetas``: two sparse products for the whole batch (A and R_h) and
+        the trace check of every member, then the stack of H_eff and the
+        block-diagonal R_h of the batch, each member's without its exact
+        zeros.  The batch keeps the jumps and each member's rates for its
+        complex L and R, from which a member forms its G when read.
+
+        The trace check reads no G: <<I| L U^H is the coordinate vector of
+        -i (A - A^dag), twice the anti-Hermitian part of H_eff, which the
+        no-jump part takes out of the trace, plus the column sums of R_h's
+        population rows (the first d), which the jumps put back.
+        """
         thetas = np.asarray(thetas, dtype=float)
         d = self.space.total_dim
-        a = self.a @ thetas.T  # (d^2, B)
-        entries = a[self.a_pattern]
-        parts = np.stack((entries.real, entries.imag), axis=1).reshape(-1, len(thetas))
-        recycling = self.r @ thetas.T  # (nnz of R_h, B)
-        values = self.n @ parts  # (nnz of G, B)
-        values[self.r_positions] += recycling
-        h_eff = np.ascontiguousarray(a.T).reshape(-1, d, d)
-        _flush_subnormals(values, recycling, h_eff)
-        # each member's <<I| L U^H against its own largest entry
-        defects = np.abs(self.trace @ values).max(axis=0, initial=0.0)
-        scales = np.maximum(1.0, np.abs(values).max(axis=0, initial=0.0))
-        bad = np.flatnonzero(defects > DEFAULT_POLICY.algebraic_tol * scales)
+        n = d * d
+        rates = thetas[:, thetas.shape[1] - len(self.jumps):].copy()
+        h_eff = np.ascontiguousarray((self.a @ thetas.T).T).reshape(-1, d, d)
+        h_eff /= HBAR_UEV_PS
+        recycling = self.r @ rates.T  # (nnz of R_h, B)
+        _flush_subnormals(recycling, h_eff)
+        # the population rows come first in R_h's pattern
+        end = self.r_indptr[d]
+        count = len(thetas)
+        restored = np.bincount(
+            (np.arange(count)[:, None] * n + self.r_indices[:end]).ravel(),
+            recycling[:end].T.ravel(), count * n).reshape(count, n)
+        defects = np.abs(
+            hermitian_coordinates(-1j * (h_eff - h_eff.conj().transpose(0, 2, 1)), d)
+            + restored).max(axis=1, initial=0.0)
+        h_eff.flags.writeable = rates.flags.writeable = False
+        # after the check: _stacked_csr may compact ``recycling`` in place
+        batch = GeneratorBatch(
+            self.space, _stacked_csr(recycling, self.r_indices, self.r_indptr),
+            h_eff, self.jumps, rates)
+        bad = np.flatnonzero(defects > DEFAULT_POLICY.algebraic_tol
+                             * np.maximum(1.0, batch.scales))
         if bad.size:
             raise DomainError(
                 "superoperator does not preserve the trace "
                 f"(defect {defects[bad[0]]:.3e})")
-        h_eff.flags.writeable = False
-        rates = thetas[:, thetas.shape[1] - len(self.jumps):].copy()
-        rates.flags.writeable = False
-        return GeneratorBatch(
-            self.space, _stacked_csr(values, self.indices, self.indptr),
-            _stacked_csr(recycling, self.r_indices, self.r_indptr), h_eff,
-            self.jumps, rates)
+        return batch
 
 
 def _flush_subnormals(*arrays):

@@ -511,6 +511,16 @@ def _step_matrix(batch: GeneratorBatch, exact: np.ndarray) -> sp.csr_matrix:
                             for member, flag in zip(batch, exact)])
 
 
+def _residuals(batch: GeneratorBatch, x: np.ndarray, matrices: np.ndarray) -> np.ndarray:
+    """||G x|| per member of a batch, for its (B, D^2) real coordinates x
+    and their (B, d, d) Hermitian ``matrices`` X, without G: G x is the
+    coordinates of the no-jump part -i (H_eff X - X H_eff^dag) plus R_h x."""
+    h_eff = batch.h_eff
+    no_jump = -1j * (h_eff @ matrices - matrices @ h_eff.conj().transpose(0, 2, 1))
+    recycled = (batch.real_recycling @ x.reshape(-1)).reshape(x.shape)
+    return np.linalg.norm(hermitian_coordinates(no_jump, h_eff.shape[1]) + recycled, axis=1)
+
+
 def steady_states(liouvilles) -> list:
     """Unique steady states of a batch of trace-preserving generators that
     share one space, solved together: a ``GeneratorBatch``, or a sequence
@@ -518,31 +528,36 @@ def steady_states(liouvilles) -> list:
 
     The solve runs in float64, in the real coordinates x = U vec(rho) of
     ``liouvillian.hermitian_basis``, on the real generators G = U L U^H
-    that the template emits (populations first).  Each generator gives the
+    (populations first), read as their two parts: the no-jump Hamiltonian
+    H_eff and the recycling terms R_h = U R U^H.  Each generator gives the
     trace-bordered system (G + s e_0 t^T) x = s e_0, where t sums the d
     population coordinates (the trace), e_0 is the population of the first
-    basis state and s the largest entry of |G|.  It is nonsingular exactly
-    when the kernel of G is one-dimensional, and its solution has unit
-    trace.  Every member contributes two systems to one lockstep GMRES
-    (``_lockstep_gmres``, restart 128, two passes): the bordered system, to
-    a relative residual of 1e-14 (a second, warm-started pass sets
-    ``refined``), and its uniqueness certificate, the same matrix with a
-    fixed-seed random real right-hand side (a random Hermitian matrix), to
-    1e-6.  All systems are right preconditioned with the inverse P^-1 of
-    their no-jump part N (``_no_jump_inverse``, one stacked
+    basis state and s the generator's scale from H_eff and R_h
+    (``GeneratorBatch.scales``: the largest of |h_pp - conj(h_qq)|, twice
+    the largest off-diagonal |h_pq| and the largest |R_h| entry; on the
+    preset's map points it matched the largest entry of |G| to 1e-3).  It is
+    nonsingular exactly when the kernel of G is one-dimensional, and its
+    solution has unit trace.  Every member contributes two systems to one
+    lockstep GMRES (``_lockstep_gmres``, restart 128, two passes): the
+    bordered system, to a relative residual of 1e-14 (a second, warm-started
+    pass sets ``refined``), and its uniqueness certificate, the same matrix
+    with a fixed-seed random real right-hand side (a random Hermitian
+    matrix), to 1e-6.  All systems are right preconditioned with the inverse
+    P^-1 of their no-jump part N (``_no_jump_inverse``, one stacked
     eigendecomposition of the H_eff), applied between one gather of the
     coordinates to Hermitian matrices and one gather back, so that only the
     recycling terms R_h = U R U^H and the border are left to iterate on:
     10-17 steps on the benchmark systems at Fock cutoffs 1-4.  Where P^-1
-    inverts N to roundoff, G P^-1 = I + R_h P^-1, and a step applies
-    y + R_h P^-1 y plus the border: R_h holds about a fifth of G's
-    nonzeros.  A member with a shifted non-decaying level, or whose
-    eigenbasis is too ill-conditioned for that, applies G P^-1 y plus the
-    border instead.  The choice is read per member from its data, so a
-    member's arithmetic does not depend on its batch.  A GMRES step is one
-    batched preconditioner call and one sparse product with the
-    block-diagonal matrix of those operators per right-hand side; systems
-    that have stopped are skipped.  The complex L is never formed.
+    inverts N to roundoff, G P^-1 = I + R_h P^-1, and a step applies y + R_h
+    P^-1 y plus the border: R_h holds about a fifth of G's nonzeros.  A
+    member with a shifted non-decaying level, or whose eigenbasis is too
+    ill-conditioned for that, applies G P^-1 y plus the border instead.  The
+    choice is read per member from its data, so a member's arithmetic does
+    not depend on its batch.  A GMRES step is one batched preconditioner
+    call and one sparse product with the block-diagonal matrix of those
+    operators per right-hand side; systems that have stopped are skipped.
+    Only a member that applies G forms it, on first read; a batch whose
+    members are all exact forms neither G nor L.
 
     A degenerate generator makes the bordered system singular but still
     consistent, so GMRES alone would return a state.  Three checks stop
@@ -553,7 +568,9 @@ def steady_states(liouvilles) -> list:
     two kernel bounds.  On a singular system the certificate stalls (near a
     relative residual of 0.3).  A stalled certificate, a non-finite result,
     a steady-state residual ||L vec(rho)|| = ||G x|| above
-    ``STEADY_RESIDUAL_TOL`` (on the whole G) or a state that fails the
+    ``STEADY_RESIDUAL_TOL`` (on the whole generator, as
+    ||coords(-i (H_eff X - X H_eff^dag)) + R_h x|| with X the state's
+    matrix, so without G) or a state that fails the
     density-matrix check (one ``check_density_matrix`` over the batch's
     states, repeated per member only when it fails) goes to
     ``_diagnose_kernel``, one rule at every Fock cutoff: a stalled
@@ -572,10 +589,7 @@ def steady_states(liouvilles) -> list:
     n = d * d
     # the trace border, and the denominator of a non-decaying level, carry
     # each generator's own scale, so the solve does not depend on its units
-    magnitudes = np.abs(batch.real_matrix.data)
-    bounds = batch.real_matrix.indptr[::n]
-    weights = np.array([magnitudes[start:stop].max(initial=0.0) or 1.0
-                        for start, stop in zip(bounds[:-1], bounds[1:])])
+    weights = batch.scales
     precondition, outcomes, exact = _no_jump_inverse(
         batch.h_eff, weights, _invariant_blocks(batch.h_eff, batch.real_recycling))
     live = [m for m in range(count) if m not in outcomes]
@@ -619,8 +633,7 @@ def steady_states(liouvilles) -> list:
     coordinates[accepted] = x[accepted] / x[accepted, :d].sum(axis=1)[:, None]
     rho = hermitian_matrices(coordinates, d)
     # ||L vec(rho)|| = ||G x||, U being unitary
-    residuals = np.linalg.norm(
-        (batch.real_matrix @ coordinates.reshape(-1)).reshape(size, n), axis=1)
+    residuals = _residuals(batch, coordinates, rho)
     valid = accepted & (residuals <= STEADY_RESIDUAL_TOL)
     # a state that fails validation (a negative eigenvalue from a nearly
     # singular generator) is a failed solve; one check covers the batch,
@@ -896,9 +909,9 @@ def evolve(schedule: Schedule, rho0: DensityMatrix, t_grid) -> Trajectory:
     The state moves in the real coordinates of ``hermitian_basis``: the
     populations, then sqrt(2) Re and sqrt(2) Im of each coherence.  Each
     segment's generator is read once, as the real matrix G = U L U^H that
-    the model's template contracts directly; a generator formed from a
-    matrix L whose G has an imaginary part beyond roundoff (one that does
-    not preserve Hermiticity) raises ``DomainError`` before any propagation.
+    it forms on that read; a generator built from a matrix L whose G has an
+    imaginary part beyond roundoff (one that does not preserve
+    Hermiticity) raises ``DomainError`` before any propagation.
     The state moves between consecutive sample times, and to the segment
     boundaries, by the exact exp(G dt), so boundaries are hit exactly and
     the state is handed over unchanged.  Two routes, chosen by the Liouville

@@ -1,5 +1,6 @@
 import dataclasses
 import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -534,16 +535,17 @@ class TestTemplate:
     @example(params=full_params().with_truncation(2))
     def test_assembled_generator_matches_template(self, params):
         # the model's Hamiltonian and jumps through assemble_generator give
-        # the template's L to 1e-14 relative.  The template sums a level's
-        # energy term by term, so where two equal energies cancel exactly in
-        # H / hbar it may store a residue of roundoff size
+        # the template's L to 1e-14 relative
         member = build_liouvillian(params)
         assert (abs(assembled_model_generator(params).matrix - member.matrix).max()
                 <= 1e-14 * abs(member.matrix).max())
 
     @pytest.mark.parametrize("params", [
         full_params(), full_params().with_truncation(2), dephased_closed_params(2),
-        preset_params("dimer30_dc901").with_truncation(2)])
+        preset_params("dimer30_dc901").with_truncation(2),
+        # undriven and lossless, with integer energies: many levels share
+        # one energy, and their coherences cancel exactly in both
+        bare_params().with_truncation(2).with_drive(pump_freq=1.0)])
     def test_assembled_generator_has_template_pattern(self, params):
         assembled = assembled_model_generator(params).matrix
         member = build_liouvillian(params).matrix
@@ -627,6 +629,38 @@ class TestTemplate:
                                 *zip(generators[1:], copies[1:])]:
             for name in ("matrix", "recycling"):
                 assert (getattr(copy, name) != getattr(generator, name)).nnz == 0
+
+    @pytest.mark.parametrize("factors, theta", [
+        ([1.0, 2.0], [0.0, 2.0]),  # the decay term removes twice what the jump returns
+        ([1j, 1.0], [1.0, 0.0]),  # an anti-Hermitian Hamiltonian term
+    ])
+    def test_trace_check_reads_h_eff(self, factors, theta):
+        # the trace check takes the no-jump part from the anti-Hermitian part
+        # of H_eff: a corrupted term fails the member that carries it
+        sigma_x = sp.csr_matrix(np.array([[0.0], [1.0], [1.0], [0.0]], dtype=complex))
+        template = _Template.build(QUBIT, sigma_x, [qubit_lowering(QUBIT, 0).matrix])
+        broken = dataclasses.replace(template, a=(template.a @ sp.diags(factors)).tocsc())
+        assert broken.contract([[0.0, 0.0]])[0].matrix.nnz == 0
+        with pytest.raises(DomainError, match="does not preserve the trace"):
+            broken.contract([[0.0, 0.0], theta])
+
+    @pytest.mark.parametrize("cutoff, retained_mb, peak_mb", [(3, 1.0, 3.0), (4, 2.0, 6.0)])
+    def test_template_footprint(self, cutoff, retained_mb, peak_mb):
+        # the model template holds the maps to H_eff and R_h and no map to
+        # G: what it keeps, and the peak of its build, by tracemalloc
+        space = full_params().with_truncation(cutoff).space()
+        hamiltonian, jumps = model_terms(space)
+        jumps = [c.toarray() for c in jumps]
+        _Template.build(space, hamiltonian, jumps)  # fills the per-dimension caches
+        tracemalloc.start()
+        try:
+            template = _Template.build(space, hamiltonian, jumps)
+            retained, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert template.r.shape[1] == len(jumps)
+        assert retained <= retained_mb * 1e6
+        assert peak <= peak_mb * 1e6
 
     def test_trace_check_per_member(self):
         # a template whose recycling part is doubled, so that it returns

@@ -31,10 +31,13 @@ from pcdimer.hilbert import (
     qubit,
 )
 from pcdimer.liouvillian import (
+    GeneratorBatch,
+    Superoperator,
     assemble_generator,
     build_liouvillian,
     build_liouvillians,
     hermitian_basis,
+    hermitian_matrices,
 )
 from pcdimer.model import (
     HBAR_UEV_PS,
@@ -57,6 +60,7 @@ from pcdimer.solvers import (
     _no_jump_inverse,
     _propagate_dense,
     _propagate_schedule,
+    _residuals,
     batch_points,
     convergence_scan,
     evolve,
@@ -66,6 +70,7 @@ from pcdimer.solvers import (
 )
 from pcdimer.experiments import stark_switch_protocol
 from test_liouvillian import (
+    common_cutoff,
     dephased_closed_params,
     full_params,
     physical_params,
@@ -600,6 +605,45 @@ class TestSteadyStateBatches:
         with pytest.raises(DomainError):
             steady_states([driven_qubit_generator(1.0, 2.0),
                            build_liouvillian(full_params())])
+
+
+class TestGeneratorFreeSolve:
+    def test_exact_members_never_read_the_generator(self, monkeypatch):
+        # every member here has an exact no-jump inverse, so its solve reads
+        # H_eff and R_h alone: a sweep batch, a batch joined from members, a
+        # single steady state and a convergence scan solve with every read
+        # of G made to raise
+        params = dark_tuned(preset_params("dimer30_dc901"))
+        points = [params.with_drive(phase1=phi)
+                  for phi in np.linspace(0.0, 2.0 * np.pi, batch_points(256))]
+        batch = build_liouvillians(points)
+        single = build_liouvillian(full_params().with_truncation(2))
+
+        def forbidden(self):
+            raise AssertionError("the generator G was read")
+
+        for owner in (Superoperator, GeneratorBatch):
+            monkeypatch.setattr(owner, "real_matrix", property(forbidden))
+        for outcome in steady_states(batch) + steady_states(batch[::5]):
+            assert not isinstance(outcome, SolverError)
+        steady_state(single)
+        assert convergence_scan(params, cutoffs=(1, 2, 3)).values[0] > 0.1
+
+    @settings(max_examples=25, deadline=None)
+    @given(batch=st.lists(physical_params(), min_size=1, max_size=3).map(common_cutoff),
+           seed=st.integers(0, 2 ** 32 - 1))
+    @example(batch=[full_params().with_truncation(2)], seed=0)
+    def test_residual_without_the_generator(self, batch, seed):
+        # ||G x|| from H_eff and R_h equals the norm with G = U L U^H formed
+        # explicitly, to 1e-13 relative, at Fock cutoffs 1 and 2
+        generators = build_liouvillians(batch)
+        d = generators.space.total_dim
+        x = np.random.default_rng(seed).standard_normal((len(batch), d * d))
+        u = hermitian_basis(d)
+        residuals = _residuals(generators, x, hermitian_matrices(x, d))
+        for member, coordinates, residual in zip(generators, x, residuals, strict=True):
+            expected = np.linalg.norm(((u @ member.matrix @ u.conj().T) @ coordinates).real)
+            assert abs(residual - expected) <= 1e-13 * expected
 
 
 class TestEvolve:
