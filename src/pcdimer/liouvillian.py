@@ -1,4 +1,8 @@
-"""Sparse assembly of the Lindblad generator, in two equivalent forms.
+"""Sparse assembly of the Lindblad generator.
+
+The generator is that of one master equation,
+X -> -i (H_eff X - X H_eff^dag) + sum r C X C^dag, with the no-jump
+Hamiltonian H_eff = H - (i/2) sum r C^dag C of a Hermitian H.
 
 Vectorization is column-stacking throughout: ``vec(rho) = rho.ravel(order="F")``
 and ``vec(A rho B) = (B^T kron A) vec(rho)``.  All superoperator formulas in
@@ -10,21 +14,23 @@ has units of 1/ps.
 
 A generator L preserves Hermiticity, so the real coordinates x = U vec(rho)
 of ``hermitian_basis`` carry it as the real matrix G = U L U^H, and its
-recycling terms R as R_h = U R U^H.  The steady states iterate on the
-no-jump Hamiltonian H_eff and R_h, and the trajectories propagate with G.
-The complex L and R stay available, exact, for the API and its checks: one
-helper, ``_lindblad_forms``, builds them from the Lindblad formula.
+recycling terms R as R_h = U R U^H.  The steady states iterate on H_eff and
+R_h, and the trajectories propagate with G.  The complex L and R stay
+available, exact, for the API and its checks: one helper,
+``_lindblad_forms``, builds them from the Lindblad formula.
 
 A generator is linear in a real coefficient vector theta: the coefficients
 of Hermitian Hamiltonian terms T_k, then the rates r_j of jump operators C_j.
 A ``_Template`` holds, for one set of term operators, the sparse maps from
 theta to H_eff and from the rates to the values of R_h on the union of the
 jumps' patterns, so a batch of generators is a coefficient contraction: two
-sparse products with theta.  A member's L and R are built from its H_eff,
-the template's jumps and its own rates, and its G from its H_eff and R_h,
-only when they are read.  The model's template is built once per Fock
-space, and a contraction emits a batch's generators as one
-``GeneratorBatch``: block-diagonal R_h and the stack of H_eff.
+sparse products with theta.  Every generator is a member of a contraction:
+the model's template is built once per Fock space and contracts a batch of
+parameter sets into one ``GeneratorBatch`` (block-diagonal R_h and the
+stack of H_eff), and ``assemble_generator`` contracts a one-member template
+of one Hamiltonian term and its jumps.  A member's L and R are built from
+its H_eff, the template's jumps and its own rates, and its G from its H_eff
+and R_h, only when they are read.
 """
 
 from __future__ import annotations
@@ -66,18 +72,15 @@ class Superoperator:
     vec(rho), and ``real_matrix`` the real CSR matrix G = U L U^H acting on
     the real coordinates of ``hermitian_basis``.  ``h_eff`` is the
     read-only D x D no-jump Hamiltonian H - (i/2) sum r C^dag C of the
-    generator, divided by hbar (1/ps): the generator is
+    generator, with H Hermitian, divided by hbar (1/ps): the generator is
     X -> -i (h_eff X - X h_eff^dag) plus the recycling terms
     sum r C X C^dag.  ``recycling`` is the CSR matrix
-    R = sum r conj(C) kron C of those terms, L less its no-jump part,
-    without stored zeros, and ``real_recycling`` is R_h = U R U^H.
+    R = sum r conj(C) kron C of those terms, without stored zeros, and
+    ``real_recycling`` is R_h = U R U^H.
 
-    A generator built from a matrix L checks its shape, format and trace
-    preservation (the vectorized identity is a left null vector) here; R is
-    derived as L less its no-jump part, to roundoff, and G and R_h are
-    formed from L and R on first read, where an imaginary part beyond
-    roundoff (a generator that does not preserve Hermiticity) raises
-    ``DomainError``.  A member of a template's ``GeneratorBatch`` cuts R_h
+    A generator has no public constructor: it is a member of a template's
+    ``GeneratorBatch`` (``build_liouvillians``, ``build_liouvillian`` and
+    ``assemble_generator``), whose checks the template made.  It cuts R_h
     from its batch's and forms G from its ``h_eff`` and R_h on first read
     (``_real_generator``), and builds L and R from its ``h_eff``, the
     template's jumps and its own rates (``_lindblad_forms``) only when they
@@ -87,36 +90,6 @@ class Superoperator:
 
     space: CompositeSpace
     h_eff: np.ndarray = field(repr=False)
-
-    def __init__(self, space: CompositeSpace, matrix: sp.csr_matrix,
-                 h_eff: np.ndarray):
-        d = space.total_dim
-        d2 = d * d
-        if matrix.shape != (d2, d2):
-            raise DomainError(
-                f"superoperator has shape {matrix.shape}, expected ({d2}, {d2})"
-            )
-        h_eff = np.asarray(h_eff, dtype=complex)
-        if h_eff.shape != (d, d):
-            raise DomainError(
-                f"no-jump Hamiltonian has shape {h_eff.shape}, expected ({d}, {d})"
-            )
-        if not isinstance(matrix, sp.csr_matrix):
-            raise DomainError(
-                "superoperator matrix must be a scipy.sparse.csr_matrix, got "
-                f"{type(matrix).__name__}"
-            )
-        h_eff.flags.writeable = False
-        object.__setattr__(self, "space", space)
-        object.__setattr__(self, "h_eff", h_eff)
-        object.__setattr__(self, "_forms", None)
-        self.__dict__["matrix"] = matrix
-        defect = self.trace_defect()
-        scale = max(1.0, np.abs(matrix.data).max() if matrix.nnz else 1.0)
-        if defect > DEFAULT_POLICY.algebraic_tol * scale:
-            raise DomainError(
-                f"superoperator does not preserve the trace (defect {defect:.3e})"
-            )
 
     @classmethod
     def _member(cls, batch: "GeneratorBatch", m: int) -> "Superoperator":
@@ -134,35 +107,23 @@ class Superoperator:
 
     @cached_property
     def _lindblad(self) -> tuple:
-        # a template member's L and R: A = h_eff and B = conj(h_eff), its
-        # Hamiltonian being Hermitian
-        return _lindblad_forms(self.h_eff, self.h_eff.conj(), *self._forms[2:])
+        return _lindblad_forms(self.h_eff, *self._forms[2:])
 
     @cached_property
     def matrix(self) -> sp.csr_matrix:
-        # reached only by template members: a generator built from L holds it
         return self._lindblad[0]
 
     @cached_property
     def recycling(self) -> sp.csr_matrix:
-        if self._forms:
-            return self._lindblad[1]
-        # L less its no-jump part, the L of no jumps
-        recycling = self.matrix - _lindblad_forms(self.h_eff, self.h_eff.conj(), (), ())[0]
-        recycling.eliminate_zeros()
-        return recycling
+        return self._lindblad[1]
 
     @cached_property
     def real_matrix(self) -> sp.csr_matrix:
-        if self._forms:  # a template member's Hamiltonian is Hermitian
-            return _real_generator(self.h_eff, self.real_recycling)
-        return _real_form(self.matrix, self.space.total_dim)
+        return _real_generator(self.h_eff, self.real_recycling)
 
     @cached_property
     def real_recycling(self) -> sp.csr_matrix:
-        if self._forms:
-            return _block(self._forms[0], self._forms[1], self.space.total_dim ** 2)
-        return _real_form(self.recycling, self.space.total_dim)
+        return _block(self._forms[0], self._forms[1], self.space.total_dim ** 2)
 
     def trace_defect(self) -> float:
         """Max magnitude of <<I| L, zero for a trace-preserving generator."""
@@ -170,30 +131,29 @@ class Superoperator:
         return float(np.max(np.abs(bra @ self.matrix)))
 
 
-def _lindblad_forms(a: np.ndarray, b: np.ndarray, jumps, rates) -> tuple:
-    """The generator L = R - i (I kron A) + i (B kron I) and its recycling
-    terms R = sum_j r_j (conj(C_j) kron C_j / hbar), of the d x d matrices
-    A and B (1/ps), the entries of conj(C_j) kron C_j / hbar of each jump
-    (``_recycling_entries``) and the rates r_j (ueV): canonical CSR
-    matrices without stored zeros, and with subnormal parts flushed to
-    zero.  Each entry sums its terms from zero in one fixed order: the
-    jumps' in jump order, then -i A, then i B.  The no-jump part
-    -i (A X - X B^T) is X -> -i (h_eff X - X h_eff^dag) for A = h_eff and
-    B = conj(h_eff)."""
+def _lindblad_forms(a: np.ndarray, jumps, rates) -> tuple:
+    """The generator L = R - i (I kron A) + i (conj(A) kron I) and its
+    recycling terms R = sum_j r_j (conj(C_j) kron C_j / hbar), of the
+    no-jump Hamiltonian A (d x d, 1/ps), the entries of conj(C_j) kron C_j
+    / hbar of each jump (``_recycling_entries``) and the rates r_j (ueV):
+    canonical CSR matrices without stored zeros, and with subnormal parts
+    flushed to zero.  Each entry sums its terms from zero in one fixed
+    order: the jumps' in jump order, then -i A, then i conj(A).  The no-jump
+    part -i (A X - X A^dag) is X -> -i (h_eff X - X h_eff^dag) for
+    A = h_eff."""
     d = a.shape[0]
     n = d * d
     keys = [k for k, _ in jumps]
     values = [v * rate for (_, v), rate in zip(jumps, rates)]
     recycled = sum(k.size for k in keys)
-    # I kron A holds A_pq at (s d + p, s d + q) and B kron I holds B_pq at
-    # (p d + s, q d + s), for s = 0 ... d - 1
+    # I kron A holds A_pq at (s d + p, s d + q) and conj(A) kron I holds
+    # conj(A_pq) at (p d + s, q d + s), for s = 0 ... d - 1
     s = np.arange(d)[:, None]
     p, q = np.nonzero(a)
     keys.append(((s * d + p) * n + s * d + q).ravel())
     values.append(np.broadcast_to(-1j * a[p, q], (d, p.size)).ravel())
-    p, q = np.nonzero(b)
     keys.append(((p * d + s) * n + q * d + s).ravel())
-    values.append(np.broadcast_to(1j * b[p, q], (d, p.size)).ravel())
+    values.append(np.broadcast_to(1j * a[p, q].conj(), (d, p.size)).ravel())
     pattern, slot = np.unique(np.concatenate(keys), return_inverse=True)
     values = np.concatenate(values)
 
@@ -221,27 +181,6 @@ def _recycling_entries(c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # entry (i1 d + i2, j1 d + j2) of conj(C) kron C is conj(C_i1j1) C_i2j2
     return (((i[:, None] * d + i) * d * d + (j[:, None] * d + j)).ravel(),
             (np.conj(v)[:, None] * v).ravel() / HBAR_UEV_PS)
-
-
-def _real_form(matrix: sp.csr_matrix, d: int) -> sp.csr_matrix:
-    """U M U^H of a superoperator M in the coordinates of
-    ``hermitian_basis``, as a real CSR matrix.
-
-    U M U^H is real exactly when M preserves Hermiticity; the product leaves
-    an imaginary part of roundoff size.  Like the trace check, that part
-    must stay within ``algebraic_tol`` times the largest entry (and at
-    least 1), or a ``DomainError`` is raised: a nonzero imaginary part is
-    never dropped silently.
-    """
-    u = hermitian_basis(d)
-    g = u @ matrix @ u.conj().T
-    scale = max(1.0, np.abs(g.data).max(initial=0.0))
-    leak = np.abs(g.data.imag).max(initial=0.0)
-    if not leak <= DEFAULT_POLICY.algebraic_tol * scale:
-        raise DomainError(
-            "generator does not preserve Hermiticity (imaginary part "
-            f"{leak:.3e} in real coordinates)")
-    return sp.csr_matrix((g.data.real, g.indices, g.indptr), shape=g.shape)
 
 
 def _real_terms(out: np.ndarray, into: np.ndarray, c: np.ndarray, d: int):
@@ -561,16 +500,17 @@ class _Template:
             forms.append(_summed(*_real_terms(a % d * d + a // d, b % d * d + b // d,
                                               value, d)))
         # one row per position of the union pattern, its columns the jumps
-        # in order
-        pattern, slot = np.unique(np.concatenate([keys for keys, _ in forms]),
-                                  return_inverse=True)
+        # in order; the empty leading arrays admit a template of no jumps
+        pattern, slot = np.unique(
+            np.concatenate([np.empty(0, dtype=np.intp)] + [keys for keys, _ in forms]),
+            return_inverse=True)
         jump = np.repeat(np.arange(len(forms)), [keys.size for keys, _ in forms])
         return _Template(
             space=space,
             jumps=entries,
             a=_coefficient_map([t[0] for t in terms], [t[1] for t in terms], n),
-            r=sp.csr_matrix((np.concatenate([sums for _, sums in forms]), (slot, jump)),
-                            shape=(pattern.size, len(forms))),
+            r=sp.csr_matrix((np.concatenate([np.empty(0)] + [sums for _, sums in forms]),
+                             (slot, jump)), shape=(pattern.size, len(forms))),
             r_indices=(pattern % n).astype(np.int32),
             r_indptr=np.searchsorted(pattern // n, np.arange(n + 1)).astype(np.int32),
         )
@@ -606,7 +546,6 @@ class _Template:
             hermitian_coordinates(-1j * (h_eff - h_eff.conj().transpose(0, 2, 1)), d)
             + restored).max(axis=1, initial=0.0)
         h_eff.flags.writeable = rates.flags.writeable = False
-        # after the check: _stacked_csr may compact ``recycling`` in place
         batch = GeneratorBatch(
             self.space, _stacked_csr(recycling, self.r_indices, self.r_indptr),
             h_eff, self.jumps, rates)
@@ -638,7 +577,7 @@ def _stacked_csr(values: np.ndarray, indices: np.ndarray,
     columns = indices + n * blocks
     starts = indptr[:-1] + size * blocks
     matrix = sp.csr_matrix(
-        (np.ascontiguousarray(values.T).ravel(), columns.ravel(),
+        (values.T.flatten(), columns.ravel(),
          np.append(starts.ravel(), values.size)), shape=(count * n,) * 2)
     matrix.eliminate_zeros()
     return matrix
@@ -651,23 +590,22 @@ def _model_template(space: CompositeSpace) -> _Template:
 
 
 def assemble_generator(h: Operator, jumps) -> Superoperator:
-    """Full generator (-i [H, .] + sum of dissipators) / hbar, in 1/ps.
+    """Full generator (-i [H, .] + sum of dissipators) / hbar, in 1/ps, of a
+    Hermitian H.
 
     Each jump C with rate r contributes r (C rho C^dag - {C^dag C, rho} / 2).
     The anticommutators fold into H_eff = H - (i/2) sum r C^dag C, kept
-    divided by hbar as ``Superoperator.h_eff``, and the generator is
-    -i (I kron H_eff) + i (B kron I) + sum r conj(C) kron C with
-    B = H^T + (i/2) sum r (C^dag C)^T, all divided by hbar
-    (``_lindblad_forms``): the Hamiltonian part stays the commutator
-    -i [H, .], which preserves the trace for any H.  R is kept as built,
-    free of the roundoff residues of L less its no-jump part.  H may be
-    any matrix, so the real forms are formed from L and R on first read,
-    with their Hermiticity check.
+    divided by hbar as ``Superoperator.h_eff``.  The generator is the one
+    member of the contraction of a template whose one Hamiltonian term is H,
+    with coefficient 1, and whose jumps are the C: the same path, formula
+    and checks as the model's generators.  The template's trace check takes
+    the anti-Hermitian part of H_eff out of the trace, so a non-Hermitian H
+    raises ``DomainError`` here.
 
     Parameters
     ----------
     h : Operator
-        hbar-scaled Hamiltonian in ueV.
+        Hermitian hbar-scaled Hamiltonian in ueV.
     jumps : iterable of (Operator, float)
         Jump operators with their hbar-scaled rates in ueV; zero-rate entries
         contribute nothing, and negative or non-finite rates raise
@@ -677,19 +615,9 @@ def assemble_generator(h: Operator, jumps) -> Superoperator:
     for _, rate in jumps:
         if not 0 <= rate < np.inf:
             raise DomainError(f"dissipator rate must be finite and >= 0, got {rate}")
-    rates = [float(rate) for _, rate in jumps]
-    a = h.matrix / HBAR_UEV_PS
-    b = h.matrix.T / HBAR_UEV_PS
-    for (jump, _), rate in zip(jumps, rates):
-        decay = jump.matrix.conj().T @ jump.matrix / HBAR_UEV_PS
-        a = a + rate * (-0.5j * decay)
-        b = b + rate * (0.5j * decay.T)
-    _flush_subnormals(a)
-    matrix, recycling = _lindblad_forms(
-        a, b, [_recycling_entries(jump.matrix) for jump, _ in jumps], rates)
-    generator = Superoperator(h.space, matrix, a)
-    generator.__dict__["recycling"] = recycling
-    return generator
+    template = _Template.build(h.space, sp.csc_matrix(h.matrix.reshape(-1, 1)),
+                               [jump.matrix for jump, _ in jumps])
+    return template.contract([[1.0, *(rate for _, rate in jumps)]])[0]
 
 
 def build_liouvillians(points) -> GeneratorBatch:

@@ -60,6 +60,10 @@ __all__ = [
 # residual bound ||L vec(rho_ss)|| for an accepted steady state (L in 1/ps)
 STEADY_RESIDUAL_TOL = 1e-9
 
+# relative change of an observable between successive Fock cutoffs below
+# which a convergence scan reports the cutoff converged
+_CONVERGED_REL_DIFF = 0.01
+
 # steady states and propagated trajectories carry a slightly relaxed
 # positivity slack; roundoff at the solver tolerance can dip further below
 # zero than freshly constructed states do
@@ -909,9 +913,8 @@ def evolve(schedule: Schedule, rho0: DensityMatrix, t_grid) -> Trajectory:
     The state moves in the real coordinates of ``hermitian_basis``: the
     populations, then sqrt(2) Re and sqrt(2) Im of each coherence.  Each
     segment's generator is read once, as the real matrix G = U L U^H that
-    it forms on that read; a generator built from a matrix L whose G has an
-    imaginary part beyond roundoff (one that does not preserve
-    Hermiticity) raises ``DomainError`` before any propagation.
+    it forms on that read from the generator's H_eff and R_h; G is real by
+    construction, every generator's Hamiltonian being Hermitian.
     The state moves between consecutive sample times, and to the segment
     boundaries, by the exact exp(G dt), so boundaries are hit exactly and
     the state is handed over unchanged.  Two routes, chosen by the Liouville
@@ -993,7 +996,6 @@ class ConvergenceReport:
     values: tuple[float, ...]
     relative_differences: tuple[float, ...]
     converged: tuple[bool, ...]
-    threshold: float
 
     @property
     def all_converged(self) -> bool:
@@ -1001,10 +1003,11 @@ class ConvergenceReport:
 
 
 def convergence_scan(params: SystemParams, observable="negativity",
-                     cutoffs=(1, 2), threshold: float = 0.01) -> ConvergenceReport:
+                     cutoffs=(1, 2)) -> ConvergenceReport:
     """Recompute a steady-state observable at increasing Fock cutoffs and
-    report the successive relative differences.  An unknown observable or
-    cutoffs that are not ascending integers >= 1 raise ``DomainError``."""
+    report the successive relative differences, each converged below 1%.
+    An unknown observable or cutoffs that are not ascending integers >= 1
+    raise ``DomainError``."""
     if observable not in OBSERVABLES:
         raise DomainError(f"unknown observable {observable!r}; known "
                           f"observables: {', '.join(OBSERVABLES)}")
@@ -1029,11 +1032,10 @@ def convergence_scan(params: SystemParams, observable="negativity",
         else:
             rel = 0.0 if delta <= 1e-12 else float("inf")
         rel_diffs.append(rel)
-        flags.append(rel < threshold)
+        flags.append(rel < _CONVERGED_REL_DIFF)
     return ConvergenceReport(
         cutoffs=cutoffs,
         values=tuple(values),
         relative_differences=tuple(rel_diffs),
         converged=tuple(flags),
-        threshold=threshold,
     )

@@ -924,27 +924,6 @@ class TestEvolve:
         split = evolve(Schedule(((40.0, params), (60.0, params))), rho0, t_grid)
         assert np.max(np.abs(single.matrices - split.matrices)) < 1e-8
 
-    def test_hermiticity_breaking_generator_rejected(self, monkeypatch):
-        # -i [H, .] with a complex-symmetric, non-Hermitian H preserves the
-        # trace but not Hermiticity: its real-coordinate form keeps an
-        # imaginary part, and evolve fails typed before propagating
-        params = preset_params("dimer30_dc901")
-        space = params.space()
-        rng = np.random.default_rng(5)
-        b = 50.0 * (rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16)))
-        generator = assemble_generator(Operator(space, b + b.T), [])
-        assert generator.trace_defect() < 1e-12
-        propagated = []
-        monkeypatch.setattr(pcdimer.solvers, "build_liouvillian",
-                            lambda _params: generator)
-        for route in ("_propagate_dense", "_propagate_sparse"):
-            monkeypatch.setattr(pcdimer.solvers, route,
-                                lambda *args: propagated.append(args))
-        rho0 = DensityMatrix.basis_state(space, (1, 0, 0, 0))
-        with pytest.raises(DomainError, match="does not preserve Hermiticity"):
-            evolve(Schedule.constant(params, 10.0), rho0, np.linspace(0.0, 10.0, 3))
-        assert propagated == []
-
     def test_grid_validation(self):
         params = preset_params("dimer30_dc901")
         rho0 = DensityMatrix.basis_state(params.space(), (0, 0, 0, 0))
@@ -986,10 +965,9 @@ class TestConvergenceScan:
         # measured single-photon truncation error of the dark-drive
         # negativity: 1.32%; cutoff 2 itself is converged to ~1e-6
         params = dark_tuned(preset_params("dimer30_dc901"))
-        report = convergence_scan(params, "negativity", cutoffs=(1, 2),
-                                  threshold=0.02)
+        report = convergence_scan(params, "negativity", cutoffs=(1, 2))
         assert 0.012 < report.relative_differences[0] < 0.015
-        assert report.all_converged
+        assert not report.all_converged
 
     def test_second_cutoff_is_converged(self):
         params = dark_tuned(preset_params("dimer30_dc901"))
