@@ -14,10 +14,10 @@ has units of 1/ps.
 
 A generator L preserves Hermiticity, so the real coordinates x = U vec(rho)
 of ``hermitian_basis`` carry it as the real matrix G = U L U^H, and its
-recycling terms R as R_h = U R U^H.  The steady states iterate on H_eff and
-R_h, and the trajectories propagate with G.  The complex L and R stay
-available, exact, for the API and its checks: one helper,
-``_lindblad_forms``, builds them from the Lindblad formula.
+recycling terms R = sum r conj(C) kron C as R_h = U R U^H.  The steady
+states iterate on H_eff and R_h, and the trajectories propagate with G.
+One formula, ``_real_generator``, forms G from H_eff and R_h; since U is
+unitary, the complex L is U^H G U, formed from G only when it is read.
 
 A generator is linear in a real coefficient vector theta: the coefficients
 of Hermitian Hamiltonian terms T_k, then the rates r_j of jump operators C_j.
@@ -28,9 +28,8 @@ sparse products with theta.  Every generator is a member of a contraction:
 the model's template is built once per Fock space and contracts a batch of
 parameter sets into one ``GeneratorBatch`` (block-diagonal R_h and the
 stack of H_eff), and ``assemble_generator`` contracts a one-member template
-of one Hamiltonian term and its jumps.  A member's L and R are built from
-its H_eff, the template's jumps and its own rates, and its G from its H_eff
-and R_h, only when they are read.
+of one Hamiltonian term and its jumps.  A member's G is formed from its
+H_eff and R_h, and its L from its G, only when they are read.
 """
 
 from __future__ import annotations
@@ -68,24 +67,23 @@ __all__ = [
 class Superoperator:
     """Lindblad generator on a space of dimension D, in two forms.
 
-    ``matrix`` is the sparse D^2 x D^2 generator L acting on column-stacked
-    vec(rho), and ``real_matrix`` the real CSR matrix G = U L U^H acting on
-    the real coordinates of ``hermitian_basis``.  ``h_eff`` is the
-    read-only D x D no-jump Hamiltonian H - (i/2) sum r C^dag C of the
-    generator, with H Hermitian, divided by hbar (1/ps): the generator is
+    ``real_matrix`` is the real CSR matrix G = U L U^H acting on the real
+    coordinates of ``hermitian_basis``, and ``matrix`` the sparse D^2 x D^2
+    generator L = U^H G U acting on column-stacked vec(rho), a canonical
+    CSR matrix without stored zeros.  ``h_eff`` is the read-only D x D
+    no-jump Hamiltonian H - (i/2) sum r C^dag C of the generator, with H
+    Hermitian, divided by hbar (1/ps): the generator is
     X -> -i (h_eff X - X h_eff^dag) plus the recycling terms
-    sum r C X C^dag.  ``recycling`` is the CSR matrix
-    R = sum r conj(C) kron C of those terms, without stored zeros, and
-    ``real_recycling`` is R_h = U R U^H.
+    sum r C X C^dag, whose real form ``real_recycling`` is R_h = U R U^H
+    with R = sum r conj(C) kron C.
 
     A generator has no public constructor: it is a member of a template's
     ``GeneratorBatch`` (``build_liouvillians``, ``build_liouvillian`` and
     ``assemble_generator``), whose checks the template made.  It cuts R_h
-    from its batch's and forms G from its ``h_eff`` and R_h on first read
-    (``_real_generator``), and builds L and R from its ``h_eff``, the
-    template's jumps and its own rates (``_lindblad_forms``) only when they
-    are read.  Instances are treated as immutable, compare by identity, and
-    may be shared freely across workers.
+    from its batch's, forms G from its ``h_eff`` and R_h on first read
+    (``_real_generator``), and maps G back to L through ``hermitian_basis``
+    only when L is read.  Instances are treated as immutable, compare by
+    identity, and may be shared freely across workers.
     """
 
     space: CompositeSpace
@@ -99,23 +97,14 @@ class Superoperator:
         self = object.__new__(cls)
         object.__setattr__(self, "space", batch.space)
         object.__setattr__(self, "h_eff", batch.h_eff[m])
-        # the batch's R_h, the member's index, the template's jumps and the
-        # member's rates
-        object.__setattr__(self, "_forms", (batch.real_recycling, m, batch.jumps,
-                                            batch.rates[m]))
+        # the batch's R_h and the member's index
+        object.__setattr__(self, "_forms", (batch.real_recycling, m))
         return self
 
     @cached_property
-    def _lindblad(self) -> tuple:
-        return _lindblad_forms(self.h_eff, *self._forms[2:])
-
-    @cached_property
     def matrix(self) -> sp.csr_matrix:
-        return self._lindblad[0]
-
-    @cached_property
-    def recycling(self) -> sp.csr_matrix:
-        return self._lindblad[1]
+        u = hermitian_basis(self.space.total_dim)
+        return (u.conj().T @ self.real_matrix @ u).tocsr()
 
     @cached_property
     def real_matrix(self) -> sp.csr_matrix:
@@ -129,47 +118,6 @@ class Superoperator:
         """Max magnitude of <<I| L, zero for a trace-preserving generator."""
         bra = identity_bra(self.space)
         return float(np.max(np.abs(bra @ self.matrix)))
-
-
-def _lindblad_forms(a: np.ndarray, jumps, rates) -> tuple:
-    """The generator L = R - i (I kron A) + i (conj(A) kron I) and its
-    recycling terms R = sum_j r_j (conj(C_j) kron C_j / hbar), of the
-    no-jump Hamiltonian A (d x d, 1/ps), the entries of conj(C_j) kron C_j
-    / hbar of each jump (``_recycling_entries``) and the rates r_j (ueV):
-    canonical CSR matrices without stored zeros, and with subnormal parts
-    flushed to zero.  Each entry sums its terms from zero in one fixed
-    order: the jumps' in jump order, then -i A, then i conj(A).  The no-jump
-    part -i (A X - X A^dag) is X -> -i (h_eff X - X h_eff^dag) for
-    A = h_eff."""
-    d = a.shape[0]
-    n = d * d
-    keys = [k for k, _ in jumps]
-    values = [v * rate for (_, v), rate in zip(jumps, rates)]
-    recycled = sum(k.size for k in keys)
-    # I kron A holds A_pq at (s d + p, s d + q) and conj(A) kron I holds
-    # conj(A_pq) at (p d + s, q d + s), for s = 0 ... d - 1
-    s = np.arange(d)[:, None]
-    p, q = np.nonzero(a)
-    keys.append(((s * d + p) * n + s * d + q).ravel())
-    values.append(np.broadcast_to(-1j * a[p, q], (d, p.size)).ravel())
-    keys.append(((p * d + s) * n + q * d + s).ravel())
-    values.append(np.broadcast_to(1j * a[p, q].conj(), (d, p.size)).ravel())
-    pattern, slot = np.unique(np.concatenate(keys), return_inverse=True)
-    values = np.concatenate(values)
-
-    def summed(count):
-        # the CSR matrix of the sums of the first count values, each from
-        # zero and in order
-        data = np.empty(pattern.size, dtype=complex)
-        data.real = np.bincount(slot[:count], values.real[:count], pattern.size)
-        data.imag = np.bincount(slot[:count], values.imag[:count], pattern.size)
-        _flush_subnormals(data)
-        keep = data != 0
-        at = pattern[keep]
-        return sp.csr_matrix(
-            (data[keep], at % n, np.searchsorted(at // n, np.arange(n + 1))), shape=(n, n))
-
-    return summed(values.size), summed(recycled)
 
 
 def _recycling_entries(c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -263,19 +211,16 @@ class GeneratorBatch(Sequence):
     holds their R_h (see ``Superoperator``) and ``h_eff`` is the read-only
     (B, d, d) stack of no-jump Hamiltonians, the two forms that a steady
     state solve reads.  ``real_matrix``, the block-diagonal G, is formed
-    from the members' G only when read.  A template's batch also keeps the
-    template's ``jumps`` (the entries of each conj(C) kron C / hbar) and the
-    read-only (B, J) ``rates`` of its members, from which a member builds
-    its complex L and R.  Indexing gives a member as a ``Superoperator``,
-    the same object on every access, and a slice a list of them; a batch
-    joined from generators gives the generators it was given, and a batch
-    of one holds its member's matrices.  Batches compare by identity."""
+    from the members' G only when read.  A template's batch and a joined
+    batch hold the same three fields.  Indexing gives a member as a
+    ``Superoperator``, the same object on every access, and a slice a list
+    of them; a batch joined from generators gives the generators it was
+    given, and a batch of one holds its member's matrices.  Batches compare
+    by identity."""
 
     space: CompositeSpace
     real_recycling: sp.csr_matrix = field(repr=False)
     h_eff: np.ndarray = field(repr=False)
-    jumps: tuple = field(repr=False, default=())
-    rates: np.ndarray | None = field(repr=False, default=None)
 
     @staticmethod
     def join(members) -> "GeneratorBatch":
@@ -471,14 +416,11 @@ class _Template:
     the values of R_h = U R U^H on its pattern ``r_indices``/``r_indptr``,
     the union of the jumps' patterns: column j holds the real form of
     conj(C_j) kron C_j / hbar, built once per template.  Each value sums its
-    sources in one fixed order, whatever the batch.  G is not held: a
-    member forms it only when read.  ``jumps`` holds the entries of
-    conj(C) kron C / hbar of each jump C (``_recycling_entries``): a member
-    reads them to build its complex L and R.
+    sources in one fixed order, whatever the batch.  Neither G nor L is
+    held: a member forms them only when read.
     """
 
     space: CompositeSpace
-    jumps: tuple = field(repr=False)
     a: sp.csc_matrix = field(repr=False)
     r: sp.csr_matrix = field(repr=False)
     r_indices: np.ndarray = field(repr=False)
@@ -489,13 +431,12 @@ class _Template:
         d = space.total_dim
         n = d * d
         terms = tuple(_term_entries(d, hamiltonian, jumps))
-        entries = tuple(_recycling_entries(c) for c in jumps)
         # each jump's R_h: conj(C) kron C takes X to C X C^dag, Hermitian,
         # whose coordinates are Re(U vec(C X C^dag)); entry (a, b) of the
         # Kronecker product maps vec index b to a, and vec index j d + i is
         # C-order entry i d + j
         forms = []
-        for key, value in entries:
+        for key, value in map(_recycling_entries, jumps):
             a, b = np.divmod(key, n)
             forms.append(_summed(*_real_terms(a % d * d + a // d, b % d * d + b // d,
                                               value, d)))
@@ -507,7 +448,6 @@ class _Template:
         jump = np.repeat(np.arange(len(forms)), [keys.size for keys, _ in forms])
         return _Template(
             space=space,
-            jumps=entries,
             a=_coefficient_map([t[0] for t in terms], [t[1] for t in terms], n),
             r=sp.csr_matrix((np.concatenate([np.empty(0)] + [sums for _, sums in forms]),
                              (slot, jump)), shape=(pattern.size, len(forms))),
@@ -520,8 +460,7 @@ class _Template:
         ``thetas``: two sparse products for the whole batch (A and R_h) and
         the trace check of every member, then the stack of H_eff and the
         block-diagonal R_h of the batch, each member's without its exact
-        zeros.  The batch keeps the jumps and each member's rates for its
-        complex L and R, from which a member forms its G when read.
+        zeros, from which a member forms its G, and from G its L, when read.
 
         The trace check reads no G: <<I| L U^H is the coordinate vector of
         -i (A - A^dag), twice the anti-Hermitian part of H_eff, which the
@@ -531,10 +470,10 @@ class _Template:
         thetas = np.asarray(thetas, dtype=float)
         d = self.space.total_dim
         n = d * d
-        rates = thetas[:, thetas.shape[1] - len(self.jumps):].copy()
         h_eff = np.ascontiguousarray((self.a @ thetas.T).T).reshape(-1, d, d)
         h_eff /= HBAR_UEV_PS
-        recycling = self.r @ rates.T  # (nnz of R_h, B)
+        # the rates are the last coefficients; (nnz of R_h, B)
+        recycling = self.r @ thetas[:, thetas.shape[1] - self.r.shape[1]:].T
         _flush_subnormals(recycling, h_eff)
         # the population rows come first in R_h's pattern
         end = self.r_indptr[d]
@@ -545,10 +484,9 @@ class _Template:
         defects = np.abs(
             hermitian_coordinates(-1j * (h_eff - h_eff.conj().transpose(0, 2, 1)), d)
             + restored).max(axis=1, initial=0.0)
-        h_eff.flags.writeable = rates.flags.writeable = False
+        h_eff.flags.writeable = False
         batch = GeneratorBatch(
-            self.space, _stacked_csr(recycling, self.r_indices, self.r_indptr),
-            h_eff, self.jumps, rates)
+            self.space, _stacked_csr(recycling, self.r_indices, self.r_indptr), h_eff)
         bad = np.flatnonzero(defects > DEFAULT_POLICY.algebraic_tol
                              * np.maximum(1.0, batch.scales))
         if bad.size:
@@ -607,12 +545,14 @@ def assemble_generator(h: Operator, jumps) -> Superoperator:
     h : Operator
         Hermitian hbar-scaled Hamiltonian in ueV.
     jumps : iterable of (Operator, float)
-        Jump operators with their hbar-scaled rates in ueV; zero-rate entries
-        contribute nothing, and negative or non-finite rates raise
-        ``DomainError``.
+        Jump operators on the space of H with their hbar-scaled rates in
+        ueV; zero-rate entries contribute nothing, and a jump on another
+        space or a negative or non-finite rate raises ``DomainError``.
     """
     jumps = list(jumps)
-    for _, rate in jumps:
+    for jump, rate in jumps:
+        if jump.space != h.space:
+            raise DomainError("a jump operator must act on the space of H")
         if not 0 <= rate < np.inf:
             raise DomainError(f"dissipator rate must be finite and >= 0, got {rate}")
     template = _Template.build(h.space, sp.csc_matrix(h.matrix.reshape(-1, 1)),

@@ -561,7 +561,7 @@ def steady_states(liouvilles) -> list:
     call and one sparse product with the block-diagonal matrix of those
     operators per right-hand side; systems that have stopped are skipped.
     Only a member that applies G forms it, on first read; a batch whose
-    members are all exact forms neither G nor L.
+    members are all exact forms no G, and so no L = U^H G U either.
 
     A degenerate generator makes the bordered system singular but still
     consistent, so GMRES alone would return a state.  Three checks stop

@@ -133,6 +133,16 @@ class TestDissipator:
             d = assemble_generator(h, [(jump, rng.uniform(0.1, 10.0))])
             assert d.trace_defect() < 1e-10 * max(1.0, abs(d.matrix).max())
 
+    def test_jump_on_another_space_rejected(self):
+        # a jump of another dimension, and one of the same dimension declared
+        # on another space, both fail typed before anything is built
+        h = Operator(QUBIT, np.zeros((2, 2)))
+        mode = CompositeSpace((boson(1),))
+        for jump in (qubit_lowering(CompositeSpace((qubit(), boson(1))), 0),
+                     Operator(mode, np.array([[0.0, 1.0], [0.0, 0.0]]))):
+            with pytest.raises(DomainError, match="space"):
+                assemble_generator(h, [(jump, 1.0)])
+
     def test_non_hermitian_hamiltonian_rejected(self):
         # a complex-symmetric H keeps the commutator's trace but not
         # Hermiticity; its anti-Hermitian part fails the trace check of
@@ -585,20 +595,23 @@ class TestTemplate:
                 expected = sp.block_diag([getattr(single, name) for single in alone])
                 assert (getattr(together, name) != expected).nnz == 0
             for member, single in zip(together, alone, strict=True):
-                for name in ("matrix", "recycling"):
-                    assert (getattr(member, name) != getattr(single, name)).nnz == 0
+                assert (member.matrix != single.matrix).nnz == 0
 
     @settings(max_examples=25, deadline=None)
     @given(batch=st.lists(physical_params(), min_size=1, max_size=3).map(common_cutoff))
     @example(batch=[dephased_closed_params(1)])
     @example(batch=[dephased_closed_params(2), full_params().with_truncation(2)])
     def test_template_emits_the_real_forms(self, batch):
-        # the template's G and R_h are U L U^H and U R U^H entry by entry,
-        # real and without stored zeros
-        u = hermitian_basis(batch[0].space().total_dim)
-        for member in build_liouvillians(batch):
-            for real, complex_form in ((member.real_matrix, member.matrix),
-                                       (member.real_recycling, member.recycling)):
+        # the template's G and R_h are U D U^H and U (D - N) U^H entry by
+        # entry, real and without stored zeros, for the Kronecker reference
+        # D and its no-jump part N
+        d = batch[0].space().total_dim
+        u = hermitian_basis(d)
+        for params, member in zip(batch, build_liouvillians(batch), strict=True):
+            reference = sp.csr_matrix(dense_reference_generator(params, sparse=d * d > 256))
+            no_jump = no_jump_part(member.space, reference_h_eff(params))
+            for real, complex_form in ((member.real_matrix, reference),
+                                       (member.real_recycling, reference - no_jump)):
                 expected = u @ complex_form @ u.conj().T
                 scale = max(1.0, abs(expected).max())
                 assert real.dtype == np.float64
@@ -632,8 +645,7 @@ class TestTemplate:
         # the complex forms of the batch's members and of the single generators
         for generator, copy in [*zip(batch, copies[0]), *zip(batch, unread),
                                 *zip(generators[1:], copies[1:])]:
-            for name in ("matrix", "recycling"):
-                assert (getattr(copy, name) != getattr(generator, name)).nnz == 0
+            assert (copy.matrix != generator.matrix).nnz == 0
 
     @pytest.mark.parametrize("factors, theta", [
         ([1.0, 2.0], [0.0, 2.0]),  # the decay term removes twice what the jump returns
@@ -693,19 +705,26 @@ class TestTemplate:
             broken.contract([[0.0, 0.0], [0.0, 2.0]])
 
 
-def no_jump_part(liouville):
+def no_jump_part(space, h_eff):
     """-i (I kron H_eff - conj(H_eff) kron I), the no-jump part of L."""
-    eye = sp.identity(liouville.space.total_dim, format="csr")
-    h = sp.csr_matrix(liouville.h_eff)
+    eye = sp.identity(space.total_dim, format="csr")
+    h = sp.csr_matrix(h_eff)
     return -1j * (sp.kron(eye, h) - sp.kron(h.conj(), eye))
+
+
+def complex_recycling(liouville):
+    """The complex recycling terms R = U^H R_h U of a generator, mapped
+    back from its real form."""
+    u = hermitian_basis(liouville.space.total_dim)
+    return (u.conj().T @ liouville.real_recycling @ u).tocsr()
 
 
 def assert_recycling_matches(liouville):
     """R is L less its no-jump part N, entry by entry: equal to L wherever N
     has no entry, to roundoff of L elsewhere; canonical, without stored
     zeros."""
-    recycling, matrix = liouville.recycling, liouville.matrix
-    no_jump = no_jump_part(liouville)
+    recycling, matrix = complex_recycling(liouville), liouville.matrix
+    no_jump = no_jump_part(liouville.space, liouville.h_eff)
     assert recycling.has_canonical_format
     assert np.all(recycling.data != 0)
     scale = max(abs(matrix).max(), 1.0)
@@ -718,13 +737,13 @@ def assert_recycling_matches(liouville):
 
 class TestRecyclingTerms:
     def test_assembled_closed_system_has_no_recycling(self):
-        # assemble_generator keeps the R it builds: a closed system's is
+        # assemble_generator keeps the R_h it builds: a closed system's is
         # empty, where L less its no-jump part would leave roundoff residues
         rng = np.random.default_rng(89)
         space = CompositeSpace((qubit(), boson(1)))
         h = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
         generator = assemble_generator(Operator(space, h + h.conj().T), [])
-        assert generator.recycling.nnz == 0 and generator.real_recycling.nnz == 0
+        assert complex_recycling(generator).nnz == 0 and generator.real_recycling.nnz == 0
 
     @settings(max_examples=15, deadline=None)
     @given(params=physical_params())
@@ -744,5 +763,6 @@ class TestRecyclingTerms:
             coo = matrix.tocoo()
             return set((coo.row * n + coo.col).tolist())
 
-        assert liouville.recycling.nnz == 112
-        assert len(keys(liouville.recycling) - keys(liouville.matrix)) == 24
+        recycling = complex_recycling(liouville)
+        assert recycling.nnz == 112
+        assert len(keys(recycling) - keys(liouville.matrix)) == 24

@@ -407,12 +407,11 @@ class TestSteadyStateProperties:
 
 
 def reference_blocks(liouville):
-    """The invariant blocks of one generator from its complex forms: the
-    weak components of the graph of H_eff's nonzeros and of the population
-    transfers R[i (d + 1), j (d + 1)]."""
+    """The invariant blocks of one generator: the weak components of the
+    graph of H_eff's nonzeros and of the population transfers
+    R[i (d + 1), j (d + 1)], the leading d x d block of R_h."""
     d = liouville.space.total_dim
-    diagonal = np.arange(d) * (d + 1)
-    transfers = liouville.recycling.toarray()[np.ix_(diagonal, diagonal)]
+    transfers = liouville.real_recycling[:d, :d].toarray()
     graph = (liouville.h_eff != 0) | (transfers != 0)
     return scipy.sparse.csgraph.connected_components(
         graph, directed=True, connection="weak")[0]
