@@ -37,7 +37,7 @@ from .model import (
     identify_dark_state,
     preset_params,
 )
-from .liouvillian import build_liouvillian
+from .liouvillian import build_liouvillian, hermitian_coordinates
 from .solvers import OBSERVABLES, convergence_scan, observables, steady_state
 from .experiments import (
     INITIAL_STATES,
@@ -437,6 +437,10 @@ def parse_config(text: str) -> RunConfig:
                 ) from None
             if any(c < 1 for c in cutoffs):
                 raise ConfigError("[convergence] cutoffs must be >= 1 (minimum 1)")
+            if len(cutoffs) < 2:
+                raise ConfigError(
+                    f"invalid [convergence] cutoffs {raw!r}: a scan compares at "
+                    "least two cutoffs")
             if any(b <= a for a, b in zip(cutoffs, cutoffs[1:])):
                 raise ConfigError(
                     f"invalid [convergence] cutoffs {raw!r}: expected strictly "
@@ -517,7 +521,8 @@ def run(config: RunConfig, quiet: bool = False) -> int:
 
         if config.command == "steady":
             rho, info = steady_state(build_liouvillian(params), return_info=True)
-            values = observables(rho.space, rho.matrix)
+            values = observables(
+                rho.space, hermitian_coordinates(rho.matrix, rho.space.total_dim))
             emit(f"{prefix}.csv", tuple(values) + ("residual",),
                  [tuple(values.values()) + (info.residual,)])
             diagnostics = {"residual": info.residual,

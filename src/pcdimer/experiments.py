@@ -21,6 +21,7 @@ from .exceptions import DomainError, SolverError
 from .hilbert import DensityMatrix
 # build_liouvillian and steady_state are looked up here by bench/tracing.py
 from .liouvillian import build_liouvillian, build_liouvillians  # noqa: F401
+from .liouvillian import hermitian_coordinates
 from .model import SystemParams, identify_dark_state
 from .solvers import (
     Schedule,
@@ -184,8 +185,10 @@ def _evaluate_batch(points):
           if not isinstance(outcome, SolverError)]
     values = np.full(len(points), np.nan)
     if ok:
+        space = points[0].space()
         states = np.array([solved[k][0].matrix for k in ok])
-        values[ok] = observables(points[0].space(), states)["negativity"]
+        values[ok] = observables(
+            space, hermitian_coordinates(states, space.total_dim))["negativity"]
     outcomes = []
     for value, outcome in zip(values.tolist(), solved):
         if isinstance(outcome, SolverError):

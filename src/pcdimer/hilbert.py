@@ -227,14 +227,20 @@ def _check_trace(block: np.ndarray, policy: NumericPolicy) -> None:
 
 
 def _check_positive(block: np.ndarray, policy: NumericPolicy) -> None:
-    # m + slack * I has a Cholesky factor exactly when no eigenvalue of m
-    # lies below -slack (up to roundoff); the factorization costs a fraction
-    # of the eigenvalues, which decide only when it fails
     slack = policy.positivity_slack
+    _check_shifted_positive(block + _scaled_identity(block.shape[-1], slack), slack)
+
+
+def _check_shifted_positive(shifted: np.ndarray, slack: float) -> None:
+    """The positivity test of a block of matrices m that already carry
+    their slack, ``shifted`` = m + slack * I: it has a Cholesky factor
+    exactly when no eigenvalue of m lies below -slack (up to roundoff); the
+    factorization costs a fraction of the eigenvalues, which decide only
+    when it fails."""
     try:
-        np.linalg.cholesky(block + _scaled_identity(block.shape[-1], slack))
+        np.linalg.cholesky(shifted)
     except np.linalg.LinAlgError:
-        min_eig = np.linalg.eigvalsh(block)[..., 0]
+        min_eig = np.linalg.eigvalsh(shifted)[..., 0] - slack
         if min_eig.min() < -slack:
             first = -_first_above(-min_eig, slack)
             raise DomainError(f"density matrix has negative eigenvalue {first:.3e}")

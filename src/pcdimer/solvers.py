@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
+import math
 
 import numpy as np
 import scipy.linalg
@@ -27,9 +28,10 @@ from .hilbert import (
     CompositeSpace,
     DensityMatrix,
     NumericPolicy,
-    _partial_trace_matrix,
+    _CHECK_BLOCK_BYTES,
+    _check_shifted_positive,
+    _first_above,
     check_density_matrix,
-    lowering_operators,
 )
 from .liouvillian import (
     GeneratorBatch,
@@ -124,12 +126,19 @@ _SHARED_STEP_TOL = 1e-12
 # on the dense route, a step length taken fewer times than this in a segment
 # moves the state by one expm_multiply call per step instead of a dense
 # exp(G h).  At D^2 = 256 (six bench generators, 2-vCPU Xeon, one BLAS
-# thread, medians of 11 calls) one dense propagator and its matvecs took
-# 14-15 ms, and m single expm_multiply steps took 8.3, 12.3, 17.6 and 22.8 ms
-# at 5 ps (m = 2..5), 7.2, 10.1, 13.6 and 16.9 ms at 4 ps; one
-# expm_multiply call over a run of m equal steps took longer (17.2 ms for
-# two 5 ps steps)
+# thread, medians of 11 calls, the range over the generators) one dense
+# propagator and its m matvecs took 5.4-8.7 ms at 5 ps and 5.4-7.3 ms at
+# 4 ps for m = 1..5, and m single expm_multiply steps took 1.8-3.3,
+# 3.6-6.3, 5.3-6.8, 7.2-10.5 and 9.1-15.1 ms at 5 ps, 1.4-2.1, 2.8-3.1,
+# 4.2-4.6, 5.6-6.4 and 7.0-8.0 ms at 4 ps; one expm_multiply call over a
+# run of m equal steps took longer (17.2 ms for two 5 ps steps)
 _DENSE_MIN_STEPS = 4
+# the largest ||A||_1 at which the degree-16 Taylor polynomial of the
+# dense propagator approximates exp(A) to unit roundoff in backward error
+# (Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 488 (2011), Table 3.1:
+# theta_16), and the polynomial's coefficients 1/k!, k = 0..16
+_TAYLOR_THETA = 0.781
+_TAYLOR_COEFFICIENTS = 1.0 / np.cumprod(np.r_[1.0, np.arange(1.0, 17.0)])
 # samples per block of the dense route, a power of two: after the first
 # _SAMPLE_BLOCK matvecs, each later block of that many samples is one
 # product with (P^B)^T, P^B formed by log2(B) squarings.  800 steps of the
@@ -709,12 +718,13 @@ class PropagationInfo:
     """Diagnostics of one ``evolve`` call.
 
     ``route`` is ``"dense_expm"`` or ``"expm_multiply"``;
-    ``dense_propagators`` counts the dense exp(L dt) matrices built (none
-    on the ``expm_multiply`` route); ``expm_multiply_calls`` counts the
-    ``expm_multiply`` calls, one per step of a step length taken fewer than
-    4 times in a segment on the dense route and one per run of equal steps
-    on the other; ``propagators`` is their sum; ``max_trace_drift`` is the
-    largest |Tr(rho) - 1| of the raw sampled states, before renormalization.
+    ``dense_propagators`` counts the dense exp(G dt) matrices built by
+    ``_dense_propagator`` (none on the ``expm_multiply`` route);
+    ``expm_multiply_calls`` counts the ``expm_multiply`` calls, one per
+    step of a step length taken fewer than 4 times in a segment on the
+    dense route and one per run of equal steps on the other;
+    ``propagators`` is their sum; ``max_trace_drift`` is the largest
+    |Tr(rho) - 1| of the raw sampled states, before renormalization.
     """
 
     route: str
@@ -731,14 +741,24 @@ class PropagationInfo:
 class Trajectory:
     """Sampled open-system evolution with named observable series.
 
-    ``matrices`` is the validated ``(n, d, d)`` stack of sampled states.
+    ``coordinates`` is the read-only ``(n, D^2)`` array of the validated
+    sampled states in the real coordinates of
+    ``liouvillian.hermitian_basis``; ``matrices`` gathers their complex
+    ``(n, d, d)`` stack on each read and does not keep it.
     """
 
     times: np.ndarray
     space: CompositeSpace
-    matrices: np.ndarray = field(repr=False)
+    coordinates: np.ndarray = field(repr=False)
     observables: dict[str, np.ndarray]
     info: PropagationInfo
+
+    @property
+    def matrices(self) -> np.ndarray:
+        """The read-only ``(n, d, d)`` density matrices of the samples."""
+        matrices = hermitian_matrices(self.coordinates, self.space.total_dim)
+        matrices.flags.writeable = False
+        return matrices
 
     def peak(self, name: str) -> tuple[float, float]:
         """(time, value) of the maximum of one observable series."""
@@ -752,29 +772,61 @@ _POPULATIONS = ("pop_qd1", "pop_qd2", "pop_m1", "pop_m2")
 
 
 @lru_cache(maxsize=16)
-def _number_operators(space: CompositeSpace) -> np.ndarray:
-    """(d^2, k) matrix whose column k is the C-order flattened transpose of
-    the number operator n_k of subsystem k: the flattened rho times it is
-    Tr(n_k rho)."""
-    ops = np.array([(low.matrix.conj().T @ low.matrix).T.reshape(-1)
-                    for low in lowering_operators(space)]).T
-    ops.flags.writeable = False
-    return ops
+def _occupations(space: CompositeSpace) -> np.ndarray:
+    """(d, k) table of the occupation of subsystem k in basis state i: the
+    population coordinates times it are the Tr(n_k rho)."""
+    table = np.array(np.unravel_index(np.arange(space.total_dim), space.dims),
+                     dtype=float).T
+    table.flags.writeable = False
+    return table
 
 
-def observables(space: CompositeSpace, matrices: np.ndarray,
+@lru_cache(maxsize=16)
+def _emitter_map(space: CompositeSpace) -> np.ndarray:
+    """The partial trace over the modes (subsystems 2 and up) as a map of
+    ``hermitian_basis`` coordinates: the sparse (16, D^2) 0/1 matrix from
+    the coordinates of a model-space state to those of its reduced emitter
+    state, held as the (16, r) table of the columns of its rows, r = d / 4.
+    Basis state i is emitter state i // r times mode state i % r, so each
+    reduced population sums the r populations, and each reduced coherence
+    the r coherences, that share a mode state.  Cached per space; do not
+    modify."""
+    d = space.total_dim
+    e = space.dims[0] * space.dims[1]
+    r = d // e
+
+    def pair(i, j, n):
+        # position of the pair i < j in the row-major order of
+        # ``hermitian_basis``: its Re coordinate is n + 2 pair, Im the next
+        return i * (2 * n - i - 1) // 2 + j - i - 1
+
+    modes = np.arange(r)
+    a, b = np.triu_indices(e, 1)
+    re = d + 2 * pair(a[:, None] * r + modes, b[:, None] * r + modes, d)
+    table = np.concatenate((np.arange(d).reshape(e, r),
+                            np.stack((re, re + 1), axis=1).reshape(-1, r)))
+    table.flags.writeable = False
+    return table
+
+
+def observables(space: CompositeSpace, x: np.ndarray,
                 policy: NumericPolicy = _SOLVER_POLICY) -> dict:
-    """The observables of one model-space state or of a ``(..., d, d)``
-    stack, in CSV column order: the negativity of the two emitters, then
-    the population Re Tr(n_k rho) of each subsystem (``pop_qd1``,
-    ``pop_qd2``, ``pop_m1``, ``pop_m2``), all k of every state from one
-    product of the ``(..., d^2)``-flattened stack with the flattened number
-    operators.  The reduced emitter states are checked as density matrices
-    under ``policy``."""
-    reduced = _partial_trace_matrix(matrices, space.dims, (0, 1))
+    """The observables of one model-space state or of a stack, given by
+    their real ``hermitian_basis`` coordinates ``x`` (..., D^2), in CSV
+    column order: the negativity of the two emitters, then the population
+    Tr(n_k rho) of each subsystem (``pop_qd1``, ``pop_qd2``, ``pop_m1``,
+    ``pop_m2``).  Both are linear in x: the populations of every state are
+    one product of its d population coordinates with the (d, 4) occupation
+    table, and the coordinates of the reduced emitter states one sparse
+    (16, D^2) map (``_emitter_map``), gathered to 4 x 4 matrices.  The
+    reduced emitter states are checked as density matrices under
+    ``policy``."""
+    d = space.total_dim
+    # each row of the 0/1 map is a sum of the coordinates it gathers
+    reduced = np.take(x, _emitter_map(space), axis=-1).sum(axis=-1)
+    reduced = hermitian_matrices(reduced, space.dims[0] * space.dims[1])
     check_density_matrix(reduced, policy)
-    flat = matrices.reshape(matrices.shape[:-2] + (-1,))
-    populations = np.moveaxis((flat @ _number_operators(space)).real, -1, 0)
+    populations = np.moveaxis(x[..., :d] @ _occupations(space), -1, 0)
     return {"negativity": negativity(reduced),
             **dict(zip(_POPULATIONS, populations))}
 
@@ -782,8 +834,9 @@ def observables(space: CompositeSpace, matrices: np.ndarray,
 # named steady-state functionals ``(params, rho) -> value`` of convergence
 # scans, each checked under the state's own policy
 OBSERVABLES = {
-    name: lambda params, rho, name=name:
-        observables(rho.space, rho.matrix, rho.policy)[name]
+    name: lambda params, rho, name=name: observables(
+        rho.space, hermitian_coordinates(rho.matrix, rho.space.total_dim),
+        rho.policy)[name]
     for name in ("negativity",) + _POPULATIONS
 }
 
@@ -800,16 +853,53 @@ def _step_runs(steps: np.ndarray) -> list[list]:
     return runs
 
 
+def _dense_propagator(generator: sp.csr_matrix, h: float) -> np.ndarray:
+    """The dense exp(G h) of a sparse generator, by scaling and squaring
+    its degree-16 Taylor polynomial, without a linear solve.
+
+    s is the least integer with ||G h||_1 / 2^s <= theta_16 = 0.781; the
+    1-norm bounds the alpha_p of Al-Mohy & Higham (SIAM J. Sci. Comput. 33,
+    488 (2011)), so T_16(A) of A = G h / 2^s has a backward error of at
+    most unit roundoff, and exp(G h) = T_16(A)^(2^s), s squarings.  The
+    polynomial takes the Paterson-Stockmeyer form (SIAM J. Comput. 2, 60
+    (1973)) on A, A^2, A^3 and A^4: T_16 = B_0 + A^4 (B_1 + A^4 (B_2 + A^4
+    (B_3 + A^4 / 16!))), B_j = sum_i A^i / (4 j + i)!, i = 0..3.  The powers
+    are sparse-by-dense products, since G is sparse (3,256 of its 65,536
+    entries at Fock cutoff 1); the Horner steps are three dense products.
+    """
+    norm = float(abs(generator).sum(axis=0).max()) * h
+    mantissa, exponent = math.frexp(norm / _TAYLOR_THETA)
+    # norm / theta = mantissa 2^exponent, mantissa in [1/2, 1), or 0
+    squarings = max(0, exponent - (mantissa == 0.5))
+    a = generator * (h / 2.0 ** squarings)
+    powers = [a.toarray()]
+    for _ in range(3):
+        powers.append(a @ powers[-1])
+    a4 = powers[3]
+    c = _TAYLOR_COEFFICIENTS
+    n = a.shape[0]
+    p = c[16] * a4
+    for j in (3, 2, 1, 0):
+        for i in range(1, 4):
+            p += c[4 * j + i] * powers[i - 1]
+        p.flat[::n + 1] += c[4 * j]
+        if j:
+            p = a4 @ p
+    for _ in range(squarings):
+        p = p @ p
+    return p
+
+
 def _propagate_dense(generator: sp.csr_matrix, y: np.ndarray, steps: np.ndarray,
                      out: np.ndarray):
     """Writes the coordinates after each step into the rows of ``out``, with
-    one dense P = expm(G h) per step length taken at least
-    ``_DENSE_MIN_STEPS`` times.  A run of equal steps takes its first
-    ``_SAMPLE_BLOCK`` states by matvecs and every later block of that many
-    by one product with P^B, which is not counted as a propagator.  A step
-    length taken fewer times moves the state by one ``expm_multiply`` call
-    per step, never forming exp(G h); returns (dense propagators built,
-    ``expm_multiply`` calls)."""
+    one dense P = exp(G h) per step length taken at least
+    ``_DENSE_MIN_STEPS`` times, formed by ``_dense_propagator``.  A run of
+    equal steps takes its first ``_SAMPLE_BLOCK`` states by matvecs and
+    every later block of that many by one product with P^B, which is not
+    counted as a propagator.  A step length taken fewer times moves the
+    state by one ``expm_multiply`` call per step, never forming exp(G h);
+    returns (dense propagators built, ``expm_multiply`` calls)."""
     runs = _step_runs(steps)
     built: list[tuple[float, np.ndarray]] = []
     k = calls = 0
@@ -825,7 +915,7 @@ def _propagate_dense(generator: sp.csr_matrix, y: np.ndarray, steps: np.ndarray,
         propagator = next((p for key, p in built
                            if abs(h - key) <= _SHARED_STEP_TOL * key), None)
         if propagator is None:
-            propagator = scipy.linalg.expm((generator * h).toarray())
+            propagator = _dense_propagator(generator, h)
             built.append((h, propagator))
         head = min(count, _SAMPLE_BLOCK)
         for _ in range(head):
@@ -906,6 +996,28 @@ def _propagate_schedule(schedule: Schedule, rho0: DensityMatrix,
     return x, dense, calls
 
 
+def _check_coordinates(x: np.ndarray, d: int, policy: NumericPolicy) -> None:
+    """The density-matrix checks of ``check_density_matrix`` on states
+    given by their real (n, D^2) ``hermitian_basis`` coordinates: the
+    population coordinates of each state sum to 1 within
+    ``policy.algebraic_tol``, and no state has an eigenvalue below
+    ``-policy.positivity_slack``.  Positivity is a Cholesky test of each
+    block of at most ``_CHECK_BLOCK_BYTES`` of complex matrices, gathered
+    from the coordinates with the slack added to the populations; the
+    eigenvalues decide only when it fails.  The matrices need no Hermiticity
+    test: one coordinate feeds both entries of each coherence pair."""
+    defect = np.abs(x[:, :d].sum(axis=1) - 1.0)
+    if not defect.max() <= policy.algebraic_tol:
+        raise DomainError("density matrix trace differs from 1 by "
+                          f"{_first_above(defect, policy.algebraic_tol):.3e}")
+    slack = policy.positivity_slack
+    rows = max(1, _CHECK_BLOCK_BYTES // (d * d * np.dtype(complex).itemsize))
+    for start in range(0, len(x), rows):
+        shifted = hermitian_matrices(x[start:start + rows], d)
+        shifted.reshape(len(shifted), -1)[:, ::d + 1] += slack
+        _check_shifted_positive(shifted, slack)
+
+
 def evolve(schedule: Schedule, rho0: DensityMatrix, t_grid) -> Trajectory:
     """Propagate d(rho)/dt = L rho exactly across the schedule and sample on
     t_grid.
@@ -920,29 +1032,33 @@ def evolve(schedule: Schedule, rho0: DensityMatrix, t_grid) -> Trajectory:
     the state is handed over unchanged.  Two routes, chosen by the Liouville
     dimension D^2, both in float64:
 
-    - D^2 <= 256 (Fock cutoff 1): one dense P = ``scipy.linalg.expm(G dt)``
-      per step length taken at least 4 times in a segment; step lengths
-      that agree to within 1e-12 relative share one propagator.  A run of
-      equal steps takes its first 4 states by matrix-vector products and
-      every later block of 4 by one matrix product with P^4 (two squarings
-      of P, formed per run and not counted as a propagator).  A step
-      length taken fewer times (the partial steps at a segment switch, the
-      few sample steps before an early switch) moves the state by one
-      ``expm_multiply`` call per step instead, which costs less than
-      forming P.
+    - D^2 <= 256 (Fock cutoff 1): one dense P = exp(G dt) per step length
+      taken at least 4 times in a segment, by scaling and squaring a
+      degree-16 Taylor polynomial without a linear solve
+      (``_dense_propagator``); step lengths that agree to within 1e-12
+      relative share one propagator.  A run of equal steps takes its first
+      4 states by matrix-vector products and every later block of 4 by one
+      matrix product with P^4 (two squarings of P, formed per run and not
+      counted as a propagator).  A step length taken fewer times (the
+      partial steps at a segment switch, the few sample steps before an
+      early switch) moves the state by one ``expm_multiply`` call per step
+      instead, which costs less than forming P.
     - larger spaces: the action of the exponential on the state,
       ``scipy.sparse.linalg.expm_multiply`` (Al-Mohy & Higham, SIAM J. Sci.
       Comput. 33, 488 (2011)), on the sparse G, once per run of equal steps.
 
     Every segment writes its samples into one (n, D^2) coordinate array
-    allocated for the whole schedule.  The raw trace drift, the sum of the
-    population coordinates minus one, must stay below 1e-7 over the sampled
-    states or an ``IntegrationError`` is raised.  The sampled states are
-    trace-normalized in place, rebuilt from their coordinates by one gather
-    (Hermitian by construction, so nothing is re-symmetrized) and validated
-    as one stack by the blocked ``check_density_matrix``.
-    ``Trajectory.info`` records the route, the dense propagators and
-    ``expm_multiply`` calls, and the largest drift.
+    allocated for the whole schedule, and the trajectory keeps that array:
+    no complex stack of the states is formed.  A non-finite coordinate, or
+    a raw trace drift (the sum of the population coordinates minus one)
+    above 1e-7 over the sampled states, raises ``IntegrationError``.  The
+    coordinates are then trace-normalized in place and validated by
+    ``_check_coordinates``: the population sums, and the positivity of
+    every state, gathered to matrices a block at a time.  Hermiticity holds
+    by construction, since one coordinate feeds both entries of each
+    coherence pair.  The observables are read from the coordinates
+    (``observables``).  ``Trajectory.info`` records the route, the dense
+    propagators and ``expm_multiply`` calls, and the largest drift.
     """
     space = schedule.space()
     if rho0.space != space:
@@ -966,6 +1082,10 @@ def evolve(schedule: Schedule, rho0: DensityMatrix, t_grid) -> Trajectory:
     dense = d * d <= _DENSE_PROPAGATOR_MAX_DIM
     x, dense_built, calls = _propagate_schedule(
         schedule, rho0, t_grid, _propagate_dense if dense else _propagate_sparse)
+    finite = np.isfinite(x).all(axis=1)
+    if not finite.all():
+        raise IntegrationError("non-finite state coordinate at t = "
+                               f"{t_grid[np.argmin(finite)]:g} ps")
     traces = x[:, :d].sum(axis=1)
     drift = float(np.abs(traces - 1.0).max())
     if not drift <= _TRACE_DRIFT_TOL:
@@ -975,17 +1095,14 @@ def evolve(schedule: Schedule, rho0: DensityMatrix, t_grid) -> Trajectory:
         )
 
     x /= traces[:, None]
-    matrices = hermitian_matrices(x, d)
-    check_density_matrix(matrices, _SOLVER_POLICY)
-    matrices.flags.writeable = False
+    _check_coordinates(x, d, _SOLVER_POLICY)
+    x.flags.writeable = False
 
     info = PropagationInfo(route="dense_expm" if dense else "expm_multiply",
                            dense_propagators=dense_built,
                            expm_multiply_calls=calls, max_trace_drift=drift)
-    return Trajectory(times=t_grid, space=space,
-                      matrices=matrices,
-                      observables=observables(space, matrices),
-                      info=info)
+    return Trajectory(times=t_grid, space=space, coordinates=x,
+                      observables=observables(space, x), info=info)
 
 
 @dataclass(frozen=True)
@@ -1006,8 +1123,8 @@ def convergence_scan(params: SystemParams, observable="negativity",
                      cutoffs=(1, 2)) -> ConvergenceReport:
     """Recompute a steady-state observable at increasing Fock cutoffs and
     report the successive relative differences, each converged below 1%.
-    An unknown observable or cutoffs that are not ascending integers >= 1
-    raise ``DomainError``."""
+    An unknown observable, cutoffs that are not ascending integers >= 1 or
+    fewer than two cutoffs (nothing to compare) raise ``DomainError``."""
     if observable not in OBSERVABLES:
         raise DomainError(f"unknown observable {observable!r}; known "
                           f"observables: {', '.join(OBSERVABLES)}")
@@ -1017,6 +1134,9 @@ def convergence_scan(params: SystemParams, observable="negativity",
         raise DomainError(f"cutoffs must be integers, got {cutoffs!r}") from None
     if any(c < 1 for c in cutoffs) or any(np.diff(cutoffs) <= 0):
         raise DomainError("cutoffs must be ascending integers >= 1")
+    if len(cutoffs) < 2:
+        raise DomainError("a convergence scan compares at least two cutoffs, "
+                          f"got {cutoffs!r}")
     func = OBSERVABLES[observable]
     values = []
     for cutoff in cutoffs:

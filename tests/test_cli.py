@@ -205,6 +205,14 @@ class TestParsing:
         assert ("expected one of negativity, pop_qd1, pop_qd2, pop_m1, pop_m2"
                 in str(exc_info.value))
 
+    @pytest.mark.parametrize("cutoffs", ["2", "1"])
+    def test_scan_needs_two_cutoffs(self, cutoffs):
+        # a single cutoff leaves nothing to compare, so nothing converged
+        text = STEADY_PRESET.replace("steady", "convergence") + (
+            f"\n[convergence]\ncutoffs = {cutoffs}\n")
+        with pytest.raises(ConfigError, match="at least two cutoffs"):
+            parse_config(text)
+
     @pytest.mark.parametrize("cutoffs", ["2,1", "1,1", "1,3,2"])
     def test_cutoffs_must_ascend(self, cutoffs):
         text = STEADY_PRESET.replace("steady", "convergence") + (
@@ -577,6 +585,17 @@ class TestMain:
                      "--quiet"]) == 2
         message = capsys.readouterr().err
         assert named in message and known in message
+        assert list(tmp_path.iterdir()) == [config_path]
+
+    def test_single_cutoff_scan_is_a_config_error(self, tmp_path, capsys):
+        # a scan of one cutoff compares nothing: before, it exited 0 and
+        # reported converged = 1 and "all_converged": true
+        config_path = tmp_path / "run.cfg"
+        config_path.write_text(STEADY_PRESET.replace("steady", "convergence")
+                               + "\n[convergence]\ncutoffs = 2\n", encoding="utf-8")
+        assert main(["--config", str(config_path), "--output", str(tmp_path),
+                     "--quiet"]) == 2
+        assert "at least two cutoffs" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == [config_path]
 
     @pytest.mark.parametrize("keys", [

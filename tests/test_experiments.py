@@ -22,7 +22,7 @@ from pcdimer.experiments import (
 from pcdimer.hilbert import DensityMatrix
 from pcdimer.liouvillian import build_liouvillian
 from pcdimer.model import identify_dark_state, preset_params
-from pcdimer.solvers import Schedule, evolve, steady_state
+from pcdimer.solvers import OBSERVABLES, Schedule, evolve, steady_state
 
 COARSE_PHI = np.linspace(0.0, 2.0 * np.pi, 13)  # includes pi exactly
 
@@ -114,7 +114,8 @@ class TestSweepEngine:
     @pytest.mark.parametrize("cutoff, phi_points, batch", [(1, 9, 24), (2, 2, 4)])
     def test_values_equal_solo_negativity(self, preset, cutoff, phi_points, batch):
         # the negativities of a batch come from one stacked evaluation; each
-        # equals the per-state value of the point solved on its own, bit for bit
+        # equals the per-state value of the point solved on its own, bit for
+        # bit, and the partial trace of its matrix to 1e-14
         phi = np.linspace(0.0, 2.0 * np.pi, phi_points)
         delta = np.linspace(-33.0, 22.0, 3)
         spec = SweepSpec(preset.with_truncation(cutoff),
@@ -125,7 +126,8 @@ class TestSweepEngine:
         assert result.converged.all()
         for idx in np.ndindex(result.values.shape):
             rho = steady_state(build_liouvillian(spec.point_params(idx)))
-            assert result.values[idx] == qd_negativity(rho), idx
+            assert result.values[idx] == OBSERVABLES["negativity"](None, rho), idx
+            assert abs(result.values[idx] - qd_negativity(rho)) <= 1e-14, idx
 
     def test_deterministic_repetition(self, preset):
         delta = np.array([-11.0, 0.0, 11.0])

@@ -364,8 +364,8 @@ class TestHermitianCoordinates:
     @example(params=full_params().with_truncation(2), seed=0)
     def test_real_form(self, params, seed):
         # U is unitary, Hermitian matrices round-trip through their real
-        # coordinates, and U L U^H is real up to roundoff
-        liouville = build_liouvillian(params)
+        # coordinates, and U D U^H is real up to roundoff for the Kronecker
+        # reference generator D, which preserves Hermiticity
         d = params.space().total_dim
         u = hermitian_basis(d)
         assert abs(u @ u.conj().T - sp.identity(d * d)).max() <= 1e-14
@@ -375,8 +375,9 @@ class TestHermitianCoordinates:
         back = hermitian_matrices(x.real, d)
         assert np.array_equal(back, back.conj().T)
         assert np.max(np.abs(back - rho)) <= 1e-14
-        real_form = u @ liouville.matrix @ u.conj().T
-        scale = max(1.0, np.abs(liouville.matrix.data).max(initial=0.0))
+        reference = sp.csr_matrix(dense_reference_generator(params, sparse=True))
+        real_form = u @ reference @ u.conj().T
+        scale = max(1.0, np.abs(reference.data).max(initial=0.0))
         assert np.abs(real_form.data.imag).max(initial=0.0) <= 1e-14 * scale
 
     @settings(max_examples=25, deadline=None)

@@ -5,14 +5,13 @@ import tracemalloc
 
 import numpy as np
 import pytest
-import scipy.linalg
 import scipy.sparse.csgraph
 from hypothesis import assume, example, given, settings, strategies as st
 from scipy.linalg import expm
 
 import pcdimer.solvers
 from pcdimer._malloc import fix_malloc_thresholds
-from pcdimer.entanglement import negativity, partial_transpose_first, qd_negativity
+from pcdimer.entanglement import partial_transpose_first, qd_negativity
 from pcdimer.exceptions import (
     DegenerateSteadyStateError,
     DomainError,
@@ -26,6 +25,7 @@ from pcdimer.hilbert import (
     Operator,
     boson,
     boson_annihilation,
+    check_density_matrix,
     lowering_operators,
     partial_trace,
     qubit,
@@ -37,6 +37,7 @@ from pcdimer.liouvillian import (
     build_liouvillian,
     build_liouvillians,
     hermitian_basis,
+    hermitian_coordinates,
     hermitian_matrices,
 )
 from pcdimer.model import (
@@ -55,6 +56,8 @@ from pcdimer.solvers import (
     _SAMPLE_BLOCK,
     _SOLVER_POLICY,
     OBSERVABLES,
+    _check_coordinates,
+    _dense_propagator,
     Schedule,
     _invariant_blocks,
     _no_jump_inverse,
@@ -98,6 +101,35 @@ def sigma_x_dephased(space):
     if len(space.dims) > 1:
         jumps.append((boson_annihilation(space, 1), 40.0))
     return assemble_generator(Operator(space, 3.0 * sx.matrix), jumps)
+
+
+# a system whose generator is zero
+ZERO_PARAMS = SystemParams(
+    modes=(ModeParams(0.0, 0.0), ModeParams(0.0, 0.0)),
+    dots=(QDParams(0.0), QDParams(0.0)),
+    coupling=CouplingMatrix(((0.0, 0.0), (0.0, 0.0))),
+    drive=DriveParams(amplitude=0.0))
+# a subnormal pump rate and nothing else
+SUBNORMAL_PUMP_PARAMS = SystemParams(
+    modes=(ModeParams(0.0, 0.0), ModeParams(0.0, 0.0, pump=2.2250738585e-313)),
+    dots=(QDParams(0.0), QDParams(0.0)),
+    coupling=CouplingMatrix(((0.0, 0.0), (0.0, 0.0))),
+    drive=DriveParams(amplitude=0.0, pump_freq=1399.0))
+
+
+def count_dense_builds(monkeypatch):
+    """The shapes of the dense propagators that the solvers form, recorded
+    in the returned list as they are built."""
+    built = []
+    build = pcdimer.solvers._dense_propagator
+
+    def counting(generator, h):
+        propagator = build(generator, h)
+        built.append(propagator.shape)
+        return propagator
+
+    monkeypatch.setattr(pcdimer.solvers, "_dense_propagator", counting)
+    return built
 
 
 def dark_tuned(params):
@@ -398,8 +430,9 @@ class TestSteadyStateProperties:
         assume(singular_values[-2] >= 1e-4 * singular_values[0])
         outcomes = steady_states(liouvilles)
         assume(not any(isinstance(o, SolverError) for o in outcomes))
-        values = observables(params.space(),
-                             np.array([rho.matrix for rho, _ in outcomes]))
+        d = params.space().total_dim
+        values = observables(params.space(), hermitian_coordinates(
+            np.array([rho.matrix for rho, _ in outcomes]), d))
         for name, swapped in (("negativity", "negativity"), ("pop_m1", "pop_m1"),
                               ("pop_m2", "pop_m2"), ("pop_qd1", "pop_qd2"),
                               ("pop_qd2", "pop_qd1")):
@@ -708,17 +741,7 @@ class TestEvolve:
            horizon=st.floats(1.0, 40.0), switch=st.floats(0.1, 0.9))
     # a subnormal pump rate: its generator entries are flushed to zero, and
     # the oracle's dense expm stays finite
-    @example(params=SystemParams(
-                 modes=(ModeParams(0.0, 0.0), ModeParams(0.0, 0.0)),
-                 dots=(QDParams(0.0), QDParams(0.0)),
-                 coupling=CouplingMatrix(((0.0, 0.0), (0.0, 0.0))),
-                 drive=DriveParams(amplitude=0.0)),
-             switched=SystemParams(
-                 modes=(ModeParams(0.0, 0.0),
-                        ModeParams(0.0, 0.0, pump=2.2250738585e-313)),
-                 dots=(QDParams(0.0), QDParams(0.0)),
-                 coupling=CouplingMatrix(((0.0, 0.0), (0.0, 0.0))),
-                 drive=DriveParams(amplitude=0.0, pump_freq=1399.0)),
+    @example(params=ZERO_PARAMS, switched=SUBNORMAL_PUMP_PARAMS,
              gaps=[1.0, 0.5], horizon=1.0, switch=0.5)
     def test_two_segment_schedule_matches_expm(self, params, switched, gaps,
                                                horizon, switch):
@@ -759,10 +782,7 @@ class TestEvolve:
         # a uniform grid needs one dense propagator per segment; the partial
         # step on each side of the switch is taken once and moves the state
         # by expm_multiply, counted with the propagators
-        dense_built = []
-        monkeypatch.setattr(scipy.linalg, "expm",
-                            lambda a, _expm=scipy.linalg.expm:
-                            dense_built.append(a.shape) or _expm(a))
+        dense_built = count_dense_builds(monkeypatch)
         params = dark_tuned(preset_params("dimer30_dc901"))
         rho0 = DensityMatrix.basis_state(params.space(), (1, 0, 0, 0))
         t_grid = np.linspace(0.0, 100.0, 21)
@@ -775,7 +795,7 @@ class TestEvolve:
         assert switched.info.propagators == 4
         assert (switched.info.dense_propagators,
                 switched.info.expm_multiply_calls) == (2, 2)
-        assert len(dense_built) == 2  # 4 before single steps moved off dense expm
+        assert len(dense_built) == 2  # 4 before single steps moved off the dense route
         assert 0.0 <= switched.info.max_trace_drift < 1e-12
         for s1, s2 in zip(constant.matrices, switched.matrices):
             assert np.max(np.abs(s1 - s2)) < 1e-12
@@ -784,10 +804,7 @@ class TestEvolve:
         # 5 ps samples, switch at 9 ps: the 5 and 4 ps steps before it and
         # the 1 ps step after it are each taken once; only the 5 ps step of
         # the second segment is a dense propagator
-        dense_built = []
-        monkeypatch.setattr(scipy.linalg, "expm",
-                            lambda a, _expm=scipy.linalg.expm:
-                            dense_built.append(a.shape) or _expm(a))
+        dense_built = count_dense_builds(monkeypatch)
         trajectory = stark_switch_protocol(preset_params("dimer30_dc901"),
                                            9.0, 1500.0, 4000.0, 801)
         assert trajectory.info.route == "dense_expm"
@@ -800,10 +817,7 @@ class TestEvolve:
         # a step length taken twice in a segment, as the 5 ps samples before
         # a switch after 10 ps are, costs less as two expm_multiply calls
         # than as a dense exp(G h)
-        dense_built = []
-        monkeypatch.setattr(scipy.linalg, "expm",
-                            lambda a, _expm=scipy.linalg.expm:
-                            dense_built.append(a.shape) or _expm(a))
+        dense_built = count_dense_builds(monkeypatch)
         params = dark_tuned(preset_params("dimer30_dc901"))
         rho0 = DensityMatrix.basis_state(params.space(), (1, 0, 0, 0))
         t_grid = np.array([0.0, 5.0, 10.0])
@@ -859,6 +873,46 @@ class TestEvolve:
         reference, _, _ = _propagate_schedule(schedule, rho0, t_grid, matvec_chain)
         assert np.max(np.abs(states - reference)) <= 1e-12 * np.abs(reference).max()
 
+    @settings(max_examples=40, deadline=None)
+    @given(params=physical_params().map(lambda p: p.with_truncation(1)),
+           h=st.floats(0.01, 50.0))
+    @example(params=ZERO_PARAMS, h=50.0)
+    @example(params=SUBNORMAL_PUMP_PARAMS, h=1.0)
+    @example(params=dark_tuned(preset_params("dimer30_dc901")), h=5.0)
+    def test_dense_propagator_matches_expm(self, params, h):
+        # the scaled and squared Taylor polynomial against scipy's Pade
+        # expm, to 1e-13 of max |P| times max(1, ||G h||_1): the relative
+        # condition number of exp at G h is at least ||G h|| (Van Loan,
+        # SIAM J. Numer. Anal. 14, 971 (1977)), and both methods err by
+        # about eps 2^s.  Over these draws s runs from 0 (the zero and
+        # subnormal-pump systems, and small ||G h||) to 10, the preset at
+        # 5 ps takes 5; 400 draws used at most 0.11 of the bound
+        generator = build_liouvillian(params).real_matrix
+        reference = expm((generator * h).toarray())
+        propagator = _dense_propagator(generator, h)
+        assert propagator.shape == (256, 256)
+        norm = abs(generator * h).sum(axis=0).max()
+        assert (np.max(np.abs(propagator - reference))
+                <= 1e-13 * max(1.0, norm) * np.abs(reference).max())
+
+    @pytest.mark.parametrize("h", [1.0, 13.0, 50.0])
+    def test_dense_propagator_of_a_rotation(self, h):
+        # levels at multiples of the rotating-frame frequency and nothing
+        # else: G h is a direct sum of 2 x 2 rotations by angles w, whose
+        # exponential is [[cos w, -sin w], [sin w, cos w]].  The propagator
+        # meets it to 1e-14 up to ||G h||_1 = 31 (s = 6); scipy's expm
+        # missed it by 1.0e-13 at 13 ps and 2.5e-13 at 50 ps
+        params = dataclasses.replace(
+            ZERO_PARAMS, drive=DriveParams(amplitude=0.0, pump_freq=102.0))
+        a = (build_liouvillian(params).real_matrix * h).toarray()
+        exact = np.eye(256)
+        for i, j in zip(*np.nonzero(np.triu(a))):
+            c, s = np.cos(a[j, i]), np.sin(a[j, i])
+            exact[np.ix_([i, j], [i, j])] = [[c, -s], [s, c]]
+        assert np.array_equal(a, np.triu(a) - np.triu(a).T)  # rotations only
+        propagator = _dense_propagator(build_liouvillian(params).real_matrix, h)
+        assert np.max(np.abs(propagator - exact)) <= 1e-14
+
     def test_batched_observables_match_per_state_values(self):
         params = dark_tuned(preset_params("dimer30_dc901")).with_qd_decay(0.66)
         rho0 = DensityMatrix.basis_state(params.space(), (1, 0, 0, 0))
@@ -881,17 +935,85 @@ class TestEvolve:
             expected = -spectrum[spectrum < -1e-12].sum()
             assert abs(trajectory.observables["negativity"][k] - expected) <= 1e-14
         assert trajectory.observables["negativity"].max() > 0.01
+        # the stacked negativities equal the per-state ones, bit for bit
         assert np.array_equal(trajectory.observables["negativity"],
-                              negativity(np.array([partial_trace(s, (0, 1)).matrix
-                                                   for s in states])))
+                              [observables(space, x)["negativity"]
+                               for x in trajectory.coordinates])
+
+    def test_trajectory_keeps_read_only_coordinates(self):
+        params = dark_tuned(preset_params("dimer30_dc901"))
+        rho0 = DensityMatrix.basis_state(params.space(), (1, 0, 0, 0))
+        trajectory = evolve(Schedule.constant(params, 20.0), rho0,
+                            np.linspace(0.0, 20.0, 5))
+        assert trajectory.coordinates.shape == (5, 256)
+        assert not trajectory.coordinates.flags.writeable
+        # the matrix stack is gathered on each read and not kept
+        matrices = trajectory.matrices
+        assert not matrices.flags.writeable
+        assert trajectory.matrices is not matrices
+        assert "matrices" not in vars(trajectory)
+        assert np.array_equal(matrices, hermitian_matrices(trajectory.coordinates, 16))
+        assert np.array_equal(matrices[0], rho0.matrix)
+
+    @pytest.mark.parametrize("defect, error, message", [
+        ("nan", IntegrationError, "non-finite state coordinate at t = 20 ps"),
+        ("drift", IntegrationError, "trace drift 1.000e-06 exceeds 1e-07"),
+        ("coherence", DomainError, "negative eigenvalue"),
+    ])
+    def test_sampled_coordinates_are_validated(self, monkeypatch, defect, error,
+                                               message):
+        # a NaN in a coherence coordinate, a trace drift, or a coherence
+        # too large for the populations of its pair in the last sample
+        propagate = pcdimer.solvers._propagate_dense
+
+        def faulty(generator, y, steps, out):
+            counts = propagate(generator, y, steps, out)
+            if defect == "nan":
+                out[-1, -1] = np.nan
+            elif defect == "drift":
+                out[-1, 0] += 1e-6
+            else:
+                out[-1, 16] += 1.0  # sqrt(2) Re rho_01
+            return counts
+
+        monkeypatch.setattr(pcdimer.solvers, "_propagate_dense", faulty)
+        params = dark_tuned(preset_params("dimer30_dc901"))
+        rho0 = DensityMatrix.basis_state(params.space(), (1, 0, 0, 0))
+        with pytest.raises(error, match=message):
+            evolve(Schedule.constant(params, 20.0), rho0, np.linspace(0.0, 20.0, 5))
+
+    @pytest.mark.parametrize("dip", [0.5e-8, 2e-8])
+    def test_coordinate_check_matches_matrix_check(self, dip):
+        # 150 states (three blocks of 64): the coordinate check and the
+        # matrix check pass or fail together, with the same message, when
+        # state 130 has an eigenvalue -dip against the 1e-8 slack
+        rng = np.random.default_rng(5)
+        states = np.array([random_density(rng, 16) for _ in range(150)])
+        w, v = np.linalg.eigh(states[130])
+        w[0] = -dip
+        w[1:] *= (1.0 + dip) / w[1:].sum()
+        states[130] = (v * w) @ v.conj().T
+        x = hermitian_coordinates(states, 16)
+        states = hermitian_matrices(x, 16)
+        outcomes = []
+        for check, argument in ((check_density_matrix, states),
+                                (lambda y, policy: _check_coordinates(y, 16, policy), x)):
+            try:
+                check(argument, _SOLVER_POLICY)
+                outcomes.append(None)
+            except DomainError as exc:
+                outcomes.append(str(exc))
+        assert outcomes[0] == outcomes[1]
+        assert (outcomes[0] is not None) == (dip > _SOLVER_POLICY.positivity_slack)
 
     def test_long_run_footprint(self):
         # a cutoff-1, 4000 ps, 801-sample run allocates one coordinate array
-        # and one matrix stack (1.6 and 3.3 MB) plus the temporaries of one
-        # dense expm (~4.2 MB at D^2 = 256, while the coordinates are live);
-        # it peaked 6.5 MB above its start, against 11.5 MB when every
-        # segment had its own sample array and the density check took the
-        # whole stack at once
+        # (1.6 MB, kept by the trajectory) plus the temporaries of one dense
+        # propagator (~3 MB at D^2 = 256, while the coordinates are live); it
+        # peaked 4.9 MB above its start, against 6.4 MB when the trajectory
+        # also kept its complex matrix stack (3.3 MB) and scipy's expm formed
+        # the propagator, and 11.5 MB when every segment had its own sample
+        # array and the density check took the whole stack at once
         params = dark_tuned(preset_params("dimer30_dc901"))
         rho0 = DensityMatrix.basis_state(params.space(), (1, 0, 0, 0))
         schedule = Schedule.constant(params, 4000.0)
@@ -904,7 +1026,7 @@ class TestEvolve:
             peak = tracemalloc.get_traced_memory()[1] - start
         finally:
             tracemalloc.stop()
-        assert peak < 8e6
+        assert peak < 6e6
 
     def test_trace_drift_bounded(self):
         params = dark_tuned(preset_params("dimer30_dc901"))
@@ -982,7 +1104,8 @@ class TestConvergenceScan:
 
     def test_cutoffs_validated(self):
         params = preset_params("dimer30_dc901")
-        for cutoffs in ((0, 1), (2, 2), (2, 1), ("one", 2)):
+        # fewer than two cutoffs leave nothing to compare
+        for cutoffs in ((0, 1), (2, 2), (2, 1), ("one", 2), (), (2,)):
             with pytest.raises(DomainError):
                 convergence_scan(params, "negativity", cutoffs=cutoffs)
 
