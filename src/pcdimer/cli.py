@@ -37,7 +37,8 @@ from .model import (
     identify_dark_state,
     preset_params,
 )
-from .liouvillian import build_liouvillian, hermitian_coordinates
+from .hilbert import hermitian_coordinates
+from .liouvillian import build_liouvillian
 from .solvers import OBSERVABLES, convergence_scan, observables, steady_state
 from .experiments import (
     INITIAL_STATES,
@@ -392,14 +393,15 @@ def parse_config(text: str) -> RunConfig:
         if raw_sets:
             try:
                 sets = tuple(
-                    tuple(float(x) for x in pair.split(":"))
+                    tuple(_finite(x) for x in pair.split(":"))
                     for pair in raw_sets.split(",")
                 )
-                if any(len(s) != 2 for s in sets):
+                # the bound of [system] modeN_gamma
+                if any(len(s) != 2 or min(s) < 0 for s in sets):
                     raise ValueError
             except ValueError:
                 raise ConfigError(
-                    "invalid [sweep] linewidth_sets; expected g1:g2,g1:g2,..."
+                    "invalid [sweep] linewidth_sets; expected g1:g2,g1:g2,... with finite g >= 0"
                 ) from None
             kwargs["linewidth_sets"] = sets
     elif command == "dynamics":
@@ -520,6 +522,8 @@ def run(config: RunConfig, quiet: bool = False) -> int:
         params = config.params
 
         if config.command == "steady":
+            # one state through steady_state, the lookup that bench/tracing.py
+            # wraps here, then back to its coordinates
             rho, info = steady_state(build_liouvillian(params), return_info=True)
             values = observables(
                 rho.space, hermitian_coordinates(rho.matrix, rho.space.total_dim))

@@ -21,7 +21,6 @@ from .exceptions import DomainError, SolverError
 from .hilbert import DensityMatrix
 # build_liouvillian and steady_state are looked up here by bench/tracing.py
 from .liouvillian import build_liouvillian, build_liouvillians  # noqa: F401
-from .liouvillian import hermitian_coordinates
 from .model import SystemParams, identify_dark_state
 from .solvers import (
     Schedule,
@@ -178,17 +177,16 @@ class SweepResult:
 
 def _evaluate_batch(points):
     """Solve one batch of sweep points together and take the negativities
-    of its steady states in one stacked call; never raises for a point's
-    solver failure (failures are reported inline, per point)."""
+    of its steady states, as their stacked coordinates, in one call; never
+    raises for a point's solver failure (failures are reported inline, per
+    point)."""
     solved = steady_states(build_liouvillians(points))
     ok = [k for k, outcome in enumerate(solved)
           if not isinstance(outcome, SolverError)]
     values = np.full(len(points), np.nan)
     if ok:
-        space = points[0].space()
-        states = np.array([solved[k][0].matrix for k in ok])
-        values[ok] = observables(
-            space, hermitian_coordinates(states, space.total_dim))["negativity"]
+        states = np.array([solved[k][0] for k in ok])
+        values[ok] = observables(points[0].space(), states)["negativity"]
     outcomes = []
     for value, outcome in zip(values.tolist(), solved):
         if isinstance(outcome, SolverError):

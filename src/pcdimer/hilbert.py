@@ -1,8 +1,17 @@
-"""Composite Hilbert spaces, elementary operators and the partial trace.
+"""Composite Hilbert spaces, elementary operators, the partial trace, and
+the one format and the one check of states.
 
 The tensor-product convention is fixed once at space construction: subsystem 0
 is the slowest index (leftmost Kronecker factor).  Qubits are ordered
 (ground, excited); truncated bosons are ordered (0, 1, ..., n_max).
+
+A state of dimension d is carried as its d^2 real coordinates over an
+orthonormal basis of Hermitian operators (``hermitian_basis``): the d
+populations, then sqrt(2) Re rho_ij and sqrt(2) Im rho_ij for each i < j in
+row-major order.  Steady states, trajectories and reduced states all take
+this format, and ``check_coordinates`` is the one trace and positivity test
+of states; ``check_density_matrix`` adds the Hermiticity test for matrices
+from outside.
 """
 
 from __future__ import annotations
@@ -13,6 +22,7 @@ import math
 from typing import Iterable, Sequence
 
 import numpy as np
+import scipy.sparse as sp
 
 from .exceptions import DomainError
 
@@ -23,7 +33,12 @@ __all__ = [
     "CompositeSpace",
     "Operator",
     "DensityMatrix",
+    "check_coordinates",
     "check_density_matrix",
+    "hermitian_basis",
+    "hermitian_coordinates",
+    "hermitian_matrices",
+    "inverse_gather",
     "qubit",
     "boson",
     "boson_annihilation",
@@ -53,11 +68,12 @@ class NumericPolicy:
 
 DEFAULT_POLICY = NumericPolicy()
 
-# bytes of a stack that each test of check_density_matrix takes at a time.
-# On a (801, 16, 16) trajectory stack (2-vCPU Xeon, one BLAS thread; medians
-# of 30 calls) blocks of 32, 64, 128, 256, 512 and 1024 KB took 7.1, 5.4,
-# 4.5, 4.2, 4.2 and 4.5 ms, the whole stack at once 7.2 ms; at 256 KB the
-# tracemalloc peak of a call is 0.53 MB (1.05 MB at 512 KB, 6.6 MB whole)
+# bytes of complex matrices that the positivity test of check_coordinates
+# gathers from the coordinates at a time.  On the coordinates of an
+# (801, 16, 16) trajectory stack (2-vCPU machine, one BLAS thread; medians of
+# 40 interleaved calls) blocks of 64, 128, 256, 512, 1024 and 4096 KB took
+# 4.4, 3.8, 3.6, 3.6, 3.8 and 3.9 ms; at 256 KB the tracemalloc peak of a call
+# is 0.60 MB (6.6 MB at 4096 KB, the whole stack at once)
 _CHECK_BLOCK_BYTES = 256 * 1024
 
 
@@ -153,7 +169,9 @@ class DensityMatrix(Operator):
     def _checked(cls, space: CompositeSpace, matrix: np.ndarray,
                  policy: NumericPolicy) -> "DensityMatrix":
         """An instance whose read-only complex ``matrix`` its producer has
-        already validated under ``policy``, for a whole stack at once."""
+        already validated under ``policy``: a steady-state solve checks the
+        coordinates of its whole batch at once, and gathers the matrix from
+        them."""
         self = object.__new__(cls)
         object.__setattr__(self, "space", space)
         object.__setattr__(self, "matrix", matrix)
@@ -191,92 +209,154 @@ class DensityMatrix(Operator):
         return DensityMatrix.from_pure(space, psi)
 
 
+@lru_cache(maxsize=8)
+def inverse_gather(d: int) -> tuple[np.ndarray, np.ndarray]:
+    """U^H of ``hermitian_basis`` as an index map: for the real and the
+    imaginary part of each C-order entry of rho, interleaved, the
+    coordinate it copies and the factor it takes (1 for a population,
+    +-sqrt(1/2) for a coherence, 0 for the imaginary part of a
+    population)."""
+    i, j = np.triu_indices(d, 1)
+    upper, lower = i * d + j, j * d + i
+    re = d + 2 * np.arange(i.size)
+    source = np.zeros((d * d, 2), dtype=np.intp)
+    factor = np.zeros((d * d, 2))
+    source[::d + 1, 0] = np.arange(d)
+    factor[::d + 1, 0] = 1.0
+    source[upper] = source[lower] = np.column_stack((re, re + 1))
+    factor[upper] = np.sqrt(0.5)
+    factor[lower] = np.sqrt(0.5), -np.sqrt(0.5)
+    source, factor = source.ravel(), factor.ravel()
+    source.flags.writeable = factor.flags.writeable = False
+    return source, factor
+
+
+@lru_cache(maxsize=8)
+def _forward_gather(d: int) -> tuple[np.ndarray, np.ndarray]:
+    """The real part of U as an index map: for each coordinate, the two
+    parts of the interleaved real and imaginary parts of the C-order
+    entries it reads, (2, d^2), and their factors, (2, d^2): a population
+    reads the real part of its diagonal entry (twice, with factors 1 and
+    0), sqrt(2) Re rho_ij the real parts of rho_ij and rho_ji, and
+    sqrt(2) Im rho_ij their imaginary parts with factors +-sqrt(1/2)."""
+    i, j = np.triu_indices(d, 1)
+    upper, lower = 2 * (i * d + j), 2 * (j * d + i)
+    parts = np.empty((2, d * d), dtype=np.intp)
+    weights = np.full((2, d * d), np.sqrt(0.5))
+    parts[:, :d] = 2 * (d + 1) * np.arange(d)
+    weights[:, :d] = [[1.0], [0.0]]
+    parts[:, d::2] = upper, lower
+    parts[:, d + 1::2] = upper + 1, lower + 1
+    weights[1, d + 1::2] = -np.sqrt(0.5)
+    parts.flags.writeable = weights.flags.writeable = False
+    return parts, weights
+
+
+@lru_cache(maxsize=8)
+def hermitian_basis(d: int) -> sp.csr_matrix:
+    """Sparse unitary U from column-stacked vec(rho) to the real coordinates
+    of a Hermitian d x d matrix: the d populations rho_ii, then
+    sqrt(2) Re rho_ij and sqrt(2) Im rho_ij for each i < j in row-major
+    order.
+
+    The coordinates expand rho over an orthonormal basis of Hermitian
+    operators, so U L U^H is a real matrix for every generator L that
+    preserves Hermiticity (Alicki & Lendi, Quantum Dynamical Semigroups and
+    Applications, LNP 286 (1987)).  Cached per dimension; do not modify.
+    """
+    source, factor = inverse_gather(d)
+    # U^H puts factor x[source] into the real part and i factor x[source]
+    # into the imaginary part of C-order entry e = i d + j, which sits at
+    # i + j d of vec(rho); U is its conjugate transpose
+    entry = np.repeat(np.arange(d * d), 2)
+    values = factor * np.tile([1.0, -1j], d * d)
+    keep = factor != 0
+    return sp.csr_matrix(
+        (values[keep], (source[keep], (entry % d * d + entry // d)[keep])),
+        shape=(d * d, d * d))
+
+
+def hermitian_matrices(x: np.ndarray, d: int) -> np.ndarray:
+    """The Hermitian (..., d, d) matrices of a real (..., d^2) array of
+    ``hermitian_basis`` coordinates: the inverse of U as one gather of the
+    real and imaginary parts, Hermitian by construction (each coherence
+    and its transpose copy the same coordinates, the imaginary part with
+    opposite signs)."""
+    source, factor = inverse_gather(d)
+    parts = np.take(np.asarray(x, dtype=float), source, axis=-1)
+    parts *= factor
+    return parts.view(complex).reshape(parts.shape[:-1] + (d, d))
+
+
+def hermitian_coordinates(matrices: np.ndarray, d: int) -> np.ndarray:
+    """The real (..., d^2) ``hermitian_basis`` coordinates of a stack of
+    (..., d, d) matrices: the real part of U vec(rho), which is exactly the
+    coordinates of the Hermitian part (rho + rho^dag) / 2, as two gathers
+    of the real and imaginary parts; the inverse of
+    ``hermitian_matrices``."""
+    parts, weights = _forward_gather(d)
+    flat = np.ascontiguousarray(matrices, dtype=complex).view(float)
+    flat = flat.reshape(flat.shape[:-2] + (-1,))
+    x = np.take(flat, parts[0], axis=-1)
+    x *= weights[0]
+    second = np.take(flat, parts[1], axis=-1)
+    second *= weights[1]
+    x += second
+    return x
+
+
 def check_density_matrix(matrix, policy: NumericPolicy = DEFAULT_POLICY) -> None:
     """Check the state invariants of one density matrix or of a
-    ``(..., d, d)`` stack of them: Hermitian and unit trace within
-    ``policy.algebraic_tol``, no eigenvalue below ``-policy.positivity_slack``.
-
-    The three tests run in that order, each over the whole stack in C order
-    before the next starts; the ``DomainError`` names the defect of the
-    first offending state.  A NaN defect fails.  Each test takes the stack
-    in blocks of ``_CHECK_BLOCK_BYTES``, so its temporaries are bounded by
-    one block, not by the stack.
+    ``(..., d, d)`` stack of them: Hermitian within ``policy.algebraic_tol``
+    (the largest entry of |m - m^H| of each state; a NaN defect fails), then
+    the trace and positivity tests of ``check_coordinates`` on the
+    ``hermitian_coordinates`` of the stack, which are those of its Hermitian
+    part.  Each test runs over the whole stack before the next starts; the
+    ``DomainError`` names the defect of the first offending state.
     """
     m = np.asarray(matrix)
     d = m.shape[-1]
-    stack = m.reshape((-1, d, d))
-    rows = max(1, _CHECK_BLOCK_BYTES // (d * d * m.itemsize))
-    blocks = [stack[start:start + rows] for start in range(0, len(stack), rows)]
-    for test in (_check_hermitian, _check_trace, _check_positive):
-        for block in blocks:
-            test(block, policy)
-
-
-def _check_hermitian(block: np.ndarray, policy: NumericPolicy) -> None:
-    defect = _hermiticity_defect(block)
-    if not defect.max() <= policy.algebraic_tol:
+    defect = np.abs(m - np.conj(np.swapaxes(m, -1, -2))).max(axis=(-2, -1))
+    if not np.max(defect, initial=0.0) <= policy.algebraic_tol:
         first = _first_above(defect, policy.algebraic_tol)
         raise DomainError(f"density matrix is not Hermitian (defect {first:.3e})")
+    check_coordinates(hermitian_coordinates(m, d), d, policy)
 
 
-def _check_trace(block: np.ndarray, policy: NumericPolicy) -> None:
-    defect = abs(block.trace(0, -2, -1) - 1.0)
-    if not defect.max() <= policy.algebraic_tol:
+def check_coordinates(x, d: int, policy: NumericPolicy) -> None:
+    """Check the state invariants of one state or of a stack of states given
+    by their real ``(..., d^2)`` ``hermitian_basis`` coordinates ``x``: the
+    population coordinates of each state sum to 1 within
+    ``policy.algebraic_tol``, then no state has an eigenvalue below
+    ``-policy.positivity_slack``.  Each test runs over all states before the
+    next starts; the ``DomainError`` names the defect of the first offending
+    state.  The states need no Hermiticity test: one coordinate feeds both
+    entries of each coherence pair.
+
+    Positivity is a Cholesky test of m + slack I, which has a factor exactly
+    when no eigenvalue of m lies below -slack (up to roundoff), on blocks of
+    at most ``_CHECK_BLOCK_BYTES`` of complex matrices gathered from the
+    coordinates, the slack added to their diagonals, so its temporaries are
+    bounded by one block.  The factorization costs a fraction of the
+    eigenvalues, which decide only when it fails.
+    """
+    x = np.reshape(x, (-1, d * d))
+    defect = np.abs(x[:, :d].sum(axis=1) - 1.0)
+    if not np.max(defect, initial=0.0) <= policy.algebraic_tol:
         first = _first_above(defect, policy.algebraic_tol)
         raise DomainError(f"density matrix trace differs from 1 by {first:.3e}")
-
-
-def _check_positive(block: np.ndarray, policy: NumericPolicy) -> None:
     slack = policy.positivity_slack
-    _check_shifted_positive(block + _scaled_identity(block.shape[-1], slack), slack)
-
-
-def _check_shifted_positive(shifted: np.ndarray, slack: float) -> None:
-    """The positivity test of a block of matrices m that already carry
-    their slack, ``shifted`` = m + slack * I: it has a Cholesky factor
-    exactly when no eigenvalue of m lies below -slack (up to roundoff); the
-    factorization costs a fraction of the eigenvalues, which decide only
-    when it fails."""
-    try:
-        np.linalg.cholesky(shifted)
-    except np.linalg.LinAlgError:
-        min_eig = np.linalg.eigvalsh(shifted)[..., 0] - slack
-        if min_eig.min() < -slack:
-            first = -_first_above(-min_eig, slack)
-            raise DomainError(f"density matrix has negative eigenvalue {first:.3e}")
-
-
-def _hermiticity_defect(m: np.ndarray) -> np.ndarray:
-    """max |m_ij - conj(m_ji)| of each matrix of a ``(..., d, d)`` stack,
-    over the pairs i <= j only: the pair (j, i) gives the same number, so
-    this equals the maximum of |m - m^H| bit for bit, NaN included."""
-    upper, lower = _triangle_pairs(m.shape[-1])
-    flat = m.reshape(m.shape[:-2] + (-1,))
-    # conjugate and subtract in place on the two gathered halves
-    diff = flat.take(upper, axis=-1)
-    mirror = flat.take(lower, axis=-1)
-    np.subtract(diff, np.conjugate(mirror, out=mirror), out=diff)
-    return np.abs(diff).max(axis=-1)
-
-
-@lru_cache(maxsize=32)
-def _triangle_pairs(dim: int) -> tuple[np.ndarray, np.ndarray]:
-    """C-order flat indices into a dim x dim matrix of the dim (dim + 1) / 2
-    entries m_ij with i <= j, and of their mirror entries m_ji in the same
-    order.  Two gathers of half the stack each: one gather of both halves
-    took 4.7 against 1.2 ms on a (801, 16, 16) trajectory stack (2-vCPU
-    Xeon, one BLAS thread)."""
-    i, j = np.triu_indices(dim)
-    upper, lower = i * dim + j, j * dim + i
-    upper.flags.writeable = lower.flags.writeable = False
-    return upper, lower
-
-
-@lru_cache(maxsize=32)
-def _scaled_identity(dim: int, scale: float) -> np.ndarray:
-    out = scale * np.eye(dim)
-    out.flags.writeable = False
-    return out
+    rows = max(1, _CHECK_BLOCK_BYTES // (d * d * np.dtype(complex).itemsize))
+    for start in range(0, len(x), rows):
+        shifted = hermitian_matrices(x[start:start + rows], d)
+        shifted.reshape(len(shifted), -1)[:, ::d + 1] += slack
+        try:
+            np.linalg.cholesky(shifted)
+        except np.linalg.LinAlgError:
+            min_eig = np.linalg.eigvalsh(shifted)[:, 0] - slack
+            if min_eig.min() < -slack:
+                first = -_first_above(-min_eig, slack)
+                raise DomainError(f"density matrix has negative eigenvalue {first:.3e}")
 
 
 def _first_above(values, limit: float) -> float:

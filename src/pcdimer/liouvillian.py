@@ -13,9 +13,10 @@ by ``HBAR_UEV_PS`` exactly once, in its template, so an assembled Liouvillian
 has units of 1/ps.
 
 A generator L preserves Hermiticity, so the real coordinates x = U vec(rho)
-of ``hermitian_basis`` carry it as the real matrix G = U L U^H, and its
-recycling terms R = sum r conj(C) kron C as R_h = U R U^H.  The steady
-states iterate on H_eff and R_h, and the trajectories propagate with G.
+of ``hilbert.hermitian_basis`` (the state format, defined in ``hilbert``)
+carry it as the real matrix G = U L U^H, and its recycling terms
+R = sum r conj(C) kron C as R_h = U R U^H.  The steady states iterate on
+H_eff and R_h, and the trajectories propagate with G.
 One formula, ``_real_generator``, forms G from H_eff and R_h; since U is
 unitary, the complex L is U^H G U, formed from G only when it is read.
 
@@ -42,7 +43,14 @@ import numpy as np
 import scipy.sparse as sp
 
 from .exceptions import DomainError
-from .hilbert import DEFAULT_POLICY, CompositeSpace, Operator
+from .hilbert import (
+    DEFAULT_POLICY,
+    CompositeSpace,
+    Operator,
+    hermitian_basis,
+    hermitian_coordinates,
+    inverse_gather,
+)
 from .model import (
     HBAR_UEV_PS,
     SystemParams,
@@ -57,9 +65,6 @@ __all__ = [
     "assemble_generator",
     "build_liouvillian",
     "build_liouvillians",
-    "hermitian_basis",
-    "hermitian_coordinates",
-    "hermitian_matrices",
 ]
 
 
@@ -137,10 +142,10 @@ def _real_terms(out: np.ndarray, into: np.ndarray, c: np.ndarray, d: int):
     X the Hermitian matrix of the coordinates x: flat keys (row D^2 +
     column) and values, repeats not summed.  On the real and imaginary
     parts of the entries, Re(U vec(M)) is the transpose of the gather of
-    ``hermitian_matrices``, which fills each part from one coordinate with
+    ``hilbert.hermitian_matrices``, which fills each part from one coordinate with
     one factor, so each term gives four real entries: Re c Re X and
     -Im c Im X into Re M, Im c Re X and Re c Im X into Im M."""
-    source, factor = _inverse_gather(d)
+    source, factor = inverse_gather(d)
     out = np.concatenate((2 * out, 2 * out, 2 * out + 1, 2 * out + 1))
     into = np.concatenate((2 * into, 2 * into + 1, 2 * into, 2 * into + 1))
     values = np.concatenate((c.real, -c.imag, c.imag, c.real)) * (factor[out] * factor[into])
@@ -281,102 +286,6 @@ def identity_bra(space: CompositeSpace) -> np.ndarray:
     bra = np.zeros(d * d, dtype=complex)
     bra[:: d + 1] = 1.0
     return bra
-
-
-@lru_cache(maxsize=8)
-def _inverse_gather(d: int) -> tuple[np.ndarray, np.ndarray]:
-    """U^H of ``hermitian_basis`` as an index map: for the real and the
-    imaginary part of each C-order entry of rho, interleaved, the
-    coordinate it copies and the factor it takes (1 for a population,
-    +-sqrt(1/2) for a coherence, 0 for the imaginary part of a
-    population)."""
-    i, j = np.triu_indices(d, 1)
-    upper, lower = i * d + j, j * d + i
-    re = d + 2 * np.arange(i.size)
-    source = np.zeros((d * d, 2), dtype=np.intp)
-    factor = np.zeros((d * d, 2))
-    source[::d + 1, 0] = np.arange(d)
-    factor[::d + 1, 0] = 1.0
-    source[upper] = source[lower] = np.column_stack((re, re + 1))
-    factor[upper] = np.sqrt(0.5)
-    factor[lower] = np.sqrt(0.5), -np.sqrt(0.5)
-    source, factor = source.ravel(), factor.ravel()
-    source.flags.writeable = factor.flags.writeable = False
-    return source, factor
-
-
-@lru_cache(maxsize=8)
-def _forward_gather(d: int) -> tuple[np.ndarray, np.ndarray]:
-    """The real part of U as an index map: for each coordinate, the two
-    parts of the interleaved real and imaginary parts of the C-order
-    entries it reads, (2, d^2), and their factors, (2, d^2): a population
-    reads the real part of its diagonal entry (twice, with factors 1 and
-    0), sqrt(2) Re rho_ij the real parts of rho_ij and rho_ji, and
-    sqrt(2) Im rho_ij their imaginary parts with factors +-sqrt(1/2)."""
-    i, j = np.triu_indices(d, 1)
-    upper, lower = 2 * (i * d + j), 2 * (j * d + i)
-    parts = np.empty((2, d * d), dtype=np.intp)
-    weights = np.full((2, d * d), np.sqrt(0.5))
-    parts[:, :d] = 2 * (d + 1) * np.arange(d)
-    weights[:, :d] = [[1.0], [0.0]]
-    parts[:, d::2] = upper, lower
-    parts[:, d + 1::2] = upper + 1, lower + 1
-    weights[1, d + 1::2] = -np.sqrt(0.5)
-    parts.flags.writeable = weights.flags.writeable = False
-    return parts, weights
-
-
-@lru_cache(maxsize=8)
-def hermitian_basis(d: int) -> sp.csr_matrix:
-    """Sparse unitary U from column-stacked vec(rho) to the real coordinates
-    of a Hermitian d x d matrix: the d populations rho_ii, then
-    sqrt(2) Re rho_ij and sqrt(2) Im rho_ij for each i < j in row-major
-    order.
-
-    The coordinates expand rho over an orthonormal basis of Hermitian
-    operators, so U L U^H is a real matrix for every generator L that
-    preserves Hermiticity (Alicki & Lendi, Quantum Dynamical Semigroups and
-    Applications, LNP 286 (1987)).  Cached per dimension; do not modify.
-    """
-    source, factor = _inverse_gather(d)
-    # U^H puts factor x[source] into the real part and i factor x[source]
-    # into the imaginary part of C-order entry e = i d + j, which sits at
-    # i + j d of vec(rho); U is its conjugate transpose
-    entry = np.repeat(np.arange(d * d), 2)
-    values = factor * np.tile([1.0, -1j], d * d)
-    keep = factor != 0
-    return sp.csr_matrix(
-        (values[keep], (source[keep], (entry % d * d + entry // d)[keep])),
-        shape=(d * d, d * d))
-
-
-def hermitian_matrices(x: np.ndarray, d: int) -> np.ndarray:
-    """The Hermitian (..., d, d) matrices of a real (..., d^2) array of
-    ``hermitian_basis`` coordinates: the inverse of U as one gather of the
-    real and imaginary parts, Hermitian by construction (each coherence
-    and its transpose copy the same coordinates, the imaginary part with
-    opposite signs)."""
-    source, factor = _inverse_gather(d)
-    parts = np.take(np.asarray(x, dtype=float), source, axis=-1)
-    parts *= factor
-    return parts.view(complex).reshape(parts.shape[:-1] + (d, d))
-
-
-def hermitian_coordinates(matrices: np.ndarray, d: int) -> np.ndarray:
-    """The real (..., d^2) ``hermitian_basis`` coordinates of a stack of
-    (..., d, d) matrices: the real part of U vec(rho), which is exactly the
-    coordinates of the Hermitian part (rho + rho^dag) / 2, as two gathers
-    of the real and imaginary parts; the inverse of
-    ``hermitian_matrices``."""
-    parts, weights = _forward_gather(d)
-    flat = np.ascontiguousarray(matrices, dtype=complex).view(float)
-    flat = flat.reshape(flat.shape[:-2] + (-1,))
-    x = np.take(flat, parts[0], axis=-1)
-    x *= weights[0]
-    second = np.take(flat, parts[1], axis=-1)
-    second *= weights[1]
-    x += second
-    return x
 
 
 def _term_entries(d: int, hamiltonian: sp.spmatrix, jumps):

@@ -28,18 +28,16 @@ from .hilbert import (
     CompositeSpace,
     DensityMatrix,
     NumericPolicy,
-    _CHECK_BLOCK_BYTES,
-    _check_shifted_positive,
-    _first_above,
-    check_density_matrix,
+    check_coordinates,
+    hermitian_coordinates,
+    hermitian_matrices,
+    inverse_gather,
 )
 from .liouvillian import (
     GeneratorBatch,
     Superoperator,
     _block_diagonal,
     build_liouvillian,
-    hermitian_coordinates,
-    hermitian_matrices,
 )
 from .model import SystemParams
 
@@ -524,11 +522,12 @@ def _step_matrix(batch: GeneratorBatch, exact: np.ndarray) -> sp.csr_matrix:
                             for member, flag in zip(batch, exact)])
 
 
-def _residuals(batch: GeneratorBatch, x: np.ndarray, matrices: np.ndarray) -> np.ndarray:
-    """||G x|| per member of a batch, for its (B, D^2) real coordinates x
-    and their (B, d, d) Hermitian ``matrices`` X, without G: G x is the
-    coordinates of the no-jump part -i (H_eff X - X H_eff^dag) plus R_h x."""
+def _residuals(batch: GeneratorBatch, x: np.ndarray) -> np.ndarray:
+    """||G x|| per member of a batch, for its (B, D^2) real coordinates x,
+    without G: G x is the coordinates of the no-jump part
+    -i (H_eff X - X H_eff^dag) plus R_h x, X the Hermitian matrices of x."""
     h_eff = batch.h_eff
+    matrices = hermitian_matrices(x, h_eff.shape[1])
     no_jump = -1j * (h_eff @ matrices - matrices @ h_eff.conj().transpose(0, 2, 1))
     recycled = (batch.real_recycling @ x.reshape(-1)).reshape(x.shape)
     return np.linalg.norm(hermitian_coordinates(no_jump, h_eff.shape[1]) + recycled, axis=1)
@@ -540,7 +539,7 @@ def steady_states(liouvilles) -> list:
     of ``Superoperator`` joined into one.
 
     The solve runs in float64, in the real coordinates x = U vec(rho) of
-    ``liouvillian.hermitian_basis``, on the real generators G = U L U^H
+    ``hilbert.hermitian_basis``, on the real generators G = U L U^H
     (populations first), read as their two parts: the no-jump Hamiltonian
     H_eff and the recycling terms R_h = U R U^H.  Each generator gives the
     trace-bordered system (G + s e_0 t^T) x = s e_0, where t sums the d
@@ -583,22 +582,23 @@ def steady_states(liouvilles) -> list:
     a steady-state residual ||L vec(rho)|| = ||G x|| above
     ``STEADY_RESIDUAL_TOL`` (on the whole generator, as
     ||coords(-i (H_eff X - X H_eff^dag)) + R_h x|| with X the state's
-    matrix, so without G) or a state that fails the
-    density-matrix check (one ``check_density_matrix`` over the batch's
+    matrix, so without G) or a state that fails the density check (one
+    ``hilbert.check_coordinates`` over the coordinates of the batch's
     states, repeated per member only when it fails) goes to
     ``_diagnose_kernel``, one rule at every Fock cutoff: a stalled
     certificate gives ``DegenerateSteadyStateError`` with kernel dimension
     2, any other failure ``SingularSolveError``.  Failures stay with their
     member.
 
-    Returns one entry per generator, in order: ``(DensityMatrix,
-    SteadyStateInfo)``, or the ``SolverError`` of a failed member.
+    Returns one entry per generator, in order: ``(x, SteadyStateInfo)``
+    with x the read-only (D^2,) coordinates of the trace-normalized state,
+    or the ``SolverError`` of a failed member.  The states stay in
+    coordinates, the format that ``observables`` reads.
     """
     batch = (liouvilles if isinstance(liouvilles, GeneratorBatch)
              else GeneratorBatch.join(liouvilles))
     count = len(batch)
-    space = batch.space
-    d = space.total_dim
+    d = batch.space.total_dim
     n = d * d
     # the trace border, and the denominator of a non-decaying level, carry
     # each generator's own scale, so the solve does not depend on its units
@@ -644,29 +644,27 @@ def steady_states(liouvilles) -> list:
     # populations come first
     coordinates = np.zeros((size, n))
     coordinates[accepted] = x[accepted] / x[accepted, :d].sum(axis=1)[:, None]
-    rho = hermitian_matrices(coordinates, d)
     # ||L vec(rho)|| = ||G x||, U being unitary
-    residuals = _residuals(batch, coordinates, rho)
+    residuals = _residuals(batch, coordinates)
     valid = accepted & (residuals <= STEADY_RESIDUAL_TOL)
     # a state that fails validation (a negative eigenvalue from a nearly
     # singular generator) is a failed solve; one check covers the batch,
     # and only a failed one is repeated per member to find the culprits
     try:
         if valid.any():
-            check_density_matrix(rho[valid], _SOLVER_POLICY)
+            check_coordinates(coordinates[valid], d, _SOLVER_POLICY)
     except DomainError:
         for i in np.flatnonzero(valid).tolist():
             try:
-                check_density_matrix(rho[i], _SOLVER_POLICY)
+                check_coordinates(coordinates[i], d, _SOLVER_POLICY)
             except DomainError:
                 valid[i] = False
-    rho.flags.writeable = False
+    coordinates.flags.writeable = False
     for i, m in enumerate(live):
         if not valid[i]:
             outcomes[m] = _diagnose_kernel(not reached[i, 1])
             continue
-        state = DensityMatrix._checked(space, rho[i], _SOLVER_POLICY)
-        outcomes[m] = (state, SteadyStateInfo(
+        outcomes[m] = (coordinates[i], SteadyStateInfo(
             residual=float(residuals[i]), refined=bool(passes[i, 0] > 1),
             iterations=int(steps[i, 0]), certificate_iterations=int(steps[i, 1])))
     return [outcomes[m] for m in range(count)]
@@ -674,13 +672,18 @@ def steady_states(liouvilles) -> list:
 
 def steady_state(liouville: Superoperator, return_info: bool = False):
     """Unique steady state of a trace-preserving generator: a one-member
-    ``steady_states`` batch, whose arithmetic is the member's in any batch.
+    ``steady_states`` batch, whose arithmetic is the member's in any batch,
+    gathered to a ``DensityMatrix`` (its checks made by the solve).
     Raises the member's ``DegenerateSteadyStateError`` or
     ``SingularSolveError`` when it fails."""
     (outcome,) = steady_states([liouville])
     if isinstance(outcome, SolverError):
         raise outcome
-    return outcome if return_info else outcome[0]
+    x, info = outcome
+    matrix = hermitian_matrices(x, liouville.space.total_dim)
+    matrix.flags.writeable = False
+    state = DensityMatrix._checked(liouville.space, matrix, _SOLVER_POLICY)
+    return (state, info) if return_info else state
 
 
 @dataclass(frozen=True)
@@ -743,7 +746,7 @@ class Trajectory:
 
     ``coordinates`` is the read-only ``(n, D^2)`` array of the validated
     sampled states in the real coordinates of
-    ``liouvillian.hermitian_basis``; ``matrices`` gathers their complex
+    ``hilbert.hermitian_basis``; ``matrices`` gathers their complex
     ``(n, d, d)`` stack on each read and does not keep it.
     """
 
@@ -784,27 +787,24 @@ def _occupations(space: CompositeSpace) -> np.ndarray:
 @lru_cache(maxsize=16)
 def _emitter_map(space: CompositeSpace) -> np.ndarray:
     """The partial trace over the modes (subsystems 2 and up) as a map of
-    ``hermitian_basis`` coordinates: the sparse (16, D^2) 0/1 matrix from
-    the coordinates of a model-space state to those of its reduced emitter
-    state, held as the (16, r) table of the columns of its rows, r = d / 4.
-    Basis state i is emitter state i // r times mode state i % r, so each
-    reduced population sums the r populations, and each reduced coherence
-    the r coherences, that share a mode state.  Cached per space; do not
-    modify."""
+    ``hilbert.hermitian_basis`` coordinates: the sparse (16, D^2) 0/1 matrix
+    from the coordinates of a model-space state to those of its reduced
+    emitter state, held as the (16, r) table of the columns of its rows,
+    r = d / 4.  Basis state i is emitter state i // r times mode state
+    i % r, so each reduced population sums the r populations, and each
+    reduced coherence the r coherences, that share a mode state; the
+    positions of a coherence's Re and Im coordinates are read from
+    ``hilbert.inverse_gather``.  Cached per space; do not modify."""
     d = space.total_dim
     e = space.dims[0] * space.dims[1]
     r = d // e
-
-    def pair(i, j, n):
-        # position of the pair i < j in the row-major order of
-        # ``hermitian_basis``: its Re coordinate is n + 2 pair, Im the next
-        return i * (2 * n - i - 1) // 2 + j - i - 1
-
+    source = inverse_gather(d)[0]
     modes = np.arange(r)
     a, b = np.triu_indices(e, 1)
-    re = d + 2 * pair(a[:, None] * r + modes, b[:, None] * r + modes, d)
-    table = np.concatenate((np.arange(d).reshape(e, r),
-                            np.stack((re, re + 1), axis=1).reshape(-1, r)))
+    # the real and imaginary parts of each coherence's upper entry
+    part = 2 * ((a[:, None] * r + modes) * d + b[:, None] * r + modes)
+    coherences = np.stack((source[part], source[part + 1]), axis=1).reshape(-1, r)
+    table = np.concatenate((np.arange(d).reshape(e, r), coherences))
     table.flags.writeable = False
     return table
 
@@ -818,16 +818,16 @@ def observables(space: CompositeSpace, x: np.ndarray,
     ``pop_m2``).  Both are linear in x: the populations of every state are
     one product of its d population coordinates with the (d, 4) occupation
     table, and the coordinates of the reduced emitter states one sparse
-    (16, D^2) map (``_emitter_map``), gathered to 4 x 4 matrices.  The
-    reduced emitter states are checked as density matrices under
-    ``policy``."""
+    (16, D^2) map (``_emitter_map``).  The reduced coordinates are checked
+    under ``policy`` (``hilbert.check_coordinates``), then gathered to
+    4 x 4 matrices for the negativity."""
     d = space.total_dim
+    e = space.dims[0] * space.dims[1]
     # each row of the 0/1 map is a sum of the coordinates it gathers
     reduced = np.take(x, _emitter_map(space), axis=-1).sum(axis=-1)
-    reduced = hermitian_matrices(reduced, space.dims[0] * space.dims[1])
-    check_density_matrix(reduced, policy)
+    check_coordinates(reduced, e, policy)
     populations = np.moveaxis(x[..., :d] @ _occupations(space), -1, 0)
-    return {"negativity": negativity(reduced),
+    return {"negativity": negativity(hermitian_matrices(reduced, e)),
             **dict(zip(_POPULATIONS, populations))}
 
 
@@ -996,28 +996,6 @@ def _propagate_schedule(schedule: Schedule, rho0: DensityMatrix,
     return x, dense, calls
 
 
-def _check_coordinates(x: np.ndarray, d: int, policy: NumericPolicy) -> None:
-    """The density-matrix checks of ``check_density_matrix`` on states
-    given by their real (n, D^2) ``hermitian_basis`` coordinates: the
-    population coordinates of each state sum to 1 within
-    ``policy.algebraic_tol``, and no state has an eigenvalue below
-    ``-policy.positivity_slack``.  Positivity is a Cholesky test of each
-    block of at most ``_CHECK_BLOCK_BYTES`` of complex matrices, gathered
-    from the coordinates with the slack added to the populations; the
-    eigenvalues decide only when it fails.  The matrices need no Hermiticity
-    test: one coordinate feeds both entries of each coherence pair."""
-    defect = np.abs(x[:, :d].sum(axis=1) - 1.0)
-    if not defect.max() <= policy.algebraic_tol:
-        raise DomainError("density matrix trace differs from 1 by "
-                          f"{_first_above(defect, policy.algebraic_tol):.3e}")
-    slack = policy.positivity_slack
-    rows = max(1, _CHECK_BLOCK_BYTES // (d * d * np.dtype(complex).itemsize))
-    for start in range(0, len(x), rows):
-        shifted = hermitian_matrices(x[start:start + rows], d)
-        shifted.reshape(len(shifted), -1)[:, ::d + 1] += slack
-        _check_shifted_positive(shifted, slack)
-
-
 def evolve(schedule: Schedule, rho0: DensityMatrix, t_grid) -> Trajectory:
     """Propagate d(rho)/dt = L rho exactly across the schedule and sample on
     t_grid.
@@ -1053,7 +1031,7 @@ def evolve(schedule: Schedule, rho0: DensityMatrix, t_grid) -> Trajectory:
     a raw trace drift (the sum of the population coordinates minus one)
     above 1e-7 over the sampled states, raises ``IntegrationError``.  The
     coordinates are then trace-normalized in place and validated by
-    ``_check_coordinates``: the population sums, and the positivity of
+    ``hilbert.check_coordinates``: the population sums, and the positivity of
     every state, gathered to matrices a block at a time.  Hermiticity holds
     by construction, since one coordinate feeds both entries of each
     coherence pair.  The observables are read from the coordinates
@@ -1095,7 +1073,7 @@ def evolve(schedule: Schedule, rho0: DensityMatrix, t_grid) -> Trajectory:
         )
 
     x /= traces[:, None]
-    _check_coordinates(x, d, _SOLVER_POLICY)
+    check_coordinates(x, d, _SOLVER_POLICY)
     x.flags.writeable = False
 
     info = PropagationInfo(route="dense_expm" if dense else "expm_multiply",

@@ -587,6 +587,19 @@ class TestMain:
         assert named in message and known in message
         assert list(tmp_path.iterdir()) == [config_path]
 
+    @pytest.mark.parametrize("sets", ["nan:40", "inf:40", "-5:40", "67:37,40:-1"])
+    def test_bad_linewidth_sets_are_config_errors(self, tmp_path, capsys, sets):
+        # before, each passed the parser and the run failed in the solver
+        # (exit code 3): a non-finite axis or a negative mode linewidth
+        config_path = tmp_path / "run.cfg"
+        config_path.write_text(STEADY_PRESET.replace("steady", "sweep")
+                               + f"\n[sweep]\nkind = splitting\nlinewidth_sets = {sets}\n",
+                               encoding="utf-8")
+        assert main(["--config", str(config_path), "--output", str(tmp_path),
+                     "--quiet"]) == 2
+        assert "invalid [sweep] linewidth_sets" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [config_path]
+
     def test_single_cutoff_scan_is_a_config_error(self, tmp_path, capsys):
         # a scan of one cutoff compares nothing: before, it exited 0 and
         # reported converged = 1 and "all_converged": true

@@ -22,7 +22,7 @@ from pcdimer.experiments import (
 from pcdimer.hilbert import DensityMatrix
 from pcdimer.liouvillian import build_liouvillian
 from pcdimer.model import identify_dark_state, preset_params
-from pcdimer.solvers import OBSERVABLES, Schedule, evolve, steady_state
+from pcdimer.solvers import Schedule, evolve, observables, steady_state, steady_states
 
 COARSE_PHI = np.linspace(0.0, 2.0 * np.pi, 13)  # includes pi exactly
 
@@ -113,9 +113,10 @@ class TestSweepEngine:
 
     @pytest.mark.parametrize("cutoff, phi_points, batch", [(1, 9, 24), (2, 2, 4)])
     def test_values_equal_solo_negativity(self, preset, cutoff, phi_points, batch):
-        # the negativities of a batch come from one stacked evaluation; each
-        # equals the per-state value of the point solved on its own, bit for
-        # bit, and the partial trace of its matrix to 1e-14
+        # the negativities of a batch come from one stacked evaluation of
+        # its steady-state coordinates; each equals the value of the point's
+        # coordinates solved on its own, bit for bit, and the partial trace
+        # of its matrix to 1e-14
         phi = np.linspace(0.0, 2.0 * np.pi, phi_points)
         delta = np.linspace(-33.0, 22.0, 3)
         spec = SweepSpec(preset.with_truncation(cutoff),
@@ -125,8 +126,10 @@ class TestSweepEngine:
         assert result.batch_points == batch
         assert result.converged.all()
         for idx in np.ndindex(result.values.shape):
-            rho = steady_state(build_liouvillian(spec.point_params(idx)))
-            assert result.values[idx] == OBSERVABLES["negativity"](None, rho), idx
+            liouville = build_liouvillian(spec.point_params(idx))
+            ((x, _),) = steady_states([liouville])
+            assert result.values[idx] == observables(liouville.space, x)["negativity"], idx
+            rho = steady_state(liouville)
             assert abs(result.values[idx] - qd_negativity(rho)) <= 1e-14, idx
 
     def test_deterministic_repetition(self, preset):

@@ -2,21 +2,22 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from pcdimer.exceptions import DomainError
 from pcdimer.hilbert import (
+    DEFAULT_POLICY,
     CompositeSpace,
     DensityMatrix,
     Operator,
     boson,
     boson_annihilation,
     _CHECK_BLOCK_BYTES,
+    check_coordinates,
     check_density_matrix,
     embed,
+    hermitian_coordinates,
     lowering_operators,
     partial_trace,
-    _hermiticity_defect,
     _partial_trace_matrix,
     qubit,
     qubit_lowering,
@@ -296,27 +297,6 @@ class TestCheckDensityMatrix:
             check_density_matrix(stack)
         assert str(exc_info.value) == self.single_error(self.NON_POSITIVE)
 
-    @settings(max_examples=60, deadline=None)
-    @given(d=st.sampled_from([1, 2, 4, 16]),
-           lead=st.sampled_from([(), (7,), (3, 5)]),
-           near=st.booleans(), nan=st.booleans(),
-           seed=st.integers(0, 2 ** 32 - 1))
-    def test_triangle_defect_is_the_full_defect(self, d, lead, near, nan, seed):
-        # over the pairs i <= j only, bit for bit the full |m - m^H| maximum
-        # per state, for arbitrary and for nearly Hermitian stacks, with a
-        # NaN entry in one state or none
-        rng = np.random.default_rng(seed)
-        shape = lead + (d, d)
-        m = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-        if near:
-            m = m + m.swapaxes(-1, -2).conj() + 1e-12 * rng.standard_normal(shape)
-        if nan:
-            m.reshape(-1)[rng.integers(m.size)] = np.nan
-        full = np.abs(m - m.swapaxes(-1, -2).conj()).max(axis=(-2, -1))
-        defect = _hermiticity_defect(m)
-        assert np.shape(defect) == lead
-        assert np.array_equal(defect, full, equal_nan=True)
-
     @pytest.mark.parametrize("entry", [1e-6, np.nan])
     def test_hermiticity_error_names_the_first_offender(self, entry):
         # the message of the full-matrix defect, for a stack with one
@@ -377,15 +357,18 @@ class TestCheckDensityMatrix:
         check_density_matrix(stack[:100])
 
     def test_trajectory_stack_footprint(self):
-        # an (801, 16, 16) stack is checked block by block: the temporaries
-        # of one block, 0.53 MB, against 6.6 MB for the whole stack at once
+        # the coordinates of an (801, 16, 16) trajectory stack are checked
+        # block by block: the temporaries of one gathered block, not of the
+        # whole stack (3.3 MB of complex matrices)
         stack = np.broadcast_to(random_density(np.random.default_rng(37), 16),
-                                (801, 16, 16)).copy()
-        check_density_matrix(stack)  # fill the per-dimension caches
+                                (801, 16, 16))
+        x = hermitian_coordinates(stack, 16)
+        assert x.shape == (801, 256)
+        check_coordinates(x, 16, DEFAULT_POLICY)  # fill the per-dimension caches
         tracemalloc.start()
         try:
             start = tracemalloc.get_traced_memory()[0]
-            check_density_matrix(stack)
+            check_coordinates(x, 16, DEFAULT_POLICY)
             peak = tracemalloc.get_traced_memory()[1] - start
         finally:
             tracemalloc.stop()

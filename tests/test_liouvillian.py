@@ -15,6 +15,9 @@ from pcdimer.hilbert import (
     Operator,
     boson,
     boson_annihilation,
+    hermitian_basis,
+    hermitian_coordinates,
+    hermitian_matrices,
     qubit,
     qubit_lowering,
 )
@@ -25,9 +28,6 @@ from pcdimer.liouvillian import (
     assemble_generator,
     build_liouvillian,
     build_liouvillians,
-    hermitian_basis,
-    hermitian_coordinates,
-    hermitian_matrices,
     identity_bra,
 )
 from pcdimer.model import (

@@ -25,7 +25,10 @@ from pcdimer.hilbert import (
     Operator,
     boson,
     boson_annihilation,
-    check_density_matrix,
+    check_coordinates,
+    hermitian_basis,
+    hermitian_coordinates,
+    hermitian_matrices,
     lowering_operators,
     partial_trace,
     qubit,
@@ -36,9 +39,6 @@ from pcdimer.liouvillian import (
     assemble_generator,
     build_liouvillian,
     build_liouvillians,
-    hermitian_basis,
-    hermitian_coordinates,
-    hermitian_matrices,
 )
 from pcdimer.model import (
     HBAR_UEV_PS,
@@ -56,7 +56,6 @@ from pcdimer.solvers import (
     _SAMPLE_BLOCK,
     _SOLVER_POLICY,
     OBSERVABLES,
-    _check_coordinates,
     _dense_propagator,
     Schedule,
     _invariant_blocks,
@@ -430,9 +429,7 @@ class TestSteadyStateProperties:
         assume(singular_values[-2] >= 1e-4 * singular_values[0])
         outcomes = steady_states(liouvilles)
         assume(not any(isinstance(o, SolverError) for o in outcomes))
-        d = params.space().total_dim
-        values = observables(params.space(), hermitian_coordinates(
-            np.array([rho.matrix for rho, _ in outcomes]), d))
+        values = observables(params.space(), np.array([x for x, _ in outcomes]))
         for name, swapped in (("negativity", "negativity"), ("pop_m1", "pop_m1"),
                               ("pop_m2", "pop_m2"), ("pop_qd1", "pop_qd2"),
                               ("pop_qd2", "pop_qd1")):
@@ -465,8 +462,9 @@ def assert_batch_matches_solo(liouvilles):
                     == getattr(exc, "kernel_dimension", None))
             continue
         assert not isinstance(outcome, SolverError), outcome
-        batch_rho, batch_info = outcome
-        assert np.max(np.abs(batch_rho.matrix - rho.matrix)) <= 1e-12
+        batch_x, batch_info = outcome
+        batch_rho = hermitian_matrices(batch_x, liouville.space.total_dim)
+        assert np.max(np.abs(batch_rho - rho.matrix)) <= 1e-12
         assert abs(batch_info.iterations - info.iterations) <= 1
         assert abs(batch_info.residual - info.residual) <= 1e-12
 
@@ -509,37 +507,38 @@ class TestSteadyStateBatches:
             assert outcomes[k].kernel_dimension == 2
         assert "blocks of basis states invariant" in str(outcomes[3])
         assert str(outcomes[4]).startswith(CERTIFICATE_STALLED)
-        rho, _ = outcomes[2]
-        assert np.allclose(rho.matrix, np.diag([1.0, 0.0, 0.0, 0.0]), atol=1e-12)
+        x, _ = outcomes[2]
+        assert np.allclose(hermitian_matrices(x, 4), np.diag([1.0, 0.0, 0.0, 0.0]),
+                           atol=1e-12)
         for k in (0, 5):
-            rho, info = outcomes[k]
+            _, info = outcomes[k]
             assert info.residual < 1e-9
             assert info.certificate_iterations >= 1
 
     def test_one_stacked_density_check_per_batch(self, monkeypatch):
-        # the batch's states are validated by one stacked call; when it
-        # fails, the members are rechecked one by one and only the
+        # the batch's states are validated by one stacked coordinate check;
+        # when it fails, the members are rechecked one by one and only the
         # offending member fails
         params = dark_tuned(preset_params("dimer30_dc901"))
         batch = [build_liouvillian(params.with_drive(amplitude=a))
                  for a in (5.0, 10.0, 20.0, 40.0)]
         solo = [steady_state(liouville).matrix for liouville in batch]
-        check = pcdimer.solvers.check_density_matrix
+        check = pcdimer.solvers.check_coordinates
         shapes, flagged = [], []
 
-        def recording(matrix, policy):
-            shapes.append(np.shape(matrix))
-            for m in np.reshape(matrix, (-1,) + solo[0].shape):
+        def recording(x, d, policy):
+            shapes.append(np.shape(x))
+            for m in hermitian_matrices(np.reshape(x, (-1, d * d)), d):
                 if any(np.max(np.abs(m - f)) < 1e-9 for f in flagged):
                     raise DomainError("density matrix has negative eigenvalue "
                                       "-1.000e-03")
-            check(matrix, policy)
+            check(x, d, policy)
 
-        monkeypatch.setattr(pcdimer.solvers, "check_density_matrix", recording)
+        monkeypatch.setattr(pcdimer.solvers, "check_coordinates", recording)
         outcomes = steady_states(batch)
-        assert shapes == [(4, 16, 16)]
-        for (rho, _), reference in zip(outcomes, solo, strict=True):
-            assert np.max(np.abs(rho.matrix - reference)) <= 1e-12
+        assert shapes == [(4, 256)]
+        for (x, _), reference in zip(outcomes, solo, strict=True):
+            assert np.max(np.abs(hermitian_matrices(x, 16) - reference)) <= 1e-12
 
         def unreachable(*args, **kwargs):
             raise AssertionError("no dense SVD diagnoses a failed solve")
@@ -548,12 +547,12 @@ class TestSteadyStateBatches:
         shapes.clear()
         flagged.append(solo[2])
         outcomes = steady_states(batch)
-        assert shapes == [(4, 16, 16)] + [(16, 16)] * 4
+        assert shapes == [(4, 256)] + [(256,)] * 4
         # the certificate converged: a plain singular solve
         assert isinstance(outcomes[2], SingularSolveError)
         for k in (0, 1, 3):
-            rho, info = outcomes[k]
-            assert np.max(np.abs(rho.matrix - solo[k])) <= 1e-12
+            x, info = outcomes[k]
+            assert np.max(np.abs(hermitian_matrices(x, 16) - solo[k])) <= 1e-12
             assert info.residual <= 1e-9
 
     @settings(max_examples=15, deadline=None)
@@ -601,13 +600,13 @@ class TestSteadyStateBatches:
         outcomes = steady_states(batch)
         solo = [steady_state(liouville, return_info=True) for liouville in generators]
         assert len(outcomes) == size
-        for m, (rho, info) in enumerate(outcomes):
+        for m, (x, info) in enumerate(outcomes):
             solo_rho, solo_info = solo[m % 3]
-            assert np.array_equal(rho.matrix, solo_rho.matrix)
+            assert np.array_equal(hermitian_matrices(x, 2), solo_rho.matrix)
             assert info == solo_info
         assert whole == [[m for m in range(size) if m % 3], [], [0], [0]]
-        rho, _ = outcomes[1]
-        assert np.allclose(rho.matrix, np.diag([1.0, 0.0]), atol=1e-12)
+        x, _ = outcomes[1]
+        assert np.allclose(hermitian_matrices(x, 2), np.diag([1.0, 0.0]), atol=1e-12)
 
     def test_cutoff_two_batch_matches_solo(self):
         # D^2 = 1296: two points per sweep batch, orthogonalized by modified
@@ -672,7 +671,7 @@ class TestGeneratorFreeSolve:
         d = generators.space.total_dim
         x = np.random.default_rng(seed).standard_normal((len(batch), d * d))
         u = hermitian_basis(d)
-        residuals = _residuals(generators, x, hermitian_matrices(x, d))
+        residuals = _residuals(generators, x)
         for member, coordinates, residual in zip(generators, x, residuals, strict=True):
             expected = np.linalg.norm(((u @ member.matrix @ u.conj().T) @ coordinates).real)
             assert abs(residual - expected) <= 1e-13 * expected
@@ -984,9 +983,11 @@ class TestEvolve:
 
     @pytest.mark.parametrize("dip", [0.5e-8, 2e-8])
     def test_coordinate_check_matches_matrix_check(self, dip):
-        # 150 states (three blocks of 64): the coordinate check and the
-        # matrix check pass or fail together, with the same message, when
-        # state 130 has an eigenvalue -dip against the 1e-8 slack
+        # 150 states (three blocks of 64): the coordinate check passes or
+        # fails as an independent check of the gathered matrices does (the
+        # np.trace of each and its least np.linalg.eigvalsh eigenvalue), with
+        # the same message, when state 130 has an eigenvalue -dip against
+        # the 1e-8 slack
         rng = np.random.default_rng(5)
         states = np.array([random_density(rng, 16) for _ in range(150)])
         w, v = np.linalg.eigh(states[130])
@@ -995,16 +996,19 @@ class TestEvolve:
         states[130] = (v * w) @ v.conj().T
         x = hermitian_coordinates(states, 16)
         states = hermitian_matrices(x, 16)
-        outcomes = []
-        for check, argument in ((check_density_matrix, states),
-                                (lambda y, policy: _check_coordinates(y, 16, policy), x)):
-            try:
-                check(argument, _SOLVER_POLICY)
-                outcomes.append(None)
-            except DomainError as exc:
-                outcomes.append(str(exc))
-        assert outcomes[0] == outcomes[1]
-        assert (outcomes[0] is not None) == (dip > _SOLVER_POLICY.positivity_slack)
+        traces = np.trace(states, axis1=1, axis2=2)
+        assert np.abs(traces - 1.0).max() <= _SOLVER_POLICY.algebraic_tol
+        least = np.linalg.eigvalsh(states)[:, 0]
+        below = np.flatnonzero(least < -_SOLVER_POLICY.positivity_slack)
+        expected = (f"density matrix has negative eigenvalue {least[below[0]]:.3e}"
+                    if below.size else None)
+        try:
+            check_coordinates(x, 16, _SOLVER_POLICY)
+            outcome = None
+        except DomainError as exc:
+            outcome = str(exc)
+        assert outcome == expected
+        assert (outcome is not None) == (dip > _SOLVER_POLICY.positivity_slack)
 
     def test_long_run_footprint(self):
         # a cutoff-1, 4000 ps, 801-sample run allocates one coordinate array
