@@ -24,7 +24,6 @@ from .hilbert import (
     SubsystemSpec,
     boson,
     boson_annihilation,
-    embed,
     lowering_operators,
     partial_trace,
     qubit,

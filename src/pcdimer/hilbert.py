@@ -1,9 +1,12 @@
 """Composite Hilbert spaces, elementary operators, the partial trace, and
 the one format and the one check of states.
 
-The tensor-product convention is fixed once at space construction: subsystem 0
-is the slowest index (leftmost Kronecker factor).  Qubits are ordered
-(ground, excited); truncated bosons are ordered (0, 1, ..., n_max).
+The basis is fixed once per space by its occupation table
+(``occupation_table``): row i holds the occupations of basis state i,
+subsystem 0 slowest (the leftmost Kronecker factor), and ``basis_index`` is
+the one lookup back.  Qubits are ordered (ground, excited); truncated bosons
+are ordered (0, 1, ..., n_max).  Every reader of the basis layout reads the
+table.
 
 A state of dimension d is carried as its d^2 real coordinates over an
 orthonormal basis of Hermitian operators (``hermitian_basis``): the d
@@ -17,7 +20,7 @@ from outside.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache, reduce
+from functools import lru_cache
 import math
 from typing import Iterable, Sequence
 
@@ -41,10 +44,11 @@ __all__ = [
     "inverse_gather",
     "qubit",
     "boson",
+    "basis_index",
     "boson_annihilation",
     "qubit_lowering",
-    "embed",
     "lowering_operators",
+    "occupation_table",
     "partial_trace",
 ]
 
@@ -196,16 +200,8 @@ class DensityMatrix(Operator):
     def basis_state(space: CompositeSpace,
                     occupations: Sequence[int]) -> "DensityMatrix":
         """Product basis state |n_0 n_1 ... n_k> as a density matrix."""
-        dims = space.dims
-        if len(occupations) != len(dims):
-            raise DomainError("one occupation number per subsystem is required")
-        index = 0
-        for n, d in zip(occupations, dims):
-            if not 0 <= n < d:
-                raise DomainError(f"occupation {n} out of range for dimension {d}")
-            index = index * d + n
         psi = np.zeros(space.total_dim, dtype=complex)
-        psi[index] = 1.0
+        psi[basis_index(space, occupations)] = 1.0
         return DensityMatrix.from_pure(space, psi)
 
 
@@ -365,52 +361,64 @@ def _first_above(values, limit: float) -> float:
     return float(values[np.argmax(~(values <= limit))])
 
 
-def _local_annihilation(dim: int) -> np.ndarray:
-    return np.diag(np.sqrt(np.arange(1, dim, dtype=float)), 1).astype(complex)
+@lru_cache(maxsize=16)
+def occupation_table(space: CompositeSpace) -> np.ndarray:
+    """The read-only (d, k) table of the basis: row i holds the occupations
+    of basis state i, one per subsystem, subsystem 0 slowest.  Float, so
+    that the population coordinates times it are the Tr(n_k rho).  Cached
+    per space."""
+    dims = space.dims
+    table = np.indices(dims, dtype=float).reshape(len(dims), -1).T
+    table.flags.writeable = False
+    return table
 
 
-def embed(local, space: CompositeSpace, position: int) -> Operator:
-    """Embed a single-subsystem matrix with identities on all other factors."""
-    sub = space._check_position(position)
-    local = np.asarray(local, dtype=complex)
-    if local.shape != (sub.dim, sub.dim):
-        raise DomainError(
-            f"local matrix has shape {local.shape}, subsystem {position} "
-            f"has dimension {sub.dim}"
-        )
-    factors = [
-        local if k == position else np.eye(d, dtype=complex)
-        for k, d in enumerate(space.dims)
-    ]
-    full = reduce(np.kron, factors)
-    return Operator(space, full)
+@lru_cache(maxsize=16)
+def _basis_indices(space: CompositeSpace) -> dict[tuple, int]:
+    """Basis index of each row of ``occupation_table``, keyed by the row."""
+    return {tuple(row): i for i, row in enumerate(occupation_table(space).tolist())}
+
+
+def basis_index(space: CompositeSpace, occupations: Sequence[int]) -> int:
+    """Index of the basis state with the given occupations, one per
+    subsystem; ``DomainError`` when no basis state has them."""
+    try:
+        return _basis_indices(space)[tuple(occupations)]
+    except (KeyError, TypeError):
+        raise DomainError(f"no basis state has occupations {tuple(occupations)}") from None
 
 
 def boson_annihilation(space: CompositeSpace, position: int) -> Operator:
     """Photon destruction operator of the mode at ``position``."""
-    sub = space._check_position(position, kind="boson")
-    return embed(_local_annihilation(sub.dim), space, position)
+    space._check_position(position, kind="boson")
+    return lowering_operators(space)[position]
 
 
 def qubit_lowering(space: CompositeSpace, position: int) -> Operator:
     """Lowering operator |g><e| of the two-level system at ``position``."""
     space._check_position(position, kind="qubit")
-    return embed(np.array([[0, 1], [0, 0]], dtype=complex), space, position)
+    return lowering_operators(space)[position]
 
 
 @lru_cache(maxsize=16)
 def lowering_operators(space: CompositeSpace) -> tuple[Operator, ...]:
-    """Lowering operator of every subsystem, in subsystem order: |g><e| for
-    a qubit, the truncated photon destruction operator for a boson.
+    """Lowering operator of every subsystem, in subsystem order, each
+    sqrt(n_k) |n - e_k><n| over the basis states n of ``occupation_table``:
+    |g><e| for a qubit (n_k <= 1), the truncated photon destruction
+    operator for a boson.
 
     For the model space (QD1, QD2, mode1, mode2) this is (sigma_1, sigma_2,
     a_1, a_2).  Cached per space; the operators are immutable.
     """
-    return tuple(
-        qubit_lowering(space, k) if sub.kind == "qubit"
-        else boson_annihilation(space, k)
-        for k, sub in enumerate(space.subsystems)
-    )
+    table = occupation_table(space)
+    operators = []
+    for k, unit in enumerate(np.eye(table.shape[1])):
+        columns = np.flatnonzero(table[:, k])
+        rows = [basis_index(space, n) for n in (table[columns] - unit).tolist()]
+        matrix = np.zeros((len(table), len(table)), dtype=complex)
+        matrix[rows, columns] = np.sqrt(table[columns, k])
+        operators.append(Operator(space, matrix))
+    return tuple(operators)
 
 
 @lru_cache(maxsize=64)

@@ -166,11 +166,6 @@ class SystemParams:
         return CompositeSpace((qubit(), qubit(), b, b))
 
     @property
-    def drive_detuning(self) -> float:
-        """Drive frequency minus the lower mode frequency."""
-        return self.drive.pump_freq - self.modes[0].omega
-
-    @property
     def splitting(self) -> float:
         return self.modes[1].omega - self.modes[0].omega
 
@@ -227,6 +222,9 @@ def coupling_from_field(omega0: float, d2: float, ey: float) -> float:
     float
         Coupling energy hbar*g in ueV; linear in ``ey``.
     """
+    if not all(map(math.isfinite, (omega0, d2, ey))):
+        raise DomainError(
+            f"field-to-coupling inputs must be finite, got {(omega0, d2, ey)}")
     if omega0 <= 0:
         raise DomainError(f"transition energy must be positive, got {omega0}")
     if d2 < 0:

@@ -28,10 +28,12 @@ from .hilbert import (
     CompositeSpace,
     DensityMatrix,
     NumericPolicy,
+    basis_index,
     check_coordinates,
     hermitian_coordinates,
     hermitian_matrices,
     inverse_gather,
+    occupation_table,
 )
 from .liouvillian import (
     GeneratorBatch,
@@ -775,36 +777,28 @@ _POPULATIONS = ("pop_qd1", "pop_qd2", "pop_m1", "pop_m2")
 
 
 @lru_cache(maxsize=16)
-def _occupations(space: CompositeSpace) -> np.ndarray:
-    """(d, k) table of the occupation of subsystem k in basis state i: the
-    population coordinates times it are the Tr(n_k rho)."""
-    table = np.array(np.unravel_index(np.arange(space.total_dim), space.dims),
-                     dtype=float).T
-    table.flags.writeable = False
-    return table
-
-
-@lru_cache(maxsize=16)
 def _emitter_map(space: CompositeSpace) -> np.ndarray:
     """The partial trace over the modes (subsystems 2 and up) as a map of
     ``hilbert.hermitian_basis`` coordinates: the sparse (16, D^2) 0/1 matrix
     from the coordinates of a model-space state to those of its reduced
     emitter state, held as the (16, r) table of the columns of its rows,
-    r = d / 4.  Basis state i is emitter state i // r times mode state
-    i % r, so each reduced population sums the r populations, and each
-    reduced coherence the r coherences, that share a mode state; the
+    r the number of mode states.  Each reduced population sums the r
+    populations, and each reduced coherence the r coherences, of the basis
+    states whose mode occupations agree (``hilbert.occupation_table``); the
     positions of a coherence's Re and Im coordinates are read from
     ``hilbert.inverse_gather``.  Cached per space; do not modify."""
     d = space.total_dim
-    e = space.dims[0] * space.dims[1]
-    r = d // e
+    occupations = occupation_table(space)
+    modes = np.unique(occupations[:, 2:], axis=0).tolist()
+    # members[a, m]: the basis state of emitter state a and mode state m
+    members = np.array([[basis_index(space, (*a, *m)) for m in modes]
+                        for a in np.unique(occupations[:, :2], axis=0).tolist()])
     source = inverse_gather(d)[0]
-    modes = np.arange(r)
-    a, b = np.triu_indices(e, 1)
+    a, b = np.triu_indices(len(members), 1)
     # the real and imaginary parts of each coherence's upper entry
-    part = 2 * ((a[:, None] * r + modes) * d + b[:, None] * r + modes)
-    coherences = np.stack((source[part], source[part + 1]), axis=1).reshape(-1, r)
-    table = np.concatenate((np.arange(d).reshape(e, r), coherences))
+    part = 2 * (members[a] * d + members[b])
+    coherences = np.stack((source[part], source[part + 1]), axis=1).reshape(-1, len(modes))
+    table = np.concatenate((members, coherences))
     table.flags.writeable = False
     return table
 
@@ -826,7 +820,7 @@ def observables(space: CompositeSpace, x: np.ndarray,
     # each row of the 0/1 map is a sum of the coordinates it gathers
     reduced = np.take(x, _emitter_map(space), axis=-1).sum(axis=-1)
     check_coordinates(reduced, e, policy)
-    populations = np.moveaxis(x[..., :d] @ _occupations(space), -1, 0)
+    populations = np.moveaxis(x[..., :d] @ occupation_table(space), -1, 0)
     return {"negativity": negativity(hermitian_matrices(reduced, e)),
             **dict(zip(_POPULATIONS, populations))}
 

@@ -82,7 +82,8 @@ class TestParsing:
     def test_dark_state_drive_applied_by_default(self):
         config = parse_config(STEADY_PRESET)
         assert np.isclose(config.params.drive.phase1, np.pi)
-        assert config.params.drive_detuning < 0.0
+        params = config.params
+        assert params.drive.pump_freq - params.modes[0].omega < 0.0
 
     def test_explicit_system_matches_preset(self):
         explicit = parse_config(EXPLICIT_SYSTEM)
@@ -131,6 +132,29 @@ class TestParsing:
     def test_pump_freq_and_delta_are_exclusive(self):
         text = STEADY_PRESET + "\n[drive]\npump_freq = 0.0\ndelta = 0.0\n"
         with pytest.raises(ConfigError):
+            parse_config(text)
+
+    def test_pump_freq_alone_sets_the_drive_frequency(self):
+        # an explicit drive frequency replaces the dark-state detuning; the
+        # dark-state phase still applies
+        config = parse_config(STEADY_PRESET + "\n[drive]\npump_freq = -7.5\n")
+        assert config.params.drive.pump_freq == -7.5
+        assert np.isclose(config.params.drive.phase1, np.pi)
+
+    @pytest.mark.parametrize("text, match", [
+        (STEADY_PRESET.replace("steady", "sweep")
+         + "\n[sweep]\nkind = dephasing\n"
+           "gamma_d_min = 1\ngamma_d_max = 1\ngamma_d_points = 3\n",
+         r"\[sweep\] gamma_d_max must exceed gamma_d_min"),
+        (STEADY_PRESET.replace("steady", "sweep"), r"missing required key \[sweep\] kind"),
+        (STEADY_PRESET.replace("steady", "convergence") + "\n[convergence]\ncutoffs = 0,1\n",
+         r"\[convergence\] cutoffs must be >= 1"),
+        (EXPLICIT_SYSTEM.replace("mode2_gamma = 37.0", "mode2_gamma = -37.0"),
+         r"invalid value -37.0 for \[system\] mode2_gamma: expected >= 0"),
+    ], ids=["grid_max_not_above_min", "missing_sweep_kind", "cutoff_below_1",
+            "negative_system_rate"])
+    def test_invalid_value_is_named(self, text, match):
+        with pytest.raises(ConfigError, match=match):
             parse_config(text)
 
     def test_real_coupling_run_id_is_stable(self):
@@ -363,6 +387,38 @@ class TestRun:
         assert diagnostics["max_certificate_iterations"] is None
         assert diagnostics["batch_points"] == 24
 
+    def test_point_failures_exit_3_and_still_write_outputs(self, tmp_path, capsys):
+        # without allow_point_failures, failed points make the run exit 3
+        # and say so on stderr, but the CSV and the manifest are written
+        text = (CLOSED_SYSTEM.replace("steady", "sweep")
+                + "\n[sweep]\nkind = dephasing\n"
+                  "gamma_d_min = 0\ngamma_d_max = 1\ngamma_d_points = 3\n"
+                + f"\n[output]\ndirectory = {tmp_path}\n")
+        assert run(parse_config(text), quiet=True) == 3
+        assert "3 sweep points failed; first: " in capsys.readouterr().err
+        _, _, rows = read_csv(tmp_path / "sweep_dephasing.csv")
+        assert [row[-1] for row in rows] == ["0", "0", "0"]
+        manifest = read_strict_json(tmp_path / "sweep_manifest.json")
+        assert len(manifest["diagnostics"]["point_failures"]) == 3
+        digest = hashlib.sha256((tmp_path / "sweep_dephasing.csv").read_bytes()).hexdigest()
+        assert manifest["outputs"]["sweep_dephasing.csv"] == digest
+
+    def test_splitting_sweep_with_linewidth_sets(self, tmp_path):
+        text = (STEADY_PRESET.replace("steady", "sweep")
+                + "\n[sweep]\nkind = splitting\nsplitting_min = 1000\n"
+                  "splitting_max = 3000\nsplitting_points = 3\n"
+                  "linewidth_sets = 67:37, 40:40\n"
+                + f"\n[output]\ndirectory = {tmp_path}\n")
+        config = parse_config(text)
+        assert config.linewidth_sets == ((67.0, 37.0), (40.0, 40.0))
+        assert run(config, quiet=True) == 0
+        _, header, rows = read_csv(tmp_path / "sweep_splitting.csv")
+        assert header[:3] == ["splitting_ueV", "gamma_m1_ueV", "gamma_m2_ueV"]
+        assert [tuple(row[:3]) for row in rows] == [
+            (s, g1, g2) for s in ("1000", "2000", "3000")
+            for g1, g2 in (("67", "37"), ("40", "40"))]
+        assert all(row[-1] == "1" for row in rows)
+
     def test_degenerate_generators_fail_quietly_and_typed(self, tmp_path,
                                                           monkeypatch, capfd):
         # the closed system and its dephasing sweep: every solve fails with
@@ -543,6 +599,19 @@ class TestMain:
         assert code == 0
         manifest = json.loads((tmp_path / "steady_manifest.json").read_text())
         assert manifest["config"]["system"]["truncation"] == 2
+
+    @pytest.mark.parametrize("threads, code", [("2", 0), ("0", 2)])
+    def test_threads_flag(self, tmp_path, capsys, threads, code):
+        config_path = tmp_path / "run.cfg"
+        config_path.write_text(STEADY_PRESET, encoding="utf-8")
+        assert main(["--config", str(config_path), "--output", str(tmp_path),
+                     "--threads", threads, "--quiet"]) == code
+        if code:
+            assert "invalid --threads 0: minimum 1" in capsys.readouterr().err
+            assert list(tmp_path.iterdir()) == [config_path]
+        else:
+            manifest = read_strict_json(tmp_path / "steady_manifest.json")
+            assert manifest["threads"] == 2
 
     def test_config_error_exit_code(self, tmp_path, capsys):
         config_path = tmp_path / "run.cfg"

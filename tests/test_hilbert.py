@@ -1,3 +1,4 @@
+from functools import reduce
 import tracemalloc
 
 import numpy as np
@@ -9,14 +10,15 @@ from pcdimer.hilbert import (
     CompositeSpace,
     DensityMatrix,
     Operator,
+    basis_index,
     boson,
     boson_annihilation,
     _CHECK_BLOCK_BYTES,
     check_coordinates,
     check_density_matrix,
-    embed,
     hermitian_coordinates,
     lowering_operators,
+    occupation_table,
     partial_trace,
     _partial_trace_matrix,
     qubit,
@@ -27,6 +29,14 @@ from pcdimer.hilbert import (
 def two_qubit_two_mode(n_max=1):
     b = boson(n_max)
     return CompositeSpace((qubit(), qubit(), b, b))
+
+
+def kron_lowering(dims, position):
+    """The lowering operator of subsystem ``position`` as a Kronecker product
+    of its local ladder and identities, subsystem 0 leftmost."""
+    local = np.diag(np.sqrt(np.arange(1, dims[position], dtype=float)), 1)
+    factors = [local if k == position else np.eye(d) for k, d in enumerate(dims)]
+    return reduce(np.kron, factors).astype(complex)
 
 
 def random_density(rng, dim):
@@ -114,14 +124,47 @@ class TestQubitOperators:
 
 class TestLoweringOperators:
     def test_model_space_order(self):
-        # (sigma_1, sigma_2, a_1, a_2) for the (QD1, QD2, mode1, mode2) space
+        # (sigma_1, sigma_2, a_1, a_2) for the (QD1, QD2, mode1, mode2)
+        # space; the per-kind accessors return the same cached operators
         space = two_qubit_two_mode(2)
         ops = lowering_operators(space)
-        expected = (qubit_lowering(space, 0), qubit_lowering(space, 1),
-                    boson_annihilation(space, 2), boson_annihilation(space, 3))
         assert len(ops) == 4
-        for op, ref in zip(ops, expected):
-            assert np.array_equal(op.matrix, ref.matrix)
+        for k, op in enumerate(ops):
+            assert op.matrix.tobytes() == kron_lowering(space.dims, k).tobytes()
+        accessors = (qubit_lowering, qubit_lowering, boson_annihilation, boson_annihilation)
+        for k, accessor in enumerate(accessors):
+            assert accessor(space, k) is ops[k]
+
+    @pytest.mark.parametrize("subsystems", [
+        (qubit(), boson(2), qubit(), boson(3)),
+        (boson(1), qubit(), boson(2)),
+        (boson(3), boson(1), qubit(), qubit()),
+    ], ids=["q_b2_q_b3", "b1_q_b2", "b3_b1_q_q"])
+    def test_bit_identical_to_kronecker_reference(self, subsystems):
+        space = CompositeSpace(subsystems)
+        ops = lowering_operators(space)
+        assert len(ops) == len(subsystems)
+        for k, op in enumerate(ops):
+            reference = kron_lowering(space.dims, k)
+            assert op.matrix.dtype == reference.dtype
+            assert op.matrix.tobytes() == reference.tobytes()
+
+    def test_distinct_positions_commute(self):
+        space = CompositeSpace((qubit(), boson(2), qubit(), boson(1)))
+        ops = [op.matrix for op in lowering_operators(space)]
+        for i in range(4):
+            for j in range(i + 1, 4):
+                x, y = ops[i], ops[j]
+                assert np.allclose(x @ y, y @ x, rtol=0, atol=1e-12)
+                assert np.allclose(x @ y.conj().T, y.conj().T @ x, rtol=0, atol=1e-12)
+
+    def test_dimension_on_four_qubits(self):
+        # sigma at position 2 takes |0010> (index 2) to |0000> and nothing else
+        space = CompositeSpace((qubit(),) * 4)
+        sm = lowering_operators(space)[2].matrix
+        assert sm.shape == (16, 16)
+        assert list(zip(*np.nonzero(sm))) == [(0, 2), (1, 3), (4, 6), (5, 7),
+                                              (8, 10), (9, 11), (12, 14), (13, 15)]
 
     def test_cached_per_space(self):
         space = two_qubit_two_mode()
@@ -129,33 +172,32 @@ class TestLoweringOperators:
         assert not lowering_operators(space)[0].matrix.flags.writeable
 
 
-class TestEmbed:
-    def test_identity_embeds_to_identity(self):
-        space = two_qubit_two_mode()
-        for k, d in enumerate(space.dims):
-            op = embed(np.eye(d), space, k)
-            assert np.array_equal(op.matrix, np.eye(space.total_dim))
+class TestOccupationTable:
+    def test_rows_in_kronecker_order(self):
+        space = CompositeSpace((qubit(), boson(2)))
+        table = occupation_table(space)
+        assert table.tolist() == [[0, 0], [0, 1], [0, 2], [1, 0], [1, 1], [1, 2]]
+        assert not table.flags.writeable
+        assert occupation_table(space) is occupation_table(CompositeSpace((qubit(), boson(2))))
 
-    def test_distinct_positions_commute(self):
-        rng = np.random.default_rng(7)
-        space = two_qubit_two_mode()
-        for _ in range(5):
-            i, j = rng.choice(4, size=2, replace=False)
-            di, dj = space.dims[i], space.dims[j]
-            x = embed(rng.standard_normal((di, di)) + 1j * rng.standard_normal((di, di)), space, i)
-            y = embed(rng.standard_normal((dj, dj)) + 1j * rng.standard_normal((dj, dj)), space, j)
-            x, y = x.matrix, y.matrix
-            assert np.allclose(x @ y, y @ x, atol=1e-12)
+    def test_index_inverts_the_table(self):
+        space = two_qubit_two_mode(2)
+        table = occupation_table(space)
+        assert [basis_index(space, row) for row in table.astype(int).tolist()] == list(
+            range(space.total_dim))
+        # dims (2, 2, 3, 3): strides 18, 9, 3, 1
+        assert basis_index(space, np.array([1, 0, 2, 1])) == 18 + 2 * 3 + 1
 
-    def test_dimension_of_embedded_operator(self):
-        space = CompositeSpace((qubit(),) * 4)
-        op = embed(np.array([[0, 1], [1, 0]]), space, 2)
-        assert op.matrix.shape == (16, 16)
-
-    def test_dimension_mismatch(self):
+    @pytest.mark.parametrize("occupations", [
+        (0, 0, 0.5, 0), (0, 0, 2, 0), (-1, 0, 0, 0), (0, 0, 0), (0, 0, 0, 0, 0),
+        (0, 0, None, 0),
+    ], ids=["fractional", "above_cutoff", "negative", "too_few", "too_many", "none"])
+    def test_rejects_occupations_of_no_basis_state(self, occupations):
         space = two_qubit_two_mode()
         with pytest.raises(DomainError):
-            embed(np.eye(3), space, 0)
+            basis_index(space, occupations)
+        with pytest.raises(DomainError):
+            DensityMatrix.basis_state(space, occupations)
 
 
 class TestPartialTrace:
@@ -202,7 +244,7 @@ class TestPartialTrace:
             rho = random_density(rng, 6)
             x = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
             lhs = partial_trace(
-                Operator(space, embed(x, space, 0).matrix @ rho), keep=[0]
+                Operator(space, np.kron(x, np.eye(3)) @ rho), keep=[0]
             ).matrix
             rhs = x @ partial_trace(Operator(space, rho), keep=[0]).matrix
             assert np.allclose(lhs, rhs, atol=1e-10)

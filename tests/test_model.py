@@ -71,6 +71,17 @@ class TestCouplingFromField:
         with pytest.raises(DomainError):
             coupling_from_field(1.3, -0.51, 1e-4)
 
+    @pytest.mark.parametrize("inputs", [
+        (np.nan, 0.51, 1e-5), (1.3, np.nan, 1e-5), (1.3, 0.51, np.nan),
+        (np.inf, 0.51, 1e-5), (1.3, np.inf, 1e-5), (1.3, 0.51, np.inf),
+        (1.3, 0.51, -np.inf),
+    ])
+    def test_non_finite_inputs_rejected(self, inputs):
+        # before, a NaN or infinite input came back as a NaN or infinite
+        # coupling that only a parameter record would reject
+        with pytest.raises(DomainError, match="must be finite"):
+            coupling_from_field(*inputs)
+
 
 class TestEffectiveHamiltonian:
     def test_decoupled_undriven_is_diagonal(self):
@@ -267,7 +278,8 @@ class TestParameterValidation:
         assert params.dots[1].omega == params.dots[0].omega
         assert params.with_splitting(3000.0).splitting == 3000.0
         assert params.with_dephasing(2.0).dots[0].gamma_d == 2.0
-        assert params.with_drive_detuning(-11.0).drive_detuning == -11.0
+        detuned = params.with_drive_detuning(-11.0)
+        assert detuned.drive.pump_freq - detuned.modes[0].omega == -11.0
 
     def test_total_excitation_counts(self):
         params = make_params(truncation=2)

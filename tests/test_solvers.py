@@ -5,6 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse.csgraph
 from hypothesis import assume, example, given, settings, strategies as st
 from scipy.linalg import expm
@@ -359,6 +360,53 @@ def test_no_jump_inverse_is_exact(h_eff, exact):
     x = apply(y[None, None])[0, 0]
     no_jump = -1j * (h_eff @ x - x @ h_eff.conj().T)
     assert np.max(np.abs(no_jump - y)) <= 1e-10 * np.max(np.abs(y))
+
+
+def test_no_jump_inverse_falls_back_per_member_on_a_singular_eigenbasis(monkeypatch):
+    # H_eff = J - 0.5i I with J the 3 x 3 nilpotent Jordan block: every
+    # eigenvector is e_1, so the exact eigenbasis V is singular and the
+    # stacked inverse of V fails.  eig returns eigenvectors parallel only to
+    # roundoff (V inverts), so here it returns the exact eigenpairs of that
+    # member: the solver inverts V member by member and takes the Schur
+    # route for that member alone
+    jordan = np.diag(np.ones(2), 1) - 0.5j * np.eye(3)
+    well = (np.diag([1.0 - 0.5j, 2.0 - 0.7j, -1.0 - 0.4j])
+            + 0.1 * np.roll(np.eye(3), 1, axis=1))
+    stack = np.stack([jordan, well])
+    eig = np.linalg.eig
+
+    def exact_for_jordan(h):
+        w, v = eig(h)
+        w, v = w.copy(), v.copy()
+        w[0], v[0] = -0.5j, np.eye(3)[:, [0, 0, 0]]
+        return w, v
+
+    schur = scipy.linalg.schur
+    schur_calls = []
+
+    def counting_schur(h, **kwargs):
+        schur_calls.append(h)
+        return schur(h, **kwargs)
+
+    solo_apply, _, solo_exact = _no_jump_inverse(well[None], np.array([1.0]),
+                                                 np.array([1]))
+    monkeypatch.setattr(np.linalg, "eig", exact_for_jordan)
+    monkeypatch.setattr(scipy.linalg, "schur", counting_schur)
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.inv(exact_for_jordan(stack)[1])
+    apply, errors, flags = _no_jump_inverse(stack, np.array([1.0, 1.0]),
+                                            np.array([1, 1]))
+    assert errors == {}
+    assert flags.tolist() == [False, bool(solo_exact[0])]
+    assert len(schur_calls) == 1 and np.array_equal(schur_calls[0], jordan)
+
+    rng = np.random.default_rng(5)
+    y = rng.standard_normal((2, 2, 3, 3)) + 1j * rng.standard_normal((2, 2, 3, 3))
+    x = apply(y)
+    for k in range(2):
+        no_jump = -1j * (jordan @ x[0, k] - x[0, k] @ jordan.conj().T)
+        assert np.max(np.abs(no_jump - y[0, k])) <= 1e-14 * np.max(np.abs(y[0, k]))
+    assert x[1].tobytes() == solo_apply(y[1:])[0].tobytes()
 
 
 class TestSteadyStateProperties:
