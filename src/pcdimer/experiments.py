@@ -205,9 +205,10 @@ def run_sweep(spec: SweepSpec, n_workers: int = 1) -> SweepResult:
     ``solvers.batch_points(D^2)`` points, a size set by the Liouville
     dimension alone; each batch builds its generators and solves them in one
     ``steady_states`` call.  With ``n_workers > 1`` a process pool maps the
-    batches.  Per-point solver failures are recorded (NaN value,
-    converged=False) and the sweep continues.  Results are bit-identical
-    for any worker count.
+    batches; a sweep of one batch runs in this process, since a pool would
+    add only its start-up cost.  Per-point solver failures are recorded
+    (NaN value, converged=False) and the sweep continues.  Results are
+    bit-identical for any worker count.
     """
     shape = spec.shape
     index_list = list(itertools.product(*(range(n) for n in shape)))
@@ -215,7 +216,7 @@ def run_sweep(spec: SweepSpec, n_workers: int = 1) -> SweepResult:
     tasks = [[spec.point_params(idx) for idx in index_list[k:k + size]]
              for k in range(0, len(index_list), size)]
 
-    if n_workers > 1:
+    if n_workers > 1 and len(tasks) > 1:
         chunk = max(1, len(tasks) // (8 * n_workers))
         with ProcessPoolExecutor(max_workers=n_workers) as pool:
             batches = list(pool.map(_evaluate_batch, tasks, chunksize=chunk))

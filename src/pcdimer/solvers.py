@@ -12,8 +12,6 @@ import scipy.sparse as sp
 from scipy.linalg.blas import daxpy as _axpy
 from scipy.linalg.blas import ddot as _dot
 from scipy.linalg.lapack import ztrsyl as _trsyl
-from scipy.sparse.csgraph import connected_components
-from scipy.sparse.linalg import expm_multiply
 
 # qd_negativity is looked up here by bench/tracing.py
 from .entanglement import negativity, qd_negativity  # noqa: F401
@@ -97,15 +95,16 @@ _MGS_MIN_DIM = 1296
 # to 87 MB: numpy advises huge pages for arrays of 4 MB and more)
 _BASIS_COLUMNS = 16
 # byte budget of the preallocated Krylov bases of one steady-state batch,
-# which sets the batch size: with real float64 coordinates, 24 points at
-# Fock cutoff 1 (D^2 = 256), 4 at cutoff 2, 1 above, and every point more
-# costs ~0.07 MB of basis.  The per-step bookkeeping of the lockstep GMRES
-# is paid per batch, so a larger batch spreads it over more points: the
-# contraction plus solve of the 60 points of a seed-1 benchmark map block
-# (2-vCPU machine, one BLAS thread, medians of 60 interleaved rounds in one
-# process) took 67.6 ms with 12-point and 59.9 ms with 24-point batches.
-# Complex coordinates held 12 points in the same budget, at 76.1 ms
-_BATCH_BASIS_BYTES = 1_700_000
+# which sets the batch size: with real float64 coordinates, 64 points at
+# Fock cutoff 1 (D^2 = 256), 12 at cutoff 2, 4 at cutoff 3 and 1 above.  A
+# batch costs a fixed part (the bookkeeping of its lockstep GMRES steps,
+# the stacked eig and inv, the invariant-block closure) plus a part per
+# point: the contraction plus solve of seed-1 benchmark map points (2-vCPU
+# machine, one BLAS thread, medians of 30 rounds in one process, batches of
+# 4 to 64 points) fit about 2 ms per batch plus 0.46-0.48 ms per point.  So
+# a 60-point map block pays the fixed part once, not three times as in
+# batches of 24, 24 and 12, for ~3 MB more of basis
+_BATCH_BASIS_BYTES = 4_500_000
 # |Im w| <= this * max |w| marks an eigenvalue of H_eff as non-decaying
 _NON_DECAYING_TOL = 1e-12
 # eigenvector-basis condition number above which the no-jump inverse takes
@@ -189,9 +188,9 @@ def _invariant_blocks(h_eff: np.ndarray, recycling: sp.csr_matrix) -> np.ndarray
     that H and every active jump leave invariant: a lower bound on the
     dimension of the generator kernel.
 
-    The blocks are the connected components of the graph on the d basis
-    states whose edges are the nonzeros of H_eff (those of H and of the
-    C^dag C) and the population transfers j -> i, the entries
+    The blocks are the weakly connected components of the graph on the d
+    basis states whose edges are the nonzeros of H_eff (those of H and of
+    the C^dag C) and the population transfers j -> i, the entries
     R_h[i, j] = sum r |C_ij|^2 of the leading d x d block of the recycling
     terms in real coordinates (the populations are the first d
     coordinates), nonzero exactly where an active jump has C_ij != 0.  For
@@ -201,6 +200,11 @@ def _invariant_blocks(h_eff: np.ndarray, recycling: sp.csr_matrix) -> np.ndarray
     of its own (Buca & Prosen, New J. Phys. 14, 073007 (2012)).  ``h_eff``
     is the (B, d, d) stack and ``recycling`` the block-diagonal R_h of the
     batch.
+
+    The components come from the reachability closure of the symmetrized
+    (B, d, d) adjacency with its diagonal set, by repeated squaring (at
+    most ceil(log2 d) stacked products): a state heads its block when no
+    state of lower index reaches it.
     """
     count, d = h_eff.shape[:2]
     n = d * d
@@ -214,16 +218,18 @@ def _invariant_blocks(h_eff: np.ndarray, recycling: sp.csr_matrix) -> np.ndarray
     source = np.repeat(nodes, lengths)
     local = recycling.indices[entries] % n
     transfer = (local < d) & (recycling.data[entries] != 0)
-    target = (source // d) * d + local
-    member, i, j = np.nonzero(h_eff)
-    graph = sp.csr_matrix(
-        (np.ones(transfer.sum() + i.size),
-         (np.concatenate((source[transfer], member * d + i)),
-          np.concatenate((target[transfer], member * d + j)))),
-        shape=(count * d, count * d))
-    _, labels = connected_components(graph, directed=True, connection="weak")
-    first = np.unique(labels, return_index=True)[1]
-    return np.bincount(first // d, minlength=count)
+    linked = h_eff != 0
+    linked[source[transfer] // d, source[transfer] % d, local[transfer]] = True
+    linked |= linked.transpose(0, 2, 1)
+    linked[:, np.arange(d), np.arange(d)] = True
+    reach = linked.astype(float)
+    while True:
+        # the products count paths, at most d, so they are exact
+        closed = (reach @ reach > 0).astype(float)
+        if np.array_equal(closed, reach):
+            break
+        reach = closed
+    return np.count_nonzero(reach.argmax(axis=2) == np.arange(d), axis=1)
 
 
 def _no_jump_inverse(h_eff: np.ndarray, shift: np.ndarray, blocks: np.ndarray):
@@ -366,16 +372,17 @@ def _lockstep_gmres(operator, rhs: np.ndarray, rtol: np.ndarray):
     for all systems.  It may skip the systems outside the boolean mask
     ``active`` (None: all), whose vectors are zero, and return zero for
     them.  Each system keeps its own Krylov basis (classical Gram-Schmidt
-    with one reorthogonalization over the stack, or modified Gram-Schmidt
-    per system from ``_MGS_MIN_DIM``, one BLAS ``ddot`` and ``daxpy`` per
-    basis vector), Givens rotations and stop step: a pass ends for it when
-    its residual estimate reaches ``rtol * ||b_s||`` (``rtol`` broadcasts
-    over ``rhs.shape[:-1]``), at an exact solution, at a non-finite
-    estimate or after ``_GMRES_RESTART`` steps.  A system whose true
-    residual then misses its target takes another pass, warm-started, up to
-    ``_GMRES_PASSES`` in all.  The basis, the Hessenberg matrices, the
-    rotations and the coefficient rows are allocated once per call and grow
-    together.
+    with one reorthogonalization, two stacked products over the whole stack
+    in every step, stopped systems and their zero vectors included; or
+    modified Gram-Schmidt per active system from ``_MGS_MIN_DIM``, one BLAS
+    ``ddot`` and ``daxpy`` per basis vector), Givens rotations and stop
+    step: a pass ends for it when its residual estimate reaches
+    ``rtol * ||b_s||`` (``rtol`` broadcasts over ``rhs.shape[:-1]``), at an
+    exact solution, at a non-finite estimate or after ``_GMRES_RESTART``
+    steps.  A system whose true residual then misses its target takes
+    another pass, warm-started, up to ``_GMRES_PASSES`` in all.  The basis,
+    the Hessenberg matrices, the rotations and the coefficient rows are
+    allocated once per call and grow together.
     Returns x, the steps and passes taken and whether the target was
     reached, each shaped like ``rhs`` without its last axis.
     """
@@ -440,17 +447,13 @@ def _lockstep_gmres(operator, rhs: np.ndarray, rtol: np.ndarray):
                         row[k, i] = _dot(basis[i, k], w[k])
                         _axpy(basis[i, k], w[k], a=-row[k, i])
             else:
-                # once a system has stopped, only the active ones stream
-                # their bases, one by one, through the same products
-                parts = ([slice(None)] if active.all() else
-                         [slice(k, k + 1) for k in np.nonzero(active)[0].tolist()])
-                for part in parts:
-                    previous = basis[:j + 1, part].transpose(1, 0, 2)
-                    vector = w[part]
-                    for _ in range(2):  # Gram-Schmidt, then once more
-                        projection = (previous @ vector[:, :, None])[:, :, 0]
-                        vector -= (projection[:, None, :] @ previous)[:, 0]
-                        row[part, :j + 1] += projection
+                # classical Gram-Schmidt, then once more, over the whole
+                # stack: a stopped system's vectors are zero and stay so
+                previous = basis[:j + 1].transpose(1, 0, 2)
+                for _ in range(2):
+                    projection = (previous @ w[:, :, None])[:, :, 0]
+                    w -= (projection[:, None, :] @ previous)[:, 0]
+                    row[:, :j + 1] += projection
             h1 = np.linalg.norm(w, axis=1)
             row[:, j + 1] = h1
             breakdown = h1 <= eps * h0
@@ -506,8 +509,9 @@ def _certificate_rhs(n: int) -> np.ndarray:
 def batch_points(dim2: int) -> int:
     """Steady states solved together in one batch at Liouville dimension
     D^2: as many as fit two real float64 Krylov bases of
-    ``_BASIS_COLUMNS`` vectors each into ``_BATCH_BASIS_BYTES`` (24 at
-    D^2 = 256, 4 at 1296), and at least one."""
+    ``_BASIS_COLUMNS`` vectors each into ``_BATCH_BASIS_BYTES`` (64 at
+    D^2 = 256, 12 at 1296, 4 at 4096), and at least one.  A sweep of up to
+    that many points is one batch."""
     per_point = 2 * (_BASIS_COLUMNS + 1) * dim2 * np.dtype(float).itemsize
     return max(1, _BATCH_BASIS_BYTES // per_point)
 
@@ -894,6 +898,9 @@ def _propagate_dense(generator: sp.csr_matrix, y: np.ndarray, steps: np.ndarray,
     counted as a propagator.  A step length taken fewer times moves the
     state by one ``expm_multiply`` call per step, never forming exp(G h);
     returns (dense propagators built, ``expm_multiply`` calls)."""
+    # loaded here, so that only a trajectory imports scipy.sparse.linalg
+    from scipy.sparse.linalg import expm_multiply
+
     runs = _step_runs(steps)
     built: list[tuple[float, np.ndarray]] = []
     k = calls = 0
@@ -936,6 +943,8 @@ def _propagate_sparse(generator: sp.csr_matrix, y: np.ndarray, steps: np.ndarray
     """Writes the coordinates after each step into the rows of ``out`` by
     ``expm_multiply`` on each run of equal steps, never forming exp(G h);
     returns (0 dense propagators, ``expm_multiply`` calls)."""
+    from scipy.sparse.linalg import expm_multiply
+
     runs = _step_runs(steps)
     k = 0
     for h, count in runs:

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import textwrap
 import time
 import types
 import warnings
@@ -385,7 +386,7 @@ class TestRun:
         assert all("steady state" in f for f in diagnostics["point_failures"])
         assert diagnostics["max_iterations"] is None
         assert diagnostics["max_certificate_iterations"] is None
-        assert diagnostics["batch_points"] == 24
+        assert diagnostics["batch_points"] == 64
 
     def test_point_failures_exit_3_and_still_write_outputs(self, tmp_path, capsys):
         # without allow_point_failures, failed points make the run exit 3
@@ -484,7 +485,7 @@ class TestRun:
         diagnostics = read_strict_json(tmp_path / "sweep_manifest.json")["diagnostics"]
         assert 1 <= diagnostics["max_iterations"] <= 80
         assert 1 <= diagnostics["max_certificate_iterations"] <= 80
-        assert diagnostics["batch_points"] == 24
+        assert diagnostics["batch_points"] == 64
 
     def test_convergence_command(self, tmp_path):
         text = (STEADY_PRESET.replace("steady", "convergence")
@@ -580,6 +581,29 @@ def test_cli_import_leaves_out_scipy_integrate():
                           env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
                           capture_output=True, text=True)
     assert done.returncode == 0, done.stderr or "scipy.integrate was imported"
+
+
+def test_steady_runs_leave_out_sparse_graph_and_linalg():
+    # steady states and sweeps load neither scipy.sparse.csgraph nor
+    # scipy.sparse.linalg; a trajectory loads the latter for expm_multiply
+    code = textwrap.dedent("""
+        import sys
+        import pcdimer
+        params = pcdimer.preset_params("dimer30_dc901")
+        pcdimer.steady_state(pcdimer.build_liouvillian(params))
+        assert pcdimer.sweep_detuning(params, [-5.0, 0.0, 5.0]).converged.all()
+        loaded = [name for name in ("scipy.sparse.csgraph", "scipy.sparse.linalg")
+                  if name in sys.modules]
+        assert not loaded, loaded
+        trajectory = pcdimer.dynamics_run(params.with_truncation(2), "qd1_excited",
+                                          20.0, samples=5)
+        assert trajectory.info.route == "expm_multiply"
+        assert "scipy.sparse.linalg" in sys.modules
+    """)
+    done = subprocess.run([sys.executable, "-c", code], timeout=120,
+                          env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
 
 
 class TestMain:

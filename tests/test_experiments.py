@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+import pcdimer.experiments
 from pcdimer.cli import parse_config, run
 from pcdimer.entanglement import qd_negativity
 from pcdimer.exceptions import DomainError
@@ -73,19 +74,28 @@ class TestPhaseDetuningSweep:
 
 
 class TestSweepEngine:
-    def test_parallel_equals_sequential(self, preset):
+    def test_parallel_equals_sequential(self, preset, monkeypatch):
+        # a sweep whose points fit one batch runs in this process whatever
+        # the worker count: starting a pool raises here
         phi = np.linspace(0.0, 2.0 * np.pi, 5)
         delta = np.array([-22.0, -11.0, 0.0])
         seq = sweep_phase_detuning(preset, phi, delta, n_workers=1)
+        assert seq.values.size <= seq.batch_points
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a one-batch sweep started a process pool")
+
+        monkeypatch.setattr(pcdimer.experiments, "ProcessPoolExecutor", no_pool)
         par = sweep_phase_detuning(preset, phi, delta, n_workers=2)
-        assert np.array_equal(seq.values, par.values)
-        assert np.array_equal(seq.residuals, par.residuals)
-        assert np.array_equal(seq.converged, par.converged)
+        for name in ("values", "residuals", "iterations",
+                     "certificate_iterations", "converged"):
+            assert np.array_equal(getattr(seq, name), getattr(par, name)), name
 
     def test_batches_identical_for_any_worker_count(self, preset, tmp_path):
-        # 5 x 12 points at cutoff 1 span three batches (24, 24, 12): the pool
-        # maps batches, and their partition does not depend on the workers
-        phi = np.linspace(0.0, 2.0 * np.pi, 5)
+        # 13 x 12 points at cutoff 1 span three batches (64, 64, 28): the
+        # pool maps batches, and their partition does not depend on the
+        # workers
+        phi = np.linspace(0.0, 2.0 * np.pi, 13)
         delta = np.linspace(-33.0, 22.0, 12)
         seq = sweep_phase_detuning(preset, phi, delta, n_workers=1)
         par = sweep_phase_detuning(preset, phi, delta, n_workers=2)
@@ -98,7 +108,7 @@ class TestSweepEngine:
 
         text = ("[run]\ncommand = sweep\npreset = dimer30_dc901\n"
                 "threads = {threads}\n\n[sweep]\nkind = phase_detuning\n"
-                "phi_min = 0\nphi_max = 6.283185307179586\nphi_points = 5\n"
+                "phi_min = 0\nphi_max = 6.283185307179586\nphi_points = 13\n"
                 "delta_min = -33\ndelta_max = 22\ndelta_points = 12\n"
                 "\n[output]\ndirectory = {out}\n")
         outputs = []
@@ -111,7 +121,7 @@ class TestSweepEngine:
             assert manifest["diagnostics"]["batch_points"] == seq.batch_points
         assert outputs[0] == outputs[1]
 
-    @pytest.mark.parametrize("cutoff, phi_points, batch", [(1, 9, 24), (2, 2, 4)])
+    @pytest.mark.parametrize("cutoff, phi_points, batch", [(1, 9, 64), (2, 4, 12)])
     def test_values_equal_solo_negativity(self, preset, cutoff, phi_points, batch):
         # the negativities of a batch come from one stacked evaluation of
         # its steady-state coordinates; each equals the value of the point's

@@ -489,8 +489,13 @@ def reference_blocks(liouville):
     graph of H_eff's nonzeros and of the population transfers
     R[i (d + 1), j (d + 1)], the leading d x d block of R_h."""
     d = liouville.space.total_dim
-    transfers = liouville.real_recycling[:d, :d].toarray()
-    graph = (liouville.h_eff != 0) | (transfers != 0)
+    return weak_components(liouville.h_eff, liouville.real_recycling[:d, :d].toarray())
+
+
+def weak_components(h_eff, transfers):
+    """The number of weak components of the graph of the nonzeros of the
+    (d, d) arrays ``h_eff`` and ``transfers``, by scipy's csgraph."""
+    graph = (h_eff != 0) | (transfers != 0)
     return scipy.sparse.csgraph.connected_components(
         graph, directed=True, connection="weak")[0]
 
@@ -617,6 +622,40 @@ class TestSteadyStateBatches:
             blocks, _invariant_blocks(generators.h_eff, generators.real_matrix))
         assert blocks.tolist() == [reference_blocks(member) for member in generators]
 
+    @settings(max_examples=40, deadline=None)
+    @given(d=st.sampled_from([2, 16, 36, 64]),
+           densities=st.lists(st.tuples(st.sampled_from([0.0, 0.01, 0.05, 0.3]),
+                                        st.sampled_from([0.0, 0.01, 0.05, 0.3])),
+                              min_size=1, max_size=4),
+           seed=st.integers(0, 2 ** 32 - 1))
+    @example(d=16, densities=[(0.0, 0.0)], seed=0)
+    @example(d=36, densities=[(0.0, 0.05), (0.3, 0.0), (0.01, 0.01)], seed=1)
+    def test_invariant_blocks_match_csgraph(self, d, densities, seed):
+        # random H_eff and transfer patterns per member (isolated states,
+        # links by H_eff or by transfers alone, mixed members in one
+        # batch): the numpy closure counts the csgraph weak components.
+        # Entries of R_h outside the population block, and stored zeros in
+        # it, link nothing
+        rng = np.random.default_rng(seed)
+        n = d * d
+        h_eff = np.zeros((len(densities), d, d), dtype=complex)
+        members, expected = [], []
+        for m, (h_density, transfer_density) in enumerate(densities):
+            linked = rng.random((d, d)) < h_density
+            h_eff[m][linked] = rng.standard_normal(linked.sum()) + 1j
+            transfers = np.where(rng.random((d, d)) < transfer_density,
+                                 rng.uniform(0.1, 1.0, (d, d)), 0.0)
+            rows = [*np.nonzero(transfers)[0], *rng.integers(0, d, d),
+                    *rng.integers(0, n, 2 * d), *rng.integers(d, n, 2 * d)]
+            cols = [*np.nonzero(transfers)[1], *rng.integers(0, d, d),
+                    *rng.integers(d, n, 2 * d), *rng.integers(0, d, 2 * d)]
+            data = [*transfers[transfers != 0], *np.zeros(d),
+                    *rng.uniform(0.1, 1.0, 4 * d)]
+            members.append(scipy.sparse.csr_matrix((data, (rows, cols)), shape=(n, n)))
+            expected.append(weak_components(h_eff[m], transfers))
+        recycling = scipy.sparse.block_diag(members, format="csr")
+        assert _invariant_blocks(h_eff, recycling).tolist() == expected
+
     def test_operator_choice_per_member(self, monkeypatch):
         # a regular member iterates on y + R_h P^-1 y; the lossy undriven
         # qubit (its ground level never decays, so its no-jump inverse is
@@ -629,8 +668,8 @@ class TestSteadyStateBatches:
                       assemble_generator(Operator(QUBIT, np.zeros((2, 2))), [(sm, 2.0)]),
                       driven_qubit_generator(5.0, 20.0)]
         size = batch_points(256)
-        assert size == 24
-        batch = generators * (size // 3)
+        assert size == 64
+        batch = (generators * (size // 3 + 1))[:size]
         step_matrix = pcdimer.solvers._step_matrix
         whole = []  # per solve, the members whose GMRES steps apply G
 
@@ -667,12 +706,14 @@ class TestSteadyStateBatches:
     @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc malloc only")
     def test_warm_batch_reuses_heap_pages(self):
         # with the malloc thresholds fixed (on import of the package), a
-        # repeated 12-point sweep batch allocates from the heap pages that
-        # the last one freed; under glibc's dynamic thresholds the same
-        # solve could fault in several hundred fresh pages
+        # repeated full sweep batch allocates from the heap pages that the
+        # last one freed, its Krylov basis (4.5 MB) included, above the
+        # 4 MB from which numpy advises huge pages; under glibc's dynamic
+        # thresholds the same solve could fault in several hundred fresh
+        # pages
         params = dark_tuned(preset_params("dimer30_dc901"))
         points = [params.with_drive(phase1=phi)
-                  for phi in np.linspace(0.0, 2.0 * np.pi, 12)]
+                  for phi in np.linspace(0.0, 2.0 * np.pi, batch_points(256))]
         for _ in range(2):
             steady_states(build_liouvillians(points))
         before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
