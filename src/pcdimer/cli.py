@@ -82,6 +82,19 @@ _SWEEPS = {
             n_workers=config.threads)),
 }
 
+# the inputs that a run sets itself, by run and section, which its config
+# may not set: the dark-state drive of ``experiments._dark_drive`` and of the
+# phi/delta axes, the drive frequency that the splitting axis re-tunes at
+# every point, and the dephasing rates of the gamma_d axis
+_DARK_DRIVE = ("at_dark_state", "phase1", "phase2", "pump_freq", "delta")
+_SET_BY_RUN = {
+    "dynamics run": {"drive": _DARK_DRIVE},
+    "protocol run": {"drive": _DARK_DRIVE},
+    "phase_detuning sweep": {"drive": _DARK_DRIVE},
+    "splitting sweep": {"drive": ("pump_freq", "delta")},
+    "dephasing sweep": {"system": ("qd1_gamma_d", "qd2_gamma_d")},
+}
+
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -172,7 +185,11 @@ def _finite(raw: str) -> float:
 
 class _SectionReader:
     """Typed access to one config section.  It records every key it is asked
-    for, present or not: those are the keys the section takes in this run."""
+    for, present or not: those are the keys the section takes in this run.
+    A key in ``withheld``, one that the run sets itself, reads as absent and
+    is never recorded."""
+
+    withheld: tuple[str, ...] = ()
 
     def __init__(self, parser: configparser.ConfigParser, name: str):
         self.name = name
@@ -180,6 +197,8 @@ class _SectionReader:
         self.asked: set[str] = set()
 
     def __contains__(self, key):
+        if key in self.withheld:
+            return False
         self.asked.add(key)
         return key in self.items
 
@@ -332,7 +351,8 @@ def parse_config(text: str) -> RunConfig:
 
     The keys read here are the only declaration of what each command takes:
     a present section the command does not open, or a present key that no
-    reader asks for, is a ConfigError.
+    reader asks for, is a ConfigError.  The readers never ask for the
+    inputs that ``_SET_BY_RUN`` lists for the run.
     """
     parser = configparser.ConfigParser(interpolation=None,
                                        inline_comment_prefixes=("#", ";"))
@@ -355,9 +375,18 @@ def parse_config(text: str) -> RunConfig:
             + ", ".join(COMMANDS)
         )
     preset = run.text("preset", choices=PRESET_NAMES)
+    run_name = f"{command} run"
+    if command == "sweep":
+        sweep = section("sweep")
+        kind = sweep.text("kind", choices=_SWEEPS)
+        if kind is None:
+            raise ConfigError("missing required key [sweep] kind")
+        run_name = f"{kind} sweep"
 
     system = section("system")
     drive = section("drive")
+    for name, keys in _SET_BY_RUN.get(run_name, {}).items():
+        readers[name].withheld = keys
     if preset is None and not system.items:
         raise ConfigError(
             "required: either [run] preset or an explicit [system] section "
@@ -376,15 +405,9 @@ def parse_config(text: str) -> RunConfig:
         output_dir=output.text("directory"),
         prefix=output.text("prefix"),
     )
-    run_name = f"{command} run"
 
     if command == "sweep":
         kwargs["allow_point_failures"] = run.flag("allow_point_failures")
-        sweep = section("sweep")
-        kind = sweep.text("kind", choices=_SWEEPS)
-        if kind is None:
-            raise ConfigError("missing required key [sweep] kind")
-        run_name = f"{kind} sweep"
         default_grids, _ = _SWEEPS[kind]
         kwargs.update(sweep_kind=kind, sweep_grids={
             name: _grid_spec(sweep, name, default(params))

@@ -211,13 +211,13 @@ def _block(matrix: sp.csr_matrix, m: int, n: int) -> sp.csr_matrix:
 
 @dataclass(frozen=True, eq=False)
 class GeneratorBatch(Sequence):
-    """Generators of one space, member m in the rows and columns m D^2 to
-    (m + 1) D^2 - 1 of block-diagonal CSR matrices: ``real_recycling``
-    holds their R_h (see ``Superoperator``) and ``h_eff`` is the read-only
-    (B, d, d) stack of no-jump Hamiltonians, the two forms that a steady
-    state solve reads.  ``real_matrix``, the block-diagonal G, is formed
-    from the members' G only when read.  A template's batch and a joined
-    batch hold the same three fields.  Indexing gives a member as a
+    """Generators of one space in the two forms that a steady-state solve
+    reads: ``real_recycling``, the block-diagonal CSR matrix of their R_h
+    (see ``Superoperator``), member m in the rows and columns m D^2 to
+    (m + 1) D^2 - 1, and ``h_eff``, the read-only (B, d, d) stack of
+    no-jump Hamiltonians.  A batch has no G of its own; its members form
+    theirs when read.  A template's batch and a joined batch hold the same
+    three fields.  Indexing gives a member as a
     ``Superoperator``, the same object on every access, and a slice a list
     of them; a batch joined from generators gives the generators it was
     given, and a batch of one holds its member's matrices.  Batches compare
@@ -245,10 +245,6 @@ class GeneratorBatch(Sequence):
     @cached_property
     def _members(self) -> tuple:
         return tuple(Superoperator._member(self, m) for m in range(len(self)))
-
-    @cached_property
-    def real_matrix(self) -> sp.csr_matrix:
-        return _block_diagonal([member.real_matrix for member in self])
 
     @cached_property
     def scales(self) -> np.ndarray:

@@ -33,12 +33,7 @@ from .hilbert import (
     inverse_gather,
     occupation_table,
 )
-from .liouvillian import (
-    GeneratorBatch,
-    Superoperator,
-    _block_diagonal,
-    build_liouvillian,
-)
+from .liouvillian import GeneratorBatch, Superoperator, build_liouvillian
 from .model import SystemParams
 
 __all__ = [
@@ -516,27 +511,22 @@ def batch_points(dim2: int) -> int:
     return max(1, _BATCH_BASIS_BYTES // per_point)
 
 
-def _step_matrix(batch: GeneratorBatch, exact: np.ndarray) -> sp.csr_matrix:
-    """Block-diagonal real matrix a GMRES step multiplies by: a member's
-    recycling terms R_h where its no-jump inverse is ``exact``, its whole
-    generator G elsewhere."""
-    if exact.all():
-        return batch.real_recycling
-    if not exact.any():
-        return batch.real_matrix
-    return _block_diagonal([member.real_recycling if flag else member.real_matrix
-                            for member, flag in zip(batch, exact)])
+def _no_jump_coordinates(h_eff: np.ndarray, matrices: np.ndarray) -> np.ndarray:
+    """The real coordinates of the no-jump parts -i (H_eff X - X H_eff^dag)
+    of a stack of (..., d, d) matrices X, for a stack ``h_eff`` of no-jump
+    Hamiltonians that broadcasts against it.  Added to R_h x, they give G x
+    for the coordinates x of X without G."""
+    no_jump = -1j * (h_eff @ matrices - matrices @ h_eff.conj().swapaxes(-1, -2))
+    return hermitian_coordinates(no_jump, h_eff.shape[-1])
 
 
 def _residuals(batch: GeneratorBatch, x: np.ndarray) -> np.ndarray:
     """||G x|| per member of a batch, for its (B, D^2) real coordinates x,
-    without G: G x is the coordinates of the no-jump part
-    -i (H_eff X - X H_eff^dag) plus R_h x, X the Hermitian matrices of x."""
+    without G, from the Hermitian matrices of x."""
     h_eff = batch.h_eff
-    matrices = hermitian_matrices(x, h_eff.shape[1])
-    no_jump = -1j * (h_eff @ matrices - matrices @ h_eff.conj().transpose(0, 2, 1))
     recycled = (batch.real_recycling @ x.reshape(-1)).reshape(x.shape)
-    return np.linalg.norm(hermitian_coordinates(no_jump, h_eff.shape[1]) + recycled, axis=1)
+    no_jump = _no_jump_coordinates(h_eff, hermitian_matrices(x, h_eff.shape[1]))
+    return np.linalg.norm(no_jump + recycled, axis=1)
 
 
 def steady_states(liouvilles) -> list:
@@ -569,13 +559,14 @@ def steady_states(liouvilles) -> list:
     inverts N to roundoff, G P^-1 = I + R_h P^-1, and a step applies y + R_h
     P^-1 y plus the border: R_h holds about a fifth of G's nonzeros.  A
     member with a shifted non-decaying level, or whose eigenbasis is too
-    ill-conditioned for that, applies G P^-1 y plus the border instead.  The
-    choice is read per member from its data, so a member's arithmetic does
-    not depend on its batch.  A GMRES step is one batched preconditioner
-    call and one sparse product with the block-diagonal matrix of those
-    operators per right-hand side; systems that have stopped are skipped.
-    Only a member that applies G forms it, on first read; a batch whose
-    members are all exact forms no G, and so no L = U^H G U either.
+    ill-conditioned for that, applies G P^-1 y plus the border instead, as
+    coords(-i (H_eff X - X H_eff^dag)) + R_h x with X = P^-1 y and x its
+    coordinates (``_no_jump_coordinates``, the formula of the residual
+    below).  The choice is read per member from its data, so a member's
+    arithmetic does not depend on its batch.  A GMRES step is one batched
+    preconditioner call and one sparse product with the block-diagonal R_h
+    per right-hand side; systems that have stopped are skipped.  No solve
+    forms G, and so no L = U^H G U either.
 
     A degenerate generator makes the bordered system singular but still
     consistent, so GMRES alone would return a state.  Three checks stop
@@ -618,24 +609,25 @@ def steady_states(liouvilles) -> list:
     if size < count:
         batch = GeneratorBatch.join([batch[m] for m in live])
     weights = weights[live]
-    step = _step_matrix(batch, exact)
-    # the identity of I + R_h P^-1, on the members that apply R_h alone
+    # the identity of I + R_h P^-1, on the members whose P^-1 is exact; the
+    # others apply their no-jump part to X = P^-1 y
     recycled = True if exact.all() else exact[:, None, None]
-
-    def inverse(y, active=None):
-        # P^-1 in real coordinates: the no-jump inverse between one gather
-        # to Hermitian matrices and one back
-        return hermitian_coordinates(precondition(hermitian_matrices(y, d), active), d)
+    inexact = np.flatnonzero(~exact)
+    inexact_h_eff = batch.h_eff[inexact, None]
 
     def bordered(y, active=None):
-        x = inverse(y, active)
+        # X = P^-1 y: the no-jump inverse of the Hermitian matrices of y
+        matrices = precondition(hermitian_matrices(y, d), active)
+        x = hermitian_coordinates(matrices, d)
         out = np.zeros_like(x)
         # one product per column (solve or certificate) that some member
         # still iterates on
         for k in range(x.shape[1]):
             if active is None or active[:, k].any():
-                out[:, k] = (step @ x[:, k].reshape(-1)).reshape(size, n)
+                out[:, k] = (batch.real_recycling @ x[:, k].reshape(-1)).reshape(size, n)
         np.add(out, y, out=out, where=recycled)
+        if inexact.size:
+            out[inexact] += _no_jump_coordinates(inexact_h_eff, matrices[inexact])
         out[:, :, 0] += weights[:, None] * x[:, :, :d].sum(axis=2)
         return out
 
@@ -644,7 +636,7 @@ def steady_states(liouvilles) -> list:
     rhs[:, 1] = _certificate_rhs(n)
     y, steps, passes, reached = _lockstep_gmres(
         bordered, rhs, np.array([_BORDERED_RESIDUAL_TOL, _CERTIFICATE_RTOL]))
-    x = inverse(y[:, :1])[:, 0]
+    x = hermitian_coordinates(precondition(hermitian_matrices(y[:, :1], d))[:, 0], d)
     accepted = reached[:, 1] & np.all(np.isfinite(x), axis=1)
     # the coordinates of the accepted states, trace-normalized: the
     # populations come first

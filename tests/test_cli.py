@@ -72,6 +72,51 @@ coupling_m2_qd2 = -110.0
 command = steady
 """
 
+# a small run of each kind, by name: its [run] command and its own section
+RUNS = {
+    "steady": ("steady", ""),
+    "convergence": ("convergence", "[convergence]\ncutoffs = 1,2\n"),
+    "dynamics": ("dynamics", "[dynamics]\nhorizon_ps = 30.0\nsamples = 4\n"),
+    "protocol": ("protocol", "[protocol]\ntau_ps = 9.0\nhorizon_ps = 20.0\nsamples = 5\n"),
+    "phase_detuning": ("sweep", "[sweep]\nkind = phase_detuning\nphi_min = 2\n"
+                                "phi_max = 3\nphi_points = 2\ndelta_min = -12\n"
+                                "delta_max = -10\ndelta_points = 2\n"),
+    "qd_detuning": ("sweep", "[sweep]\nkind = qd_detuning\ndetuning_min = -5\n"
+                             "detuning_max = 5\ndetuning_points = 3\n"),
+    "dephasing": ("sweep", "[sweep]\nkind = dephasing\ngamma_d_min = 0\n"
+                           "gamma_d_max = 1\ngamma_d_points = 2\n"),
+    "splitting": ("sweep", "[sweep]\nkind = splitting\nsplitting_min = 1000\n"
+                           "splitting_max = 3000\nsplitting_points = 2\n"),
+}
+
+DRIVE_KEYS = ("amplitude", "at_dark_state", "delta", "phase1", "phase2", "pump_freq")
+# a value of each key that differs from the one the run would use
+VALUES = {"amplitude": "2.0", "at_dark_state": "false", "delta": "-5.0",
+          "phase1": "0.5", "phase2": "0.5", "pump_freq": "-5.0",
+          "qd1_gamma_d": "0.5", "qd2_gamma_d": "0.5"}
+# (run, section, key): the inputs that a run sets itself, which its config
+# may not set
+SET_BY_RUN = ([(run_name, "drive", key) for run_name in ("dynamics", "protocol", "phase_detuning")
+               for key in ("at_dark_state", "phase1", "phase2", "pump_freq", "delta")]
+              + [("splitting", "drive", key) for key in ("pump_freq", "delta")]
+              + [("dephasing", "system", key) for key in ("qd1_gamma_d", "qd2_gamma_d")])
+# (run, key): the [drive] keys that a run takes
+TAKEN_DRIVE_KEYS = [(run_name, key) for run_name in RUNS for key in DRIVE_KEYS
+                    if (run_name, "drive", key) not in SET_BY_RUN]
+
+
+def run_text(run_name, drive="", system=""):
+    """The config of a small ``run_name`` run on the explicit system of the
+    preset, with the line of another drive amplitude or extra lines in its
+    [drive] section, and extra lines in its [system] section."""
+    command, section = RUNS[run_name]
+    if not drive.startswith("amplitude"):
+        drive = "amplitude = 1.0\n" + drive
+    return (EXPLICIT_SYSTEM.replace("command = steady", f"command = {command}")
+            .replace("truncation = 1\n", "truncation = 1\n" + system)
+            .replace("amplitude = 1.0\n", drive)
+            + "\n" + section)
+
 
 class TestParsing:
     def test_preset_resolves_reference_linewidths(self):
@@ -679,6 +724,41 @@ class TestMain:
         message = capsys.readouterr().err
         assert named in message and known in message
         assert list(tmp_path.iterdir()) == [config_path]
+
+    @pytest.mark.parametrize("run_name, section, key", SET_BY_RUN,
+                             ids=[f"{run_name}-{key}" for run_name, _, key in SET_BY_RUN])
+    def test_inputs_a_run_sets_are_config_errors(self, tmp_path, capsys, run_name,
+                                                 section, key):
+        # the run overwrites them, so each would give a new run id for the
+        # same data
+        config_path = tmp_path / "run.cfg"
+        config_path.write_text(run_text(run_name, **{section: f"{key} = {VALUES[key]}\n"}),
+                               encoding="utf-8")
+        assert main(["--config", str(config_path), "--output", str(tmp_path),
+                     "--quiet"]) == 2
+        message = capsys.readouterr().err
+        assert f"unknown key {key!r} in section [{section}]" in message
+        known = message.split("known keys: ")[1].strip().split(", ")
+        withheld = {k for r, s, k in SET_BY_RUN if (r, s) == (run_name, section)}
+        if section == "drive":
+            assert known == [k for k in DRIVE_KEYS if k not in withheld]
+        else:
+            assert "qd1_omega" in known and not withheld & set(known)
+        assert list(tmp_path.iterdir()) == [config_path]
+
+    @pytest.mark.parametrize("run_name, key", TAKEN_DRIVE_KEYS,
+                             ids=[f"{run_name}-{key}" for run_name, key in TAKEN_DRIVE_KEYS])
+    def test_drive_keys_a_run_takes_change_its_data(self, tmp_path, run_name, key):
+        data = []
+        for k, drive in enumerate(("", f"{key} = {VALUES[key]}\n")):
+            out = tmp_path / str(k)
+            config = parse_config(run_text(run_name, drive=drive)
+                                  + f"\n[output]\ndirectory = {out}\n")
+            assert run(config, quiet=True) == 0
+            (path,) = out.glob("*.csv")
+            # the header and the data, below the manifest line
+            data.append(path.read_text(encoding="utf-8").split("\n", 1)[1])
+        assert data[0] != data[1]
 
     @pytest.mark.parametrize("sets", ["nan:40", "inf:40", "-5:40", "67:37,40:-1"])
     def test_bad_linewidth_sets_are_config_errors(self, tmp_path, capsys, sets):

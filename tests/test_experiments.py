@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -9,6 +10,7 @@ from pcdimer.entanglement import qd_negativity
 from pcdimer.exceptions import DomainError
 from pcdimer.experiments import (
     SweepAxis,
+    SweepResult,
     SweepSpec,
     default_phi_grid,
     dynamics_run,
@@ -290,6 +292,57 @@ class TestStarkProtocol:
         t_opt, population = trajectory.peak("pop_m1")
         assert abs(t_opt - 9.4) < 1.0
         assert population > 0.5
+
+
+def moved_drive(params):
+    """``params`` with the phases and the frequency of an off-resonant drive."""
+    return params.with_drive(phase1=0.3, phase2=1.1, pump_freq=-4.0)
+
+
+def with_dephasing_rates(params, gamma1, gamma2):
+    dots = (dataclasses.replace(params.dots[0], gamma_d=gamma1),
+            dataclasses.replace(params.dots[1], gamma_d=gamma2))
+    return dataclasses.replace(params, dots=dots)
+
+
+def result_data(result):
+    """A trajectory's samples, or a sweep's records and step counts."""
+    if isinstance(result, SweepResult):
+        return (result.to_records(), result.iterations.tolist(),
+                result.certificate_iterations.tolist())
+    return (result.times.tolist(),
+            {name: series.tolist() for name, series in result.observables.items()})
+
+
+# the runs that set some of their inputs themselves, as the config format's
+# table of them lists these inputs: each run on small grids, the change of
+# those inputs, and the change of an input that the run reads
+SETS_ITS_INPUTS = {
+    "dynamics_run": (lambda p: dynamics_run(p, "photon_mode1", 30.0, 4),
+                     moved_drive, lambda p: p.with_drive(amplitude=2.0)),
+    "stark_switch_protocol": (lambda p: stark_switch_protocol(p, 9.0, 1500.0, 20.0, 5),
+                              moved_drive, lambda p: p.with_drive(amplitude=2.0)),
+    "sweep_phase_detuning": (lambda p: sweep_phase_detuning(p, [2.0, 3.0], [-12.0, -10.0]),
+                             moved_drive, lambda p: p.with_drive(amplitude=2.0)),
+    "sweep_splitting": (lambda p: sweep_splitting(p, [1000.0, 3000.0]),
+                        lambda p: p.with_drive(pump_freq=-4.0),
+                        lambda p: p.with_drive(phase1=np.pi)),
+    "sweep_dephasing": (lambda p: sweep_dephasing(p, [0.0, 1.0]),
+                        lambda p: with_dephasing_rates(p, 0.7, 0.2),
+                        lambda p: p.with_drive(amplitude=2.0)),
+}
+
+
+@pytest.mark.parametrize("name", SETS_ITS_INPUTS)
+def test_runs_overwrite_the_inputs_they_set(preset, name):
+    # the dark-state drive, the re-tuned drive frequency of the splitting
+    # axis and the dephasing rates of the gamma_d axis: changing them leaves
+    # the run's output bit-identical, so the config format does not take
+    # them, while an input the run reads moves its output
+    evaluate, setting, reading = SETS_ITS_INPUTS[name]
+    data = result_data(evaluate(preset))
+    assert result_data(evaluate(setting(preset))) == data
+    assert result_data(evaluate(reading(preset))) != data
 
 
 class TestOscillationPeriod:

@@ -35,7 +35,6 @@ from pcdimer.hilbert import (
     qubit,
 )
 from pcdimer.liouvillian import (
-    GeneratorBatch,
     Superoperator,
     assemble_generator,
     build_liouvillian,
@@ -53,6 +52,7 @@ from pcdimer.model import (
 )
 from pcdimer.hilbert import qubit_lowering
 from pcdimer.solvers import (
+    STEADY_RESIDUAL_TOL,
     _DENSE_MIN_STEPS,
     _SAMPLE_BLOCK,
     _SOLVER_POLICY,
@@ -500,6 +500,26 @@ def weak_components(h_eff, transfers):
         graph, directed=True, connection="weak")[0]
 
 
+def forbidden_generator(self):
+    raise AssertionError("the generator G was read")
+
+
+def record_inexact_members(monkeypatch) -> list:
+    """A list that gets, per steady-state solve from now on, the indices of
+    the members without an exact no-jump inverse, read from
+    ``_no_jump_inverse`` (members that fail before the solve excluded)."""
+    no_jump_inverse = pcdimer.solvers._no_jump_inverse
+    inexact = []
+
+    def recording(*args):
+        apply, errors, exact = no_jump_inverse(*args)
+        inexact.append(np.flatnonzero(~exact).tolist())
+        return apply, errors, exact
+
+    monkeypatch.setattr(pcdimer.solvers, "_no_jump_inverse", recording)
+    return inexact
+
+
 def assert_batch_matches_solo(liouvilles):
     """Every member of one batch solve against the same generator solved
     alone: states within 1e-12 and step counts within one, or the same
@@ -618,8 +638,9 @@ class TestSteadyStateBatches:
         # and both give the blocks of the complex R's population entries
         generators = build_liouvillians(batch)
         blocks = _invariant_blocks(generators.h_eff, generators.real_recycling)
-        assert np.array_equal(
-            blocks, _invariant_blocks(generators.h_eff, generators.real_matrix))
+        whole = scipy.sparse.block_diag([member.real_matrix for member in generators],
+                                        format="csr")
+        assert np.array_equal(blocks, _invariant_blocks(generators.h_eff, whole))
         assert blocks.tolist() == [reference_blocks(member) for member in generators]
 
     @settings(max_examples=40, deadline=None)
@@ -660,9 +681,9 @@ class TestSteadyStateBatches:
         # a regular member iterates on y + R_h P^-1 y; the lossy undriven
         # qubit (its ground level never decays, so its no-jump inverse is
         # shifted) and the exceptional point (an ill-conditioned eigenbasis,
-        # the Schur route) on G P^-1 y.  Each member's choice is its own,
-        # so a batch of the sweeps' size at Fock cutoff 1 reproduces every
-        # solo solve bit for bit
+        # the Schur route) on G P^-1 y, applied without G.  Each member's
+        # choice is its own, so a batch of the sweeps' size at Fock cutoff 1
+        # reproduces every solo solve bit for bit
         sm = qubit_lowering(QUBIT, 0)
         generators = [driven_qubit_generator(1.0, 2.0),
                       assemble_generator(Operator(QUBIT, np.zeros((2, 2))), [(sm, 2.0)]),
@@ -670,20 +691,8 @@ class TestSteadyStateBatches:
         size = batch_points(256)
         assert size == 64
         batch = (generators * (size // 3 + 1))[:size]
-        step_matrix = pcdimer.solvers._step_matrix
-        whole = []  # per solve, the members whose GMRES steps apply G
-
-        def counting(generators, exact):
-            step = step_matrix(generators, exact)
-            n = generators.space.total_dim ** 2
-            for m, (member, flag) in enumerate(zip(generators, exact, strict=True)):
-                block = step[m * n:(m + 1) * n, m * n:(m + 1) * n]
-                expected = member.real_recycling if flag else member.real_matrix
-                assert (block != expected).nnz == 0
-            whole.append([m for m, flag in enumerate(exact) if not flag])
-            return step
-
-        monkeypatch.setattr(pcdimer.solvers, "_step_matrix", counting)
+        whole = record_inexact_members(monkeypatch)  # the members that apply G
+        monkeypatch.setattr(Superoperator, "real_matrix", property(forbidden_generator))
         outcomes = steady_states(batch)
         solo = [steady_state(liouville, return_info=True) for liouville in generators]
         assert len(outcomes) == size
@@ -738,16 +747,37 @@ class TestGeneratorFreeSolve:
                   for phi in np.linspace(0.0, 2.0 * np.pi, batch_points(256))]
         batch = build_liouvillians(points)
         single = build_liouvillian(full_params().with_truncation(2))
-
-        def forbidden(self):
-            raise AssertionError("the generator G was read")
-
-        for owner in (Superoperator, GeneratorBatch):
-            monkeypatch.setattr(owner, "real_matrix", property(forbidden))
+        monkeypatch.setattr(Superoperator, "real_matrix", property(forbidden_generator))
         for outcome in steady_states(batch) + steady_states(batch[::5]):
             assert not isinstance(outcome, SolverError)
         steady_state(single)
         assert convergence_scan(params, cutoffs=(1, 2, 3)).values[0] > 0.1
+
+    def test_inexact_members_never_read_the_generator(self, monkeypatch):
+        # members without an exact no-jump inverse apply their no-jump part
+        # to X = P^-1 y instead of multiplying by G: the undriven preset and
+        # the lossy undriven qubit (a ground level that never decays, so a
+        # shifted inverse) and the qubit at its exceptional point (the
+        # Schur route), beside exact members and alone, solve with every
+        # read of G made to raise.  G, formed afterwards, confirms the
+        # states
+        params = dark_tuned(preset_params("dimer30_dc901"))
+        model = build_liouvillians([params, params.with_drive(amplitude=0.0),
+                                    params.with_drive(phase1=0.0)])
+        sm = qubit_lowering(QUBIT, 0)
+        qubits = [driven_qubit_generator(1.0, 2.0),
+                  assemble_generator(Operator(QUBIT, np.zeros((2, 2))), [(sm, 2.0)]),
+                  driven_qubit_generator(5.0, 20.0)]
+        batches = [model, qubits, model[1:2], qubits[2:]]
+        inexact = record_inexact_members(monkeypatch)
+        monkeypatch.setattr(Superoperator, "real_matrix", property(forbidden_generator))
+        solved = [steady_states(batch) for batch in batches]
+        assert inexact == [[1], [1, 2], [0], [0]]
+        monkeypatch.undo()
+        for batch, outcomes in zip(batches, solved, strict=True):
+            for member, (x, info) in zip(batch, outcomes, strict=True):
+                assert info.residual <= STEADY_RESIDUAL_TOL
+                assert abs(np.linalg.norm(member.real_matrix @ x) - info.residual) <= 1e-13
 
     @settings(max_examples=25, deadline=None)
     @given(batch=st.lists(physical_params(), min_size=1, max_size=3).map(common_cutoff),
