@@ -86,7 +86,7 @@ _SWEEPS = {
 # may not set: the dark-state drive of ``experiments._dark_drive`` and of the
 # phi/delta axes, the drive frequency that the splitting axis re-tunes at
 # every point, and the dephasing rates of the gamma_d axis
-_DARK_DRIVE = ("at_dark_state", "phase1", "phase2", "pump_freq", "delta")
+_DARK_DRIVE = ("phase1", "phase2", "pump_freq", "delta")
 _SET_BY_RUN = {
     "dynamics run": {"drive": _DARK_DRIVE},
     "protocol run": {"drive": _DARK_DRIVE},
@@ -103,7 +103,6 @@ class RunConfig:
     command: str
     params: SystemParams
     preset: str | None = None
-    at_dark_state: bool = True
     threads: int = 1
     allow_point_failures: bool = False
     sweep_kind: str | None = None
@@ -140,10 +139,16 @@ class RunConfig:
                 "qd1": dataclasses.asdict(p.dots[0]),
                 "qd2": dataclasses.asdict(p.dots[1]),
                 "coupling": [[g[m, n].real for n in range(2)] for m in range(2)],
-                "truncation": p.truncation,
+                # a convergence scan sets every cutoff itself, from its
+                # cutoffs below: its id holds the default truncation
+                "truncation": 1 if self.command == "convergence" else p.truncation,
             },
             "drive": dataclasses.asdict(p.drive),
-            "at_dark_state": self.at_dark_state,
+            # a constant: the dark-state drive is the only default, which
+            # the resolved "drive" holds.  The key stays so that run ids keep
+            # their values; it can go with the next change that moves every
+            # default run id anyway (the default Fock cutoff)
+            "at_dark_state": True,
         }
         if self.command == "sweep":
             d["sweep"] = {"kind": self.sweep_kind, "grids": self.sweep_grids,
@@ -240,15 +245,15 @@ class _SectionReader:
             )
         return value
 
-    def flag(self, key, default=None):
+    def flag(self, key):
         table = {"true": True, "false": False, "1": True, "0": False,
                  "yes": True, "no": False}
-        return self._get(key, lambda s: table[s.strip().lower()], default,
+        return self._get(key, lambda s: table[s.strip().lower()], None,
                          "a boolean (true/false)")
 
 
 def _build_params(system: _SectionReader, drive: _SectionReader,
-                  preset: str | None) -> tuple[SystemParams, bool]:
+                  preset: str | None) -> SystemParams:
     if preset is not None:
         try:
             params = preset_params(preset)
@@ -293,21 +298,22 @@ def _build_params(system: _SectionReader, drive: _SectionReader,
     if truncation is not None:
         params = params.with_truncation(truncation)
 
-    at_dark = drive.flag("at_dark_state", RunConfig.at_dark_state)
+    # the dark-state drive unless the keys give another: phase1 = pi, and
+    # the drive frequency on the dark state
     if "pump_freq" in drive and "delta" in drive:
         raise ConfigError("give either [drive] pump_freq or delta, not both")
     params = params.with_drive(**_given(
         amplitude=drive.real("amplitude", minimum=0.0),
-        phase1=drive.real("phase1", np.pi if at_dark else None),
+        phase1=drive.real("phase1", np.pi),
         phase2=drive.real("phase2"),
     ))
     if "pump_freq" in drive:
         params = params.with_drive(pump_freq=drive.real("pump_freq"))
     elif "delta" in drive:
         params = params.with_drive_detuning(drive.real("delta"))
-    elif at_dark:
+    else:
         params = params.with_drive_detuning(identify_dark_state(params).detuning)
-    return params, at_dark
+    return params
 
 
 def _grid_spec(section: _SectionReader, name: str, default_grid) -> tuple:
@@ -392,7 +398,7 @@ def parse_config(text: str) -> RunConfig:
             "required: either [run] preset or an explicit [system] section "
             f"(presets: {', '.join(PRESET_NAMES)})"
         )
-    params, at_dark = _build_params(system, drive, preset)
+    params = _build_params(system, drive, preset)
 
     output = section("output")
 
@@ -400,7 +406,6 @@ def parse_config(text: str) -> RunConfig:
         command=command,
         params=params,
         preset=preset,
-        at_dark_state=at_dark,
         threads=run.integer("threads", minimum=1),
         output_dir=output.text("directory"),
         prefix=output.text("prefix"),

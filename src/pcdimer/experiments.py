@@ -331,6 +331,18 @@ def _dark_drive(params: SystemParams) -> SystemParams:
             .with_drive_detuning(dark.detuning))
 
 
+def _sample_times(horizon: float, samples: int) -> np.ndarray:
+    """The ``samples`` equally spaced times from 0 to ``horizon``; a
+    ``DomainError`` unless the horizon is positive and finite and
+    ``samples`` an integer >= 2 (a bool is not one)."""
+    if not 0 < horizon < np.inf:
+        raise DomainError("horizon must be positive and finite")
+    if (isinstance(samples, bool) or not isinstance(samples, (int, np.integer))
+            or samples < 2):
+        raise DomainError(f"samples must be an integer >= 2, got {samples!r}")
+    return np.linspace(0.0, horizon, samples)
+
+
 def dynamics_run(base: SystemParams, initial: str, horizon: float,
                  samples: int = 801) -> Trajectory:
     """Free dynamics under constant dark-state drive from a chosen initial
@@ -341,11 +353,9 @@ def dynamics_run(base: SystemParams, initial: str, horizon: float,
         raise DomainError(
             f"unknown initial state {initial!r}; choose from {sorted(INITIAL_STATES)}"
         ) from None
-    if not 0 < horizon < np.inf:
-        raise DomainError("horizon must be positive and finite")
+    t_grid = _sample_times(horizon, samples)
     params = _dark_drive(base)
     rho0 = DensityMatrix.basis_state(params.space(), occupations)
-    t_grid = np.linspace(0.0, horizon, samples)
     return evolve(Schedule.constant(params, horizon), rho0, t_grid)
 
 
@@ -361,11 +371,11 @@ def stark_switch_protocol(base: SystemParams, tau: float,
     """
     if not 0 < tau < horizon:
         raise DomainError("tau must lie strictly inside (0, horizon)")
+    t_grid = _sample_times(horizon, samples)
     resonant = _dark_drive(base)
     detuned = resonant.with_qd2_detuning(initial_detuning)
     rho0 = DensityMatrix.basis_state(resonant.space(), INITIAL_STATES["qd1_excited"])
     schedule = Schedule(((tau, detuned), (horizon - tau, resonant)))
-    t_grid = np.linspace(0.0, horizon, samples)
     return evolve(schedule, rho0, t_grid)
 
 

@@ -25,7 +25,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .exceptions import DomainError
-from .hilbert import CompositeSpace, Operator, boson, lowering_operators, qubit
+from .hilbert import CompositeSpace, Operator, basis_index, boson, lowering_operators, qubit
 
 __all__ = [
     "HBAR_UEV_PS",
@@ -338,26 +338,26 @@ class DarkState:
 
 
 def identify_dark_state(params: SystemParams) -> DarkState:
-    """Diagonalize the drive-free single-excitation block and return the
-    eigenstate least mixed with the photonic modes.
+    """Diagonalize the drive-free single-excitation block of the model's
+    Hamiltonian and return the eigenstate least mixed with the photonic
+    modes.
 
-    Ties in photonic weight are broken toward the lower-energy eigenstate.
+    The block is read from ``build_effective_hamiltonian`` at Fock cutoff 1
+    and drive frequency 0, so its diagonal holds the bare frequencies; its
+    rows and columns are the states with one excitation in QD1, QD2, mode 1
+    and mode 2, in that order.  Ties in photonic weight are broken toward the
+    lower-energy eigenstate.
     """
-    g = params.coupling.as_array()
-    if np.all(g == 0):
+    if np.all(params.coupling.as_array() == 0):
         raise DomainError(
             "all couplings vanish: the single-excitation block is degenerate "
             "and no unique dark state exists"
         )
-    block = np.zeros((4, 4), dtype=complex)
-    block[0, 0] = params.dots[0].omega
-    block[1, 1] = params.dots[1].omega
-    block[2, 2] = params.modes[0].omega
-    block[3, 3] = params.modes[1].omega
-    for m in range(2):
-        for n in range(2):
-            block[n, 2 + m] = g[m, n]
-            block[2 + m, n] = np.conj(g[m, n])
+    hamiltonian = build_effective_hamiltonian(
+        params.with_truncation(1).with_drive(pump_freq=0.0))
+    single = [basis_index(hamiltonian.space, occupations)
+              for occupations in np.eye(4, dtype=int).tolist()]
+    block = hamiltonian.matrix[np.ix_(single, single)]
     energies, vectors = np.linalg.eigh(block)
     weights = np.sum(np.abs(vectors[2:, :]) ** 2, axis=0)
     # lowest-energy state among (near-exact) minimal-weight ties; eigh returns

@@ -20,7 +20,13 @@ from pcdimer.exceptions import (
     DegenerateSteadyStateError,
     DomainError,
 )
-from pcdimer.model import CouplingMatrix
+from pcdimer.model import (
+    CouplingMatrix,
+    DriveParams,
+    ModeParams,
+    QDParams,
+    SystemParams,
+)
 
 STEADY_PRESET = """
 [run]
@@ -54,7 +60,8 @@ amplitude = 1.0
 CLOSED_SYSTEM = """
 [drive]
 amplitude = 0.0
-at_dark_state = false
+phase1 = 0.0
+pump_freq = 0.0
 
 [system]
 mode1_omega = 0.0
@@ -89,15 +96,15 @@ RUNS = {
                            "splitting_max = 3000\nsplitting_points = 2\n"),
 }
 
-DRIVE_KEYS = ("amplitude", "at_dark_state", "delta", "phase1", "phase2", "pump_freq")
+DRIVE_KEYS = ("amplitude", "delta", "phase1", "phase2", "pump_freq")
 # a value of each key that differs from the one the run would use
-VALUES = {"amplitude": "2.0", "at_dark_state": "false", "delta": "-5.0",
+VALUES = {"amplitude": "2.0", "delta": "-5.0",
           "phase1": "0.5", "phase2": "0.5", "pump_freq": "-5.0",
           "qd1_gamma_d": "0.5", "qd2_gamma_d": "0.5"}
 # (run, section, key): the inputs that a run sets itself, which its config
 # may not set
 SET_BY_RUN = ([(run_name, "drive", key) for run_name in ("dynamics", "protocol", "phase_detuning")
-               for key in ("at_dark_state", "phase1", "phase2", "pump_freq", "delta")]
+               for key in ("phase1", "phase2", "pump_freq", "delta")]
               + [("splitting", "drive", key) for key in ("pump_freq", "delta")]
               + [("dephasing", "system", key) for key in ("qd1_gamma_d", "qd2_gamma_d")])
 # (run, key): the [drive] keys that a run takes
@@ -175,6 +182,24 @@ class TestParsing:
         with pytest.raises(ConfigError):
             parse_config(text)
 
+    def test_closed_system_parses_to_the_undriven_system(self):
+        # phase1 = 0 and pump_freq = 0 replace the dark-state defaults (pi
+        # and the dark-state frequency): the drive of DriveParams alone
+        expected = SystemParams(
+            modes=(ModeParams(0.0, 0.0), ModeParams(2200.0, 0.0)),
+            dots=(QDParams(0.0), QDParams(0.0)),
+            coupling=CouplingMatrix.bonding_antibonding(110.0),
+            drive=DriveParams(amplitude=0.0))
+        assert parse_config(CLOSED_SYSTEM).params == expected
+
+    def test_explicit_drive_needs_no_dark_state(self):
+        # with pump_freq given, the dark state is not looked up, so a
+        # system whose couplings all vanish parses
+        text = CLOSED_SYSTEM.replace("= 110.0", "= 0.0").replace("= -110.0", "= 0.0")
+        params = parse_config(text).params
+        assert not params.coupling.as_array().any()
+        assert params.drive.pump_freq == 0.0
+
     def test_pump_freq_and_delta_are_exclusive(self):
         text = STEADY_PRESET + "\n[drive]\npump_freq = 0.0\ndelta = 0.0\n"
         with pytest.raises(ConfigError):
@@ -229,6 +254,22 @@ class TestParsing:
         # id changes the manifest line of every CSV
         text = STEADY_PRESET.replace("steady", command) + "\n" + section
         assert parse_config(text).run_id() == expected
+
+    @pytest.mark.parametrize("truncation", [1, 2, 3])
+    def test_convergence_run_id_ignores_truncation(self, tmp_path, truncation):
+        # the scan sets every cutoff from its cutoffs, so neither [system]
+        # truncation nor --truncation enters its id: all keep the pinned one
+        pinned = "3c945b5458d5d25dc31f2ae3f04983971696eda233aa29875f121c455e4231ce"
+        text = (STEADY_PRESET.replace("steady", "convergence")
+                + "\n[convergence]\ncutoffs = 1,2,3\nobservable = pop_m1\n")
+        assert parse_config(text + f"\n[system]\ntruncation = {truncation}\n"
+                            ).run_id() == pinned
+        config_path = tmp_path / "run.cfg"
+        config_path.write_text(text, encoding="utf-8")
+        assert main(["--config", str(config_path), "--output", str(tmp_path),
+                     "--truncation", str(truncation), "--quiet"]) == 0
+        manifest = read_strict_json(tmp_path / "convergence_manifest.json")
+        assert manifest["run_id"] == pinned
 
     @pytest.mark.parametrize("key", ["truncation", "seed"])
     def test_retired_run_keys_rejected(self, key):
@@ -744,6 +785,20 @@ class TestMain:
             assert known == [k for k in DRIVE_KEYS if k not in withheld]
         else:
             assert "qd1_omega" in known and not withheld & set(known)
+        assert list(tmp_path.iterdir()) == [config_path]
+
+    @pytest.mark.parametrize("run_name", RUNS)
+    def test_at_dark_state_is_an_unknown_key(self, tmp_path, capsys, run_name):
+        # the dark-state drive is the only default; another drive is set by
+        # the explicit keys, at_dark_state = false by phase1 = 0.0 and
+        # pump_freq = 0.0
+        config_path = tmp_path / "run.cfg"
+        config_path.write_text(run_text(run_name, drive="at_dark_state = false\n"),
+                               encoding="utf-8")
+        assert main(["--config", str(config_path), "--output", str(tmp_path),
+                     "--quiet"]) == 2
+        assert ("unknown key 'at_dark_state' in section [drive]"
+                in capsys.readouterr().err)
         assert list(tmp_path.iterdir()) == [config_path]
 
     @pytest.mark.parametrize("run_name, key", TAKEN_DRIVE_KEYS,

@@ -241,10 +241,19 @@ class TestDynamics:
         with pytest.raises(DomainError):
             dynamics_run(preset, "photon_mode2", horizon=10.0)
 
-    @pytest.mark.parametrize("horizon", [0.0, np.nan, np.inf])
-    def test_horizon_must_be_positive_and_finite(self, preset, horizon):
-        with pytest.raises(DomainError, match="horizon"):
-            dynamics_run(preset, "vacuum", horizon=horizon)
+    @pytest.mark.parametrize("run, horizon, samples, match", [
+        *(pytest.param("dynamics", horizon, 801, "horizon", id=str(horizon))
+          for horizon in (0.0, np.nan, np.inf)),
+        # and the sample count, of a protocol run too, is an integer >= 2
+        *(pytest.param(run, 20.0, samples, "samples", id=f"{run}-samples={samples!r}")
+          for run in ("dynamics", "protocol") for samples in (-1, 1, 2.5, True))])
+    def test_horizon_must_be_positive_and_finite(self, preset, run, horizon,
+                                                 samples, match):
+        with pytest.raises(DomainError, match=match):
+            if run == "dynamics":
+                dynamics_run(preset, "vacuum", horizon=horizon, samples=samples)
+            else:
+                stark_switch_protocol(preset, 9.0, 1500.0, horizon, samples)
 
     def test_oscillation_period_matches_collective_drive(self, preset):
         # the ground <-> antisymmetric-state transition is driven with

@@ -1,3 +1,4 @@
+from hypothesis import given, settings, strategies as st
 import numpy as np
 import pytest
 from scipy.linalg import expm
@@ -167,7 +168,65 @@ class TestLabFrame:
         assert np.allclose(e1, e0 - shift, atol=1e-10)
 
 
+def reference_dark_state(params):
+    """The dark state from a hand-built drive-free single-excitation block on
+    (QD1, QD2, mode 1, mode 2), selected and phased as ``identify_dark_state``
+    does: the oracle of its read of the model's Hamiltonian."""
+    g = params.coupling.as_array()
+    block = np.zeros((4, 4), dtype=complex)
+    block[0, 0] = params.dots[0].omega
+    block[1, 1] = params.dots[1].omega
+    block[2, 2] = params.modes[0].omega
+    block[3, 3] = params.modes[1].omega
+    for m in range(2):
+        for n in range(2):
+            block[n, 2 + m] = g[m, n]
+            block[2 + m, n] = np.conj(g[m, n])
+    energies, vectors = np.linalg.eigh(block)
+    weights = np.sum(np.abs(vectors[2:, :]) ** 2, axis=0)
+    best = int(np.flatnonzero(weights <= weights.min() + 1e-12)[0])
+    vec = vectors[:, best].copy()
+    pivot = int(np.argmax(np.abs(vec)))
+    vec = vec / (vec[pivot] / abs(vec[pivot]))
+    return (float(energies[best] - params.modes[0].omega), float(weights[best]), vec)
+
+
+energies = st.floats(-3000.0, 3000.0)
+real_couplings = st.floats(-300.0, 300.0).map(complex)
+complex_couplings = st.complex_numbers(max_magnitude=300.0)
+
+
+@st.composite
+def dark_state_params(draw):
+    """Frequencies, real or complex couplings, any drive and rates, and Fock
+    cutoffs 1-3."""
+    couplings = draw(st.sampled_from((real_couplings, complex_couplings)))
+    g = tuple(tuple(draw(couplings) for _ in range(2)) for _ in range(2))
+    rates = st.floats(0.0, 100.0)
+    return SystemParams(
+        modes=tuple(ModeParams(draw(energies), draw(rates)) for _ in range(2)),
+        dots=tuple(QDParams(draw(energies), draw(rates), draw(rates))
+                   for _ in range(2)),
+        coupling=CouplingMatrix(g),
+        drive=DriveParams(draw(st.floats(0.0, 50.0)), draw(st.floats(0.0, 6.3)),
+                          draw(st.floats(0.0, 6.3)), draw(energies)),
+        truncation=draw(st.integers(1, 3)))
+
+
 class TestDarkState:
+    @settings(max_examples=200, deadline=None)
+    @given(params=dark_state_params().filter(
+        lambda p: p.coupling.as_array().any()))
+    def test_equals_hand_built_block(self, params):
+        # the block read from the model's H is the hand-built one entry for
+        # entry, so the results are bit-identical, whatever the drive and
+        # the cutoff
+        detuning, weight, amplitudes = reference_dark_state(params)
+        dark = identify_dark_state(params)
+        assert dark.detuning == detuning
+        assert dark.photonic_weight == weight
+        assert np.array_equal(dark.amplitudes, amplitudes)
+
     def test_symmetric_single_mode(self):
         g = 110.0
         params = make_params(g=((g, g), (0.0, 0.0)), splitting=9000.0)
