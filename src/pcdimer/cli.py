@@ -519,7 +519,7 @@ def _trajectory_diagnostics(trajectory) -> dict:
             "propagation_route": info.route,
             "propagators_built": info.propagators,
             "dense_propagators": info.dense_propagators,
-            "expm_multiply_calls": info.expm_multiply_calls,
+            "taylor_steps": info.taylor_steps,
             "max_trace_drift": info.max_trace_drift}
 
 

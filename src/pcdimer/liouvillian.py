@@ -403,7 +403,8 @@ class _Template:
 
 def _flush_subnormals(*arrays):
     """Sets subnormal parts to exact zeros in place: they carry no physics
-    and overflow the divisions of scipy's expm and norm estimator."""
+    and overflow the divisions of scipy's Pade expm, the exact-propagation
+    oracle that the generators are checked against."""
     for array in arrays:
         parts = array.view(float)
         parts[np.abs(parts) < np.finfo(float).tiny] = 0.0

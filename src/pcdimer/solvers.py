@@ -11,6 +11,7 @@ import scipy.linalg
 import scipy.sparse as sp
 from scipy.linalg.blas import daxpy as _axpy
 from scipy.linalg.blas import ddot as _dot
+from scipy.linalg.blas import idamax as _amax
 from scipy.linalg.lapack import ztrsyl as _trsyl
 
 # qd_negativity is looked up here by bench/tracing.py
@@ -117,22 +118,45 @@ _TRACE_DRIFT_TOL = 1e-7
 _DENSE_PROPAGATOR_MAX_DIM = 256
 # step lengths within this relative distance share one propagator
 _SHARED_STEP_TOL = 1e-12
-# on the dense route, a step length taken fewer times than this in a segment
-# moves the state by one expm_multiply call per step instead of a dense
-# exp(G h).  At D^2 = 256 (six bench generators, 2-vCPU Xeon, one BLAS
-# thread, medians of 11 calls, the range over the generators) one dense
-# propagator and its m matvecs took 5.4-8.7 ms at 5 ps and 5.4-7.3 ms at
-# 4 ps for m = 1..5, and m single expm_multiply steps took 1.8-3.3,
-# 3.6-6.3, 5.3-6.8, 7.2-10.5 and 9.1-15.1 ms at 5 ps, 1.4-2.1, 2.8-3.1,
-# 4.2-4.6, 5.6-6.4 and 7.0-8.0 ms at 4 ps; one expm_multiply call over a
-# run of m equal steps took longer (17.2 ms for two 5 ps steps)
-_DENSE_MIN_STEPS = 4
-# the largest ||A||_1 at which the degree-16 Taylor polynomial of the
-# dense propagator approximates exp(A) to unit roundoff in backward error
-# (Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 488 (2011), Table 3.1:
-# theta_16), and the polynomial's coefficients 1/k!, k = 0..16
-_TAYLOR_THETA = 0.781
+# on the dense route, a step length gets a dense exp(G h) when it is taken
+# at least _DENSE_MIN_STEPS times in a segment, or when its Taylor steps
+# there would sum at least _DENSE_MIN_TERMS terms (m s per step,
+# ``_taylor_plan``); otherwise each of its steps is one Taylor action.  On
+# the twelve bench dynamics generators of seeds 1 and 2 (D^2 = 256, 2-vCPU
+# Xeon, one BLAS thread, medians of 11-21 calls) one dense propagator took
+# 6.0-9.0 ms at 5 ps, the sample step of the 801-sample runs, and one
+# Taylor step (m s = 160) 0.84-1.50 ms: a propagator cost 4.5-10.1 steps,
+# 6.2-6.8 in the median over the generators in each of three rounds.  A
+# Taylor step grows with h and a propagator only with log h: counted in
+# terms, one propagator cost 780-1,220 at 5 ps, 860-1,620 at 20 ps,
+# 1,650-1,770 at 100 ps and 1,800-3,020 at 1000 ps, where one Taylor step
+# took 98-188 ms
+_DENSE_MIN_STEPS = 7
+_DENSE_MIN_TERMS = 1200
+# theta_m, the largest ||A||_1 at which the degree-m Taylor polynomial
+# approximates exp(A) to unit roundoff 2^-53 in backward error (Al-Mohy &
+# Higham, SIAM J. Sci. Comput. 33, 488 (2011), Table 3.1; m <= 30 from
+# Higham, Functions of Matrices (SIAM, 2008), Table A.3), the degrees open
+# to the Taylor action.  The table stops at m = 45, below the paper's 55:
+# the terms of a substep sum to up to about e^theta_m times the result,
+# which cancels on lossless rotations.  In runs of one to seven steps of up
+# to 1 ps (1,500 draws of cutoff-1 physical parameters) degrees up to 55
+# erred by up to 9.3e-13 of max |y|, degrees up to 45 by 1.2e-13; they
+# take ~10% more matvecs on the photon-seeded cutoff-2 run (115 against
+# 104 per 5 ps step).  The dense propagator takes m = 16, with the
+# polynomial's coefficients 1/k!, k = 0..16
+_TAYLOR_THETA = {
+    1: 2.29e-16, 2: 2.58e-8, 3: 1.39e-5, 4: 3.40e-4, 5: 2.40e-3,
+    6: 9.07e-3, 7: 2.38e-2, 8: 5.00e-2, 9: 8.96e-2, 10: 1.44e-1,
+    11: 2.14e-1, 12: 3.00e-1, 13: 4.00e-1, 14: 5.14e-1, 15: 6.41e-1,
+    16: 7.81e-1, 17: 9.31e-1, 18: 1.09, 19: 1.26, 20: 1.44,
+    21: 1.62, 22: 1.82, 23: 2.01, 24: 2.22, 25: 2.43,
+    26: 2.64, 27: 2.86, 28: 3.08, 29: 3.31, 30: 3.54,
+    35: 4.7, 40: 6.0, 45: 7.2,
+}
 _TAYLOR_COEFFICIENTS = 1.0 / np.cumprod(np.r_[1.0, np.arange(1.0, 17.0)])
+# the unit roundoff of float64, the Taylor action's truncation tolerance
+_UNIT_ROUNDOFF = 2.0 ** -53
 # samples per block of the dense route, a power of two: after the first
 # _SAMPLE_BLOCK matvecs, each later block of that many samples is one
 # product with (P^B)^T, P^B formed by log2(B) squarings.  800 steps of the
@@ -718,24 +742,25 @@ class Schedule:
 class PropagationInfo:
     """Diagnostics of one ``evolve`` call.
 
-    ``route`` is ``"dense_expm"`` or ``"expm_multiply"``;
+    ``route`` is ``"dense_expm"`` or ``"taylor_action"``;
     ``dense_propagators`` counts the dense exp(G dt) matrices built by
-    ``_dense_propagator`` (none on the ``expm_multiply`` route);
-    ``expm_multiply_calls`` counts the ``expm_multiply`` calls, one per
-    step of a step length taken fewer than 4 times in a segment on the
-    dense route and one per run of equal steps on the other;
+    ``_dense_propagator`` (none on the ``taylor_action`` route);
+    ``taylor_steps`` counts the steps taken by ``_taylor_action``: on the
+    dense route each step of a step length that gets no dense propagator
+    (taken fewer than 7 times in a segment and short enough), on the other
+    every step;
     ``propagators`` is their sum; ``max_trace_drift`` is the largest
     |Tr(rho) - 1| of the raw sampled states, before renormalization.
     """
 
     route: str
     dense_propagators: int
-    expm_multiply_calls: int
+    taylor_steps: int
     max_trace_drift: float
 
     @property
     def propagators(self) -> int:
-        return self.dense_propagators + self.expm_multiply_calls
+        return self.dense_propagators + self.taylor_steps
 
 
 @dataclass(frozen=True)
@@ -858,7 +883,7 @@ def _dense_propagator(generator: sp.csr_matrix, h: float) -> np.ndarray:
     entries at Fock cutoff 1); the Horner steps are three dense products.
     """
     norm = float(abs(generator).sum(axis=0).max()) * h
-    mantissa, exponent = math.frexp(norm / _TAYLOR_THETA)
+    mantissa, exponent = math.frexp(norm / _TAYLOR_THETA[16])
     # norm / theta = mantissa 2^exponent, mantissa in [1/2, 1), or 0
     squarings = max(0, exponent - (mantissa == 0.5))
     a = generator * (h / 2.0 ** squarings)
@@ -880,30 +905,77 @@ def _dense_propagator(generator: sp.csr_matrix, h: float) -> np.ndarray:
     return p
 
 
-def _propagate_dense(generator: sp.csr_matrix, y: np.ndarray, steps: np.ndarray,
-                     out: np.ndarray):
-    """Writes the coordinates after each step into the rows of ``out``, with
-    one dense P = exp(G h) per step length taken at least
-    ``_DENSE_MIN_STEPS`` times, formed by ``_dense_propagator``.  A run of
-    equal steps takes its first ``_SAMPLE_BLOCK`` states by matvecs and
-    every later block of that many by one product with P^B, which is not
-    counted as a propagator.  A step length taken fewer times moves the
-    state by one ``expm_multiply`` call per step, never forming exp(G h);
-    returns (dense propagators built, ``expm_multiply`` calls)."""
-    # loaded here, so that only a trajectory imports scipy.sparse.linalg
-    from scipy.sparse.linalg import expm_multiply
+def _taylor_plan(norm: float) -> tuple[int, int]:
+    """The degree m and substeps s of the Taylor action on a matrix of
+    1-norm ``norm``: they minimise m s, the terms at most summed, subject to
+    norm / s <= theta_m."""
+    _, m, s = min((m * math.ceil(norm / theta), m, math.ceil(norm / theta))
+                  for m, theta in _TAYLOR_THETA.items())
+    return m, s
 
+
+def _taylor_action(generator: sp.csr_matrix, norm: float, h: float,
+                   y: np.ndarray, out: np.ndarray):
+    """Writes exp(G h) y into ``out``, by the truncated Taylor series with
+    s substeps of Al-Mohy & Higham (SIAM J. Sci. Comput. 33, 488 (2011),
+    Algorithm 3.2, without the shift): y is moved s times by T_m(A), the
+    degree-m Taylor polynomial of A = G h / s, m and s from
+    ``_taylor_plan(||G h||_1)`` (``norm`` is ||G||_1), so T_m(A)
+    approximates exp(A) to unit roundoff in backward error.  Each
+    term is one CSR matvec with A, added to ``out`` in place; a substep
+    stops at the paper's early-termination test, two successive terms
+    together below unit roundoff of the partial sum (in the inf-norm)."""
+    degree, substeps = _taylor_plan(norm * h)
+    out[:] = y
+    if not substeps:  # G h = 0
+        return
+    a = generator * (h / substeps)
+    for _ in range(substeps):
+        power = out
+        previous = bound = abs(power[_amax(power)])
+        coefficient = 1.0
+        for j in range(1, degree + 1):
+            power = a @ power
+            coefficient /= j
+            term = coefficient * abs(power[_amax(power)])
+            _axpy(power, out, a=coefficient)
+            # bound, the norm at the substep's start plus the terms since,
+            # is at least ||out||, so ||out|| is read only when the test
+            # can pass
+            bound += term
+            if (previous + term <= _UNIT_ROUNDOFF * bound
+                    and previous + term <= _UNIT_ROUNDOFF * abs(out[_amax(out)])):
+                break
+            previous = term
+
+
+def _propagate(generator: sp.csr_matrix, y: np.ndarray, steps: np.ndarray,
+               out: np.ndarray):
+    """Writes the coordinates after each step into the rows of ``out``;
+    returns (dense propagators built, Taylor steps).  At D^2 <= 256, a step
+    length taken at least ``_DENSE_MIN_STEPS`` times in the segment, or
+    whose Taylor steps there would sum at least ``_DENSE_MIN_TERMS`` terms
+    (m s each, ``_taylor_plan``), gets one dense P = exp(G h), formed by
+    ``_dense_propagator``: a run of such steps takes its first
+    ``_SAMPLE_BLOCK`` states by matvecs and every later block of that many
+    by one product with P^B, which is not counted as a propagator.  Every
+    other step, and every step of a larger space, moves the state by one
+    ``_taylor_action``, never forming exp(G h)."""
     runs = _step_runs(steps)
+    dense = generator.shape[0] <= _DENSE_PROPAGATOR_MAX_DIM
+    norm = float(abs(generator).sum(axis=0).max())
     built: list[tuple[float, np.ndarray]] = []
-    k = calls = 0
+    k = taken = 0
     for h, count in runs:
-        if sum(c for key, c in runs
-               if abs(h - key) <= _SHARED_STEP_TOL * key) < _DENSE_MIN_STEPS:
-            step = generator * h
+        repeats = sum(c for key, c in runs
+                      if abs(h - key) <= _SHARED_STEP_TOL * key)
+        terms = repeats * math.prod(_taylor_plan(norm * h))
+        if not dense or (repeats < _DENSE_MIN_STEPS and terms < _DENSE_MIN_TERMS):
             for _ in range(count):
-                y = out[k] = expm_multiply(step, y)
+                _taylor_action(generator, norm, h, y, out[k])
+                y = out[k]
                 k += 1
-            calls += count
+            taken += count
             continue
         propagator = next((p for key, p in built
                            if abs(h - key) <= _SHARED_STEP_TOL * key), None)
@@ -927,30 +999,13 @@ def _propagate_dense(generator: sp.csr_matrix, y: np.ndarray, steps: np.ndarray,
                           out=out[start:stop])
             k = end
             y = out[k - 1]
-    return len(built), calls
-
-
-def _propagate_sparse(generator: sp.csr_matrix, y: np.ndarray, steps: np.ndarray,
-                      out: np.ndarray):
-    """Writes the coordinates after each step into the rows of ``out`` by
-    ``expm_multiply`` on each run of equal steps, never forming exp(G h);
-    returns (0 dense propagators, ``expm_multiply`` calls)."""
-    from scipy.sparse.linalg import expm_multiply
-
-    runs = _step_runs(steps)
-    k = 0
-    for h, count in runs:
-        out[k:k + count] = expm_multiply(generator, y, start=0.0, stop=count * h,
-                                         num=count + 1, endpoint=True)[1:]
-        k += count
-        y = out[k - 1]
-    return 0, len(runs)
+    return len(built), taken
 
 
 def _propagate_schedule(schedule: Schedule, rho0: DensityMatrix,
                         t_grid: np.ndarray, propagate):
     """Real coordinates of the states at every time of ``t_grid``, as one
-    (n, D^2) array, and the dense propagators and ``expm_multiply`` calls
+    (n, D^2) array, and the dense propagators and Taylor steps
     of ``propagate(generator, y, steps, out)`` summed over segments.  Each
     segment's call writes its states into a view of that array; the state
     at a switch that is not a sample is written into the row of the next
@@ -968,7 +1023,7 @@ def _propagate_schedule(schedule: Schedule, rho0: DensityMatrix,
     if t_grid[0] == 0.0:
         x[0] = y
         k = 1
-    dense = calls = 0
+    dense = taylor = 0
     t_cursor = 0.0
     for seg_index, (duration, _) in enumerate(schedule.segments):
         last = seg_index == len(schedule.segments) - 1
@@ -984,11 +1039,11 @@ def _propagate_schedule(schedule: Schedule, rho0: DensityMatrix,
                                      np.diff(stops, prepend=t_cursor),
                                      x[k:k + stops.size])
             dense += built
-            calls += taken
+            taylor += taken
             y = x[k + stops.size - 1].copy()
         k += wanted.size
         t_cursor = t_end
-    return x, dense, calls
+    return x, dense, taylor
 
 
 def evolve(schedule: Schedule, rho0: DensityMatrix, t_grid) -> Trajectory:
@@ -1006,19 +1061,24 @@ def evolve(schedule: Schedule, rho0: DensityMatrix, t_grid) -> Trajectory:
     dimension D^2, both in float64:
 
     - D^2 <= 256 (Fock cutoff 1): one dense P = exp(G dt) per step length
-      taken at least 4 times in a segment, by scaling and squaring a
+      taken at least 7 times in a segment, or so long that its Taylor steps
+      would cost more (``_DENSE_MIN_TERMS``), by scaling and squaring a
       degree-16 Taylor polynomial without a linear solve
       (``_dense_propagator``); step lengths that agree to within 1e-12
       relative share one propagator.  A run of equal steps takes its first
       4 states by matrix-vector products and every later block of 4 by one
       matrix product with P^4 (two squarings of P, formed per run and not
-      counted as a propagator).  A step length taken fewer times (the
-      partial steps at a segment switch, the few sample steps before an
-      early switch) moves the state by one ``expm_multiply`` call per step
-      instead, which costs less than forming P.
-    - larger spaces: the action of the exponential on the state,
-      ``scipy.sparse.linalg.expm_multiply`` (Al-Mohy & Higham, SIAM J. Sci.
-      Comput. 33, 488 (2011)), on the sparse G, once per run of equal steps.
+      counted as a propagator).  Any other step length (the partial steps
+      at a segment switch, the few sample steps before an early switch)
+      moves the state by one Taylor action per step instead, which costs
+      less than forming P.
+    - larger spaces: the action of the exponential on the state, one
+      Taylor action per step and never a dense matrix.
+
+    The Taylor action (``_taylor_action``) sums the truncated Taylor series
+    of exp(G dt) applied to the state in substeps, one sparse matvec per
+    term, after Al-Mohy & Higham (SIAM J. Sci. Comput. 33, 488 (2011),
+    Algorithm 3.2), and writes each sample straight into its row.
 
     Every segment writes its samples into one (n, D^2) coordinate array
     allocated for the whole schedule, and the trajectory keeps that array:
@@ -1031,7 +1091,7 @@ def evolve(schedule: Schedule, rho0: DensityMatrix, t_grid) -> Trajectory:
     by construction, since one coordinate feeds both entries of each
     coherence pair.  The observables are read from the coordinates
     (``observables``).  ``Trajectory.info`` records the route, the dense
-    propagators and ``expm_multiply`` calls, and the largest drift.
+    propagators and Taylor steps, and the largest drift.
     """
     space = schedule.space()
     if rho0.space != space:
@@ -1053,8 +1113,8 @@ def evolve(schedule: Schedule, rho0: DensityMatrix, t_grid) -> Trajectory:
 
     d = space.total_dim
     dense = d * d <= _DENSE_PROPAGATOR_MAX_DIM
-    x, dense_built, calls = _propagate_schedule(
-        schedule, rho0, t_grid, _propagate_dense if dense else _propagate_sparse)
+    x, dense_built, taylor_steps = _propagate_schedule(schedule, rho0, t_grid,
+                                                       _propagate)
     finite = np.isfinite(x).all(axis=1)
     if not finite.all():
         raise IntegrationError("non-finite state coordinate at t = "
@@ -1071,9 +1131,9 @@ def evolve(schedule: Schedule, rho0: DensityMatrix, t_grid) -> Trajectory:
     check_coordinates(x, d, _SOLVER_POLICY)
     x.flags.writeable = False
 
-    info = PropagationInfo(route="dense_expm" if dense else "expm_multiply",
+    info = PropagationInfo(route="dense_expm" if dense else "taylor_action",
                            dense_propagators=dense_built,
-                           expm_multiply_calls=calls, max_trace_drift=drift)
+                           taylor_steps=taylor_steps, max_trace_drift=drift)
     return Trajectory(times=t_grid, space=space, coordinates=x,
                       observables=observables(space, x), info=info)
 

@@ -426,7 +426,7 @@ class TestRun:
         assert diagnostics["propagation_route"] == "dense_expm"
         assert diagnostics["propagators_built"] == 1  # one uniform step
         assert diagnostics["dense_propagators"] == 1
-        assert diagnostics["expm_multiply_calls"] == 0
+        assert diagnostics["taylor_steps"] == 0
         assert 0.0 <= diagnostics["max_trace_drift"] < 1e-7
 
     def test_protocol_manifest_records_propagation(self, tmp_path):
@@ -439,10 +439,10 @@ class TestRun:
         assert diagnostics["propagation_route"] == "dense_expm"
         # 5 ps steps, 4 ps to the switch at 9 ps, 1 ps after it; the 5 ps
         # step after the switch is taken twice, fewer times than a dense
-        # propagator pays for, so every step is one expm_multiply call
+        # propagator pays for, so every step is one Taylor step
         assert diagnostics["propagators_built"] == 5
         assert diagnostics["dense_propagators"] == 0
-        assert diagnostics["expm_multiply_calls"] == 5
+        assert diagnostics["taylor_steps"] == 5
         assert 0.0 <= diagnostics["max_trace_drift"] < 1e-7
         assert "NaN" not in manifest_text and "Infinity" not in manifest_text
 
@@ -670,21 +670,27 @@ def test_cli_import_leaves_out_scipy_integrate():
 
 
 def test_steady_runs_leave_out_sparse_graph_and_linalg():
-    # steady states and sweeps load neither scipy.sparse.csgraph nor
-    # scipy.sparse.linalg; a trajectory loads the latter for expm_multiply
+    # no run loads scipy.sparse.csgraph or scipy.sparse.linalg: steady
+    # states, sweeps, trajectories on both propagation routes and a
+    # protocol; nor does any module of the package import the latter
     code = textwrap.dedent("""
+        import pathlib
         import sys
         import pcdimer
         params = pcdimer.preset_params("dimer30_dc901")
         pcdimer.steady_state(pcdimer.build_liouvillian(params))
         assert pcdimer.sweep_detuning(params, [-5.0, 0.0, 5.0]).converged.all()
+        routes = [pcdimer.dynamics_run(params.with_truncation(cutoff), "qd1_excited",
+                                       20.0, samples=5).info.route
+                  for cutoff in (1, 2)]
+        assert routes == ["dense_expm", "taylor_action"], routes
+        pcdimer.stark_switch_protocol(params, 9.0, 1500.0, 100.0, 21)
         loaded = [name for name in ("scipy.sparse.csgraph", "scipy.sparse.linalg")
                   if name in sys.modules]
         assert not loaded, loaded
-        trajectory = pcdimer.dynamics_run(params.with_truncation(2), "qd1_excited",
-                                          20.0, samples=5)
-        assert trajectory.info.route == "expm_multiply"
-        assert "scipy.sparse.linalg" in sys.modules
+        sources = pathlib.Path(pcdimer.__file__).parent.glob("*.py")
+        assert not [path.name for path in sources
+                    if "scipy.sparse.linalg" in path.read_text()]
     """)
     done = subprocess.run([sys.executable, "-c", code], timeout=120,
                           env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import platform
 import resource
 import tracemalloc
@@ -54,6 +55,7 @@ from pcdimer.hilbert import qubit_lowering
 from pcdimer.solvers import (
     STEADY_RESIDUAL_TOL,
     _DENSE_MIN_STEPS,
+    _DENSE_MIN_TERMS,
     _SAMPLE_BLOCK,
     _SOLVER_POLICY,
     OBSERVABLES,
@@ -61,8 +63,10 @@ from pcdimer.solvers import (
     Schedule,
     _invariant_blocks,
     _no_jump_inverse,
-    _propagate_dense,
+    _propagate,
     _propagate_schedule,
+    _taylor_action,
+    _taylor_plan,
     _residuals,
     batch_points,
     convergence_scan,
@@ -879,16 +883,17 @@ class TestEvolve:
             assert np.max(np.abs(state - reference)) <= 1e-10
 
     def test_sparse_route_matches_expm(self):
-        # cutoff 2 (D^2 = 1296) takes expm_multiply; a run of equal steps
-        # is one call
+        # cutoff 2 (D^2 = 1296) takes the Taylor action; each step is one
+        # Taylor step
         params = dark_tuned(preset_params("dimer30_dc901")).with_truncation(2)
         segments = ((1.3, params.with_qd2_detuning(40.0)), (0.6, params))
         rho0 = DensityMatrix.basis_state(params.space(), (1, 0, 0, 0))
         t_grid = np.array([0.0, 0.4, 0.8, 1.9])
         trajectory = evolve(Schedule(segments), rho0, t_grid)
-        assert trajectory.info.route == "expm_multiply"
-        # step runs (0.4, 0.4), (0.5 to the switch), (0.6)
-        assert trajectory.info.propagators == 3
+        assert trajectory.info.route == "taylor_action"
+        # steps 0.4, 0.4, 0.5 to the switch and 0.6
+        assert trajectory.info.propagators == 4
+        assert trajectory.info.taylor_steps == 4
         assert trajectory.info.dense_propagators == 0
         assert np.array_equal(trajectory.matrices[0], rho0.matrix)
         for state, reference in zip(trajectory.matrices[1:],
@@ -899,7 +904,7 @@ class TestEvolve:
     def test_one_dense_propagator_per_distinct_step(self, monkeypatch):
         # a uniform grid needs one dense propagator per segment; the partial
         # step on each side of the switch is taken once and moves the state
-        # by expm_multiply, counted with the propagators
+        # by the Taylor action, counted with the propagators
         dense_built = count_dense_builds(monkeypatch)
         params = dark_tuned(preset_params("dimer30_dc901"))
         rho0 = DensityMatrix.basis_state(params.space(), (1, 0, 0, 0))
@@ -912,7 +917,7 @@ class TestEvolve:
         switched = evolve(Schedule(((42.0, params), (58.0, params))), rho0, t_grid)
         assert switched.info.propagators == 4
         assert (switched.info.dense_propagators,
-                switched.info.expm_multiply_calls) == (2, 2)
+                switched.info.taylor_steps) == (2, 2)
         assert len(dense_built) == 2  # 4 before single steps moved off the dense route
         assert 0.0 <= switched.info.max_trace_drift < 1e-12
         for s1, s2 in zip(constant.matrices, switched.matrices):
@@ -928,13 +933,13 @@ class TestEvolve:
         assert trajectory.info.route == "dense_expm"
         assert trajectory.info.propagators == 4
         assert (trajectory.info.dense_propagators,
-                trajectory.info.expm_multiply_calls) == (1, 3)
+                trajectory.info.taylor_steps) == (1, 3)
         assert dense_built == [(256, 256)]
 
-    def test_few_equal_steps_take_expm_multiply(self, monkeypatch):
+    def test_few_equal_steps_take_the_taylor_action(self, monkeypatch):
         # a step length taken twice in a segment, as the 5 ps samples before
-        # a switch after 10 ps are, costs less as two expm_multiply calls
-        # than as a dense exp(G h)
+        # a switch after 10 ps are, costs less as two Taylor steps than as a
+        # dense exp(G h)
         dense_built = count_dense_builds(monkeypatch)
         params = dark_tuned(preset_params("dimer30_dc901"))
         rho0 = DensityMatrix.basis_state(params.space(), (1, 0, 0, 0))
@@ -943,7 +948,25 @@ class TestEvolve:
         trajectory = evolve(Schedule(segments), rho0, t_grid)
         assert dense_built == []
         assert (trajectory.info.dense_propagators,
-                trajectory.info.expm_multiply_calls) == (0, 2)
+                trajectory.info.taylor_steps) == (0, 2)
+        for state, reference in zip(trajectory.matrices[1:],
+                                    expm_oracle(segments, rho0, t_grid[1:]),
+                                    strict=True):
+            assert np.max(np.abs(state - reference)) <= 1e-10
+
+    def test_long_steps_take_a_dense_propagator(self, monkeypatch):
+        # a 1000 ps step taken four times, fewer than _DENSE_MIN_STEPS: its
+        # Taylor steps would sum some 30,000 terms each, where one dense
+        # exp(G h) costs as much as 1,800-3,000 of them
+        dense_built = count_dense_builds(monkeypatch)
+        params = dark_tuned(preset_params("dimer30_dc901"))
+        rho0 = DensityMatrix.basis_state(params.space(), (1, 0, 0, 0))
+        t_grid = np.linspace(0.0, 4000.0, 5)
+        segments = ((4000.0, params),)
+        trajectory = evolve(Schedule(segments), rho0, t_grid)
+        assert dense_built == [(256, 256)]
+        assert (trajectory.info.dense_propagators,
+                trajectory.info.taylor_steps) == (1, 0)
         for state, reference in zip(trajectory.matrices[1:],
                                     expm_oracle(segments, rho0, t_grid[1:]),
                                     strict=True):
@@ -951,25 +974,29 @@ class TestEvolve:
 
     @settings(max_examples=20, deadline=None)
     @given(params=physical_params().map(lambda p: p.with_truncation(1)),
-           count=st.sampled_from([1, _SAMPLE_BLOCK - 1, _SAMPLE_BLOCK,
-                                  _SAMPLE_BLOCK + 1, 3 * _SAMPLE_BLOCK + 1]),
+           count=st.sampled_from([1, _DENSE_MIN_STEPS - 1, _DENSE_MIN_STEPS,
+                                  2 * _SAMPLE_BLOCK, 2 * _SAMPLE_BLOCK + 1,
+                                  3 * _SAMPLE_BLOCK + 1]),
            step=st.floats(0.01, 1.0), seed=st.integers(0, 2 ** 32 - 1))
     def test_blocked_sampling_matches_matvec_chain(self, params, count, step,
                                                    seed):
-        # the samples after the first block come from products with P^B;
-        # they agree with one matvec per step up to roundoff.  A run shorter
-        # than _DENSE_MIN_STEPS takes expm_multiply per step, whose distance
-        # to expm grows with max |G h|: up to 7e-13 of max |y| at 5 ps steps
-        # (max |G h| ~ 100), 2e-14 up to 1 ps
+        # the samples after the first block come from products with P^B
+        # (runs that end inside, at and one past a block boundary); they
+        # agree with one matvec per step up to roundoff.  A run shorter
+        # than _DENSE_MIN_STEPS takes one Taylor action per step: runs of one
+        # to seven such steps erred by up to 1.2e-13 of max |y| over 1,500
+        # draws
         generator = build_liouvillian(params).real_matrix
         rho = random_density(np.random.default_rng(seed), 16)
         y = (hermitian_basis(16) @ rho.reshape(-1, order="F")).real
         steps = np.full(count, step)
         states, reference = np.empty((2, count, y.size))
-        built, calls = _propagate_dense(generator, y, steps, states)
+        built, calls = _propagate(generator, y, steps, states)
         matvec_chain(generator, y, steps, reference)
-        assert (built, calls) == ((1, 0) if count >= _DENSE_MIN_STEPS
-                                  else (0, count))
+        norm = abs(generator).sum(axis=0).max()
+        terms = count * math.prod(_taylor_plan(norm * step))
+        dense = count >= _DENSE_MIN_STEPS or terms >= _DENSE_MIN_TERMS
+        assert (built, calls) == ((1, 0) if dense else (0, count))
         assert np.max(np.abs(states - reference)) <= 1e-12 * np.abs(reference).max()
 
     @settings(max_examples=10, deadline=None)
@@ -987,7 +1014,7 @@ class TestEvolve:
         assume(np.min(np.abs(t_grid - tau)) > 1e-3 * horizon)
         schedule = Schedule(((tau, params), (horizon - tau, switched)))
         rho0 = DensityMatrix.basis_state(params.space(), (1, 0, 0, 1))
-        states, _, _ = _propagate_schedule(schedule, rho0, t_grid, _propagate_dense)
+        states, _, _ = _propagate_schedule(schedule, rho0, t_grid, _propagate)
         reference, _, _ = _propagate_schedule(schedule, rho0, t_grid, matvec_chain)
         assert np.max(np.abs(states - reference)) <= 1e-12 * np.abs(reference).max()
 
@@ -1012,6 +1039,34 @@ class TestEvolve:
         norm = abs(generator * h).sum(axis=0).max()
         assert (np.max(np.abs(propagator - reference))
                 <= 1e-13 * max(1.0, norm) * np.abs(reference).max())
+
+    @settings(max_examples=25, deadline=None)
+    @given(params=physical_params(), cutoff=st.sampled_from((1,) * 7 + (2,)),
+           h=st.floats(0.01, 50.0), seed=st.integers(0, 2 ** 32 - 1))
+    @example(params=ZERO_PARAMS, cutoff=1, h=50.0, seed=0)
+    @example(params=SUBNORMAL_PUMP_PARAMS, cutoff=1, h=1.0, seed=0)
+    @example(params=dark_tuned(preset_params("dimer30_dc901")), cutoff=1, h=5.0,
+             seed=0)
+    def test_taylor_action_matches_expm(self, params, cutoff, h, seed):
+        # one Taylor step of a random state against scipy's Pade expm, at
+        # Fock cutoff 1 and, one draw in eight, cutoff 2: to 1e-12 of max |y|
+        # up to ||G h||_1 = 10 and in proportion to ||G h||_1 above, the
+        # lower bound of the condition number (as for the dense propagator).
+        # A flat 1e-12 fails for lossless rotations by hundreds of radians,
+        # whose Taylor terms cancel: 2 of 1,500 cutoff-1 draws exceeded it,
+        # by up to 1.1e-12, at most 0.041 of this bound; scipy's
+        # expm_multiply exceeded it in 18 of 1,000
+        params = params.with_truncation(cutoff)
+        generator = build_liouvillian(params).real_matrix
+        d = params.space().total_dim
+        rho = random_density(np.random.default_rng(seed), d)
+        y = (hermitian_basis(d) @ rho.reshape(-1, order="F")).real
+        reference = expm((generator * h).toarray()) @ y
+        norm = float(abs(generator).sum(axis=0).max())
+        state = np.empty_like(y)
+        _taylor_action(generator, norm, h, y, state)
+        assert (np.max(np.abs(state - reference))
+                <= 1e-13 * max(10.0, norm * h) * np.abs(reference).max())
 
     @pytest.mark.parametrize("h", [1.0, 13.0, 50.0])
     def test_dense_propagator_of_a_rotation(self, h):
@@ -1082,7 +1137,7 @@ class TestEvolve:
                                                message):
         # a NaN in a coherence coordinate, a trace drift, or a coherence
         # too large for the populations of its pair in the last sample
-        propagate = pcdimer.solvers._propagate_dense
+        propagate = pcdimer.solvers._propagate
 
         def faulty(generator, y, steps, out):
             counts = propagate(generator, y, steps, out)
@@ -1094,7 +1149,7 @@ class TestEvolve:
                 out[-1, 16] += 1.0  # sqrt(2) Re rho_01
             return counts
 
-        monkeypatch.setattr(pcdimer.solvers, "_propagate_dense", faulty)
+        monkeypatch.setattr(pcdimer.solvers, "_propagate", faulty)
         params = dark_tuned(preset_params("dimer30_dc901"))
         rho0 = DensityMatrix.basis_state(params.space(), (1, 0, 0, 0))
         with pytest.raises(error, match=message):
