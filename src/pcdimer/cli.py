@@ -662,7 +662,7 @@ def main(argv=None) -> int:
     parser.add_argument("--output", default=None,
                         help="output directory (overrides [output] directory)")
     parser.add_argument("--truncation", type=int, default=None,
-                        help="override the per-mode Fock cutoff")
+                        help="override the per-mode Fock cutoff (not for convergence)")
     parser.add_argument("--threads", type=int, default=None,
                         help="sweep worker count (overrides [run] threads)")
     parser.add_argument("--quiet", action="store_true",
@@ -681,11 +681,17 @@ def main(argv=None) -> int:
         if args.output is not None:
             overrides["output_dir"] = args.output
         if args.truncation is not None:
+            if config.command == "convergence":
+                raise ConfigError("--truncation does not act on a convergence run, "
+                                  "whose [convergence] cutoffs set the Fock cutoffs")
             if args.truncation < 1:
                 raise ConfigError(
                     f"invalid --truncation {args.truncation}: minimum 1")
             overrides["params"] = config.params.with_truncation(args.truncation)
         if args.threads is not None:
+            if config.command != "sweep":
+                raise ConfigError(f"--threads acts on sweep runs only, not on a "
+                                  f"{config.command} run")
             if args.threads < 1:
                 raise ConfigError(f"invalid --threads {args.threads}: minimum 1")
             overrides["threads"] = args.threads

@@ -284,33 +284,6 @@ def identity_bra(space: CompositeSpace) -> np.ndarray:
     return bra
 
 
-def _term_entries(d: int, hamiltonian: sp.spmatrix, jumps):
-    """Per term, the C-order flat indices, without repeats, and the values
-    (ueV) of what its coefficient 1 contributes to the no-jump Hamiltonian
-    A of the generator L = -i (I kron A) + i (conj(A) kron I) + R, times
-    hbar: a Hamiltonian term T (a column of the sparse (d^2, K)
-    ``hamiltonian``, C-order flattened) gives A = T, a jump C (a dense
-    d x d array of ``jumps``) gives A = -(i/2) C^dag C."""
-    columns = hamiltonian.tocsc()
-    for k in range(columns.shape[1]):
-        span = slice(columns.indptr[k], columns.indptr[k + 1])
-        yield columns.indices[span].astype(np.int64), columns.data[span]
-    for c in jumps:
-        decay = c.conj().T @ c
-        p, q = np.nonzero(decay)
-        yield p * d + q, -0.5j * decay[p, q]
-
-
-def _coefficient_map(rows: list, values: list, size: int) -> sp.csc_matrix:
-    """(size, K) CSC matrix whose column k holds ``values[k]`` at the rows
-    ``rows[k]``."""
-    indptr = np.zeros(len(rows) + 1, dtype=np.int32)
-    np.cumsum([r.size for r in rows], out=indptr[1:])
-    return sp.csc_matrix(
-        (np.concatenate(values), np.concatenate(rows).astype(np.int32), indptr),
-        shape=(size, len(rows)))
-
-
 @dataclass(frozen=True)
 class _Template:
     """Generators of one set of term operators as linear maps of theta.
@@ -332,10 +305,12 @@ class _Template:
     r_indptr: np.ndarray = field(repr=False)
 
     @staticmethod
-    def build(space: CompositeSpace, hamiltonian: sp.spmatrix, jumps) -> "_Template":
+    def build(space: CompositeSpace, hamiltonian: sp.csc_matrix, jumps) -> "_Template":
+        """The template of the (d^2, K) CSC matrix ``hamiltonian``, whose
+        column k is the C-order flattened Hermitian term T_k, and of the
+        dense d x d ``jumps``."""
         d = space.total_dim
         n = d * d
-        terms = tuple(_term_entries(d, hamiltonian, jumps))
         # each jump's R_h: conj(C) kron C takes X to C X C^dag, Hermitian,
         # whose coordinates are Re(U vec(C X C^dag)); entry (a, b) of the
         # Kronecker product maps vec index b to a, and vec index j d + i is
@@ -353,7 +328,9 @@ class _Template:
         jump = np.repeat(np.arange(len(forms)), [keys.size for keys, _ in forms])
         return _Template(
             space=space,
-            a=_coefficient_map([t[0] for t in terms], [t[1] for t in terms], n),
+            # A times hbar: the terms T_k, then per jump -(i/2) C^dag C
+            a=sp.hstack([hamiltonian] + [sp.csc_matrix(-0.5j * (c.conj().T @ c).reshape(-1, 1))
+                                         for c in jumps], format="csc"),
             r=sp.csr_matrix((np.concatenate([np.empty(0)] + [sums for _, sums in forms]),
                              (slot, jump)), shape=(pattern.size, len(forms))),
             r_indices=(pattern % n).astype(np.int32),
@@ -429,8 +406,7 @@ def _stacked_csr(values: np.ndarray, indices: np.ndarray,
 
 @lru_cache(maxsize=8)
 def _model_template(space: CompositeSpace) -> _Template:
-    hamiltonian, jumps = model_terms(space)
-    return _Template.build(space, hamiltonian, [c.toarray() for c in jumps])
+    return _Template.build(space, *model_terms(space))
 
 
 def assemble_generator(h: Operator, jumps) -> Superoperator:

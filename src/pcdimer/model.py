@@ -233,25 +233,24 @@ def coupling_from_field(omega0: float, d2: float, ey: float) -> float:
 
 
 @lru_cache(maxsize=16)
-def model_terms(space: CompositeSpace) -> tuple[sp.csc_matrix, tuple[sp.csr_matrix, ...]]:
-    """The term operators of the model on ``space``, sparse: the
-    rotating-frame Hamiltonian is sum_k theta_k T_k and the jumps C_j act at
-    the rates r_j, with (theta, r) = ``coefficients(params)``.
+def model_terms(space: CompositeSpace) -> tuple[sp.csc_matrix, tuple[np.ndarray, ...]]:
+    """The term operators of the model on ``space``: the rotating-frame
+    Hamiltonian is sum_k theta_k T_k and the jumps C_j act at the rates
+    r_j, with (theta, r) = ``coefficients(params)``.
 
     Couplings and drive amplitudes enter through their real and imaginary
     parts: conj(g) X + g X^dag = Re g (X + X^dag) + Im g i(X^dag - X), for
     X = a_m^dag sigma_n, and likewise for Omega_n sigma_n^dag.  Returns
-    ``(hamiltonian, jumps)``.  Column k of the (d^2, 16) ``hamiltonian`` is
-    the C-order flattened Hermitian term T_k:
+    ``(hamiltonian, jumps)``.  Column k of the sparse (d^2, 16)
+    ``hamiltonian`` is the C-order flattened Hermitian term T_k:
     a_1^dag a_1, a_2^dag a_2, sigma_1^dag sigma_1, sigma_2^dag sigma_2, then
     X + X^dag and i(X^dag - X) for X = a_m^dag sigma_n in the order
     (m, n) = (1, 1), (1, 2), (2, 1), (2, 2), then sigma_n + sigma_n^dag and
-    i(sigma_n^dag - sigma_n) for n = 1, 2.  ``jumps`` are the eight d x d
-    Lindblad channels: per mode the loss a_m and the pump a_m^dag, per
-    emitter the decay sigma_n and the dephasing projector
+    i(sigma_n^dag - sigma_n) for n = 1, 2.  ``jumps`` are the eight dense,
+    read-only d x d Lindblad channels: per mode the loss a_m and the pump
+    a_m^dag, per emitter the decay sigma_n and the dephasing projector
     sigma_n^dag sigma_n.  Cached per space; treat as read-only.
     """
-    d = space.total_dim
     sm1, sm2, a1, a2 = (low.matrix for low in lowering_operators(space))
     exchange = [a.conj().T @ sm for a in (a1, a2) for sm in (sm1, sm2)]
     terms = itertools.chain(
@@ -260,19 +259,12 @@ def model_terms(space: CompositeSpace) -> tuple[sp.csc_matrix, tuple[sp.csr_matr
         (1j * (x.conj().T - x) for x in exchange),
         (sm + sm.conj().T for sm in (sm1, sm2)),
         (1j * (sm.conj().T - sm) for sm in (sm1, sm2)))
-    rows, values = [], []
-    for term in terms:  # one dense d x d term at a time
-        flat = np.flatnonzero(term)
-        rows.append(flat)
-        values.append(term.ravel()[flat])
-    indptr = np.zeros(len(rows) + 1, dtype=np.int32)
-    np.cumsum([r.size for r in rows], out=indptr[1:])
-    hamiltonian = sp.csc_matrix(
-        (np.concatenate(values), np.concatenate(rows).astype(np.int32), indptr),
-        shape=(d * d, len(rows)))
+    hamiltonian = sp.csc_matrix(np.stack([term.ravel() for term in terms], axis=1))
     jumps = (a1, a1.conj().T, a2, a2.conj().T,
              sm1, sm1.conj().T @ sm1, sm2, sm2.conj().T @ sm2)
-    return hamiltonian, tuple(sp.csr_matrix(c) for c in jumps)
+    for c in jumps:
+        c.flags.writeable = False
+    return hamiltonian, jumps
 
 
 def coefficients(params: SystemParams) -> np.ndarray:

@@ -116,22 +116,20 @@ _TRACE_DRIFT_TOL = 1e-7
 # Liouville dimensions D^2 up to this (Fock cutoff 1) propagate with dense
 # exp(L dt) matrices; larger spaces with the action of the exponential
 _DENSE_PROPAGATOR_MAX_DIM = 256
-# step lengths within this relative distance share one propagator
+# consecutive step lengths within this relative distance form one run of
+# equal steps, which shares one propagator
 _SHARED_STEP_TOL = 1e-12
-# on the dense route, a step length gets a dense exp(G h) when it is taken
-# at least _DENSE_MIN_STEPS times in a segment, or when its Taylor steps
-# there would sum at least _DENSE_MIN_TERMS terms (m s per step,
-# ``_taylor_plan``); otherwise each of its steps is one Taylor action.  On
-# the twelve bench dynamics generators of seeds 1 and 2 (D^2 = 256, 2-vCPU
-# Xeon, one BLAS thread, medians of 11-21 calls) one dense propagator took
-# 6.0-9.0 ms at 5 ps, the sample step of the 801-sample runs, and one
-# Taylor step (m s = 160) 0.84-1.50 ms: a propagator cost 4.5-10.1 steps,
-# 6.2-6.8 in the median over the generators in each of three rounds.  A
-# Taylor step grows with h and a propagator only with log h: counted in
-# terms, one propagator cost 780-1,220 at 5 ps, 860-1,620 at 20 ps,
-# 1,650-1,770 at 100 ps and 1,800-3,020 at 1000 ps, where one Taylor step
-# took 98-188 ms
-_DENSE_MIN_STEPS = 7
+# on the dense route, a run of equal steps gets a dense exp(G h) when its
+# Taylor steps would sum at least _DENSE_MIN_TERMS terms (m s per step,
+# ``_taylor_plan``), the cost measure of Al-Mohy & Higham (SIAM J. Sci.
+# Comput. 33, 488 (2011)); otherwise each of its steps is one Taylor
+# action.  On the twelve bench dynamics generators of seeds 1 and 2
+# (D^2 = 256, 2-vCPU Xeon, one BLAS thread, medians of 11-21 calls) one
+# dense propagator took 6.0-9.0 ms at 5 ps, the sample step of the
+# 801-sample runs, and one Taylor step (m s = 160) 0.84-1.50 ms.  A Taylor
+# step grows with h and a propagator only with log h: counted in terms,
+# one propagator cost 780-1,220 at 5 ps, 860-1,620 at 20 ps, 1,650-1,770
+# at 100 ps and 1,800-3,020 at 1000 ps, where one Taylor step took 98-188 ms
 _DENSE_MIN_TERMS = 1200
 # theta_m, the largest ||A||_1 at which the degree-m Taylor polynomial
 # approximates exp(A) to unit roundoff 2^-53 in backward error (Al-Mohy &
@@ -746,9 +744,9 @@ class PropagationInfo:
     ``dense_propagators`` counts the dense exp(G dt) matrices built by
     ``_dense_propagator`` (none on the ``taylor_action`` route);
     ``taylor_steps`` counts the steps taken by ``_taylor_action``: on the
-    dense route each step of a step length that gets no dense propagator
-    (taken fewer than 7 times in a segment and short enough), on the other
-    every step;
+    dense route each step of a run of equal steps that gets no dense
+    propagator (one whose Taylor steps would sum fewer than
+    ``_DENSE_MIN_TERMS`` terms), on the other every step;
     ``propagators`` is their sum; ``max_trace_drift`` is the largest
     |Tr(rho) - 1| of the raw sampled states, before renormalization.
     """
@@ -868,9 +866,10 @@ def _step_runs(steps: np.ndarray) -> list[list]:
     return runs
 
 
-def _dense_propagator(generator: sp.csr_matrix, h: float) -> np.ndarray:
-    """The dense exp(G h) of a sparse generator, by scaling and squaring
-    its degree-16 Taylor polynomial, without a linear solve.
+def _dense_propagator(generator: sp.csr_matrix, norm: float, h: float) -> np.ndarray:
+    """The dense exp(G h) of a sparse generator of 1-norm ``norm``, by
+    scaling and squaring its degree-16 Taylor polynomial, without a linear
+    solve.
 
     s is the least integer with ||G h||_1 / 2^s <= theta_16 = 0.781; the
     1-norm bounds the alpha_p of Al-Mohy & Higham (SIAM J. Sci. Comput. 33,
@@ -882,9 +881,8 @@ def _dense_propagator(generator: sp.csr_matrix, h: float) -> np.ndarray:
     are sparse-by-dense products, since G is sparse (3,256 of its 65,536
     entries at Fock cutoff 1); the Horner steps are three dense products.
     """
-    norm = float(abs(generator).sum(axis=0).max()) * h
-    mantissa, exponent = math.frexp(norm / _TAYLOR_THETA[16])
-    # norm / theta = mantissa 2^exponent, mantissa in [1/2, 1), or 0
+    mantissa, exponent = math.frexp(norm * h / _TAYLOR_THETA[16])
+    # norm h / theta = mantissa 2^exponent, mantissa in [1/2, 1), or 0
     squarings = max(0, exponent - (mantissa == 0.5))
     a = generator * (h / 2.0 ** squarings)
     powers = [a.toarray()]
@@ -952,36 +950,27 @@ def _taylor_action(generator: sp.csr_matrix, norm: float, h: float,
 def _propagate(generator: sp.csr_matrix, y: np.ndarray, steps: np.ndarray,
                out: np.ndarray):
     """Writes the coordinates after each step into the rows of ``out``;
-    returns (dense propagators built, Taylor steps).  At D^2 <= 256, a step
-    length taken at least ``_DENSE_MIN_STEPS`` times in the segment, or
-    whose Taylor steps there would sum at least ``_DENSE_MIN_TERMS`` terms
-    (m s each, ``_taylor_plan``), gets one dense P = exp(G h), formed by
-    ``_dense_propagator``: a run of such steps takes its first
+    returns (dense propagators built, Taylor steps).  At D^2 <= 256, a run
+    of equal steps whose Taylor steps would sum at least
+    ``_DENSE_MIN_TERMS`` terms (m s each, ``_taylor_plan``) gets one dense
+    P = exp(G h), formed by ``_dense_propagator``: the run takes its first
     ``_SAMPLE_BLOCK`` states by matvecs and every later block of that many
     by one product with P^B, which is not counted as a propagator.  Every
     other step, and every step of a larger space, moves the state by one
     ``_taylor_action``, never forming exp(G h)."""
-    runs = _step_runs(steps)
     dense = generator.shape[0] <= _DENSE_PROPAGATOR_MAX_DIM
     norm = float(abs(generator).sum(axis=0).max())
-    built: list[tuple[float, np.ndarray]] = []
-    k = taken = 0
-    for h, count in runs:
-        repeats = sum(c for key, c in runs
-                      if abs(h - key) <= _SHARED_STEP_TOL * key)
-        terms = repeats * math.prod(_taylor_plan(norm * h))
-        if not dense or (repeats < _DENSE_MIN_STEPS and terms < _DENSE_MIN_TERMS):
+    k = built = taken = 0
+    for h, count in _step_runs(steps):
+        if not dense or count * math.prod(_taylor_plan(norm * h)) < _DENSE_MIN_TERMS:
             for _ in range(count):
                 _taylor_action(generator, norm, h, y, out[k])
                 y = out[k]
                 k += 1
             taken += count
             continue
-        propagator = next((p for key, p in built
-                           if abs(h - key) <= _SHARED_STEP_TOL * key), None)
-        if propagator is None:
-            propagator = _dense_propagator(generator, h)
-            built.append((h, propagator))
+        propagator = _dense_propagator(generator, norm, h)
+        built += 1
         head = min(count, _SAMPLE_BLOCK)
         for _ in range(head):
             y = out[k] = propagator @ y
@@ -999,7 +988,7 @@ def _propagate(generator: sp.csr_matrix, y: np.ndarray, steps: np.ndarray,
                           out=out[start:stop])
             k = end
             y = out[k - 1]
-    return len(built), taken
+    return built, taken
 
 
 def _propagate_schedule(schedule: Schedule, rho0: DensityMatrix,
@@ -1060,18 +1049,18 @@ def evolve(schedule: Schedule, rho0: DensityMatrix, t_grid) -> Trajectory:
     the state is handed over unchanged.  Two routes, chosen by the Liouville
     dimension D^2, both in float64:
 
-    - D^2 <= 256 (Fock cutoff 1): one dense P = exp(G dt) per step length
-      taken at least 7 times in a segment, or so long that its Taylor steps
-      would cost more (``_DENSE_MIN_TERMS``), by scaling and squaring a
-      degree-16 Taylor polynomial without a linear solve
-      (``_dense_propagator``); step lengths that agree to within 1e-12
-      relative share one propagator.  A run of equal steps takes its first
-      4 states by matrix-vector products and every later block of 4 by one
-      matrix product with P^4 (two squarings of P, formed per run and not
-      counted as a propagator).  Any other step length (the partial steps
-      at a segment switch, the few sample steps before an early switch)
-      moves the state by one Taylor action per step instead, which costs
-      less than forming P.
+    - D^2 <= 256 (Fock cutoff 1): one dense P = exp(G dt) per run of
+      equal steps (consecutive steps that agree to within 1e-12 relative)
+      whose Taylor steps would sum at least ``_DENSE_MIN_TERMS`` terms, by
+      scaling and squaring a degree-16 Taylor polynomial without a linear
+      solve (``_dense_propagator``).  Such a run takes its first 4 states
+      by matrix-vector products and every later block of 4 by one matrix
+      product with P^4 (two squarings of P, formed per run and not counted
+      as a propagator).  Every other run (the partial steps at a segment
+      switch, the few sample steps before an early switch) moves the state
+      by one Taylor action per step instead, which costs less than forming
+      P.  A uniform sample grid gives each segment one run of full steps
+      between at most two partial steps.
     - larger spaces: the action of the exponential on the state, one
       Taylor action per step and never a dense matrix.
 

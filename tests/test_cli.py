@@ -256,9 +256,10 @@ class TestParsing:
         assert parse_config(text).run_id() == expected
 
     @pytest.mark.parametrize("truncation", [1, 2, 3])
-    def test_convergence_run_id_ignores_truncation(self, tmp_path, truncation):
-        # the scan sets every cutoff from its cutoffs, so neither [system]
-        # truncation nor --truncation enters its id: all keep the pinned one
+    def test_convergence_run_id_ignores_truncation(self, tmp_path, capsys, truncation):
+        # the scan sets every cutoff from its cutoffs, so [system] truncation
+        # does not enter its id: all keep the pinned one.  --truncation would
+        # not act either, and is a config error
         pinned = "3c945b5458d5d25dc31f2ae3f04983971696eda233aa29875f121c455e4231ce"
         text = (STEADY_PRESET.replace("steady", "convergence")
                 + "\n[convergence]\ncutoffs = 1,2,3\nobservable = pop_m1\n")
@@ -267,9 +268,9 @@ class TestParsing:
         config_path = tmp_path / "run.cfg"
         config_path.write_text(text, encoding="utf-8")
         assert main(["--config", str(config_path), "--output", str(tmp_path),
-                     "--truncation", str(truncation), "--quiet"]) == 0
-        manifest = read_strict_json(tmp_path / "convergence_manifest.json")
-        assert manifest["run_id"] == pinned
+                     "--truncation", str(truncation), "--quiet"]) == 2
+        assert "--truncation does not act on a convergence run" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [config_path]
 
     @pytest.mark.parametrize("key", ["truncation", "seed"])
     def test_retired_run_keys_rejected(self, key):
@@ -716,17 +717,25 @@ class TestMain:
         manifest = json.loads((tmp_path / "steady_manifest.json").read_text())
         assert manifest["config"]["system"]["truncation"] == 2
 
-    @pytest.mark.parametrize("threads, code", [("2", 0), ("0", 2)])
-    def test_threads_flag(self, tmp_path, capsys, threads, code):
+    @pytest.mark.parametrize("run_name, threads, message", [
+        ("dephasing", "2", None),
+        ("dephasing", "0", "invalid --threads 0: minimum 1"),
+        ("steady", "2", "--threads acts on sweep runs only, not on a steady run"),
+    ], ids=["2-0", "0-2", "steady-2-2"])
+    def test_threads_flag(self, tmp_path, capsys, run_name, threads, message):
+        # the worker count acts on sweeps only; on any other run the flag
+        # would change nothing, so it is a config error there
         config_path = tmp_path / "run.cfg"
-        config_path.write_text(STEADY_PRESET, encoding="utf-8")
-        assert main(["--config", str(config_path), "--output", str(tmp_path),
-                     "--threads", threads, "--quiet"]) == code
-        if code:
-            assert "invalid --threads 0: minimum 1" in capsys.readouterr().err
+        config_path.write_text(run_text(run_name), encoding="utf-8")
+        code = main(["--config", str(config_path), "--output", str(tmp_path),
+                     "--threads", threads, "--quiet"])
+        if message:
+            assert code == 2
+            assert message in capsys.readouterr().err
             assert list(tmp_path.iterdir()) == [config_path]
         else:
-            manifest = read_strict_json(tmp_path / "steady_manifest.json")
+            assert code == 0
+            manifest = read_strict_json(tmp_path / "sweep_manifest.json")
             assert manifest["threads"] == 2
 
     def test_config_error_exit_code(self, tmp_path, capsys):

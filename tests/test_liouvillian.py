@@ -422,8 +422,7 @@ class TestBuildLiouvillian:
         liouville = build_liouvillian(params)
         h = build_effective_hamiltonian(params).matrix
         _, model_jumps = model_terms(space)
-        jumps = [(c.toarray(), rate) for c, rate in
-                 zip(model_jumps, coefficients(params)[-len(model_jumps):])]
+        jumps = list(zip(model_jumps, coefficients(params)[-len(model_jumps):]))
         decay = sum(rate * (c.conj().T @ c) for c, rate in jumps)
         expected = (h - 0.5j * decay) / HBAR_UEV_PS
         assert np.max(np.abs(liouville.h_eff - expected)) < 1e-15
@@ -519,7 +518,7 @@ def assembled_model_generator(params):
     rates = coefficients(params)[-len(jumps):]
     return assemble_generator(
         build_effective_hamiltonian(params),
-        [(Operator(space, c.toarray()), rate) for c, rate in zip(jumps, rates)])
+        [(Operator(space, c), rate) for c, rate in zip(jumps, rates)])
 
 
 def same_outcome(first, second):
@@ -682,7 +681,6 @@ class TestTemplate:
         # G: what it keeps, and the peak of its build, by tracemalloc
         space = full_params().with_truncation(cutoff).space()
         hamiltonian, jumps = model_terms(space)
-        jumps = [c.toarray() for c in jumps]
         _Template.build(space, hamiltonian, jumps)  # fills the per-dimension caches
         tracemalloc.start()
         try:

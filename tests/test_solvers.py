@@ -54,7 +54,6 @@ from pcdimer.model import (
 from pcdimer.hilbert import qubit_lowering
 from pcdimer.solvers import (
     STEADY_RESIDUAL_TOL,
-    _DENSE_MIN_STEPS,
     _DENSE_MIN_TERMS,
     _SAMPLE_BLOCK,
     _SOLVER_POLICY,
@@ -127,8 +126,8 @@ def count_dense_builds(monkeypatch):
     built = []
     build = pcdimer.solvers._dense_propagator
 
-    def counting(generator, h):
-        propagator = build(generator, h)
+    def counting(generator, norm, h):
+        propagator = build(generator, norm, h)
         built.append(propagator.shape)
         return propagator
 
@@ -143,20 +142,30 @@ def dark_tuned(params):
 
 
 def expm_oracle(segments, rho0, t_grid):
-    """Sampled states by dense matrix exponentials from the last segment
-    start: exp(L_k (t - t_k)) ... exp(L_1 (t_2 - t_1)) vec(rho0)."""
+    """Sampled states by scipy's dense matrix exponentials of each segment's
+    real generator G, one per distinct step length, chained from sample to
+    sample and across each switch: exp(G_k h) ... y_0, y_0 = U vec(rho0)."""
     d = rho0.space.total_dim
-    vec = rho0.matrix.reshape(-1, order="F")
+    y = hermitian_coordinates(rho0.matrix, d)
     start, states = 0.0, []
     for k, (duration, params) in enumerate(segments):
-        dense = build_liouvillian(params).matrix.toarray()
+        dense = build_liouvillian(params).real_matrix.toarray()
+        propagators = {}
+
+        def step(y, h):
+            if h not in propagators:
+                propagators[h] = expm(dense * h)
+            return propagators[h] @ y
+
         # the last segment takes every remaining sample (the horizon may
         # differ from the summed durations by roundoff)
         end = start + duration if k < len(segments) - 1 else np.inf
-        for t in t_grid[(t_grid > start) & (t_grid <= end)]:
-            states.append((expm(dense * (t - start)) @ vec).reshape((d, d), order="F"))
+        t = start
+        for sample in t_grid[(t_grid > start) & (t_grid <= end)]:
+            y, t = step(y, sample - t), sample
+            states.append(hermitian_matrices(y, d))
         if k < len(segments) - 1:
-            vec = expm(dense * duration) @ vec
+            y = step(y, end - t)
             start = end
     return states
 
@@ -954,10 +963,30 @@ class TestEvolve:
                                     strict=True):
             assert np.max(np.abs(state - reference)) <= 1e-10
 
+    def test_many_short_steps_take_the_taylor_action(self, monkeypatch):
+        # 25 steps of 0.2 ps: their Taylor steps sum fewer terms than one
+        # dense exp(G h) costs, however many steps there are
+        dense_built = count_dense_builds(monkeypatch)
+        params = dark_tuned(preset_params("dimer30_dc901"))
+        generator = build_liouvillian(params).real_matrix
+        norm = float(abs(generator).sum(axis=0).max())
+        assert 25 * math.prod(_taylor_plan(norm * 0.2)) < _DENSE_MIN_TERMS
+        rho0 = DensityMatrix.basis_state(params.space(), (1, 0, 0, 0))
+        t_grid = np.linspace(0.0, 5.0, 26)
+        segments = ((5.0, params),)
+        trajectory = evolve(Schedule(segments), rho0, t_grid)
+        assert dense_built == []
+        assert (trajectory.info.dense_propagators,
+                trajectory.info.taylor_steps) == (0, 25)
+        for state, reference in zip(trajectory.matrices[1:],
+                                    expm_oracle(segments, rho0, t_grid[1:]),
+                                    strict=True):
+            assert np.max(np.abs(state - reference)) <= 1e-10
+
     def test_long_steps_take_a_dense_propagator(self, monkeypatch):
-        # a 1000 ps step taken four times, fewer than _DENSE_MIN_STEPS: its
-        # Taylor steps would sum some 30,000 terms each, where one dense
-        # exp(G h) costs as much as 1,800-3,000 of them
+        # a 1000 ps step taken four times: its Taylor steps would sum some
+        # 30,000 terms each, where one dense exp(G h) costs as much as
+        # 1,800-3,000 of them
         dense_built = count_dense_builds(monkeypatch)
         params = dark_tuned(preset_params("dimer30_dc901"))
         rho0 = DensityMatrix.basis_state(params.space(), (1, 0, 0, 0))
@@ -974,18 +1003,17 @@ class TestEvolve:
 
     @settings(max_examples=20, deadline=None)
     @given(params=physical_params().map(lambda p: p.with_truncation(1)),
-           count=st.sampled_from([1, _DENSE_MIN_STEPS - 1, _DENSE_MIN_STEPS,
+           count=st.sampled_from([1, _SAMPLE_BLOCK, _SAMPLE_BLOCK + 1,
                                   2 * _SAMPLE_BLOCK, 2 * _SAMPLE_BLOCK + 1,
                                   3 * _SAMPLE_BLOCK + 1]),
-           step=st.floats(0.01, 1.0), seed=st.integers(0, 2 ** 32 - 1))
+           step=st.floats(0.01, 5.0), seed=st.integers(0, 2 ** 32 - 1))
     def test_blocked_sampling_matches_matvec_chain(self, params, count, step,
                                                    seed):
-        # the samples after the first block come from products with P^B
-        # (runs that end inside, at and one past a block boundary); they
-        # agree with one matvec per step up to roundoff.  A run shorter
-        # than _DENSE_MIN_STEPS takes one Taylor action per step: runs of one
-        # to seven such steps erred by up to 1.2e-13 of max |y| over 1,500
-        # draws
+        # a run whose Taylor steps would sum at least _DENSE_MIN_TERMS terms
+        # takes a dense propagator, and its samples after the first block
+        # come from products with P^B (runs that end inside, at and one past
+        # a block boundary); they agree with one matvec per step up to
+        # roundoff.  A cheaper run takes one Taylor action per step
         generator = build_liouvillian(params).real_matrix
         rho = random_density(np.random.default_rng(seed), 16)
         y = (hermitian_basis(16) @ rho.reshape(-1, order="F")).real
@@ -995,7 +1023,7 @@ class TestEvolve:
         matvec_chain(generator, y, steps, reference)
         norm = abs(generator).sum(axis=0).max()
         terms = count * math.prod(_taylor_plan(norm * step))
-        dense = count >= _DENSE_MIN_STEPS or terms >= _DENSE_MIN_TERMS
+        dense = terms >= _DENSE_MIN_TERMS
         assert (built, calls) == ((1, 0) if dense else (0, count))
         assert np.max(np.abs(states - reference)) <= 1e-12 * np.abs(reference).max()
 
@@ -1003,12 +1031,13 @@ class TestEvolve:
     @given(params=physical_params().map(lambda p: p.with_truncation(1)),
            switched=physical_params().map(lambda p: p.with_truncation(1)),
            samples=st.integers(2 * _SAMPLE_BLOCK, 4 * _SAMPLE_BLOCK),
-           horizon=st.floats(1.0, 8.0), switch=st.floats(0.1, 0.9))
+           horizon=st.floats(1.0, 40.0), switch=st.floats(0.1, 0.9))
     def test_blocked_schedule_matches_matvec_chain(self, params, switched,
                                                    samples, horizon, switch):
         # two segments on a uniform grid: a run of equal steps on each side
-        # of the switch, blocked where longer than B, and the single steps
-        # that reach and leave it (steps up to ~1 ps, as above)
+        # of the switch, blocked where it takes a dense propagator and is
+        # longer than B, and the single steps that reach and leave it
+        # (steps up to ~5 ps, as above)
         t_grid = np.linspace(0.0, horizon, samples)
         tau = switch * horizon
         assume(np.min(np.abs(t_grid - tau)) > 1e-3 * horizon)
@@ -1034,7 +1063,7 @@ class TestEvolve:
         # 5 ps takes 5; 400 draws used at most 0.11 of the bound
         generator = build_liouvillian(params).real_matrix
         reference = expm((generator * h).toarray())
-        propagator = _dense_propagator(generator, h)
+        propagator = _dense_propagator(generator, float(abs(generator).sum(axis=0).max()), h)
         assert propagator.shape == (256, 256)
         norm = abs(generator * h).sum(axis=0).max()
         assert (np.max(np.abs(propagator - reference))
@@ -1077,13 +1106,14 @@ class TestEvolve:
         # missed it by 1.0e-13 at 13 ps and 2.5e-13 at 50 ps
         params = dataclasses.replace(
             ZERO_PARAMS, drive=DriveParams(amplitude=0.0, pump_freq=102.0))
-        a = (build_liouvillian(params).real_matrix * h).toarray()
+        generator = build_liouvillian(params).real_matrix
+        a = (generator * h).toarray()
         exact = np.eye(256)
         for i, j in zip(*np.nonzero(np.triu(a))):
             c, s = np.cos(a[j, i]), np.sin(a[j, i])
             exact[np.ix_([i, j], [i, j])] = [[c, -s], [s, c]]
         assert np.array_equal(a, np.triu(a) - np.triu(a).T)  # rotations only
-        propagator = _dense_propagator(build_liouvillian(params).real_matrix, h)
+        propagator = _dense_propagator(generator, float(abs(generator).sum(axis=0).max()), h)
         assert np.max(np.abs(propagator - exact)) <= 1e-14
 
     def test_batched_observables_match_per_state_values(self):
