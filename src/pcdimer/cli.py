@@ -42,10 +42,8 @@ from .liouvillian import build_liouvillian
 from .solvers import OBSERVABLES, convergence_scan, observables, steady_state
 from .experiments import (
     INITIAL_STATES,
-    default_delta_grid,
-    default_gamma_d_grid,
-    default_phi_grid,
-    default_qd_detuning_grid,
+    SWEEPS,
+    default_grid,
     dynamics_run,
     stark_switch_protocol,
     sweep_dephasing,
@@ -58,40 +56,31 @@ __all__ = ["RunConfig", "parse_config", "run", "main"]
 
 COMMANDS = ("steady", "dynamics", "sweep", "protocol", "convergence")
 
-# each sweep kind: the default grid of each of its axes for the run's system,
-# and its sweep; the lambdas look the sweep functions up at call time
+# each kind of ``experiments.SWEEPS``: its sweep, called with the grids of
+# its axes in their order; the lambdas look the sweep functions up at call
+# time
 _SWEEPS = {
-    "phase_detuning": (
-        {"phi": lambda params: default_phi_grid(),
-         "delta": lambda params: default_delta_grid(params.coupling.as_array()[0, 0])},
-        lambda params, grids, config: sweep_phase_detuning(
-            params, grids["phi"], grids["delta"], n_workers=config.threads)),
-    "qd_detuning": (
-        {"detuning": lambda params: default_qd_detuning_grid()},
-        lambda params, grids, config: sweep_detuning(
-            params, grids["detuning"], n_workers=config.threads)),
-    "dephasing": (
-        {"gamma_d": lambda params: default_gamma_d_grid()},
-        lambda params, grids, config: sweep_dephasing(
-            params, grids["gamma_d"], n_workers=config.threads)),
-    "splitting": (
-        {"splitting": lambda params: np.linspace(
-            0.0, 3.0 * params.splitting if params.splitting > 0 else 6600.0, 41)},
-        lambda params, grids, config: sweep_splitting(
-            params, grids["splitting"], linewidth_sets=config.linewidth_sets,
-            n_workers=config.threads)),
+    "phase_detuning": lambda params, grids, config: sweep_phase_detuning(
+        params, *grids, n_workers=config.threads),
+    "qd_detuning": lambda params, grids, config: sweep_detuning(
+        params, *grids, n_workers=config.threads),
+    "dephasing": lambda params, grids, config: sweep_dephasing(
+        params, *grids, n_workers=config.threads),
+    "splitting": lambda params, grids, config: sweep_splitting(
+        params, *grids, linewidth_sets=config.linewidth_sets,
+        n_workers=config.threads),
 }
 
 # the inputs that a run sets itself, by run and section, which its config
-# may not set: the dark-state drive of ``experiments._dark_drive`` and of the
-# phi/delta axes, the drive frequency that the splitting axis re-tunes at
-# every point, and the dephasing rates of the gamma_d axis
+# may not set: the dark-state drive of ``experiments._dark_drive`` (dynamics
+# and protocol runs, and every point of the splitting axis) and of the
+# phi/delta axes, and the dephasing rates of the gamma_d axis
 _DARK_DRIVE = ("phase1", "phase2", "pump_freq", "delta")
 _SET_BY_RUN = {
     "dynamics run": {"drive": _DARK_DRIVE},
     "protocol run": {"drive": _DARK_DRIVE},
     "phase_detuning sweep": {"drive": _DARK_DRIVE},
-    "splitting sweep": {"drive": ("pump_freq", "delta")},
+    "splitting sweep": {"drive": _DARK_DRIVE},
     "dephasing sweep": {"system": ("qd1_gamma_d", "qd2_gamma_d")},
 }
 
@@ -384,7 +373,7 @@ def parse_config(text: str) -> RunConfig:
     run_name = f"{command} run"
     if command == "sweep":
         sweep = section("sweep")
-        kind = sweep.text("kind", choices=_SWEEPS)
+        kind = sweep.text("kind", choices=SWEEPS)
         if kind is None:
             raise ConfigError("missing required key [sweep] kind")
         run_name = f"{kind} sweep"
@@ -413,10 +402,9 @@ def parse_config(text: str) -> RunConfig:
 
     if command == "sweep":
         kwargs["allow_point_failures"] = run.flag("allow_point_failures")
-        default_grids, _ = _SWEEPS[kind]
         kwargs.update(sweep_kind=kind, sweep_grids={
-            name: _grid_spec(sweep, name, default(params))
-            for name, default in default_grids.items()})
+            name: _grid_spec(sweep, name, default_grid(name, params))
+            for name in SWEEPS[kind][0]})
         raw_sets = sweep.text("linewidth_sets") if kind == "splitting" else None
         if raw_sets:
             try:
@@ -523,11 +511,6 @@ def _trajectory_diagnostics(trajectory) -> dict:
             "max_trace_drift": info.max_trace_drift}
 
 
-def _linspace(spec):
-    lo, hi, n = spec
-    return np.linspace(lo, hi, n)
-
-
 def run(config: RunConfig, quiet: bool = False) -> int:
     """Execute one resolved configuration; returns the process exit code."""
     # a monotonic clock: the wall clock can step backwards during a run
@@ -563,10 +546,8 @@ def run(config: RunConfig, quiet: bool = False) -> int:
                            "refined": info.refined}
 
         elif config.command == "sweep":
-            grids = {name: _linspace(spec)
-                     for name, spec in config.sweep_grids.items()}
-            _, sweep = _SWEEPS[config.sweep_kind]
-            result = sweep(params, grids, config)
+            grids = [np.linspace(*spec) for spec in config.sweep_grids.values()]
+            result = _SWEEPS[config.sweep_kind](params, grids, config)
             columns, rows = result.to_records()
             emit(f"{prefix}_{config.sweep_kind}.csv", columns, rows)
             converged = result.converged

@@ -1,8 +1,15 @@
 """Steady-state sweeps and transient protocols over the dimer model.
 
-Sweep grids default to ranges that resolve the dark-state resonance, the
-polariton branches and the collapse scales of the model.  Every grid point is
-an independent steady state; the points are cut, in C order, into fixed-size
+Each sweep kind is declared once, in ``SWEEPS``: its axes, slowest first,
+and how many emitters must start resonant with the lower normal mode.  Each
+axis, in ``_AXES``, holds its CSV columns, how a point's value sets the
+parameters, and its default grid (``default_grid``), a range that resolves
+the dark-state resonance, the polariton branches or the collapse scales of
+the model.  The command line reads the same table.  Runs under the
+dark-state drive (the splitting axis, ``dynamics_run`` and
+``stark_switch_protocol``) all set it by one rule, ``_dark_drive``: the
+antisymmetric phase at the dark-state frequency.  Every grid point is an
+independent steady state; the points are cut, in C order, into fixed-size
 batches that are each solved in one lockstep call (``solvers.steady_states``),
 sequentially or by a worker pool that maps batches with order-preserving
 assembly.  The batches do not depend on the worker count, so parallel and
@@ -24,6 +31,7 @@ from .liouvillian import build_liouvillian, build_liouvillians  # noqa: F401
 from .model import SystemParams, identify_dark_state
 from .solvers import (
     Schedule,
+    SteadyStateInfo,
     Trajectory,
     batch_points,
     evolve,
@@ -44,50 +52,64 @@ __all__ = [
     "dynamics_run",
     "stark_switch_protocol",
     "oscillation_period",
-    "default_phi_grid",
-    "default_delta_grid",
-    "default_qd_detuning_grid",
-    "default_gamma_d_grid",
+    "SWEEPS",
+    "default_grid",
     "INITIAL_STATES",
 ]
-
-def default_phi_grid() -> np.ndarray:
-    return np.linspace(0.0, 2.0 * np.pi, 61)
-
-
-def default_delta_grid(coupling: float = 110.0) -> np.ndarray:
-    g = abs(coupling)
-    return np.linspace(-3.0 * g, 3.0 * g, 121)
-
-
-def default_qd_detuning_grid() -> np.ndarray:
-    return np.linspace(-50.0, 50.0, 101)
-
-
-def default_gamma_d_grid() -> np.ndarray:
-    return np.linspace(0.0, 5.0, 51)
-
 
 # ---------------------------------------------------------------------------
 # generic sweep engine
 # ---------------------------------------------------------------------------
 
-# each sweep axis: its CSV columns and its setter (params, value) -> params
+def _dark_drive(params: SystemParams) -> SystemParams:
+    """Drive both emitters at the dark-state frequency with the optimal
+    (antisymmetric) phase difference."""
+    dark = identify_dark_state(params)
+    return (params
+            .with_drive(phase1=np.pi, phase2=0.0)
+            .with_drive_detuning(dark.detuning))
+
+
+# each sweep axis: its CSV columns, its setter (params, value) -> params and
+# its default grid for a base system (the mode linewidth pairs have none)
 _AXES = {
     "phi": (("phi_rad",),
-            lambda params, value: params.with_drive(phase1=value, phase2=0.0)),
-    "delta": (("delta_ueV",), SystemParams.with_drive_detuning),
-    "qd2_detuning": (("qd2_detuning_ueV",), SystemParams.with_qd2_detuning),
-    "gamma_d": (("gamma_d_ueV",), SystemParams.with_dephasing),
-    # moves the upper mode and re-tunes the drive onto the shifted dark state
-    # (the dark resonance tracks the splitting; a fixed drive frequency would
-    # just fall off resonance instead of probing the protection)
+            lambda params, value: params.with_drive(phase1=value, phase2=0.0),
+            lambda base: np.linspace(0.0, 2.0 * np.pi, 61)),
+    "delta": (("delta_ueV",), SystemParams.with_drive_detuning,
+              lambda base: np.linspace(
+                  -(span := 3.0 * abs(base.coupling.as_array()[0, 0])), span, 121)),
+    "detuning": (("qd2_detuning_ueV",), SystemParams.with_qd2_detuning,
+                 lambda base: np.linspace(-50.0, 50.0, 101)),
+    "gamma_d": (("gamma_d_ueV",), SystemParams.with_dephasing,
+                lambda base: np.linspace(0.0, 5.0, 51)),
+    # moves the upper mode and drives the shifted dark state with the
+    # antisymmetric phase, the rule of every dark-drive run (a fixed drive
+    # would just fall off resonance instead of probing the protection)
     "splitting": (("splitting_ueV",),
-                  lambda params, value: (moved := params.with_splitting(value))
-                  .with_drive_detuning(identify_dark_state(moved).detuning)),
+                  lambda params, value: _dark_drive(params.with_splitting(value)),
+                  lambda base: np.linspace(
+                      0.0, 3.0 * base.splitting if base.splitting > 0 else 6600.0, 41)),
     "mode_linewidths": (("gamma_m1_ueV", "gamma_m2_ueV"),
-                        lambda params, value: params.with_mode_linewidths(*value)),
+                        lambda params, value: params.with_mode_linewidths(*value),
+                        None),
 }
+
+# each sweep kind: its axes, slowest first, and how many emitters (QD1
+# first) must start resonant with the lower normal mode
+SWEEPS = {
+    "phase_detuning": (("phi", "delta"), 2),
+    "qd_detuning": (("detuning",), 1),
+    "dephasing": (("gamma_d",), 0),
+    "splitting": (("splitting",), 2),
+}
+
+
+def default_grid(axis: str, base: SystemParams) -> np.ndarray:
+    """The default grid of a sweep axis for a base system: ranges that
+    resolve the dark-state resonance, the polariton branches and the
+    collapse scales of the model."""
+    return _AXES[axis][2](base)
 
 
 @dataclass(frozen=True)
@@ -175,27 +197,32 @@ class SweepResult:
         return tuple(columns), tuple(rows)
 
 
+# the diagnostics that a sweep records for a point whose solve failed
+_FAILED = SteadyStateInfo(residual=np.nan, refined=False, iterations=0,
+                          certificate_iterations=0)
+
+
 def _evaluate_batch(points):
     """Solve one batch of sweep points together and take the negativities
-    of its steady states, as their stacked coordinates, in one call; never
-    raises for a point's solver failure (failures are reported inline, per
-    point)."""
+    of its steady states, as their stacked coordinates, in one call.
+    Returns per point, as arrays: the negativity, the residual, the GMRES
+    steps of the solve and of its certificate, whether it converged and its
+    failure message ("" where it converged).  A point's solver failure is
+    reported there, never raised."""
     solved = steady_states(build_liouvillians(points))
-    ok = [k for k, outcome in enumerate(solved)
-          if not isinstance(outcome, SolverError)]
+    converged = np.array([not isinstance(outcome, SolverError) for outcome in solved])
     values = np.full(len(points), np.nan)
-    if ok:
-        states = np.array([solved[k][0] for k in ok])
-        values[ok] = observables(points[0].space(), states)["negativity"]
-    outcomes = []
-    for value, outcome in zip(values.tolist(), solved):
-        if isinstance(outcome, SolverError):
-            outcomes.append((value, float("nan"), 0, 0, False, str(outcome)))
-        else:
-            info = outcome[1]
-            outcomes.append((value, info.residual, info.iterations,
-                             info.certificate_iterations, True, ""))
-    return outcomes
+    if converged.any():
+        states = np.array([state for state, _ in itertools.compress(solved, converged)])
+        values[converged] = observables(points[0].space(), states)["negativity"]
+    infos = [outcome[1] if ok else _FAILED for outcome, ok in zip(solved, converged)]
+    return (values,
+            np.array([info.residual for info in infos]),
+            np.array([info.iterations for info in infos]),
+            np.array([info.certificate_iterations for info in infos]),
+            converged,
+            np.array(["" if ok else str(outcome)
+                      for outcome, ok in zip(solved, converged)], dtype=object))
 
 
 def run_sweep(spec: SweepSpec, n_workers: int = 1) -> SweepResult:
@@ -222,23 +249,8 @@ def run_sweep(spec: SweepSpec, n_workers: int = 1) -> SweepResult:
             batches = list(pool.map(_evaluate_batch, tasks, chunksize=chunk))
     else:
         batches = [_evaluate_batch(t) for t in tasks]
-    outcomes = itertools.chain.from_iterable(batches)
-
-    values = np.empty(shape)
-    residuals = np.empty(shape)
-    converged = np.empty(shape, dtype=bool)
-    iterations = np.empty(shape, dtype=int)
-    certificate_iterations = np.empty(shape, dtype=int)
-    failures = []
-    for idx, (value, residual, steps, certificate_steps, ok, message) in zip(
-            index_list, outcomes):
-        values[idx] = value
-        residuals[idx] = residual
-        iterations[idx] = steps
-        certificate_iterations[idx] = certificate_steps
-        converged[idx] = ok
-        if not ok:
-            failures.append(f"point {idx}: {message}")
+    values, residuals, iterations, certificate_iterations, converged, messages = (
+        np.concatenate(column).reshape(shape) for column in zip(*batches))
     return SweepResult(
         axes=spec.axes,
         values=values,
@@ -247,7 +259,8 @@ def run_sweep(spec: SweepSpec, n_workers: int = 1) -> SweepResult:
         iterations=iterations,
         certificate_iterations=certificate_iterations,
         batch_points=size,
-        failures=tuple(failures),
+        failures=tuple(f"point {idx}: {messages[idx]}"
+                       for idx in index_list if not converged[idx]),
     )
 
 
@@ -255,60 +268,50 @@ def run_sweep(spec: SweepSpec, n_workers: int = 1) -> SweepResult:
 # the standard steady-state studies
 # ---------------------------------------------------------------------------
 
-def _require_resonant(params: SystemParams, both: bool = True):
-    omega_ref = params.modes[0].omega
-    targets = params.dots if both else params.dots[:1]
-    if any(d.omega != omega_ref for d in targets):
-        raise DomainError(
-            "emitters must start resonant with the lower normal mode"
-        )
+def _sweep(kind: str, base: SystemParams, grids, n_workers: int,
+           linewidth_sets=None) -> SweepResult:
+    """The ``kind`` sweep of ``SWEEPS`` over ``grids``, one per axis (None
+    for the axis's default grid), then over the mode linewidth pairs if
+    given."""
+    names, resonant = SWEEPS[kind]
+    if any(dot.omega != base.modes[0].omega for dot in base.dots[:resonant]):
+        raise DomainError("emitters must start resonant with the lower normal mode")
+    axes = [SweepAxis(name, tuple(default_grid(name, base) if grid is None
+                                  else np.asarray(grid, float)))
+            for name, grid in zip(names, grids)]
+    if linewidth_sets is not None:
+        axes.append(SweepAxis("mode_linewidths",
+                              tuple(tuple(pair) for pair in linewidth_sets)))
+    return run_sweep(SweepSpec(base, tuple(axes)), n_workers)
 
 
 def sweep_phase_detuning(base: SystemParams, phi_grid=None, delta_grid=None,
                          n_workers: int = 1) -> SweepResult:
     """Steady-state negativity over drive phase difference and drive detuning."""
-    _require_resonant(base)
-    phi = default_phi_grid() if phi_grid is None else np.asarray(phi_grid, float)
-    g = abs(base.coupling.as_array()[0, 0])
-    delta = default_delta_grid(g) if delta_grid is None else np.asarray(delta_grid, float)
-    spec = SweepSpec(base, (SweepAxis("phi", tuple(phi)),
-                            SweepAxis("delta", tuple(delta))))
-    return run_sweep(spec, n_workers)
+    return _sweep("phase_detuning", base, (phi_grid, delta_grid), n_workers)
 
 
 def sweep_detuning(base: SystemParams, detuning_grid=None,
                    n_workers: int = 1) -> SweepResult:
     """Steady-state negativity versus the emitter-emitter detuning."""
-    _require_resonant(base, both=False)
-    grid = (default_qd_detuning_grid() if detuning_grid is None
-            else np.asarray(detuning_grid, float))
-    spec = SweepSpec(base, (SweepAxis("qd2_detuning", tuple(grid)),))
-    return run_sweep(spec, n_workers)
+    return _sweep("qd_detuning", base, (detuning_grid,), n_workers)
 
 
 def sweep_dephasing(base: SystemParams, gamma_d_grid=None,
                     n_workers: int = 1) -> SweepResult:
     """Steady-state negativity versus the (joint) pure-dephasing rate."""
-    grid = (default_gamma_d_grid() if gamma_d_grid is None
-            else np.asarray(gamma_d_grid, float))
-    spec = SweepSpec(base, (SweepAxis("gamma_d", tuple(grid)),))
-    return run_sweep(spec, n_workers)
+    return _sweep("dephasing", base, (gamma_d_grid,), n_workers)
 
 
 def sweep_splitting(base: SystemParams, splitting_grid, linewidth_sets=None,
                     n_workers: int = 1) -> SweepResult:
-    """Steady-state negativity versus the normal-mode splitting.
+    """Steady-state negativity versus the normal-mode splitting, each point
+    under the dark-state drive of ``dynamics_run``.
 
     Stands in for the interdot-distance dependence: the splitting (and
     optionally the mode linewidth pair) is the physically controlling variable.
     """
-    _require_resonant(base)
-    axes = [SweepAxis("splitting", tuple(np.asarray(splitting_grid, float)))]
-    if linewidth_sets is not None:
-        axes.append(SweepAxis("mode_linewidths",
-                              tuple(tuple(pair) for pair in linewidth_sets)))
-    spec = SweepSpec(base, tuple(axes))
-    return run_sweep(spec, n_workers)
+    return _sweep("splitting", base, (splitting_grid,), n_workers, linewidth_sets)
 
 
 # ---------------------------------------------------------------------------
@@ -320,15 +323,6 @@ INITIAL_STATES = {
     "photon_mode1": (0, 0, 1, 0),
     "vacuum": (0, 0, 0, 0),
 }
-
-
-def _dark_drive(params: SystemParams) -> SystemParams:
-    """Drive both emitters at the dark-state frequency with the optimal
-    (antisymmetric) phase difference."""
-    dark = identify_dark_state(params)
-    return (params
-            .with_drive(phase1=np.pi, phase2=0.0)
-            .with_drive_detuning(dark.detuning))
 
 
 def _sample_times(horizon: float, samples: int) -> np.ndarray:

@@ -183,22 +183,6 @@ def _real_generator(h: np.ndarray, recycling: sp.csr_matrix) -> sp.csr_matrix:
         (data, pattern % n, np.searchsorted(pattern // n, np.arange(n + 1))), shape=(n, n))
 
 
-def _block_diagonal(matrices: list) -> sp.csr_matrix:
-    """CSR block-diagonal matrix of equally sized CSR blocks; a single
-    block is returned as it is."""
-    if len(matrices) == 1:
-        return matrices[0]
-    n = matrices[0].shape[0]
-    starts = np.cumsum([0] + [m.nnz for m in matrices])
-    indices = np.concatenate([m.indices + k * n for k, m in enumerate(matrices)])
-    indptr = np.concatenate([m.indptr[:-1] + start
-                             for m, start in zip(matrices, starts)]
-                            + [starts[-1:]])
-    size = len(matrices) * n
-    return sp.csr_matrix((np.concatenate([m.data for m in matrices]),
-                          indices, indptr), shape=(size, size))
-
-
 def _block(matrix: sp.csr_matrix, m: int, n: int) -> sp.csr_matrix:
     """Diagonal block m of a CSR block-diagonal matrix of n x n blocks; a
     matrix of one block is returned as it is."""
@@ -237,8 +221,10 @@ class GeneratorBatch(Sequence):
             raise DomainError("a generator batch must share one space")
         h_eff = np.array([member.h_eff for member in members])
         h_eff.flags.writeable = False
+        blocks = [member.real_recycling for member in members]
         batch = GeneratorBatch(
-            space, _block_diagonal([member.real_recycling for member in members]), h_eff)
+            space, blocks[0] if len(blocks) == 1 else sp.block_diag(blocks, format="csr"),
+            h_eff)
         object.__setattr__(batch, "_members", members)
         return batch
 

@@ -103,9 +103,9 @@ VALUES = {"amplitude": "2.0", "delta": "-5.0",
           "qd1_gamma_d": "0.5", "qd2_gamma_d": "0.5"}
 # (run, section, key): the inputs that a run sets itself, which its config
 # may not set
-SET_BY_RUN = ([(run_name, "drive", key) for run_name in ("dynamics", "protocol", "phase_detuning")
+SET_BY_RUN = ([(run_name, "drive", key)
+               for run_name in ("dynamics", "protocol", "phase_detuning", "splitting")
                for key in ("phase1", "phase2", "pump_freq", "delta")]
-              + [("splitting", "drive", key) for key in ("pump_freq", "delta")]
               + [("dephasing", "system", key) for key in ("qd1_gamma_d", "qd2_gamma_d")])
 # (run, key): the [drive] keys that a run takes
 TAKEN_DRIVE_KEYS = [(run_name, key) for run_name in RUNS for key in DRIVE_KEYS
