@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import dataclasses
+import functools
 import hashlib
 import itertools
 import json
@@ -39,7 +40,8 @@ from .model import (
 )
 from .hilbert import hermitian_coordinates
 from .liouvillian import build_liouvillian
-from .solvers import OBSERVABLES, convergence_scan, observables, steady_state
+from .solvers import (OBSERVABLES, convergence_scan, observables, scan_cutoffs,
+                      steady_state)
 from .experiments import (
     INITIAL_STATES,
     SWEEPS,
@@ -142,18 +144,8 @@ class RunConfig:
         if self.command == "sweep":
             d["sweep"] = {"kind": self.sweep_kind, "grids": self.sweep_grids,
                           "linewidth_sets": self.linewidth_sets}
-        elif self.command == "dynamics":
-            d["dynamics"] = {"initial": self.initial,
-                             "horizon_ps": self.horizon_ps,
-                             "samples": self.samples}
-        elif self.command == "protocol":
-            d["protocol"] = {"tau_ps": self.tau_ps,
-                             "initial_detuning_uev": self.initial_detuning_uev,
-                             "horizon_ps": self.horizon_ps,
-                             "samples": self.samples}
-        elif self.command == "convergence":
-            d["convergence"] = {"cutoffs": list(self.cutoffs),
-                                "observable": self.observable}
+        elif self.command in _INPUTS:
+            d[self.command] = {key: getattr(self, key) for key in _INPUTS[self.command]}
         return d
 
     def run_id(self) -> str:
@@ -196,58 +188,78 @@ class _SectionReader:
         self.asked.add(key)
         return key in self.items
 
-    def _get(self, key, cast, default, describe):
+    def _get(self, key, cast, describe, default=None, minimum=None,
+             choices=None):
+        """The value of ``key`` by ``cast``, held to ``minimum`` or
+        ``choices``; ``default`` when it is absent."""
         if key not in self:
             return default
-        raw = self.items[key]
+        raw = value = self.items[key]
         try:
-            return cast(raw)
-        except (TypeError, ValueError):
-            raise ConfigError(
-                f"invalid value {raw!r} for [{self.name}] {key}: expected {describe}"
-            ) from None
+            value = cast(raw)
+        except (TypeError, ValueError, LookupError):
+            pass
+        else:
+            if choices is not None and value not in choices:
+                describe = "one of " + ", ".join(choices)
+            elif minimum is not None and value < minimum:
+                describe = f">= {minimum}"
+            else:
+                return value
+        raise ConfigError(
+            f"invalid value {value!r} for [{self.name}] {key}: expected {describe}")
 
     def text(self, key, choices=None):
-        value = self._get(key, str, None, "text")
-        if value is not None and choices is not None and value not in choices:
-            raise ConfigError(
-                f"invalid value {value!r} for [{self.name}] {key}: "
-                f"expected one of {', '.join(choices)}"
-            )
-        return value
+        return self._get(key, str, "text", choices=choices)
 
     def real(self, key, default=None, minimum=None):
-        value = self._get(key, _finite, default, "a finite real number")
-        if value is not None and minimum is not None and value < minimum:
-            raise ConfigError(
-                f"invalid value {value!r} for [{self.name}] {key}: "
-                f"expected >= {minimum}"
-            )
-        return value
+        return self._get(key, _finite, "a finite real number", default, minimum)
 
     def integer(self, key, minimum=None):
-        value = self._get(key, int, None, "an integer")
-        if value is not None and minimum is not None and value < minimum:
-            raise ConfigError(
-                f"invalid value {value!r} for [{self.name}] {key}: "
-                f"expected >= {minimum} (minimum {minimum})"
-            )
-        return value
+        return self._get(key, int, "an integer", minimum=minimum)
 
     def flag(self, key):
-        table = {"true": True, "false": False, "1": True, "0": False,
-                 "yes": True, "no": False}
-        return self._get(key, lambda s: table[s.strip().lower()], None,
-                         "a boolean (true/false)")
+        # configparser's words: true/false, yes/no, on/off, 1/0
+        states = configparser.ConfigParser.BOOLEAN_STATES
+        return self._get(key, lambda s: states[s.lower()], "a boolean (true/false)")
+
+    def cutoffs(self, key):
+        """Comma-separated Fock cutoffs, held to ``scan_cutoffs``."""
+        raw = self.text(key)
+        try:
+            return None if raw is None else scan_cutoffs(raw.split(","))
+        except DomainError as exc:
+            raise ConfigError(f"[{self.name}] {exc}") from None
+
+
+_TIME = functools.partial(_SectionReader.real, minimum=1e-9)
+_SAMPLES = functools.partial(_SectionReader.integer, minimum=2)
+# the own section of the dynamics, protocol and convergence commands: its
+# keys in read order, each with its reader, each key the RunConfig field
+# that it sets.  The run id holds these fields under the command's name
+_INPUTS = {
+    "dynamics": {
+        "initial": functools.partial(_SectionReader.text, choices=INITIAL_STATES),
+        "horizon_ps": _TIME,
+        "samples": _SAMPLES,
+    },
+    "protocol": {
+        "tau_ps": _TIME,
+        "initial_detuning_uev": _SectionReader.real,
+        "horizon_ps": _TIME,
+        "samples": _SAMPLES,
+    },
+    "convergence": {
+        "cutoffs": _SectionReader.cutoffs,
+        "observable": functools.partial(_SectionReader.text, choices=OBSERVABLES),
+    },
+}
 
 
 def _build_params(system: _SectionReader, drive: _SectionReader,
                   preset: str | None) -> SystemParams:
     if preset is not None:
-        try:
-            params = preset_params(preset)
-        except DomainError as exc:
-            raise ConfigError(str(exc)) from None
+        params = preset_params(preset)
     else:
         missing = [key for key in ("coupling_m1_qd1", "coupling_m1_qd2",
                                    "coupling_m2_qd1", "coupling_m2_qd2",
@@ -260,27 +272,24 @@ def _build_params(system: _SectionReader, drive: _SectionReader,
                 "no preset given and [system] is incomplete; missing keys: "
                 + ", ".join(missing)
             )
-        try:
-            params = SystemParams(
-                modes=tuple(
-                    ModeParams(system.real(f"mode{n}_omega"),
-                               system.real(f"mode{n}_gamma", minimum=0.0),
-                               **_given(pump=system.real(f"mode{n}_pump",
-                                                         minimum=0.0)))
-                    for n in (1, 2)),
-                dots=tuple(
-                    QDParams(system.real(f"qd{n}_omega"),
-                             **_given(gamma=system.real(f"qd{n}_gamma", minimum=0.0),
-                                      gamma_d=system.real(f"qd{n}_gamma_d",
-                                                          minimum=0.0)))
-                    for n in (1, 2)),
-                coupling=CouplingMatrix(tuple(
-                    tuple(system.real(f"coupling_m{m}_qd{n}") for n in (1, 2))
-                    for m in (1, 2))),
-                drive=DriveParams(amplitude=0.0),
-            )
-        except DomainError as exc:
-            raise ConfigError(str(exc)) from None
+        params = SystemParams(
+            modes=tuple(
+                ModeParams(system.real(f"mode{n}_omega"),
+                           system.real(f"mode{n}_gamma", minimum=0.0),
+                           **_given(pump=system.real(f"mode{n}_pump",
+                                                     minimum=0.0)))
+                for n in (1, 2)),
+            dots=tuple(
+                QDParams(system.real(f"qd{n}_omega"),
+                         **_given(gamma=system.real(f"qd{n}_gamma", minimum=0.0),
+                                  gamma_d=system.real(f"qd{n}_gamma_d",
+                                                      minimum=0.0)))
+                for n in (1, 2)),
+            coupling=CouplingMatrix(tuple(
+                tuple(system.real(f"coupling_m{m}_qd{n}") for n in (1, 2))
+                for m in (1, 2))),
+            drive=DriveParams(amplitude=0.0),
+        )
 
     # with a preset, truncation is the one [system] key that is read
     truncation = system.integer("truncation", minimum=1)
@@ -306,19 +315,21 @@ def _build_params(system: _SectionReader, drive: _SectionReader,
 
 
 def _grid_spec(section: _SectionReader, name: str, default_grid) -> tuple:
+    """The (min, max, points) of a grid, given or else the default; either
+    way max must exceed min."""
     lo = section.real(f"{name}_min")
     hi = section.real(f"{name}_max")
     n = section.integer(f"{name}_points", minimum=2)
     if lo is None and hi is None and n is None:
-        g = default_grid
-        return (float(g[0]), float(g[-1]), int(len(g)))
-    if None in (lo, hi, n):
+        lo, hi, n = float(default_grid[0]), float(default_grid[-1]), len(default_grid)
+    elif None in (lo, hi, n):
         raise ConfigError(
             f"[sweep] {name} grid needs all of {name}_min, {name}_max, "
             f"{name}_points"
         )
-    if hi <= lo:
-        raise ConfigError(f"[sweep] {name}_max must exceed {name}_min")
+    if not hi > lo:
+        raise ConfigError(f"[sweep] {name}_max must exceed {name}_min, got {lo!r} to "
+                          f"{hi!r}: set {name}_min, {name}_max and {name}_points")
     return (lo, hi, n)
 
 
@@ -344,10 +355,11 @@ def _reject_unread(parser: configparser.ConfigParser,
 def parse_config(text: str) -> RunConfig:
     """Parse and fully resolve a sectioned key-value configuration.
 
-    The keys read here are the only declaration of what each command takes:
-    a present section the command does not open, or a present key that no
-    reader asks for, is a ConfigError.  The readers never ask for the
-    inputs that ``_SET_BY_RUN`` lists for the run.
+    The keys read here, with ``_INPUTS``, are the only declaration of what
+    each command takes: a present section the command does not open, or a
+    present key that no reader asks for, is a ConfigError.  The readers
+    never ask for the inputs that ``_SET_BY_RUN`` lists for the run.  A bad
+    config raises ConfigError and nothing else.
     """
     parser = configparser.ConfigParser(interpolation=None,
                                        inline_comment_prefixes=("#", ";"))
@@ -387,7 +399,10 @@ def parse_config(text: str) -> RunConfig:
             "required: either [run] preset or an explicit [system] section "
             f"(presets: {', '.join(PRESET_NAMES)})"
         )
-    params = _build_params(system, drive, preset)
+    try:
+        params = _build_params(system, drive, preset)
+    except DomainError as exc:
+        raise ConfigError(str(exc)) from None
 
     output = section("output")
 
@@ -420,55 +435,17 @@ def parse_config(text: str) -> RunConfig:
                     "invalid [sweep] linewidth_sets; expected g1:g2,g1:g2,... with finite g >= 0"
                 ) from None
             kwargs["linewidth_sets"] = sets
-    elif command == "dynamics":
-        dyn = section("dynamics")
-        kwargs.update(
-            initial=dyn.text("initial", choices=INITIAL_STATES),
-            horizon_ps=dyn.real("horizon_ps", minimum=1e-9),
-            samples=dyn.integer("samples", minimum=2),
-        )
-    elif command == "protocol":
-        proto = section("protocol")
-        kwargs.update(
-            tau_ps=proto.real("tau_ps", minimum=1e-9),
-            initial_detuning_uev=proto.real("initial_detuning_uev"),
-            horizon_ps=proto.real("horizon_ps", minimum=1e-9),
-            samples=proto.integer("samples", minimum=2),
-        )
-        # an absent key keeps its RunConfig default, which takes part too
-        tau = kwargs["tau_ps"] if kwargs["tau_ps"] is not None else RunConfig.tau_ps
-        horizon = (kwargs["horizon_ps"] if kwargs["horizon_ps"] is not None
-                   else RunConfig.horizon_ps)
-        if not tau < horizon:
-            raise ConfigError(
-                f"[protocol] tau_ps = {tau:g} must be less than horizon_ps = "
-                f"{horizon:g}: the switch must fall inside the run")
-    elif command == "convergence":
-        conv = section("convergence")
-        raw = conv.text("cutoffs")
-        if raw is not None:
-            try:
-                cutoffs = tuple(int(c) for c in raw.split(","))
-            except ValueError:
-                raise ConfigError(
-                    f"invalid [convergence] cutoffs {raw!r}; expected e.g. 1,2,3"
-                ) from None
-            if any(c < 1 for c in cutoffs):
-                raise ConfigError("[convergence] cutoffs must be >= 1 (minimum 1)")
-            if len(cutoffs) < 2:
-                raise ConfigError(
-                    f"invalid [convergence] cutoffs {raw!r}: a scan compares at "
-                    "least two cutoffs")
-            if any(b <= a for a, b in zip(cutoffs, cutoffs[1:])):
-                raise ConfigError(
-                    f"invalid [convergence] cutoffs {raw!r}: expected strictly "
-                    "ascending cutoffs"
-                )
-            kwargs["cutoffs"] = cutoffs
-        kwargs["observable"] = conv.text("observable", choices=OBSERVABLES)
+    elif command in _INPUTS:
+        inputs = section(command)
+        kwargs.update((key, read(inputs, key)) for key, read in _INPUTS[command].items())
 
     _reject_unread(parser, readers, run_name)
-    return RunConfig(**_given(**kwargs))
+    config = RunConfig(**_given(**kwargs))
+    if command == "protocol" and not config.tau_ps < config.horizon_ps:
+        raise ConfigError(
+            f"[protocol] tau_ps = {config.tau_ps:g} must be less than horizon_ps "
+            f"= {config.horizon_ps:g}: the switch must fall inside the run")
+    return config
 
 
 # ---------------------------------------------------------------------------
@@ -551,17 +528,16 @@ def run(config: RunConfig, quiet: bool = False) -> int:
             columns, rows = result.to_records()
             emit(f"{prefix}_{config.sweep_kind}.csv", columns, rows)
             converged = result.converged
+
+            def peak(values, cast):  # over the converged points; null if none
+                return cast(values[converged].max()) if converged.any() else None
+
             diagnostics = {
                 "n_points": int(result.values.size),
                 "n_converged": int(converged.sum()),
-                # null when no point converged
-                "max_residual": (float(result.residuals[converged].max())
-                                 if converged.any() else None),
-                "max_iterations": (int(result.iterations[converged].max())
-                                   if converged.any() else None),
-                "max_certificate_iterations": (
-                    int(result.certificate_iterations[converged].max())
-                    if converged.any() else None),
+                "max_residual": peak(result.residuals, float),
+                "max_iterations": peak(result.iterations, int),
+                "max_certificate_iterations": peak(result.certificate_iterations, int),
                 "batch_points": result.batch_points,
                 "point_failures": list(result.failures),
             }
@@ -587,12 +563,10 @@ def run(config: RunConfig, quiet: bool = False) -> int:
             report = convergence_scan(params, config.observable,
                                       cutoffs=config.cutoffs)
             columns = ("cutoff", config.observable, "rel_diff_prev", "converged")
-            rows = []
-            for k, cutoff in enumerate(report.cutoffs):
-                rel = report.relative_differences[k - 1] if k else 0.0
-                flag = report.converged[k - 1] if k else True
-                rows.append((cutoff, report.values[k], rel, flag))
-            emit(f"{prefix}.csv", columns, rows)
+            # the first cutoff has no predecessor: 0 and converged
+            emit(f"{prefix}.csv", columns, list(zip(
+                report.cutoffs, report.values, (0.0,) + report.relative_differences,
+                (True,) + report.converged)))
             # a change from an exactly zero value is infinite; JSON has
             # no infinity, so it is written as null
             diagnostics = {"relative_differences":

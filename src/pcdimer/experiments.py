@@ -78,7 +78,8 @@ _AXES = {
             lambda base: np.linspace(0.0, 2.0 * np.pi, 61)),
     "delta": (("delta_ueV",), SystemParams.with_drive_detuning,
               lambda base: np.linspace(
-                  -(span := 3.0 * abs(base.coupling.as_array()[0, 0])), span, 121)),
+                  -(span := 3.0 * np.abs(base.coupling.as_array()[0]).max()),
+                  span, 121)),
     "detuning": (("qd2_detuning_ueV",), SystemParams.with_qd2_detuning,
                  lambda base: np.linspace(-50.0, 50.0, 101)),
     "gamma_d": (("gamma_d_ueV",), SystemParams.with_dephasing,

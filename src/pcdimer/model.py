@@ -350,7 +350,11 @@ def identify_dark_state(params: SystemParams) -> DarkState:
     single = [basis_index(hamiltonian.space, occupations)
               for occupations in np.eye(4, dtype=int).tolist()]
     block = hamiltonian.matrix[np.ix_(single, single)]
-    energies, vectors = np.linalg.eigh(block)
+    try:
+        energies, vectors = np.linalg.eigh(block)
+    except np.linalg.LinAlgError:  # entries near the largest double overflow
+        raise DomainError("the single-excitation block does not diagonalize: "
+                          "couplings or frequencies out of range") from None
     weights = np.sum(np.abs(vectors[2:, :]) ** 2, axis=0)
     # lowest-energy state among (near-exact) minimal-weight ties; eigh returns
     # energies ascending, so the first qualifying index wins

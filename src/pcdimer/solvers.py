@@ -5,6 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import lru_cache
 import math
+import operator
 
 import numpy as np
 import scipy.linalg
@@ -48,6 +49,7 @@ __all__ = [
     "Trajectory",
     "evolve",
     "ConvergenceReport",
+    "scan_cutoffs",
     "convergence_scan",
     "observables",
     "OBSERVABLES",
@@ -1141,24 +1143,31 @@ class ConvergenceReport:
         return all(self.converged)
 
 
+def scan_cutoffs(values) -> tuple[int, ...]:
+    """The Fock cutoffs of a convergence scan: integers >= 1, strictly
+    ascending, and at least two (one cutoff compares nothing).  Anything
+    else raises ``DomainError``."""
+    try:
+        # integer text, or integers: no float is rounded into a cutoff
+        cutoffs = tuple(int(c) if isinstance(c, str) else operator.index(c) for c in values)
+    except (TypeError, ValueError):
+        cutoffs = ()
+    if len(cutoffs) < 2 or cutoffs[0] < 1 or any(np.diff(cutoffs) <= 0):
+        raise DomainError("cutoffs must be >= 1, strictly ascending integers, and "
+                          f"at least two cutoffs to compare; got {values!r}")
+    return cutoffs
+
+
 def convergence_scan(params: SystemParams, observable="negativity",
                      cutoffs=(1, 2)) -> ConvergenceReport:
     """Recompute a steady-state observable at increasing Fock cutoffs and
     report the successive relative differences, each converged below 1%.
-    An unknown observable, cutoffs that are not ascending integers >= 1 or
-    fewer than two cutoffs (nothing to compare) raise ``DomainError``."""
+    An unknown observable, or cutoffs that ``scan_cutoffs`` rejects, raise
+    ``DomainError``."""
     if observable not in OBSERVABLES:
         raise DomainError(f"unknown observable {observable!r}; known "
                           f"observables: {', '.join(OBSERVABLES)}")
-    try:
-        cutoffs = tuple(int(c) for c in cutoffs)
-    except (TypeError, ValueError):
-        raise DomainError(f"cutoffs must be integers, got {cutoffs!r}") from None
-    if any(c < 1 for c in cutoffs) or any(np.diff(cutoffs) <= 0):
-        raise DomainError("cutoffs must be ascending integers >= 1")
-    if len(cutoffs) < 2:
-        raise DomainError("a convergence scan compares at least two cutoffs, "
-                          f"got {cutoffs!r}")
+    cutoffs = scan_cutoffs(cutoffs)
     func = OBSERVABLES[observable]
     values = []
     for cutoff in cutoffs:

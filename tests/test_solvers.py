@@ -1312,8 +1312,9 @@ class TestConvergenceScan:
 
     def test_cutoffs_validated(self):
         params = preset_params("dimer30_dc901")
-        # fewer than two cutoffs leave nothing to compare
-        for cutoffs in ((0, 1), (2, 2), (2, 1), ("one", 2), (), (2,)):
+        # fewer than two cutoffs leave nothing to compare, and no float is
+        # rounded into a cutoff
+        for cutoffs in ((0, 1), (2, 2), (2, 1), ("one", 2), (1.5, 2.9), (), (2,)):
             with pytest.raises(DomainError):
                 convergence_scan(params, "negativity", cutoffs=cutoffs)
 
