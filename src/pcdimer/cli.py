@@ -144,6 +144,15 @@ class RunConfig:
         if self.command == "sweep":
             d["sweep"] = {"kind": self.sweep_kind, "grids": self.sweep_grids,
                           "linewidth_sets": self.linewidth_sets}
+            if self.sweep_kind == "splitting":
+                # every point sets mode 2's frequency and the whole dark
+                # drive, and with linewidth sets both mode linewidths: no
+                # point reads the base values, which would change the id
+                # and not the data
+                del d["system"]["mode2"]["omega"]
+                d["drive"] = {"amplitude": p.drive.amplitude}
+                if self.linewidth_sets:
+                    del d["system"]["mode1"]["gamma"], d["system"]["mode2"]["gamma"]
         elif self.command in _INPUTS:
             d[self.command] = {key: getattr(self, key) for key in _INPUTS[self.command]}
         return d
@@ -352,14 +361,16 @@ def _reject_unread(parser: configparser.ConfigParser,
             )
 
 
-def parse_config(text: str) -> RunConfig:
+def parse_config(text: str, overrides: dict | None = None) -> RunConfig:
     """Parse and fully resolve a sectioned key-value configuration.
 
     The keys read here, with ``_INPUTS``, are the only declaration of what
     each command takes: a present section the command does not open, or a
     present key that no reader asks for, is a ConfigError.  The readers
-    never ask for the inputs that ``_SET_BY_RUN`` lists for the run.  A bad
-    config raises ConfigError and nothing else.
+    never ask for the inputs that ``_SET_BY_RUN`` lists for the run.
+    ``overrides`` maps (section, key) to the text of a value that replaces
+    the config's, as the command-line flags do, so that the key's own
+    reader checks it.  A bad config raises ConfigError and nothing else.
     """
     parser = configparser.ConfigParser(interpolation=None,
                                        inline_comment_prefixes=("#", ";"))
@@ -367,6 +378,10 @@ def parse_config(text: str) -> RunConfig:
         parser.read_string(text)
     except configparser.Error as exc:
         raise ConfigError(f"config syntax error: {exc}") from None
+    for (name, key), value in (overrides or {}).items():
+        if not parser.has_section(name):
+            parser.add_section(name)
+        parser.set(name, key, value)
 
     readers: dict[str, _SectionReader] = {}
 
@@ -616,9 +631,10 @@ def main(argv=None) -> int:
                         help="path to the run configuration file")
     parser.add_argument("--output", default=None,
                         help="output directory (overrides [output] directory)")
-    parser.add_argument("--truncation", type=int, default=None,
-                        help="override the per-mode Fock cutoff (not for convergence)")
-    parser.add_argument("--threads", type=int, default=None,
+    parser.add_argument("--truncation", default=None,
+                        help="override [system] truncation, the per-mode Fock "
+                             "cutoff (not for convergence)")
+    parser.add_argument("--threads", default=None,
                         help="sweep worker count (overrides [run] threads)")
     parser.add_argument("--quiet", action="store_true",
                         help="suppress progress output")
@@ -630,28 +646,19 @@ def main(argv=None) -> int:
         print(f"cannot read config: {exc}", file=sys.stderr)
         return 4
 
+    # each flag is read, and checked, as the config key it overrides
+    flags = {("output", "directory"): args.output,
+             ("system", "truncation"): args.truncation,
+             ("run", "threads"): args.threads}
     try:
-        config = parse_config(text)
-        overrides = {}
-        if args.output is not None:
-            overrides["output_dir"] = args.output
-        if args.truncation is not None:
-            if config.command == "convergence":
-                raise ConfigError("--truncation does not act on a convergence run, "
-                                  "whose [convergence] cutoffs set the Fock cutoffs")
-            if args.truncation < 1:
-                raise ConfigError(
-                    f"invalid --truncation {args.truncation}: minimum 1")
-            overrides["params"] = config.params.with_truncation(args.truncation)
-        if args.threads is not None:
-            if config.command != "sweep":
-                raise ConfigError(f"--threads acts on sweep runs only, not on a "
-                                  f"{config.command} run")
-            if args.threads < 1:
-                raise ConfigError(f"invalid --threads {args.threads}: minimum 1")
-            overrides["threads"] = args.threads
-        if overrides:
-            config = dataclasses.replace(config, **overrides)
+        config = parse_config(text, {key: value for key, value in flags.items()
+                                     if value is not None})
+        if args.truncation is not None and config.command == "convergence":
+            raise ConfigError("--truncation does not act on a convergence run, "
+                              "whose [convergence] cutoffs set the Fock cutoffs")
+        if args.threads is not None and config.command != "sweep":
+            raise ConfigError(f"--threads acts on sweep runs only, not on a "
+                              f"{config.command} run")
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

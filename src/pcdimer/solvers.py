@@ -8,12 +8,7 @@ import math
 import operator
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse as sp
-from scipy.linalg.blas import daxpy as _axpy
-from scipy.linalg.blas import ddot as _dot
-from scipy.linalg.blas import idamax as _amax
-from scipy.linalg.lapack import ztrsyl as _trsyl
 
 # qd_negativity is looked up here by bench/tracing.py
 from .entanglement import negativity, qd_negativity  # noqa: F401
@@ -79,14 +74,6 @@ _GMRES_PASSES = 2
 _BORDERED_RESIDUAL_TOL = 1e-14
 # relative residual the uniqueness certificate must reach
 _CERTIFICATE_RTOL = 1e-6
-# Liouville dimension from which GMRES orthogonalizes each system by
-# modified Gram-Schmidt, one BLAS dot and axpy per basis vector (one pass
-# over the basis), instead of stacked classical Gram-Schmidt with one
-# reorthogonalization (two passes, but few calls): at D^2 = 4096 (cutoff 3)
-# a step of two systems took 144 against 238 us, at D^2 = 1296 63 against
-# 77 us, and at D^2 = 256 the stacked form wins, 24 systems in 199 against
-# 399 us
-_MGS_MIN_DIM = 1296
 # Krylov vectors preallocated per GMRES system; the basis grows, by
 # doubling up to the restart length, only when a system needs more (a
 # full-length basis for a 12-point batch raised the map's peak RSS from 71
@@ -339,6 +326,9 @@ def _no_jump_inverse(h_eff: np.ndarray, shift: np.ndarray, blocks: np.ndarray):
 
     schur = []
     for m in np.nonzero(~eigen)[0].tolist():
+        # loaded by this route alone, which no other solve needs
+        import scipy.linalg
+
         t, q = scipy.linalg.schur(h_eff[m], output="complex")
         level = np.nonzero(np.abs(np.diag(t).imag) <= tol[m])[0]
         t[level, level] -= 0.5j * shift[m]
@@ -365,7 +355,8 @@ def _no_jump_inverse(h_eff: np.ndarray, shift: np.ndarray, blocks: np.ndarray):
             for k in np.nonzero(active[m])[0]:
                 # T X' - X' T^dag = i Q^dag Y Q, X = Q X' Q^dag
                 c = q_h @ y[m, k] @ q
-                z, scale, _ = _trsyl(t, t, c, trana="N", tranb="C", isgn=-1)
+                z, scale, _ = scipy.linalg.lapack.ztrsyl(
+                    t, t, c, trana="N", tranb="C", isgn=-1)
                 out[m, k] = (q @ z @ q_h) * (1j / scale)
         return out
 
@@ -390,12 +381,14 @@ def _lockstep_gmres(operator, rhs: np.ndarray, rtol: np.ndarray):
     own vector of an array of that shape, so one step is one operator call
     for all systems.  It may skip the systems outside the boolean mask
     ``active`` (None: all), whose vectors are zero, and return zero for
-    them.  Each system keeps its own Krylov basis (classical Gram-Schmidt
-    with one reorthogonalization, two stacked products over the whole stack
-    in every step, stopped systems and their zero vectors included; or
-    modified Gram-Schmidt per active system from ``_MGS_MIN_DIM``, one BLAS
-    ``ddot`` and ``daxpy`` per basis vector), Givens rotations and stop
-    step: a pass ends for it when its residual estimate reaches
+    them.  Each system keeps its own Krylov basis, Givens rotations and
+    stop step.  The basis is orthogonalized at every dimension by classical
+    Gram-Schmidt with one reorthogonalization, which keeps it orthogonal to
+    working precision ("twice is enough": Giraud, Langou & Rozloznik,
+    Comput. Math. Appl. 50, 1069 (2005)): two stacked products over the
+    whole stack in every step, stopped systems and their zero vectors
+    included.  A pass
+    ends for a system when its residual estimate reaches
     ``rtol * ||b_s||`` (``rtol`` broadcasts over ``rhs.shape[:-1]``), at an
     exact solution, at a non-finite estimate or after ``_GMRES_RESTART``
     steps.  A system whose true residual then misses its target takes
@@ -460,19 +453,13 @@ def _lockstep_gmres(operator, rhs: np.ndarray, rtol: np.ndarray):
             h0 = np.linalg.norm(w, axis=1)
             row = coefficients[:, :j + 2]
             row[:] = 0.0
-            if n >= _MGS_MIN_DIM:
-                for k in np.nonzero(active)[0].tolist():
-                    for i in range(j + 1):  # in place on the row w[k]
-                        row[k, i] = _dot(basis[i, k], w[k])
-                        _axpy(basis[i, k], w[k], a=-row[k, i])
-            else:
-                # classical Gram-Schmidt, then once more, over the whole
-                # stack: a stopped system's vectors are zero and stay so
-                previous = basis[:j + 1].transpose(1, 0, 2)
-                for _ in range(2):
-                    projection = (previous @ w[:, :, None])[:, :, 0]
-                    w -= (projection[:, None, :] @ previous)[:, 0]
-                    row[:, :j + 1] += projection
+            # classical Gram-Schmidt, then once more, over the whole stack:
+            # a stopped system's vectors are zero and stay so
+            previous = basis[:j + 1].transpose(1, 0, 2)
+            for _ in range(2):
+                projection = (previous @ w[:, :, None])[:, :, 0]
+                w -= (projection[:, None, :] @ previous)[:, 0]
+                row[:, :j + 1] += projection
             h1 = np.linalg.norm(w, axis=1)
             row[:, j + 1] = h1
             breakdown = h1 <= eps * h0
@@ -590,7 +577,10 @@ def steady_states(liouvilles) -> list:
     arithmetic does not depend on its batch.  A GMRES step is one batched
     preconditioner call and one sparse product with the block-diagonal R_h
     per right-hand side; systems that have stopped are skipped.  No solve
-    forms G, and so no L = U^H G U either.
+    forms G, and so no L = U^H G U either.  The solve runs on numpy and
+    scipy.sparse alone at every Liouville dimension (the Krylov bases by
+    classical Gram-Schmidt with one reorthogonalization); only a member on
+    the Schur route of ``_no_jump_inverse`` loads ``scipy.linalg``.
 
     A degenerate generator makes the bordered system singular but still
     consistent, so GMRES alone would return a state.  Three checks stop
@@ -925,6 +915,9 @@ def _taylor_action(generator: sp.csr_matrix, norm: float, h: float,
     term is one CSR matvec with A, added to ``out`` in place; a substep
     stops at the paper's early-termination test, two successive terms
     together below unit roundoff of the partial sum (in the inf-norm)."""
+    # BLAS keeps the per-term bookkeeping cheap; loaded by the first step
+    from scipy.linalg.blas import daxpy, idamax
+
     degree, substeps = _taylor_plan(norm * h)
     out[:] = y
     if not substeps:  # G h = 0
@@ -932,19 +925,19 @@ def _taylor_action(generator: sp.csr_matrix, norm: float, h: float,
     a = generator * (h / substeps)
     for _ in range(substeps):
         power = out
-        previous = bound = abs(power[_amax(power)])
+        previous = bound = abs(power[idamax(power)])
         coefficient = 1.0
         for j in range(1, degree + 1):
             power = a @ power
             coefficient /= j
-            term = coefficient * abs(power[_amax(power)])
-            _axpy(power, out, a=coefficient)
+            term = coefficient * abs(power[idamax(power)])
+            daxpy(power, out, a=coefficient)
             # bound, the norm at the substep's start plus the terms since,
             # is at least ||out||, so ||out|| is read only when the test
             # can pass
             bound += term
             if (previous + term <= _UNIT_ROUNDOFF * bound
-                    and previous + term <= _UNIT_ROUNDOFF * abs(out[_amax(out)])):
+                    and previous + term <= _UNIT_ROUNDOFF * abs(out[idamax(out)])):
                 break
             previous = term
 

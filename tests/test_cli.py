@@ -307,7 +307,12 @@ class TestParsing:
          "51d811bdc59d5415d1f5e375c305c541c07280b18602ae427ed3626a3ae31351"),
         ("convergence", "[convergence]\ncutoffs = 1,2,3\nobservable = pop_m1\n",
          "3c945b5458d5d25dc31f2ae3f04983971696eda233aa29875f121c455e4231ce"),
-    ], ids=["sweep", "dynamics", "protocol", "convergence"])
+        # without the base mode 2 frequency, drive and mode linewidths
+        ("sweep", "[sweep]\nkind = splitting\nsplitting_min = 1000\n"
+                  "splitting_max = 3000\nsplitting_points = 5\n"
+                  "linewidth_sets = 67:37,17:16\n",
+         "8191defccb9090e3761ce7999a35b90315f6d80bf2f25fe14726fd3ca9c64ced"),
+    ], ids=["sweep", "dynamics", "protocol", "convergence", "splitting"])
     def test_run_id_is_pinned(self, command, section, expected):
         # each command's section enters the canonical dictionary; a changed
         # id changes the manifest line of every CSV
@@ -566,6 +571,31 @@ class TestRun:
             for g1, g2 in (("67", "37"), ("40", "40"))]
         assert all(row[-1] == "1" for row in rows)
 
+    @pytest.mark.parametrize("sets, changes", [
+        ("", {"mode2_omega = 2200.0": "mode2_omega = 5000.0"}),
+        ("linewidth_sets = 67:37,17:16\n", {"mode1_gamma = 67.0": "mode1_gamma = 5.0",
+                                             "mode2_gamma = 37.0": "mode2_gamma = 90.0"}),
+    ], ids=["mode2_omega", "mode_linewidths"])
+    def test_splitting_run_id_leaves_out_what_every_point_sets(self, tmp_path, sets,
+                                                               changes):
+        # every point of a splitting sweep sets mode 2's frequency and its
+        # dark drive, and with linewidth sets both mode linewidths, so other
+        # base values of these keys (still required) keep the run id and
+        # the CSV bytes
+        text = run_text("splitting") + sets
+        changed = text
+        for old, new in changes.items():
+            changed = changed.replace(old, new)
+        configs = [parse_config(text), parse_config(changed)]
+        assert configs[0].params != configs[1].params
+        assert configs[0].run_id() == configs[1].run_id()
+        written = []
+        for k, config in enumerate(configs):
+            out = tmp_path / str(k)
+            assert run(dataclasses.replace(config, output_dir=str(out)), quiet=True) == 0
+            written.append((out / "sweep_splitting.csv").read_bytes())
+        assert written[0] == written[1]
+
     def test_degenerate_generators_fail_quietly_and_typed(self, tmp_path,
                                                           monkeypatch, capfd):
         # the closed system and its dephasing sweep: every solve fails with
@@ -732,14 +762,23 @@ def test_cli_import_leaves_out_scipy_integrate():
 def test_steady_runs_leave_out_sparse_graph_and_linalg():
     # no run loads scipy.sparse.csgraph or scipy.sparse.linalg: steady
     # states, sweeps, trajectories on both propagation routes and a
-    # protocol; nor does any module of the package import the latter
+    # protocol; nor does any module of the package import the latter.
+    # Steady states at cutoffs 1-4, a sweep, a convergence scan and a
+    # cutoff-1 trajectory that takes one dense propagator and no Taylor
+    # step leave out scipy.linalg as well
     code = textwrap.dedent("""
         import pathlib
         import sys
         import pcdimer
         params = pcdimer.preset_params("dimer30_dc901")
-        pcdimer.steady_state(pcdimer.build_liouvillian(params))
+        for cutoff in (1, 2, 3, 4):
+            pcdimer.steady_state(pcdimer.build_liouvillian(params.with_truncation(cutoff)))
         assert pcdimer.sweep_detuning(params, [-5.0, 0.0, 5.0]).converged.all()
+        pcdimer.convergence_scan(params, cutoffs=(1, 2, 3))
+        info = pcdimer.dynamics_run(params, "qd1_excited", 100.0, samples=21).info
+        assert (info.route, info.dense_propagators, info.taylor_steps) == (
+            "dense_expm", 1, 0), info
+        assert "scipy.linalg" not in sys.modules
         routes = [pcdimer.dynamics_run(params.with_truncation(cutoff), "qd1_excited",
                                        20.0, samples=5).info.route
                   for cutoff in (1, 2)]
@@ -778,7 +817,7 @@ class TestMain:
 
     @pytest.mark.parametrize("run_name, threads, message", [
         ("dephasing", "2", None),
-        ("dephasing", "0", "invalid --threads 0: minimum 1"),
+        ("dephasing", "0", "invalid value 0 for [run] threads: expected >= 1"),
         ("steady", "2", "--threads acts on sweep runs only, not on a steady run"),
     ], ids=["2-0", "0-2", "steady-2-2"])
     def test_threads_flag(self, tmp_path, capsys, run_name, threads, message):
@@ -951,11 +990,18 @@ class TestMain:
     def test_missing_config_exit_code(self, tmp_path):
         assert main(["--config", str(tmp_path / "absent.cfg"), "--quiet"]) == 4
 
-    def test_bad_truncation_flag(self, tmp_path):
+    def test_bad_truncation_flag(self, tmp_path, capsys):
+        # the flag is read, and checked, by the reader of the key it
+        # overrides
         config_path = tmp_path / "run.cfg"
         config_path.write_text(STEADY_PRESET, encoding="utf-8")
-        assert main(["--config", str(config_path), "--truncation", "0",
-                     "--quiet"]) == 2
+        for value, message in (("0", "invalid value 0 for [system] truncation: "
+                                     "expected >= 1"),
+                               ("two", "invalid value 'two' for [system] truncation: "
+                                       "expected an integer")):
+            assert main(["--config", str(config_path), "--truncation", value,
+                         "--quiet"]) == 2
+            assert message in capsys.readouterr().err
 
     def test_seed_flag_rejected(self, tmp_path):
         config_path = tmp_path / "run.cfg"
