@@ -468,11 +468,9 @@ def parse_config(text: str, overrides: dict | None = None) -> RunConfig:
 # ---------------------------------------------------------------------------
 
 def _csv_body(rows) -> str:
-    """The data lines of a table by one %-format over all its values: ints
-    and bools print as integers, everything else with 17 significant
-    digits.  Each column takes the type of its first row."""
-    if not rows:
-        return ""
+    """The data lines of a nonempty table by one %-format over all its
+    values: ints and bools print as integers, everything else with 17
+    significant digits.  Each column takes the type of its first row."""
     line = ",".join("%d" if isinstance(v, (bool, int, np.bool_, np.integer))
                     else "%.17g" for v in rows[0]) + "\n"
     return (line * len(rows)) % tuple(itertools.chain.from_iterable(rows))

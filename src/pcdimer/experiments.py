@@ -19,6 +19,7 @@ sequential runs produce identical grids.
 from __future__ import annotations
 
 import itertools
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
@@ -232,9 +233,11 @@ def run_sweep(spec: SweepSpec, n_workers: int = 1) -> SweepResult:
     The grid points are cut in C order into batches of
     ``solvers.batch_points(D^2)`` points, a size set by the Liouville
     dimension alone; each batch builds its generators and solves them in one
-    ``steady_states`` call.  With ``n_workers > 1`` a process pool maps the
-    batches; a sweep of one batch runs in this process, since a pool would
-    add only its start-up cost.  Per-point solver failures are recorded
+    ``steady_states`` call.  A process pool of the smallest of
+    ``n_workers``, the batch count and the usable CPUs (this process's CPU
+    affinity, else ``os.cpu_count()``) maps the batches when that is above
+    one; otherwise they run in this process, where a pool would add only
+    its start-up cost.  Per-point solver failures are recorded
     (NaN value, converged=False) and the sweep continues.  Results are
     bit-identical for any worker count.
     """
@@ -244,9 +247,13 @@ def run_sweep(spec: SweepSpec, n_workers: int = 1) -> SweepResult:
     tasks = [[spec.point_params(idx) for idx in index_list[k:k + size]]
              for k in range(0, len(index_list), size)]
 
-    if n_workers > 1 and len(tasks) > 1:
-        chunk = max(1, len(tasks) // (8 * n_workers))
-        with ProcessPoolExecutor(max_workers=n_workers) as pool:
+    # a pool forks all its workers at the first submit
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+    workers = min(n_workers, len(tasks), cpus)
+    if workers > 1:
+        chunk = max(1, len(tasks) // (8 * workers))
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             batches = list(pool.map(_evaluate_batch, tasks, chunksize=chunk))
     else:
         batches = [_evaluate_batch(t) for t in tasks]

@@ -31,7 +31,7 @@ from .hilbert import (
     occupation_table,
 )
 from .liouvillian import GeneratorBatch, Superoperator, build_liouvillian
-from .model import SystemParams
+from .model import HBAR_UEV_PS, SystemParams
 
 __all__ = [
     "STEADY_RESIDUAL_TOL",
@@ -110,37 +110,38 @@ _DENSE_PROPAGATOR_MAX_DIM = 256
 _SHARED_STEP_TOL = 1e-12
 # on the dense route, a run of equal steps gets a dense exp(G h) when its
 # Taylor steps would sum at least _DENSE_MIN_TERMS terms (m s per step,
-# ``_taylor_plan``), the cost measure of Al-Mohy & Higham (SIAM J. Sci.
-# Comput. 33, 488 (2011)); otherwise each of its steps is one Taylor
-# action.  On the twelve bench dynamics generators of seeds 1 and 2
-# (D^2 = 256, 2-vCPU Xeon, one BLAS thread, medians of 11-21 calls) one
-# dense propagator took 6.0-9.0 ms at 5 ps, the sample step of the
-# 801-sample runs, and one Taylor step (m s = 160) 0.84-1.50 ms.  A Taylor
-# step grows with h and a propagator only with log h: counted in terms,
-# one propagator cost 780-1,220 at 5 ps, 860-1,620 at 20 ps, 1,650-1,770
-# at 100 ps and 1,800-3,020 at 1000 ps, where one Taylor step took 98-188 ms
+# ``_taylor_plan``: 45 terms per substep), the cost measure of Al-Mohy &
+# Higham (SIAM J. Sci. Comput. 33, 488 (2011)); otherwise each of its steps
+# is one Taylor action.  On the twelve bench dynamics generators of seeds 1
+# and 2 (D^2 = 256, 2-vCPU Xeon, one BLAS thread, medians of 11-21 calls)
+# one dense propagator took 6.0-9.0 ms at 5 ps, the sample step of the
+# 801-sample runs, and one Taylor step (m s = 180, of which it sums 116
+# from the preset's ground state) 0.84-1.50 ms, so a run of seven such
+# steps (m s = 1,260) takes one propagator.  A Taylor step grows with h and a propagator
+# only with log h: counted in terms summed, one propagator cost 780-1,220
+# at 5 ps, 860-1,620 at 20 ps, 1,650-1,770 at 100 ps and 1,800-3,020 at
+# 1000 ps, where one Taylor step took 98-188 ms
 _DENSE_MIN_TERMS = 1200
 # theta_m, the largest ||A||_1 at which the degree-m Taylor polynomial
 # approximates exp(A) to unit roundoff 2^-53 in backward error (Al-Mohy &
-# Higham, SIAM J. Sci. Comput. 33, 488 (2011), Table 3.1; m <= 30 from
-# Higham, Functions of Matrices (SIAM, 2008), Table A.3), the degrees open
-# to the Taylor action.  The table stops at m = 45, below the paper's 55:
-# the terms of a substep sum to up to about e^theta_m times the result,
-# which cancels on lossless rotations.  In runs of one to seven steps of up
-# to 1 ps (1,500 draws of cutoff-1 physical parameters) degrees up to 55
-# erred by up to 9.3e-13 of max |y|, degrees up to 45 by 1.2e-13; they
-# take ~10% more matvecs on the photon-seeded cutoff-2 run (115 against
-# 104 per 5 ps step).  The dense propagator takes m = 16, with the
-# polynomial's coefficients 1/k!, k = 0..16
-_TAYLOR_THETA = {
-    1: 2.29e-16, 2: 2.58e-8, 3: 1.39e-5, 4: 3.40e-4, 5: 2.40e-3,
-    6: 9.07e-3, 7: 2.38e-2, 8: 5.00e-2, 9: 8.96e-2, 10: 1.44e-1,
-    11: 2.14e-1, 12: 3.00e-1, 13: 4.00e-1, 14: 5.14e-1, 15: 6.41e-1,
-    16: 7.81e-1, 17: 9.31e-1, 18: 1.09, 19: 1.26, 20: 1.44,
-    21: 1.62, 22: 1.82, 23: 2.01, 24: 2.22, 25: 2.43,
-    26: 2.64, 27: 2.86, 28: 3.08, 29: 3.31, 30: 3.54,
-    35: 4.7, 40: 6.0, 45: 7.2,
-}
+# Higham, SIAM J. Sci. Comput. 33, 488 (2011), Table 3.1; theta_16 from
+# Higham, Functions of Matrices (SIAM, 2008), Table A.3), for the two
+# degrees in use: the dense propagator takes m = 16, with the polynomial's
+# coefficients 1/k!, k = 0..16, and the Taylor action m = 45.  The action
+# stops below the paper's 55: the terms of a substep sum to up to about
+# e^theta_m times the result, which cancels on lossless rotations.  In runs
+# of one to seven steps of up to 1 ps (1,500 draws of cutoff-1 physical
+# parameters) degrees up to 55 erred by up to 9.3e-13 of max |y|, degrees
+# up to 45 by 1.2e-13.  A substep sums terms only until the paper's
+# early-termination test passes, which sets the cost more than the degree
+# does: over 400 log-spaced steps at each of Fock cutoffs 1 and 2
+# (||G h||_1 from 1e-3 to 2e3, the dark-tuned preset, a random state) the
+# fixed degree summed as many terms as the least m s over degrees 1-30,
+# 35, 40 and 45 in 246 steps, 18-20 fewer in 4 and one more in the 150
+# steps below ||G h||_1 = 0.93, whose chosen degree ran to its last term:
+# 277,656 against 277,580 terms at cutoff 1, 283,092 against 283,017 at
+# cutoff 2, with results within 5e-16
+_TAYLOR_THETA = {16: 7.81e-1, 45: 7.2}
 _TAYLOR_COEFFICIENTS = 1.0 / np.cumprod(np.r_[1.0, np.arange(1.0, 17.0)])
 # the unit roundoff of float64, the Taylor action's truncation tolerance
 _UNIT_ROUNDOFF = 2.0 ** -53
@@ -271,7 +272,8 @@ def _no_jump_inverse(h_eff: np.ndarray, shift: np.ndarray, blocks: np.ndarray):
     recycling terms, so a GMRES step need not multiply by L.  The bound
     takes the unit columns of V: its singular values have sum sigma^2 = d,
     so every (sigma - 1/sigma)^2 is at most e = ||V^-1||_F^2 - d and
-    cond(V) <= s^2 with s = (sqrt(e) + sqrt(e + 4)) / 2.
+    cond(V) <= s^2 with s - 1/s = sqrt(e).  So cond(V) <= C when
+    e <= (C - 1)^2 / C, C = ``_RECYCLING_COND_MAX``; a NaN e fails it.
     """
     d = h_eff.shape[1]
     w, v = np.linalg.eig(h_eff)
@@ -284,12 +286,16 @@ def _no_jump_inverse(h_eff: np.ndarray, shift: np.ndarray, blocks: np.ndarray):
         levels = np.sort(w[m].real[stationary[m]])
         groups = np.split(levels, np.nonzero(np.diff(levels) > tol[m])[0] + 1)
         kernel_dim = sum(g.size ** 2 for g in groups)
-        if kernel_dim >= blocks[m]:
-            reason = f"{levels.size} levels of H_eff never decay"
-        else:
+        if kernel_dim < blocks[m]:
             kernel_dim = int(blocks[m])
             reason = (f"H and the jumps leave {kernel_dim} blocks of basis "
                       "states invariant")
+        elif levels.size == d and np.any(h_eff[m] != h_eff[m].conj().T):
+            reason = (f"all {d} levels of H_eff count as non-decaying, though H_eff is "
+                      f"not Hermitian: its decay rates lie below {_NON_DECAYING_TOL:g} of "
+                      f"its largest energy, {HBAR_UEV_PS * np.abs(w[m]).max():.3g} ueV")
+        else:
+            reason = f"{levels.size} levels of H_eff never decay"
         errors[m] = DegenerateSteadyStateError(
             f"the generator kernel is at least {kernel_dim}-dimensional: "
             f"{reason}; the steady state is not unique",
@@ -312,9 +318,8 @@ def _no_jump_inverse(h_eff: np.ndarray, shift: np.ndarray, blocks: np.ndarray):
     # eig returns unit columns, so ||V||_F = sqrt(d); NaN fails the tests
     inverse_norm = np.linalg.norm(v_inv, axis=(1, 2))
     eigen = np.sqrt(d) * inverse_norm <= _EIGENBASIS_COND_MAX
-    # sqrt(e) of the cond(V) bound above, clipped at zero against roundoff
-    root_e = np.sqrt(np.maximum(inverse_norm ** 2 - d, 0.0))
-    exact = ((root_e + np.sqrt(root_e ** 2 + 4.0)) / 2.0) ** 2 <= _RECYCLING_COND_MAX
+    # the cond(V) bound above, on e = ||V^-1||_F^2 - d
+    exact = inverse_norm ** 2 - d <= (_RECYCLING_COND_MAX - 1.0) ** 2 / _RECYCLING_COND_MAX
     exact &= ~stationary.any(axis=1)
     # X = V [(V^-1 Y V^-H) / den] V^H (contiguous, like every stack the
     # products below see)
@@ -896,12 +901,10 @@ def _dense_propagator(generator: sp.csr_matrix, norm: float, h: float) -> np.nda
 
 
 def _taylor_plan(norm: float) -> tuple[int, int]:
-    """The degree m and substeps s of the Taylor action on a matrix of
-    1-norm ``norm``: they minimise m s, the terms at most summed, subject to
-    norm / s <= theta_m."""
-    _, m, s = min((m * math.ceil(norm / theta), m, math.ceil(norm / theta))
-                  for m, theta in _TAYLOR_THETA.items())
-    return m, s
+    """The degree m = 45 and substeps s = ceil(norm / theta_45) of the
+    Taylor action on a matrix of 1-norm ``norm``, so that every substep's
+    matrix has 1-norm at most theta_45 = 7.2; m s bounds the terms summed."""
+    return 45, math.ceil(norm / _TAYLOR_THETA[45])
 
 
 def _taylor_action(generator: sp.csr_matrix, norm: float, h: float,
@@ -910,11 +913,13 @@ def _taylor_action(generator: sp.csr_matrix, norm: float, h: float,
     s substeps of Al-Mohy & Higham (SIAM J. Sci. Comput. 33, 488 (2011),
     Algorithm 3.2, without the shift): y is moved s times by T_m(A), the
     degree-m Taylor polynomial of A = G h / s, m and s from
-    ``_taylor_plan(||G h||_1)`` (``norm`` is ||G||_1), so T_m(A)
-    approximates exp(A) to unit roundoff in backward error.  Each
-    term is one CSR matvec with A, added to ``out`` in place; a substep
-    stops at the paper's early-termination test, two successive terms
-    together below unit roundoff of the partial sum (in the inf-norm)."""
+    ``_taylor_plan(||G h||_1)`` (``norm`` is ||G||_1): m = 45 and s =
+    ceil(||G h||_1 / theta_45), so T_m(A) approximates exp(A) to unit
+    roundoff in backward error.  Each term is one CSR matvec with A, added
+    to ``out`` in place; a substep stops at the paper's early-termination
+    test, two successive terms together below unit roundoff of the partial
+    sum (in the inf-norm), which sets how many of the m terms it sums (26
+    of 45 in a 1 ps step of the preset's ground state at Fock cutoff 1)."""
     # BLAS keeps the per-term bookkeeping cheap; loaded by the first step
     from scipy.linalg.blas import daxpy, idamax
 
@@ -947,10 +952,11 @@ def _propagate(generator: sp.csr_matrix, y: np.ndarray, steps: np.ndarray,
     """Writes the coordinates after each step into the rows of ``out``;
     returns (dense propagators built, Taylor steps).  At D^2 <= 256, a run
     of equal steps whose Taylor steps would sum at least
-    ``_DENSE_MIN_TERMS`` terms (m s each, ``_taylor_plan``) gets one dense
-    P = exp(G h), formed by ``_dense_propagator``: the run takes its first
-    ``_SAMPLE_BLOCK`` states by matvecs and every later block of that many
-    by one product with P^B, which is not counted as a propagator.  Every
+    ``_DENSE_MIN_TERMS`` terms (m s = 45 ceil(||G h||_1 / theta_45) each,
+    ``_taylor_plan``) gets one dense P = exp(G h), formed by
+    ``_dense_propagator``: the run takes its first ``_SAMPLE_BLOCK`` states
+    by matvecs and every later block of that many by one product with P^B,
+    which is not counted as a propagator.  Every
     other step, and every step of a larger space, moves the state by one
     ``_taylor_action``, never forming exp(G h)."""
     dense = generator.shape[0] <= _DENSE_PROPAGATOR_MAX_DIM
@@ -1062,7 +1068,9 @@ def evolve(schedule: Schedule, rho0: DensityMatrix, t_grid) -> Trajectory:
     The Taylor action (``_taylor_action``) sums the truncated Taylor series
     of exp(G dt) applied to the state in substeps, one sparse matvec per
     term, after Al-Mohy & Higham (SIAM J. Sci. Comput. 33, 488 (2011),
-    Algorithm 3.2), and writes each sample straight into its row.
+    Algorithm 3.2), and writes each sample straight into its row.  Its
+    degree is fixed at 45, with ceil(||G dt||_1 / 7.2) substeps, and each
+    substep stops at the algorithm's early-termination test.
 
     Every segment writes its samples into one (n, D^2) coordinate array
     allocated for the whole schedule, and the trajectory keeps that array:

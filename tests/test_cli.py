@@ -517,6 +517,30 @@ class TestRun:
                               + f"\n[output]\ndirectory = {tmp_path}\n")
         assert run(config, quiet=True) == 3
 
+    def test_couplings_beyond_the_rate_resolution_exit_3(self, tmp_path, capsys):
+        # couplings of +-1e200 put the rates (67 and 37 ueV) below the
+        # 1e-12 relative resolution of the energies, so every level counts
+        # as non-decaying though H_eff is not Hermitian: the message says
+        # so and names the largest energy, with the same error type and
+        # kernel dimension as a closed system's
+        text = EXPLICIT_SYSTEM
+        for key in ("coupling_m1_qd1", "coupling_m1_qd2", "coupling_m2_qd1"):
+            text = text.replace(f"{key} = 110.0", f"{key} = 1e200")
+        text = text.replace("coupling_m2_qd2 = -110.0", "coupling_m2_qd2 = -1e200")
+        config_path = tmp_path / "run.cfg"
+        config_path.write_text(text, encoding="utf-8")
+        assert main(["--config", str(config_path), "--output", str(tmp_path),
+                     "--quiet"]) == 3
+        message = capsys.readouterr().err
+        assert "at least 62-dimensional" in message
+        assert ("all 16 levels of H_eff count as non-decaying, though H_eff is "
+                "not Hermitian") in message
+        assert "largest energy, 5.66e+200 ueV" in message
+        with pytest.raises(DegenerateSteadyStateError) as failure:
+            pcdimer.steady_state(pcdimer.build_liouvillian(parse_config(text).params))
+        assert failure.value.kernel_dimension == 62
+        assert str(failure.value) in message
+
     def test_all_points_failed_manifest_is_strict_json(self, tmp_path):
         # a closed system stays degenerate at every dephasing rate, so every
         # sweep point fails and no residual exists

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import os
 
 import numpy as np
 import pytest
@@ -76,6 +77,30 @@ class TestPhaseDetuningSweep:
                                  COARSE_PHI, np.array([0.0, 1.0]))
 
 
+def recording_pool(monkeypatch):
+    """Replaces the sweeps' process pool by one that maps in this process
+    and records (max_workers, chunksize, batches) of each map in the list
+    it returns."""
+    pools = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            self.max_workers = max_workers
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks, chunksize):
+            pools.append((self.max_workers, chunksize, len(tasks)))
+            return map(fn, tasks)
+
+    monkeypatch.setattr(pcdimer.experiments, "ProcessPoolExecutor", RecordingPool)
+    return pools
+
+
 class TestSweepEngine:
     def test_parallel_equals_sequential(self, preset, monkeypatch):
         # a sweep whose points fit one batch runs in this process whatever
@@ -123,6 +148,46 @@ class TestSweepEngine:
             manifest = json.loads((out / "sweep_manifest.json").read_text())
             assert manifest["diagnostics"]["batch_points"] == seq.batch_points
         assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize("n_workers, cpus, affinity, expected", [
+        (500, 64, True, (3, 1, 3)),  # capped at the batch count
+        (500, 2, True, (2, 1, 3)),  # capped at the usable CPUs
+        (2, 64, True, (2, 1, 3)),
+        (500, 2, False, (2, 1, 3)),  # os.cpu_count() without an affinity call
+        (500, 1, True, None),  # one usable CPU: no pool
+        (500, None, False, None),  # an unknown CPU count counts as one
+    ])
+    def test_pool_is_capped(self, preset, monkeypatch, n_workers, cpus,
+                            affinity, expected):
+        # a pool forks all its workers at the first submit, so it may ask
+        # for no more than batches and CPUs; 13 x 12 points span three
+        # batches.  The recording pool starts no process
+        phi = np.linspace(0.0, 2.0 * np.pi, 13)
+        delta = np.linspace(-33.0, 22.0, 12)
+        seq = sweep_phase_detuning(preset, phi, delta, n_workers=1)
+        pools = recording_pool(monkeypatch)
+        if affinity:
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        else:
+            monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        par = sweep_phase_detuning(preset, phi, delta, n_workers=n_workers)
+        assert pools == ([] if expected is None else [expected])
+        for name in ("values", "residuals", "iterations",
+                     "certificate_iterations", "converged"):
+            assert np.array_equal(getattr(seq, name), getattr(par, name)), name
+
+    def test_pool_chunks_follow_the_capped_count(self, preset, monkeypatch):
+        # batches of 4 points: 13 x 12 points make 39 batches, mapped in
+        # chunks of 39 // (8 x 2) = 2 by two workers on two CPUs, where the
+        # uncapped count of 500 would give chunks of one
+        pools = recording_pool(monkeypatch)
+        monkeypatch.setattr(pcdimer.experiments, "batch_points", lambda dim2: 4)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        phi = np.linspace(0.0, 2.0 * np.pi, 13)
+        delta = np.linspace(-33.0, 22.0, 12)
+        sweep_phase_detuning(preset, phi, delta, n_workers=500)
+        assert pools == [(2, 2, 39)]
 
     @pytest.mark.parametrize("cutoff, phi_points, batch", [(1, 9, 64), (2, 4, 12)])
     def test_values_equal_solo_negativity(self, preset, cutoff, phi_points, batch):

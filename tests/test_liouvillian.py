@@ -28,7 +28,6 @@ from pcdimer.liouvillian import (
     assemble_generator,
     build_liouvillian,
     build_liouvillians,
-    identity_bra,
 )
 from pcdimer.model import (
     HBAR_UEV_PS,
@@ -51,6 +50,14 @@ def random_density(rng, dim):
     a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     rho = a @ a.conj().T
     return rho / np.trace(rho)
+
+
+def identity_bra(d):
+    """Row vector <<I| whose pairing with vec(rho) gives Tr(rho), for a
+    d x d rho: ones at the diagonal positions of the column stacking."""
+    bra = np.zeros(d * d, dtype=complex)
+    bra[::d + 1] = 1.0
+    return bra
 
 
 def propagate(liouville, rho0, t):
@@ -95,8 +102,7 @@ class TestVectorization:
         rng = np.random.default_rng(71)
         space = CompositeSpace((qubit(), boson(2)))
         rho = DensityMatrix(space, random_density(rng, 6))
-        bra = identity_bra(space)
-        assert np.isclose(bra @ rho.matrix.reshape(-1, order="F"), 1.0)
+        assert np.isclose(identity_bra(6) @ rho.matrix.reshape(-1, order="F"), 1.0)
 
 
 class TestDissipator:
@@ -437,6 +443,26 @@ class TestBuildLiouvillian:
     def test_trace_preservation(self):
         liouville = build_liouvillian(full_params())
         assert liouville.trace_defect() < 1e-10
+
+    @settings(max_examples=10, deadline=None)
+    @given(params=physical_params(), seed=st.integers(0, 2 ** 32 - 1))
+    @example(params=full_params(), seed=0)
+    def test_trace_defect_is_the_identity_bra_product(self, params, seed):
+        # the summed rows of L at the diagonal positions of vec(rho) are
+        # <<I| L, on a model generator and on an assembled one with a random
+        # jump of about d^2 / 8 entries (at cutoff 2, a dense jump would
+        # give conj(C) kron C 36^4 entries)
+        rng = np.random.default_rng(seed)
+        space = params.space()
+        d = space.total_dim
+        jump = Operator(space, (rng.standard_normal((d, d))
+                                + 1j * rng.standard_normal((d, d)))
+                        * (rng.random((d, d)) < 0.125))
+        for liouville in (build_liouvillian(params),
+                          assemble_generator(build_effective_hamiltonian(params),
+                                             [(jump, rng.uniform(0.1, 10.0))])):
+            explicit = np.max(np.abs(identity_bra(d) @ liouville.matrix))
+            assert liouville.trace_defect() == explicit
 
     def test_dissipativity(self):
         liouville = build_liouvillian(full_params())

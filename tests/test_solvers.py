@@ -55,6 +55,7 @@ from pcdimer.hilbert import qubit_lowering
 from pcdimer.solvers import (
     STEADY_RESIDUAL_TOL,
     _DENSE_MIN_TERMS,
+    _RECYCLING_COND_MAX,
     _SAMPLE_BLOCK,
     _SOLVER_POLICY,
     OBSERVABLES,
@@ -141,10 +142,30 @@ def dark_tuned(params):
             .with_drive_detuning(dark.detuning))
 
 
+def scaled_expm(dense, h):
+    """exp(G h) for a dense G: scipy's Pade expm of G h / 2^k,
+    ||G h / 2^k||_1 <= 1, squared k times.  expm of G h itself scales only
+    to ||G h||_1 <= 5.4 and misses lossless rotations: on 24 cutoff-1 draws
+    with steps up to 5 ps it erred by up to 4.8e-13 of max |P| against a
+    long-double Taylor reference, this form and the dense propagator by up
+    to 5.8e-14"""
+    norm = np.abs(dense * h).sum(axis=0).max()
+    squarings = max(0, math.ceil(math.log2(norm))) if norm else 0
+    propagator = expm(dense * (h / 2.0 ** squarings))
+    for _ in range(squarings):
+        propagator = propagator @ propagator
+    return propagator
+
+
+# the preset at its dark-state drive
+DARK_PRESET = dark_tuned(preset_params("dimer30_dc901"))
+
+
 def expm_oracle(segments, rho0, t_grid):
-    """Sampled states by scipy's dense matrix exponentials of each segment's
-    real generator G, one per distinct step length, chained from sample to
-    sample and across each switch: exp(G_k h) ... y_0, y_0 = U vec(rho0)."""
+    """Sampled states by the dense matrix exponentials (``scaled_expm``) of
+    each segment's real generator G, one per distinct step length, chained
+    from sample to sample and across each switch: exp(G_k h) ... y_0,
+    y_0 = U vec(rho0)."""
     d = rho0.space.total_dim
     y = hermitian_coordinates(rho0.matrix, d)
     start, states = 0.0, []
@@ -154,7 +175,7 @@ def expm_oracle(segments, rho0, t_grid):
 
         def step(y, h):
             if h not in propagators:
-                propagators[h] = expm(dense * h)
+                propagators[h] = scaled_expm(dense, h)
             return propagators[h] @ y
 
         # the last segment takes every remaining sample (the horizon may
@@ -173,23 +194,13 @@ def expm_oracle(segments, rho0, t_grid):
 def matvec_chain(generator, y, steps, out):
     """Reference for the dense route: writes the coordinates after each
     step into the rows of ``out`` by one matvec with exp(G h), a dense
-    exponential per distinct step, in the propagate contract of
-    ``_propagate_schedule``.  exp(G h) is scipy's Pade expm of G h / 2^k,
-    ||G h / 2^k||_1 <= 1, squared k times.  expm of G h itself scales only
-    to ||G h||_1 <= 5.4 and misses lossless rotations: on 24 cutoff-1
-    draws with steps up to 5 ps it erred by up to 4.8e-13 of max |P|
-    against a long-double Taylor reference, this form and the dense
-    propagator by up to 5.8e-14"""
+    ``scaled_expm`` per distinct step, in the propagate contract of
+    ``_propagate_schedule``."""
     dense = generator.toarray()
     propagators = {}
     for k, h in enumerate(steps.tolist()):
         if h not in propagators:
-            norm = np.abs(dense * h).sum(axis=0).max()
-            squarings = max(0, math.ceil(math.log2(norm))) if norm else 0
-            propagator = expm(dense * (h / 2.0 ** squarings))
-            for _ in range(squarings):
-                propagator = propagator @ propagator
-            propagators[h] = propagator
+            propagators[h] = scaled_expm(dense, h)
         y = out[k] = propagators[h] @ y
     return len(propagators), 0
 
@@ -383,6 +394,40 @@ def test_no_jump_inverse_is_exact(h_eff, exact):
     x = apply(y[None, None])[0, 0]
     no_jump = -1j * (h_eff @ x - x @ h_eff.conj().T)
     assert np.max(np.abs(no_jump - y)) <= 1e-10 * np.max(np.abs(y))
+
+
+def test_no_jump_inverse_exact_bound_in_closed_form(monkeypatch):
+    # e = ||V^-1||_F^2 - d <= (C - 1)^2 / C is the bound cond(V) <= s^2 <= C,
+    # s = (sqrt(e) + sqrt(e + 4)) / 2, solved for e.  2 x 2 members with
+    # eigenvectors at random angles a spread e = 2 cot^2 a from 7e-6 to
+    # 1.5e3, around the threshold 4.86; member 0's eigenbasis is made
+    # exactly singular, so its V^-1, and so e, is NaN and it fails either
+    # form
+    angles = np.random.default_rng(11).uniform(0.01, np.pi / 2, 200)
+    vectors = np.zeros((angles.size, 2, 2))
+    vectors[:, 0, 0] = 1.0
+    vectors[:, 0, 1], vectors[:, 1, 1] = np.cos(angles), np.sin(angles)
+    h_eff = vectors @ np.diag([1.0 - 0.5j, 2.0 - 0.7j]) @ np.linalg.inv(vectors)
+    eig = np.linalg.eig
+
+    def singular_for_member_0(h):
+        w, v = eig(h)
+        v = v.copy()
+        v[0] = [[1.0, 1.0], [0.0, 0.0]]
+        return w, v
+
+    monkeypatch.setattr(np.linalg, "eig", singular_for_member_0)
+    _, errors, exact = _no_jump_inverse(h_eff, np.ones(angles.size),
+                                        np.ones(angles.size, dtype=int))
+    assert errors == {}
+    v = singular_for_member_0(h_eff)[1]
+    inverse_norm = np.full(angles.size, np.nan)
+    inverse_norm[1:] = np.linalg.norm(np.linalg.inv(v[1:]), axis=(1, 2))
+    root_e = np.sqrt(np.maximum(inverse_norm ** 2 - 2, 0.0))
+    old = ((root_e + np.sqrt(root_e ** 2 + 4.0)) / 2.0) ** 2 <= _RECYCLING_COND_MAX
+    assert np.isnan(inverse_norm[0]) and not exact[0]
+    assert exact.tolist() == old.tolist()
+    assert 20 < np.count_nonzero(exact) < angles.size - 20
 
 
 def test_no_jump_inverse_falls_back_per_member_on_a_singular_eigenbasis(monkeypatch):
@@ -1070,7 +1115,7 @@ class TestEvolve:
     @example(params=SUBNORMAL_PUMP_PARAMS, h=1.0)
     @example(params=dark_tuned(preset_params("dimer30_dc901")), h=5.0)
     def test_dense_propagator_matches_expm(self, params, h):
-        # the scaled and squared Taylor polynomial against scipy's Pade
+        # the scaled and squared Taylor polynomial against the scaled Pade
         # expm, to 1e-13 of max |P| times max(1, ||G h||_1): the relative
         # condition number of exp at G h is at least ||G h|| (Van Loan,
         # SIAM J. Numer. Anal. 14, 971 (1977)), and both methods err by
@@ -1078,7 +1123,7 @@ class TestEvolve:
         # subnormal-pump systems, and small ||G h||) to 10, the preset at
         # 5 ps takes 5; 400 draws used at most 0.11 of the bound
         generator = build_liouvillian(params).real_matrix
-        reference = expm((generator * h).toarray())
+        reference = scaled_expm(generator.toarray(), h)
         propagator = _dense_propagator(generator, float(abs(generator).sum(axis=0).max()), h)
         assert propagator.shape == (256, 256)
         norm = abs(generator * h).sum(axis=0).max()
@@ -1092,8 +1137,21 @@ class TestEvolve:
     @example(params=SUBNORMAL_PUMP_PARAMS, cutoff=1, h=1.0, seed=0)
     @example(params=dark_tuned(preset_params("dimer30_dc901")), cutoff=1, h=5.0,
              seed=0)
+    # the degree-45 action from ||G h||_1 = 1e-3 to 2e3 on the dark-tuned
+    # preset (||G||_1 = 4.76 /ps at cutoff 1, 8.81 /ps at cutoff 2): one
+    # substep up to theta_45 = 7.2, which stops after a few of its 45 terms
+    # at 1e-3, and 278 substeps at 2e3
+    @example(params=DARK_PRESET, cutoff=1, h=2.1e-4, seed=1)
+    @example(params=DARK_PRESET, cutoff=1, h=0.021, seed=1)
+    @example(params=DARK_PRESET, cutoff=1, h=1.5, seed=1)
+    @example(params=DARK_PRESET, cutoff=1, h=10.5, seed=1)
+    @example(params=DARK_PRESET, cutoff=1, h=63.0, seed=1)
+    @example(params=DARK_PRESET, cutoff=1, h=420.0, seed=1)
+    @example(params=DARK_PRESET, cutoff=2, h=1.1e-4, seed=2)
+    @example(params=DARK_PRESET, cutoff=2, h=0.83, seed=2)
+    @example(params=DARK_PRESET, cutoff=2, h=227.0, seed=2)
     def test_taylor_action_matches_expm(self, params, cutoff, h, seed):
-        # one Taylor step of a random state against scipy's Pade expm, at
+        # one Taylor step of a random state against the scaled Pade expm, at
         # Fock cutoff 1 and, one draw in eight, cutoff 2: to 1e-12 of max |y|
         # up to ||G h||_1 = 10 and in proportion to ||G h||_1 above, the
         # lower bound of the condition number (as for the dense propagator).
@@ -1106,7 +1164,7 @@ class TestEvolve:
         d = params.space().total_dim
         rho = random_density(np.random.default_rng(seed), d)
         y = (hermitian_basis(d) @ rho.reshape(-1, order="F")).real
-        reference = expm((generator * h).toarray()) @ y
+        reference = scaled_expm(generator.toarray(), h) @ y
         norm = float(abs(generator).sum(axis=0).max())
         state = np.empty_like(y)
         _taylor_action(generator, norm, h, y, state)
